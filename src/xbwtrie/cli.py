@@ -3,14 +3,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import combinatorics as comb
 from . import entropy as ent
 from . import index as xidx
-from .trie import SymbolDistribution, Trie, build_from_strings, strings_from_bytes
+from .trie import (SymbolDistribution, Trie, build_from_strings, colex_order,
+                   strings_from_bytes)
 
 INDEX_MODES = ("plain", "fid", "id", "fixedblock", "auto")
 
@@ -107,7 +106,8 @@ def cmd_build(args) -> int:
     rows = [("metric", "n", "-", str(idx.n)),
             ("metric", "sigma", "-", str(trie.alphabet.sigma)),
             ("metric", "mode", "-", idx.mode),
-            ("metric", "r", "-", str(xidx.run_count(idx).total)),
+            ("metric", "r", "-", str(xidx.count_runs(
+                trie.alphabet.symbols, xidx.xbwt_columns(trie)).total)),
             ("metric", "bytes", "-", str(len(data)))]
     for mode in ("plain", "fid", "id", "fixedblock"):
         probe = idx if mode == idx.mode else xidx.build_index(
@@ -172,16 +172,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     dists = list(comb.feasible_distributions(args.max_n, args.max_sigma))
-    workers = max(1, int(os.environ.get("XBWTRIE_THREADS", "1") or "1"))
-
-    def job(dist: SymbolDistribution) -> comb.DistributionCheck:
-        return comb.verify_distribution(dist, args.cap)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, dists))
-    else:
-        results = [job(d) for d in dists]
+    results = [comb.verify_distribution(d, args.cap) for d in dists]
 
     summary: dict[tuple[int, int], list[int]] = {}
     all_ok = True
@@ -211,7 +202,6 @@ def cmd_dump(args) -> int:
     trie = build_from_strings(_load_strings(args.input))
     matrix = comb.trie_to_matrix(trie)
     print(comb.format_matrix(matrix))
-    from .trie import colex_order
     order = colex_order(trie)
     print("colex: " + " ".join(str(v + 1) for v in order))
     outs = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import index as xidx
 from .succinct import BitCost
-from .trie import SymbolDistribution, Trie, colex_order, symbol_distribution
+from .trie import SymbolDistribution, Trie, symbol_distribution
 
 TOL_INEQ = 1e-6    # stated tolerance for entropy inequalities, in bits
 TOL_MONO = 1e-9    # stated tolerance for the H_{k+1} <= H_k chain
@@ -93,23 +93,27 @@ def context_table(trie: Trie, k: int) -> ContextTable:
         else:
             w = pad[:k - len(p)] + p
         node_counts[w] = node_counts.get(w, 0) + 1
-        out = trie.out_labels(v)
-        if out:
+        kids = trie.children[v]
+        if kids:
             per = out_counts.setdefault(w, {})
-            for c in out:
+            for c, _ in kids:
                 per[c] = per.get(c, 0) + 1
     return ContextTable(k, trie.n, node_counts, out_counts)
 
 
 def hk(trie: Trie, k: int) -> float:
     """k-th order empirical entropy, bits per node."""
-    table = context_table(trie, k)
+    return _table_entropy(context_table(trie, k))
+
+
+def _table_entropy(table: ContextTable) -> float:
+    """H_k of the table's order, bits per node."""
     terms: list[float] = []
     for w, per in table.out_counts.items():
         nw = table.node_counts[w]
         for nwc in per.values():
             terms.extend(_h0_terms(nw, nwc))
-    return math.fsum(terms) / trie.n
+    return math.fsum(terms) / table.n
 
 
 @dataclass(frozen=True)
@@ -163,8 +167,12 @@ def check_bounds(trie: Trie, max_order: int = 2,
     n = trie.n
     sigma_eff = trie.alphabet.sigma
     hwc = worst_case_entropy(dist)
-    hs = tuple(hk(trie, k) for k in range(max_order + 1))
-    ells = tuple(len(context_table(trie, k)) for k in range(max_order + 1))
+    hs: tuple[float, ...] = ()
+    ells: tuple[int, ...] = ()
+    for k in range(max_order + 1):  # one table per order gives H_k and l_k
+        table = context_table(trie, k)
+        hs += (_table_entropy(table),)
+        ells += (len(table),)
 
     checks: list[BoundCheck] = []
     lower = n * hs[0] - sigma_eff * math.log2(n + 1) - math.log2(n)
@@ -177,7 +185,7 @@ def check_bounds(trie: Trie, max_order: int = 2,
         slack = hs[k] - hs[k + 1]
         checks.append(BoundCheck(f"monotone_k{k}", slack >= -TOL_MONO, slack))
 
-    runs = xidx.run_count(xidx.build_index(trie, "plain"))
+    runs = xidx.count_runs(trie.alphabet.symbols, xidx.xbwt_columns(trie))
     sigma_full = sigma_eff + 1
     for k in range(max_order + 1):
         rhs = n * hs[k] + sigma_full ** (k + 1)

@@ -3,6 +3,8 @@
 The nodes are sorted by the co-lexicographic order of their incoming paths;
 one bitvector per symbol marks which sorted nodes have an outgoing edge with
 that symbol, and the C array locates each symbol's block of incoming edges.
+The sort and the per-symbol columns are derived once per trie
+(:func:`xbwt_columns`) and shared by every back-end and every report.
 A pattern is matched by forward search: one rank-pair per symbol maps the
 interval of nodes reached by p to the interval reached by p plus one symbol.
 """
@@ -11,9 +13,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .succinct import (BACKEND_TAGS, Bitvector, deserialize_bitvector,
-                       make_bitvector, serialize_bitvector)
+from .succinct import (BACKEND_TAGS, TAG_KINDS, Bitvector,
+                       deserialize_bitvector, make_bitvector,
+                       serialize_bitvector)
 from .trie import Alphabet, Trie, colex_order
 
 MODES = ("plain", "fid", "id", "fixedblock")
@@ -88,9 +92,26 @@ def default_block_size(n: int, sigma_eff: int) -> int:
     return max(1, max(1, sigma_eff) * logn * logn)
 
 
+def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
+    """The XBWT of the trie, computed once and kept on it.
+
+    One tuple per symbol, in alphabet order, holding the ascending 1-based
+    co-lex positions of the nodes with an out-edge labeled by that symbol:
+    the one-positions of the symbol's bitvector.
+    """
+    if trie._xbwt is None:
+        slot = {c: i for i, c in enumerate(trie.alphabet.symbols)}
+        ones: list[list[int]] = [[] for _ in slot]
+        children = trie.children
+        for rank_pos, v in enumerate(colex_order(trie), start=1):
+            for c, _ in children[v]:
+                ones[slot[c]].append(rank_pos)
+        trie._xbwt = tuple(tuple(col) for col in ones)
+    return trie._xbwt
+
+
 def build_index(trie: Trie, mode: str = "auto", *, block_size: int | None = None,
-                codec: str = "id", eps: float = 0.5,
-                complement_heavy: bool = True) -> XbwtIndex:
+                codec: str = "id", complement_heavy: bool = True) -> XbwtIndex:
     """Index the trie with the selected bitvector back-end.
 
     In ID mode a symbol occurring on more than half the nodes is stored as
@@ -98,24 +119,18 @@ def build_index(trie: Trie, mode: str = "auto", *, block_size: int | None = None
     """
     n = trie.n
     alphabet = trie.alphabet
-    mode = resolve_mode(mode, n, alphabet.sigma + 1, eps)
-    co = colex_order(trie)
-    ones: dict[int, list[int]] = {c: [] for c in alphabet.symbols}
-    for rank_pos, v in enumerate(co, start=1):
-        for c in trie.out_labels(v):
-            ones[c].append(rank_pos)
+    mode = resolve_mode(mode, n, alphabet.sigma + 1)
     c_array = [0]
     cum = 0
     vectors = []
     kind = _MODE_TO_KIND[mode]
     if mode == "fixedblock" and block_size is None:
         block_size = default_block_size(n, alphabet.sigma)
-    for c in alphabet.symbols:
+    for ones in xbwt_columns(trie):
         c_array.append(cum + 1)
-        cum += len(ones[c])
-        complemented = (mode == "id" and complement_heavy
-                        and len(ones[c]) > n / 2)
-        vectors.append(make_bitvector(kind, n, ones[c], b=block_size,
+        cum += len(ones)
+        complemented = mode == "id" and complement_heavy and len(ones) > n / 2
+        vectors.append(make_bitvector(kind, n, ones, b=block_size,
                                       codec=codec, complemented=complemented))
     return XbwtIndex(n, alphabet, mode, tuple(c_array), tuple(vectors))
 
@@ -172,20 +187,28 @@ def ith_child(index: XbwtIndex, j: int, i: int) -> int | None:
     return None
 
 
+def _runs(positions: Iterable[int]) -> int:
+    """Number of maximal runs of consecutive values in ascending positions."""
+    runs = 0
+    prev = -2
+    for p in positions:
+        if p != prev + 1:
+            runs += 1
+        prev = p
+    return runs
+
+
+def count_runs(symbols: Sequence[int],
+               columns: Iterable[Sequence[int]]) -> RunCounts:
+    """Run counts of per-symbol one-position lists, e.g. ``xbwt_columns``."""
+    by_symbol = {c: _runs(col) for c, col in zip(symbols, columns)}
+    return RunCounts(sum(by_symbol.values()), by_symbol)
+
+
 def run_count(index: XbwtIndex) -> RunCounts:
     """Number of positions where a symbol's run of out-edges ends."""
-    by_symbol: dict[int, int] = {}
-    total = 0
-    for c, vec in zip(index.alphabet.symbols, index.vectors):
-        runs = 0
-        prev = -2
-        for p in vec.one_positions():
-            if p != prev + 1:
-                runs += 1
-            prev = p
-        by_symbol[c] = runs
-        total += runs
-    return RunCounts(total, by_symbol)
+    return count_runs(index.alphabet.symbols,
+                      (vec.one_positions() for vec in index.vectors))
 
 
 def leaf_run_count(index: XbwtIndex) -> int:
@@ -194,16 +217,7 @@ def leaf_run_count(index: XbwtIndex) -> int:
     for vec in index.vectors:
         for p in vec.one_positions():
             internal[p] = 1
-    runs = 0
-    in_run = False
-    for p in range(1, index.n + 1):
-        if not internal[p]:
-            if not in_run:
-                runs += 1
-            in_run = True
-        else:
-            in_run = False
-    return runs
+    return _runs(p for p in range(1, index.n + 1) if not internal[p])
 
 
 def invert(index: XbwtIndex) -> Trie:
@@ -291,8 +305,7 @@ def deserialize(data: bytes) -> XbwtIndex:
     c_array = struct.unpack_from(f"<{sigma_full}Q", body, off)
     off += 8 * sigma_full
     alphabet = Alphabet(tuple(chars[1:]), chars[0])
-    tag_to_kind = {v: k for k, v in BACKEND_TAGS.items()}
-    mode = _KIND_TO_MODE.get(tag_to_kind.get(flags, ""))
+    mode = _KIND_TO_MODE.get(TAG_KINDS.get(flags))
     if mode is None:
         raise ValueError(f"unknown back-end flags {flags}")
     vectors = []

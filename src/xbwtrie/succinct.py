@@ -143,6 +143,23 @@ class Bitvector:
             raise ValueError("position out of range")
         return self.rank(i) if self.access(i) else -1
 
+    def select0(self, i: int) -> int:
+        """Position of the i-th zero, by binary search over zero-rank."""
+        if not 1 <= i <= self.m - self.ones:
+            raise ValueError("select index out of range")
+        lo, hi = 1, self.m
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid - self.rank(mid) >= i:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def rank0(self, i: int) -> int:
+        self._check_rank_arg(i)
+        return i - self.rank(i)
+
     def payload_bits(self) -> BitCost:
         raise NotImplementedError
 
@@ -235,24 +252,6 @@ class PlainBitvector(Bitvector):
                 if t == 0:
                     return w * self.WORD + pos + 1
             pos += 1
-
-    def select0(self, i: int) -> int:
-        """Position of the i-th zero, by binary search over zero-rank."""
-        zeros = self.m - self.ones
-        if not 1 <= i <= zeros:
-            raise ValueError("select index out of range")
-        lo, hi = 1, self.m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid - self.rank(mid) >= i:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def rank0(self, i: int) -> int:
-        self._check_rank_arg(i)
-        return i - self.rank(i)
 
     def payload_bits(self) -> BitCost:
         width_abs = max(1, (self.m).bit_length())
@@ -372,23 +371,6 @@ class RrrVector(Bitvector):
                     return b * self.u + pos + 1
             pos += 1
 
-    def select0(self, i: int) -> int:
-        zeros = self.m - self.ones
-        if not 1 <= i <= zeros:
-            raise ValueError("select index out of range")
-        lo, hi = 1, self.m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid - self.rank(mid) >= i:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def rank0(self, i: int) -> int:
-        self._check_rank_arg(i)
-        return i - self.rank(i)
-
     def payload_bits(self) -> BitCost:
         nblocks = len(self.classes)
         class_bits = nblocks * max(1, self.u.bit_length())
@@ -444,8 +426,6 @@ class IdVector(Bitvector):
         self._check_rank_arg(i)
         stored = bisect_right(self._pos, i)
         return (i - stored) if self.complemented else stored
-
-    rank_via_select = rank
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self.m:
@@ -566,17 +546,17 @@ class FixedBlockVector(Bitvector):
 
 
 BACKEND_TAGS = {"plain": 0, "rrr": 1, "id": 2, "fixedblock": 3}
-_TAG_KINDS = {v: k for k, v in BACKEND_TAGS.items()}
+TAG_KINDS = {v: k for k, v in BACKEND_TAGS.items()}
 
 
 def make_bitvector(kind: str, m: int, ones: Sequence[int], *,
-                   u: int | None = None, b: int | None = None,
-                   codec: str = "id", complemented: bool = False) -> Bitvector:
+                   b: int | None = None, codec: str = "id",
+                   complemented: bool = False) -> Bitvector:
     """Uniform constructor used by the index builder."""
     if kind == "plain":
         return PlainBitvector(m, ones)
     if kind == "rrr":
-        return RrrVector(m, ones, u)
+        return RrrVector(m, ones)
     if kind == "id":
         return IdVector(m, ones, complemented)
     if kind == "fixedblock":
@@ -602,6 +582,14 @@ def _read_section(buf: bytes, off: int) -> tuple[bytes, int]:
     if off + size > len(buf):
         raise ValueError("truncated")
     return buf[off:off + size], off + size
+
+
+def _read_header(buf: bytes, off: int, fmt: str) -> tuple[tuple, int]:
+    """Unpack a fixed-size section, which must be exactly ``fmt`` long."""
+    sec, off = _read_section(buf, off)
+    if len(sec) != struct.calcsize(fmt):
+        raise ValueError("bad header section")
+    return struct.unpack(fmt, sec), off
 
 
 def _pack_bitstream(values: Sequence[int], widths: Sequence[int]) -> bytes:
@@ -653,7 +641,7 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
         raise ValueError("truncated")
     tag, m = struct.unpack_from("<BQ", buf, off)
     off += 9
-    kind = _TAG_KINDS.get(tag)
+    kind = TAG_KINDS.get(tag)
     if kind is None:
         raise ValueError(f"unknown back-end tag {tag}")
     if kind == "plain":
@@ -663,8 +651,9 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
         bits = int.from_bytes(raw, "little")
         return PlainBitvector(m, [p + 1 for p in range(m) if (bits >> p) & 1]), off
     if kind == "rrr":
-        sec, off = _read_section(buf, off)
-        (u,) = struct.unpack("<Q", sec)
+        (u,), off = _read_header(buf, off, "<Q")
+        if not 1 <= u <= 24:
+            raise ValueError(f"bad rrr block size {u}")
         csec, off = _read_section(buf, off)
         classes = list(csec)
         nblocks = max(1, (m + u - 1) // u) if m else 0
@@ -679,16 +668,18 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
         offsets = _unpack_bitstream(osec, widths)
         return RrrVector._from_encoding(m, u, classes, offsets), off
     if kind == "id":
-        sec, off = _read_section(buf, off)
-        (flags,) = struct.unpack("<Q", sec)
+        (flags,), off = _read_header(buf, off, "<Q")
         psec, off = _read_section(buf, off)
         if len(psec) % 8:
             raise ValueError("bad position section")
         pos = struct.unpack(f"<{len(psec) // 8}Q", psec)
         return IdVector._from_positions(m, tuple(pos), bool(flags & 1)), off
     # fixedblock
-    sec, off = _read_section(buf, off)
-    b, codec_code = struct.unpack("<QB", sec)
+    (b, codec_code), off = _read_header(buf, off, "<QB")
+    if b < 1:
+        raise ValueError(f"bad fixed block size {b}")
+    if codec_code not in (0, 1):
+        raise ValueError(f"unknown fixed-block codec {codec_code}")
     kids_blob, off = _read_section(buf, off)
     children = []
     koff = 0

@@ -75,7 +75,8 @@ class SymbolDistribution:
 class Trie:
     """Immutable trie; build via :func:`build_from_strings` or classmethods."""
 
-    __slots__ = ("n", "parent", "label", "children", "alphabet", "_paths")
+    __slots__ = ("n", "parent", "label", "children", "alphabet", "_paths",
+                 "_xbwt")
 
     def __init__(self, parent: Sequence[int], label: Sequence[int],
                  alphabet: Alphabet | None = None):
@@ -115,6 +116,8 @@ class Trie:
         self.children = tuple(tuple(k) for k in kids)
         self.alphabet = alphabet
         self._paths: tuple[bytes, ...] | None = None
+        # XBWT columns, filled in once by index.xbwt_columns
+        self._xbwt: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def from_preorder_outsets(cls, outsets: Sequence[Sequence[int]],
@@ -176,12 +179,6 @@ class Trie:
     def out_labels(self, v: int) -> tuple[int, ...]:
         return tuple(c for c, _ in self.children[v])
 
-    def child(self, v: int, c: int) -> int | None:
-        for lab, w in self.children[v]:
-            if lab == c:
-                return w
-        return None
-
     def paths(self) -> tuple[bytes, ...]:
         """Root-to-node label strings; the root's path is empty."""
         if self._paths is None:
@@ -190,9 +187,6 @@ class Trie:
                 out[v] = out[self.parent[v]] + bytes([self.label[v]])
             self._paths = tuple(out)
         return self._paths
-
-    def depth(self, v: int) -> int:
-        return len(self.paths()[v])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trie):

@@ -1,8 +1,13 @@
 import json
+import struct
 
 import pytest
 
+import xbwtrie.index
+from xbwtrie import build_from_strings, build_index, deserialize, serialize
 from xbwtrie.cli import format_pattern, main, parse_pattern
+from xbwtrie.index import crc32c
+from xbwtrie.succinct import serialize_bitvector
 
 FIG = b"b\nbb\nbcba\nbcbc\n"
 
@@ -57,6 +62,19 @@ def test_build_stats_line(fig_file, tmp_path, capsys):
     assert metrics["sigma"] == "3"
     assert metrics["r"] == "6"
     assert "payload[fid]" in metrics and "payload[id]" in metrics
+
+
+@pytest.mark.parametrize("command", ["build", "stats"])
+def test_build_and_stats_sort_once(fig_file, tmp_path, monkeypatch, capsys,
+                                   command):
+    real = xbwtrie.index.colex_order
+    calls = []
+    monkeypatch.setattr(xbwtrie.index, "colex_order",
+                        lambda trie: calls.append(trie) or real(trie))
+    argv = {"build": ["build", fig_file, "--output", str(tmp_path / "f.xbwt")],
+            "stats": ["stats", fig_file]}[command]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_build_trailing_newline_only(tmp_path, capsys):
@@ -181,13 +199,38 @@ def test_verify_small(capsys):
     assert "check   verify              pass" in out or "pass" in out
 
 
-def test_verify_threaded(capsys, monkeypatch):
-    monkeypatch.setenv("XBWTRIE_THREADS", "3")
-    assert main(["verify", "5", "2", "--format", "tsv"]) == 0
-    first = capsys.readouterr().out
-    monkeypatch.setenv("XBWTRIE_THREADS", "1")
-    assert main(["verify", "5", "2", "--format", "tsv"]) == 0
-    assert capsys.readouterr().out == first
+def _replace_first_vector(idx, blob: bytes) -> bytes:
+    """The index file of idx with its first vector's blob swapped for blob,
+    the CRC recomputed so that only the vector's own checks can object."""
+    data = serialize(idx)
+    vecs = [serialize_bitvector(v) for v in idx.vectors]
+    body = (data[:len(data) - 4 - sum(map(len, vecs))] + blob
+            + b"".join(vecs[1:]))
+    return body + struct.pack("<I", crc32c(body))
+
+
+@pytest.mark.parametrize("mode, patch", [
+    ("fid", lambda head: head[:7]),
+    ("fid", lambda head: bytes(8)),
+    ("id", lambda head: head[:7]),
+    ("fixedblock", lambda head: bytes(9)),
+    ("fixedblock", lambda head: head[:8] + b"\x02"),
+], ids=["rrr-u-7-bytes", "rrr-u-0", "id-flags-7-bytes", "fixedblock-b-0",
+        "fixedblock-codec-2"])
+def test_count_rejects_bad_header_section(tmp_path, capsys, mode, patch):
+    idx = build_index(build_from_strings(FIG.split()), mode)
+    blob = serialize_bitvector(idx.vectors[0])
+    (size,) = struct.unpack_from("<Q", blob, 9)  # after the tag and m
+    head = patch(blob[17:17 + size])
+    bad = blob[:9] + struct.pack("<Q", len(head)) + head + blob[17 + size:]
+    data = _replace_first_vector(idx, bad)
+    with pytest.raises(ValueError):
+        deserialize(data)
+    path = tmp_path / "bad.xbwt"
+    path.write_bytes(data)
+    assert main(["count", str(path), "b"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_dump_golden(fig_file, capsys):

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from xbwtrie import (SymbolDistribution, build_from_strings, check_bounds,
-                     context_table, count_tries_formula, h0, hk,
-                     random_distribution, symbol_distribution,
+from xbwtrie import (SymbolDistribution, build_from_strings, build_index,
+                     check_bounds, context_table, count_tries_formula, h0, hk,
+                     random_distribution, run_count, symbol_distribution,
                      worst_case_entropy)
 from xbwtrie.entropy import report_rows
 
@@ -146,6 +146,16 @@ def test_check_bounds_random(small_tries):
     for t in small_tries[:30]:
         report = check_bounds(t, 3)
         assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+def test_check_bounds_runs_match_select_path(small_tries):
+    # check_bounds counts runs off the XBWT columns; run_count reads them
+    # back from a built index with one select per one-bit.
+    for t in small_tries:
+        report = check_bounds(t, 2)
+        runs = run_count(build_index(t, "id"))
+        assert report.r == runs.total
+        assert report.r_by_symbol == runs.by_symbol
 
 
 def test_theta_ratio_converges():

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from xbwtrie import (NodeInterval, build_from_strings, build_index, count,
-                     deserialize, forward_step, invert, leaf_run_count,
-                     naive_count, run_count, serialize)
-from xbwtrie.index import crc32c, resolve_mode
+import xbwtrie.index
+from xbwtrie import (NodeInterval, build_from_strings, build_index,
+                     check_bounds, count, deserialize, forward_step, invert,
+                     leaf_run_count, naive_count, random_trie, run_count,
+                     serialize)
+from xbwtrie.index import crc32c, resolve_mode, xbwt_columns
 
 from conftest import complete_binary
 
@@ -153,6 +155,26 @@ def test_ith_child_random(small_tries):
             for i, (_, w) in enumerate(kids, start=1):
                 assert ith_child(idx, rank_of[v], i) == rank_of[w]
             assert ith_child(idx, rank_of[v], len(kids) + 1) is None
+
+
+def test_xbwt_columns_figure(fig_trie):
+    cols = xbwt_columns(fig_trie)
+    assert cols == tuple(
+        tuple(p for p, bit in enumerate(FIG_VECTORS[c], start=1) if bit == "1")
+        for c in fig_trie.alphabet.symbols)
+    assert xbwt_columns(fig_trie) is cols  # kept on the trie
+
+
+def test_check_bounds_sorts_once_per_trie(monkeypatch):
+    real = xbwtrie.index.colex_order
+    calls = []
+    monkeypatch.setattr(xbwtrie.index, "colex_order",
+                        lambda trie: calls.append(trie) or real(trie))
+    rng = random.Random(17)
+    tries = [random_trie(rng, 90, 5) for _ in range(12)]
+    for t in tries:
+        assert check_bounds(t, 2, modes=MODES).passed
+    assert [id(t) for t in calls] == [id(t) for t in tries]
 
 
 def test_run_count_figure(fig_trie):

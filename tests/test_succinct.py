@@ -37,6 +37,7 @@ def test_rank_examples(backend):
     assert v.rank(5) == 2
     assert v.rank(0) == 0
     assert v.rank(7) == 3
+    assert backend(B_A).rank(4) == 0
 
 
 def test_rank_monotone_and_range(backend):
@@ -71,13 +72,6 @@ def test_prank(backend):
     assert backend("1").prank(1) == 1
     with pytest.raises(ValueError):
         v.prank(0)
-
-
-def test_rank_via_select():
-    v = IdVector(*parse_bits(B_B))
-    assert v.rank_via_select(5) == 2
-    assert v.rank_via_select(0) == 0
-    assert IdVector(*parse_bits(B_A)).rank_via_select(4) == 0
 
 
 def test_access(backend):
@@ -211,11 +205,13 @@ def test_select0_and_rank0():
         for p in ones:
             bits[p - 1] = "1"
         zeros = [i + 1 for i, b in enumerate(bits) if b == "0"]
-        for v in (PlainBitvector(m, ones), RrrVector(m, ones)):
+        for v in backends(m, ones, heavy=True):
             for i in range(m + 1):
                 assert v.rank0(i) == i - v.rank(i)
             for j, p in enumerate(zeros, start=1):
                 assert v.select0(j) == p
+            with pytest.raises(ValueError, match="out of range"):
+                v.select0(len(zeros) + 1)
 
 
 # --- serialization ---------------------------------------------------------
