@@ -33,8 +33,9 @@ for name, trie in [("binary height 7", complete_binary(7)),
                    ("path n=256", heavy_path(256))]:
     for mode in ("plain", "fid", "id", "fixedblock"):
         idx = build_index(trie, mode)
-        payload = sum(v.payload_bits().payload for v in idx.vectors)
-        overhead = sum(v.payload_bits().overhead for v in idx.vectors)
+        costs = [v.payload_bits() for v in idx.vectors]
+        payload = sum(c.payload for c in costs)
+        overhead = sum(c.overhead for c in costs)
         print(f"{name:>16} {mode:>10} {payload:>8} {overhead:>9} "
               f"{payload + overhead:>7}")
 

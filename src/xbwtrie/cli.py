@@ -112,8 +112,9 @@ def cmd_build(args) -> int:
     for mode in ("plain", "fid", "id", "fixedblock"):
         probe = idx if mode == idx.mode else xidx.build_index(
             trie, mode, block_size=args.block_size)
-        payload = sum(v.payload_bits().payload for v in probe.vectors)
-        overhead = sum(v.payload_bits().overhead for v in probe.vectors)
+        costs = [v.payload_bits() for v in probe.vectors]
+        payload = sum(c.payload for c in costs)
+        overhead = sum(c.overhead for c in costs)
         rows.append(("metric", f"payload[{mode}]", "-", str(payload)))
         rows.append(("metric", f"overhead[{mode}]", "-", str(overhead)))
     _emit(rows, args.format, sys.stdout)

@@ -195,8 +195,9 @@ def check_bounds(trie: Trie, max_order: int = 2,
     payloads: list[PayloadReport] = []
     for mode in modes:
         idx = xidx.build_index(trie, mode, block_size=block_size)
-        cost = BitCost(sum(v.payload_bits().payload for v in idx.vectors),
-                       sum(v.payload_bits().overhead for v in idx.vectors))
+        costs = [v.payload_bits() for v in idx.vectors]
+        cost = BitCost(sum(c.payload for c in costs),
+                       sum(c.overhead for c in costs))
         sizes = [v.entropy_block_size for v in idx.vectors]
         coded = idx.vectors and all(s is not None for s in sizes)
         bsize = max(sizes) if coded else None

@@ -220,6 +220,21 @@ def leaf_run_count(index: XbwtIndex) -> int:
     return _runs(p for p in range(1, index.n + 1) if not internal[p])
 
 
+def _check_weights(n: int, c_array: Sequence[int],
+                   vectors: Sequence[Bitvector]) -> None:
+    """C[c] must be 1 + the weights of the symbols before c, and the weights
+    must sum to the n - 1 edges of an n-node trie."""
+    cum = 0
+    for i, vec in enumerate(vectors):
+        if c_array[i + 1] != cum + 1:
+            raise ValueError("not a valid XBWT: C array does not match "
+                             "the bitvector weights")
+        cum += vec.ones
+    if cum != n - 1:
+        raise ValueError("not a valid XBWT: bitvector weights do not sum "
+                         "to n - 1")
+
+
 def invert(index: XbwtIndex) -> Trie:
     """Rebuild the unique trie whose XBWT matches the stored vectors.
 
@@ -227,14 +242,8 @@ def invert(index: XbwtIndex) -> Trie:
     in order of their parents' ranks, so parent-of-rank is select on B_c.
     """
     n = index.n
+    _check_weights(n, index.c_array, index.vectors)
     counts = [vec.ones for vec in index.vectors]
-    cum = 0
-    for i, c in enumerate(index.alphabet.symbols):
-        if index.c_array[i + 1] != cum + 1:
-            raise ValueError("not a valid XBWT")
-        cum += counts[i]
-    if cum != n - 1:
-        raise ValueError("not a valid XBWT")
     parent = [0] * n  # 0-based ids are colex rank - 1
     label = [0] * n
     for i, c in enumerate(index.alphabet.symbols):
@@ -261,11 +270,26 @@ for _b in range(256):
         _c = (_c >> 1) ^ 0x82F63B78 if _c & 1 else _c >> 1
     _CRC_TABLE.append(_c)
 
+# slicing-by-8: _CRC_TABLES[k][b] is the CRC register after byte b followed
+# by k zero bytes, so eight lookups advance the register by 8 bytes
+_CRC_TABLES = [_CRC_TABLE]
+for _ in range(7):
+    _CRC_TABLES.append([(t >> 8) ^ _CRC_TABLE[t & 0xFF]
+                        for t in _CRC_TABLES[-1]])
+
 
 def crc32c(data: bytes, crc: int = 0) -> int:
+    """CRC-32C (Castagnoli) of data, continuing from a previous ``crc``."""
+    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
     c = crc ^ 0xFFFFFFFF
-    for byte in data:
-        c = (c >> 8) ^ _CRC_TABLE[(c ^ byte) & 0xFF]
+    body = len(data) & ~7
+    for lo, hi in struct.iter_unpack("<II", memoryview(data)[:body]):
+        c ^= lo
+        c = (t7[c & 0xFF] ^ t6[(c >> 8) & 0xFF] ^ t5[(c >> 16) & 0xFF]
+             ^ t4[c >> 24] ^ t3[hi & 0xFF] ^ t2[(hi >> 8) & 0xFF]
+             ^ t1[(hi >> 16) & 0xFF] ^ t0[hi >> 24])
+    for byte in data[body:]:
+        c = (c >> 8) ^ t0[(c ^ byte) & 0xFF]
     return c ^ 0xFFFFFFFF
 
 
@@ -305,15 +329,19 @@ def deserialize(data: bytes) -> XbwtIndex:
     c_array = struct.unpack_from(f"<{sigma_full}Q", body, off)
     off += 8 * sigma_full
     alphabet = Alphabet(tuple(chars[1:]), chars[0])
-    mode = _KIND_TO_MODE.get(TAG_KINDS.get(flags))
+    kind = TAG_KINDS.get(flags)
+    mode = _KIND_TO_MODE.get(kind)
     if mode is None:
         raise ValueError(f"unknown back-end flags {flags}")
     vectors = []
     for _ in range(sigma_full - 1):
         vec, off = deserialize_bitvector(body, off)
+        if vec.kind != kind:
+            raise ValueError(f"{vec.kind} bitvector in a {mode} index")
         if vec.m != n:
             raise ValueError("bitvector length mismatch")
         vectors.append(vec)
     if off != len(body):
         raise ValueError("trailing bytes in index body")
+    _check_weights(n, c_array, vectors)
     return XbwtIndex(n, alphabet, mode, tuple(c_array), tuple(vectors))

@@ -42,14 +42,16 @@ def ceil_log2_comb(n: int, k: int) -> int:
     return (math.comb(n, k) - 1).bit_length()
 
 
-def _bits_int(m: int, ones: Iterable[int]) -> int:
-    """Pack 1-based positions into an integer, bit i-1 holding position i."""
-    v = 0
+def _pack_positions(m: int, ones: Iterable[int]) -> bytearray:
+    """Pack 1-based positions into ceil(m/8) little-endian bytes, bit i-1
+    holding position i; the padding bits past m stay zero."""
+    raw = bytearray((m + 7) >> 3)
     for p in ones:
         if not 1 <= p <= m:
             raise ValueError("one-position out of range")
-        v |= 1 << (p - 1)
-    return v
+        p -= 1
+        raw[p >> 3] |= 1 << (p & 7)
+    return raw
 
 
 def parse_bits(s: str) -> tuple[int, tuple[int, ...]]:
@@ -110,6 +112,48 @@ def _decode(cls: int, offset: int, u: int) -> int:
     if u <= _TABLE_MAX_U:
         return _decode_table(u)[cls][offset]
     return decode_block(cls, offset, u)
+
+
+_ENCODE_TABLES: dict[int, list[int]] = {}
+
+
+def _encode_table(u: int) -> list[int]:
+    """Offset of every u-bit pattern, the inverse of :func:`_decode_table`."""
+    table = _ENCODE_TABLES.get(u)
+    if table is None:
+        table = [0] * (1 << u)
+        for row in _decode_table(u):
+            for offset, w in enumerate(row):
+                table[w] = offset
+        _ENCODE_TABLES[u] = table
+    return table
+
+
+_COMB_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _comb_row(blen: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """C(blen, cls) and the offset width ceil(log2 C(blen, cls)) per class."""
+    row = _COMB_ROWS.get(blen)
+    if row is None:
+        combs = tuple(math.comb(blen, k) for k in range(blen + 1))
+        row = combs, tuple((c - 1).bit_length() for c in combs)
+        _COMB_ROWS[blen] = row
+    return row
+
+
+def _block_lens(m: int, u: int) -> list[int]:
+    """Lengths of the u-bit blocks covering m bits; only the last is short."""
+    lens = [u] * (m // u)
+    if m % u:
+        lens.append(m % u)
+    return lens
+
+
+def _offset_widths(lens: Sequence[int], classes: Sequence[int]) -> list[int]:
+    """Stored width of every block offset, ceil(log2 C(blen, class))."""
+    rows = {blen: _comb_row(blen)[1] for blen in set(lens)}
+    return [rows[blen][cls] for blen, cls in zip(lens, classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +234,25 @@ class PlainBitvector(Bitvector):
     def __init__(self, m: int, ones: Iterable[int]):
         if m < 0:
             raise ValueError("length must be nonnegative")
+        self._init_from_bytes(m, _pack_positions(m, ones))
+
+    @classmethod
+    def _from_bytes(cls, m: int, raw: bytes) -> "PlainBitvector":
+        self = cls.__new__(cls)
+        self._init_from_bytes(m, raw)
+        return self
+
+    def _init_from_bytes(self, m, raw):
+        if len(raw) != (m + 7) // 8:
+            raise ValueError("bad plain bitvector payload")
         self.m = m
-        self._bits = _bits_int(m, ones)
+        self._bits = int.from_bytes(raw, "little")
+        if self._bits >> m:
+            raise ValueError("plain bitvector has padding bits set")
         self.ones = self._bits.bit_count()
         nwords = (m + self.WORD - 1) // self.WORD
-        mask = (1 << self.WORD) - 1
-        self._words = [(self._bits >> (w * self.WORD)) & mask
-                       for w in range(nwords)]
+        padded = raw + bytes(8 * nwords - len(raw))
+        self._words = list(struct.unpack(f"<{nwords}Q", padded))
         self._super: list[int] = []
         self._block: list[int] = []
         total = 0
@@ -273,22 +329,27 @@ class RrrVector(Bitvector):
                  "entropy_block_size", "entropy_block_count")
 
     def __init__(self, m: int, ones: Iterable[int], u: int | None = None):
-        bits = _bits_int(m, ones)
+        if m < 0:
+            raise ValueError("length must be nonnegative")
+        raw = _pack_positions(m, ones)
         if u is None:
             u = max(1, (max(m, 1).bit_length() - 1) // 2)
         u = max(1, min(24, u))
-        nblocks = max(1, (m + u - 1) // u) if m else 0
-        classes = []
-        offsets = []
-        lens = []
-        for b in range(nblocks):
-            blen = min(u, m - b * u)
-            pat = (bits >> (b * u)) & ((1 << blen) - 1)
-            cls, off = encode_block(pat, blen)
-            classes.append(cls)
-            offsets.append(off)
-            lens.append(blen)
-        self._init_from_encoding(m, u, classes, offsets, lens)
+        # u <= 24 bits starting at bit `at` lie within the 4 bytes from at>>3;
+        # the padding bits past m are zero, so the last pattern has blen bits
+        mask = (1 << u) - 1
+        patterns = [(int.from_bytes(raw[at >> 3:(at >> 3) + 4], "little")
+                     >> (at & 7)) & mask for at in range(0, m, u)]
+        classes = [pat.bit_count() for pat in patterns]
+        full = patterns[:m // u]
+        if u <= _TABLE_MAX_U:
+            table = _encode_table(u)
+            offsets = [table[pat] for pat in full]
+        else:
+            offsets = [encode_block(pat, u)[1] for pat in full]
+        if m % u:
+            offsets.append(encode_block(patterns[-1], m % u)[1])
+        self._init_from_encoding(m, u, classes, offsets)
 
     @classmethod
     def _from_encoding(cls, m: int, u: int, classes: list[int],
@@ -297,18 +358,19 @@ class RrrVector(Bitvector):
         nblocks = max(1, (m + u - 1) // u) if m else 0
         if len(classes) != nblocks or len(offsets) != nblocks:
             raise ValueError("wrong number of blocks")
-        lens = [min(u, m - b * u) for b in range(nblocks)]
-        self._init_from_encoding(m, u, classes, offsets, lens)
+        self._init_from_encoding(m, u, classes, offsets)
         return self
 
-    def _init_from_encoding(self, m, u, classes, offsets, lens):
+    def _init_from_encoding(self, m, u, classes, offsets):
+        lens = _block_lens(m, u)
         self.m = m
         self.u = u
         self.classes = tuple(classes)
         self.offsets = tuple(offsets)
         self._lens = tuple(lens)
-        for b, (cls, blen) in enumerate(zip(classes, lens)):
-            if not 0 <= cls <= blen or offsets[b] >= math.comb(blen, cls):
+        combs = {blen: _comb_row(blen)[0] for blen in set(lens)}
+        for cls, off, blen in zip(classes, offsets, lens):
+            if not 0 <= cls <= blen or not 0 <= off < combs[blen][cls]:
                 raise ValueError("invalid block encoding")
         self.ones = sum(classes)
         nblocks = len(classes)
@@ -323,8 +385,7 @@ class RrrVector(Bitvector):
             # superblock containing the (t+1)-th one
             s = bisect_right(self._sb_rank, t) - 1
             self._sel_sample.append(min(s, nsb - 1))
-        self._payload = sum(ceil_log2_comb(blen, cls)
-                            for blen, cls in zip(lens, classes))
+        self._payload = sum(_offset_widths(lens, classes))
         self.entropy_block_size = u
         self.entropy_block_count = len(classes)
 
@@ -593,23 +654,44 @@ def _read_header(buf: bytes, off: int, fmt: str) -> tuple[tuple, int]:
 
 
 def _pack_bitstream(values: Sequence[int], widths: Sequence[int]) -> bytes:
+    """Values LSB-first at the given bit widths, in ceil(sum/8) bytes."""
+    out = bytearray()
     acc = 0
-    at = 0
+    at = 0  # bits pending in acc
     for v, w in zip(values, widths):
         acc |= v << at
         at += w
-    return acc.to_bytes((at + 7) // 8, "little")
+        while at >= 64:
+            out += (acc & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+            acc >>= 64
+            at -= 64
+    out += acc.to_bytes((at + 7) // 8, "little")
+    return bytes(out)
 
 
 def _unpack_bitstream(data: bytes, widths: Sequence[int]) -> list[int]:
-    acc = int.from_bytes(data, "little")
-    out = []
-    at = 0
-    for w in widths:
-        out.append((acc >> at) & ((1 << w) - 1))
-        at += w
-    if at > len(data) * 8:
+    """Inverse of :func:`_pack_bitstream`; the stream must be exactly
+    ceil(sum/8) bytes with zero padding bits."""
+    total = sum(widths)
+    if total > len(data) * 8:
         raise ValueError("truncated")
+    if len(data) != (total + 7) // 8:
+        raise ValueError("bad bitstream length")
+    out = []
+    acc = 0
+    have = 0  # bits pending in acc
+    pos = 0
+    for w in widths:
+        if have < w:
+            take = max(8, (w - have + 7) >> 3)
+            acc |= int.from_bytes(data[pos:pos + take], "little") << have
+            pos += take
+            have += 8 * take
+        out.append(acc & ((1 << w) - 1))
+        acc >>= w
+        have -= w
+    if acc or any(data[pos:]):
+        raise ValueError("bitstream has padding bits set")
     return out
 
 
@@ -619,8 +701,7 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         raw = v._bits.to_bytes((v.m + 7) // 8, "little") if v.m else b""
         return head + _section(raw)
     if isinstance(v, RrrVector):
-        widths = [ceil_log2_comb(blen, cls)
-                  for blen, cls in zip(v._lens, v.classes)]
+        widths = _offset_widths(v._lens, v.classes)
         return (head + _section(struct.pack("<Q", v.u))
                 + _section(bytes(v.classes))
                 + _section(_pack_bitstream(v.offsets, widths)))
@@ -646,10 +727,7 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
         raise ValueError(f"unknown back-end tag {tag}")
     if kind == "plain":
         raw, off = _read_section(buf, off)
-        if len(raw) != (m + 7) // 8:
-            raise ValueError("bad plain bitvector payload")
-        bits = int.from_bytes(raw, "little")
-        return PlainBitvector(m, [p + 1 for p in range(m) if (bits >> p) & 1]), off
+        return PlainBitvector._from_bytes(m, raw), off
     if kind == "rrr":
         (u,), off = _read_header(buf, off, "<Q")
         if not 1 <= u <= 24:
@@ -659,13 +737,12 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
         nblocks = max(1, (m + u - 1) // u) if m else 0
         if len(classes) != nblocks:
             raise ValueError("bad class section")
-        lens = [min(u, m - b * u) for b in range(nblocks)]
+        lens = _block_lens(m, u)
         for blen, cls in zip(lens, classes):
             if cls > blen:
                 raise ValueError("bad class section")
-        widths = [ceil_log2_comb(blen, cls) for blen, cls in zip(lens, classes)]
         osec, off = _read_section(buf, off)
-        offsets = _unpack_bitstream(osec, widths)
+        offsets = _unpack_bitstream(osec, _offset_widths(lens, classes))
         return RrrVector._from_encoding(m, u, classes, offsets), off
     if kind == "id":
         (flags,), off = _read_header(buf, off, "<Q")
@@ -680,17 +757,20 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
         raise ValueError(f"bad fixed block size {b}")
     if codec_code not in (0, 1):
         raise ValueError(f"unknown fixed-block codec {codec_code}")
+    codec = "id" if codec_code == 0 else "rrr"
     kids_blob, off = _read_section(buf, off)
     children = []
     koff = 0
     nblocks = max(1, (m + b - 1) // b) if m else 0
-    for _ in range(nblocks):
+    for i in range(nblocks):
         blob, koff = _read_section(kids_blob, koff)
+        # check the tag before parsing, so children cannot nest
+        if blob[:1] != bytes((BACKEND_TAGS[codec],)):
+            raise ValueError("fixed-block child does not match its codec")
         child, used = deserialize_bitvector(blob, 0)
-        if used != len(blob):
+        if used != len(blob) or child.m != min(b, m - i * b):
             raise ValueError("bad child encoding")
         children.append(child)
     if koff != len(kids_blob):
         raise ValueError("bad child encoding")
-    codec = "id" if codec_code == 0 else "rrr"
     return FixedBlockVector._from_children(m, b, codec, tuple(children)), off

@@ -233,6 +233,65 @@ def test_count_rejects_bad_header_section(tmp_path, capsys, mode, patch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", crc32c(body))
+
+
+def _fig_body(mode: str) -> bytearray:
+    return bytearray(serialize(build_index(build_from_strings(FIG.split()),
+                                           mode))[:-4])
+
+
+def _fixedblock_flag_on_plain_vectors():
+    body = _fig_body("plain")
+    struct.pack_into("<H", body, 6, 3)  # back-end flags: fixedblock
+    return _with_crc(bytes(body))
+
+
+def _c_array_not_weights():
+    body = _fig_body("id")
+    struct.pack_into("<Q", body, 22 + 2 * 8, 3)  # C = 0 1 3 5, weights 1 3 2
+    return _with_crc(bytes(body))
+
+
+def _weights_not_n_minus_1():
+    body = _fig_body("plain")
+    body[-1] = 0x04  # B_c 0010100 -> 0010000: weights sum to 5, n - 1 = 6
+    return _with_crc(bytes(body))
+
+
+def _plain_padding_bit():
+    body = _fig_body("plain")
+    body[-1] |= 0x80  # bit 8 of a 7-bit vector
+    return _with_crc(bytes(body))
+
+
+def _rrr_offset_padding_byte():
+    idx = build_index(build_from_strings(FIG.split()), "fid")
+    blob = serialize_bitvector(idx.vectors[0])  # u = 1: empty offset section
+    return _replace_first_vector(idx, blob[:-8] + struct.pack("<Q", 1)
+                                 + b"\x00")
+
+
+@pytest.mark.parametrize("make, match", [
+    (_fixedblock_flag_on_plain_vectors, "plain bitvector in a fixedblock"),
+    (_c_array_not_weights, "C array"),
+    (_weights_not_n_minus_1, "n - 1"),
+    (_plain_padding_bit, "padding"),
+    (_rrr_offset_padding_byte, "bitstream length"),
+], ids=["mode-kind", "c-array", "weights-total", "plain-padding",
+        "rrr-offset-length"])
+def test_count_rejects_inconsistent_index(tmp_path, capsys, make, match):
+    data = make()
+    with pytest.raises(ValueError, match=match):
+        deserialize(data)
+    path = tmp_path / "bad.xbwt"
+    path.write_bytes(data)
+    assert main(["count", str(path), "b"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_dump_golden(fig_file, capsys):
     assert main(["dump", fig_file]) == 0
     assert capsys.readouterr().out == DUMP_GOLDEN

@@ -260,6 +260,63 @@ def test_crc32c_test_vector():
     assert crc32c(b"") == 0
 
 
+def _crc32c_bitwise(data, crc=0):
+    c = crc ^ 0xFFFFFFFF
+    for byte in data:
+        c ^= byte
+        for _ in range(8):
+            c = (c >> 1) ^ 0x82F63B78 if c & 1 else c >> 1
+    return c ^ 0xFFFFFFFF
+
+
+def test_crc32c_matches_bitwise_reference():
+    rng = random.Random(32)
+    for length in range(65):
+        data = bytes(rng.randrange(256) for _ in range(length))
+        assert crc32c(data) == _crc32c_bitwise(data)
+        start = rng.getrandbits(32)
+        assert crc32c(data, start) == _crc32c_bitwise(data, start)
+        cut = rng.randint(0, length)
+        assert crc32c(data[cut:], crc32c(data[:cut])) == crc32c(data)
+    assert crc32c(bytearray(b"123456789")) == 0xE3069283
+
+
+def test_loader_fuzz():
+    """Seeded mutate-and-re-CRC fuzz over the four back-ends: a damaged
+    file raises ValueError, or loads as an index that answers count within
+    [0, n] and inverts (or is refused by invert with ValueError)."""
+    import struct
+    trie = build_from_strings([b"car", b"cart", b"cat", b"dog", b"do",
+                               b"zebra"])
+    patterns = [bytes(p) for p in ((97,), (99, 97), (100, 111), (114, 97))]
+    rng = random.Random(7)
+    rejected = 0
+    for mode in MODES:
+        body = serialize(build_index(trie, mode))[:-4]
+        for _ in range(1000):
+            bad = bytearray(body)
+            for _ in range(rng.randint(1, 3)):
+                bad[rng.randrange(len(bad))] = rng.randrange(256)
+            if rng.random() < 0.2:
+                del bad[rng.randrange(len(bad)):]
+            elif rng.random() < 0.2:
+                bad += bytes(rng.randrange(256)
+                             for _ in range(rng.randint(1, 9)))
+            data = bytes(bad) + struct.pack("<I", crc32c(bytes(bad)))
+            try:
+                idx = deserialize(data)
+            except ValueError:
+                rejected += 1
+                continue
+            for p in patterns:
+                assert 0 <= count(idx, p) <= idx.n
+            try:
+                invert(idx)
+            except ValueError:
+                pass
+    assert rejected > 3500  # of 4000: almost every damage is caught
+
+
 def test_index_file_header_layout(fig_trie):
     import struct
     blob = serialize(build_index(fig_trie, "fid"))

@@ -5,7 +5,8 @@ import pytest
 
 from xbwtrie import (FixedBlockVector, IdVector, PlainBitvector, RrrVector,
                      decode_block, encode_block, parse_bits)
-from xbwtrie.succinct import (ceil_log2_comb, deserialize_bitvector,
+from xbwtrie.succinct import (_pack_bitstream, _unpack_bitstream,
+                              ceil_log2_comb, deserialize_bitvector,
                               serialize_bitvector)
 
 B_B = "1010010"   # out-edge vector of the middle symbol in the figure index
@@ -253,3 +254,146 @@ def test_serialized_framing():
     plain_blob = serialize_bitvector(PlainBitvector(m, ones))
     assert plain_blob == b"\x00" + struct.pack("<Q", 7) \
         + struct.pack("<Q", 1) + b"\x25"
+
+
+# --- byte-level construction and loading ------------------------------------
+
+EDGE_LENGTHS = (0, 1, 7, 8, 9, 63, 64, 65, 511, 512, 513, 4097)
+
+
+def _random_ones(rng, m, density):
+    return tuple(p for p in range(1, m + 1) if rng.random() < density)
+
+
+def _assert_matches_bits(v, bits):
+    """rank/select/access of v against the 0/1 list bits (bit i-1 is i)."""
+    assert v.m == len(bits) and v.ones == sum(bits)
+    rank = 0
+    assert v.rank(0) == 0
+    for i, bit in enumerate(bits, start=1):
+        rank += bit
+        assert v.access(i) == bit
+        assert v.rank(i) == rank
+        if bit:
+            assert v.select(rank) == i
+
+
+@pytest.mark.parametrize("m", EDGE_LENGTHS)
+def test_round_trip_edge_lengths(m):
+    rng = random.Random(m)
+    for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+        ones = _random_ones(rng, m, density)
+        bits = [0] * m
+        for p in ones:
+            bits[p - 1] = 1
+        for v in backends(m, ones, heavy=True):
+            blob = serialize_bitvector(v)
+            back, used = deserialize_bitvector(blob)
+            assert used == len(blob)
+            assert serialize_bitvector(back) == blob
+            assert type(back) is type(v)
+            _assert_matches_bits(v, bits)
+            _assert_matches_bits(back, bits)
+
+
+def test_plain_words_and_directory():
+    rng = random.Random(8)
+    for m in EDGE_LENGTHS:
+        ones = _random_ones(rng, m, 0.4)
+        v = PlainBitvector(m, ones)
+        value = sum(1 << (p - 1) for p in ones)
+        assert v._bits == value
+        assert v._words == [(value >> (64 * w)) & (2 ** 64 - 1)
+                            for w in range((m + 63) // 64)]
+        assert len(v._block) == len(v._words) + 1
+        assert v._super[-1] == len(ones)
+
+
+@pytest.mark.parametrize("u", range(1, 25))
+def test_rrr_blocks_every_u(u):
+    rng = random.Random(u)
+    for m in (u - 1, u, u + 1, 3 * u + 2, 5 * u):
+        for density in (0.1, 0.5, 0.9):
+            ones = _random_ones(rng, m, density)
+            bits = [0] * m
+            for p in ones:
+                bits[p - 1] = 1
+            v = RrrVector(m, ones, u=u)
+            assert v.u == u
+            # every block, the short last one included, is encode_block of
+            # its own bits at its own length
+            for b, blen in enumerate(v._lens):
+                pat = sum(bit << k for k, bit in
+                          enumerate(bits[b * u:b * u + blen]))
+                assert (v.classes[b], v.offsets[b]) == encode_block(pat, blen)
+            assert sum(v._lens) == m
+            _assert_matches_bits(v, bits)
+            blob = serialize_bitvector(v)
+            back, _ = deserialize_bitvector(blob)
+            assert serialize_bitvector(back) == blob
+            _assert_matches_bits(back, bits)
+
+
+def _reference_pack(values, widths):
+    acc = 0
+    at = 0
+    for v, w in zip(values, widths):
+        acc |= v << at
+        at += w
+    return acc.to_bytes((at + 7) // 8, "little")
+
+
+def test_bitstream_round_trip():
+    rng = random.Random(13)
+    for w in range(25):
+        for count in (0, 1, 7, 8, 9, 100):
+            widths = [w] * count
+            values = [rng.getrandbits(w) for _ in widths]
+            data = _pack_bitstream(values, widths)
+            assert data == _reference_pack(values, widths)
+            assert _unpack_bitstream(data, widths) == values
+    for _ in range(50):  # mixed widths, as in an RRR offset section
+        widths = [rng.randint(0, 24) for _ in range(rng.randint(0, 200))]
+        values = [rng.getrandbits(w) for w in widths]
+        data = _pack_bitstream(values, widths)
+        assert data == _reference_pack(values, widths)
+        assert _unpack_bitstream(data, widths) == values
+
+
+def test_bitstream_rejects_bad_streams():
+    widths = [5, 5, 5]
+    data = _pack_bitstream([31, 0, 17], widths)  # 15 bits in 2 bytes
+    with pytest.raises(ValueError, match="truncated"):
+        _unpack_bitstream(data[:1], widths)
+    with pytest.raises(ValueError, match="length"):
+        _unpack_bitstream(data + b"\x00", widths)
+    with pytest.raises(ValueError, match="padding"):
+        _unpack_bitstream(data[:1] + bytes((data[1] | 0x80,)), widths)
+
+
+def test_plain_rejects_padding_bits():
+    blob = bytearray(serialize_bitvector(PlainBitvector(*parse_bits(B_B))))
+    blob[-1] |= 0x80  # bit 8 of a 7-bit vector
+    with pytest.raises(ValueError, match="padding"):
+        deserialize_bitvector(bytes(blob))
+
+
+def test_fixedblock_child_checks():
+    import struct
+    v = FixedBlockVector(*parse_bits(B_B), b=5, codec="id")
+    head = serialize_bitvector(v)[:9] + struct.pack("<Q", 9) \
+        + struct.pack("<QB", 5, 0)
+
+    def framed(children):
+        kids = b"".join(struct.pack("<Q", len(c)) + c for c in children)
+        return head + struct.pack("<Q", len(kids)) + kids
+
+    good = [serialize_bitvector(c) for c in v.children]
+    assert deserialize_bitvector(framed(good))[0].one_positions() == [1, 3, 6]
+    # a child of another kind than the codec, and a child of the wrong length
+    with pytest.raises(ValueError, match="codec"):
+        deserialize_bitvector(framed([serialize_bitvector(
+            PlainBitvector(5, (1, 3)))] + good[1:]))
+    with pytest.raises(ValueError, match="child"):
+        deserialize_bitvector(framed([serialize_bitvector(
+            IdVector(4, (1, 3)))] + good[1:]))
