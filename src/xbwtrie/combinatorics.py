@@ -174,7 +174,6 @@ def _check_cap(dist: SymbolDistribution, cap: int) -> int:
 
 def enumerate_matrices(dist: SymbolDistribution,
                        cap: int = DEFAULT_ENUMERATION_CAP,
-                       symbols: tuple[int, ...] | None = None,
                        ) -> Iterator[DegreeMatrix]:
     """All matrices with the given row weights, exactly once.
 
@@ -183,8 +182,7 @@ def enumerate_matrices(dist: SymbolDistribution,
     """
     _check_cap(dist, cap)
     n, sigma = dist.n, dist.sigma
-    if symbols is None:
-        symbols = _default_symbols(sigma)
+    symbols = _default_symbols(sigma)
     per_row = [combinations(range(n), c) for c in dist.counts]
     for choice in product(*per_row):
         rows = tuple(sum(1 << p for p in positions) for positions in choice)
@@ -193,7 +191,6 @@ def enumerate_matrices(dist: SymbolDistribution,
 
 def enumerate_tries(dist: SymbolDistribution,
                     cap: int = DEFAULT_ENUMERATION_CAP,
-                    symbols: tuple[int, ...] | None = None,
                     ) -> Iterator[Trie]:
     """All tries with the given symbol distribution, by direct construction.
 
@@ -205,8 +202,7 @@ def enumerate_tries(dist: SymbolDistribution,
     n, sigma = dist.n, dist.sigma
     if sigma > 16:  # out-set choices are enumerated as subset masks
         raise ValueError("enumeration too large")
-    if symbols is None:
-        symbols = _default_symbols(sigma)
+    symbols = _default_symbols(sigma)
     masks = list(range(1 << sigma))
     mask_syms = [tuple(symbols[i] for i in range(sigma) if (m >> i) & 1)
                  for m in masks]
@@ -296,22 +292,20 @@ def check_rotations(matrix: DegreeMatrix) -> bool:
 
 
 def verify_distribution(dist: SymbolDistribution,
-                        cap: int = DEFAULT_ENUMERATION_CAP,
-                        rotations: bool = True,
-                        roundtrip: bool = True) -> DistributionCheck:
+                        cap: int = DEFAULT_ENUMERATION_CAP) -> DistributionCheck:
     """Run the full counting cross-check for one distribution."""
     formula = count_tries_formula(dist)
     matrices = 0
     rot_ok = True
     for m in enumerate_matrices(dist, cap):
         matrices += 1
-        if rotations and not check_rotations(m):
+        if not check_rotations(m):
             rot_ok = False
     tries = 0
     rt_ok = True
     for t in enumerate_tries(dist, cap):
         tries += 1
-        if roundtrip and matrix_to_trie(trie_to_matrix(t)) != t:
+        if matrix_to_trie(trie_to_matrix(t)) != t:
             rt_ok = False
     return DistributionCheck(dist, formula, matrices, tries, rot_ok, rt_ok)
 

@@ -239,19 +239,17 @@ def invert(index: XbwtIndex) -> Trie:
     """Rebuild the unique trie whose XBWT matches the stored vectors.
 
     The children reached by symbol c occupy co-lex ranks C[c]+1 .. C[c]+n_c
-    in order of their parents' ranks, so parent-of-rank is select on B_c.
+    in order of their parents' ranks, so the parents are B_c's one-positions.
     """
     n = index.n
     _check_weights(n, index.c_array, index.vectors)
-    counts = [vec.ones for vec in index.vectors]
     parent = [0] * n  # 0-based ids are colex rank - 1
     label = [0] * n
     for i, c in enumerate(index.alphabet.symbols):
-        base = index.c_array[i + 1]
-        vec = index.vectors[i]
-        for j in range(1, counts[i] + 1):
-            child = base + j - 1  # 0-based id of rank base + j
-            parent[child] = vec.select(j) - 1
+        # the child of rank C[c] + j has 0-based id C[c] + j - 1
+        for child, p in enumerate(index.vectors[i].one_positions(),
+                                  start=index.c_array[i + 1]):
+            parent[child] = p - 1
             label[child] = c
     try:
         return Trie.from_parent_labels(parent, label, root=0)

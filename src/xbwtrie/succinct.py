@@ -54,6 +54,13 @@ def _pack_positions(m: int, ones: Iterable[int]) -> bytearray:
     return raw
 
 
+def _select_in_word(word: int, t: int) -> int:
+    """0-based position of the t-th (1-based) set bit of ``word``."""
+    for _ in range(t - 1):
+        word &= word - 1  # clear the lowest set bit
+    return (word & -word).bit_length() - 1
+
+
 def parse_bits(s: str) -> tuple[int, tuple[int, ...]]:
     """Helper turning a '0'/'1' string into (length, one-positions)."""
     return len(s), tuple(i + 1 for i, c in enumerate(s) if c == "1")
@@ -172,6 +179,17 @@ class Bitvector:
     entropy_block_size: int | None = None
     entropy_block_count: int = 0
 
+    @classmethod
+    def _restore(cls, *state) -> "Bitvector":
+        """A vector from its stored form, as the loader reads it, through the
+        same ``_init`` the constructor ends in."""
+        self = cls.__new__(cls)
+        self._init(*state)
+        return self
+
+    def _init(self, *state) -> None:
+        raise NotImplementedError
+
     def rank(self, i: int) -> int:
         raise NotImplementedError
 
@@ -191,14 +209,7 @@ class Bitvector:
         """Position of the i-th zero, by binary search over zero-rank."""
         if not 1 <= i <= self.m - self.ones:
             raise ValueError("select index out of range")
-        lo, hi = 1, self.m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid - self.rank(mid) >= i:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return self._first_reaching(i, lambda p: p - self.rank(p))
 
     def rank0(self, i: int) -> int:
         self._check_rank_arg(i)
@@ -215,6 +226,18 @@ class Bitvector:
         if not 1 <= i <= self.ones:
             raise ValueError("select index out of range")
 
+    def _first_reaching(self, i: int, count) -> int:
+        """Smallest position p in 1..m with count(p) >= i, by binary search;
+        ``count`` is a nondecreasing rank function."""
+        lo, hi = 1, self.m
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if count(mid) >= i:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
     def one_positions(self) -> list[int]:
         return [self.select(i) for i in range(1, self.ones + 1)]
 
@@ -229,27 +252,19 @@ class PlainBitvector(Bitvector):
     WORD = 64
     SB_WORDS = 8
 
-    __slots__ = ("m", "ones", "_bits", "_words", "_super", "_block")
+    __slots__ = ("m", "ones", "_words", "_super", "_block")
 
     def __init__(self, m: int, ones: Iterable[int]):
         if m < 0:
             raise ValueError("length must be nonnegative")
-        self._init_from_bytes(m, _pack_positions(m, ones))
+        self._init(m, _pack_positions(m, ones))
 
-    @classmethod
-    def _from_bytes(cls, m: int, raw: bytes) -> "PlainBitvector":
-        self = cls.__new__(cls)
-        self._init_from_bytes(m, raw)
-        return self
-
-    def _init_from_bytes(self, m, raw):
+    def _init(self, m, raw):
         if len(raw) != (m + 7) // 8:
             raise ValueError("bad plain bitvector payload")
-        self.m = m
-        self._bits = int.from_bytes(raw, "little")
-        if self._bits >> m:
+        if m & 7 and raw[-1] >> (m & 7):
             raise ValueError("plain bitvector has padding bits set")
-        self.ones = self._bits.bit_count()
+        self.m = m
         nwords = (m + self.WORD - 1) // self.WORD
         padded = raw + bytes(8 * nwords - len(raw))
         self._words = list(struct.unpack(f"<{nwords}Q", padded))
@@ -267,6 +282,7 @@ class PlainBitvector(Bitvector):
                 total += c
                 rel += c
         self._super.append(total)  # sentinel for the select search
+        self.ones = total
 
     def rank(self, i: int) -> int:
         self._check_rank_arg(i)
@@ -281,7 +297,7 @@ class PlainBitvector(Bitvector):
     def access(self, i: int) -> int:
         if not 1 <= i <= self.m:
             raise ValueError("position out of range")
-        return (self._bits >> (i - 1)) & 1
+        return (self._words[(i - 1) >> 6] >> ((i - 1) & 63)) & 1
 
     def select(self, i: int) -> int:
         self._check_select_arg(i)
@@ -300,14 +316,7 @@ class PlainBitvector(Bitvector):
                 break
             t -= c
             w += 1
-        word = self._words[w]
-        pos = 0
-        while True:
-            if (word >> pos) & 1:
-                t -= 1
-                if t == 0:
-                    return w * self.WORD + pos + 1
-            pos += 1
+        return w * self.WORD + _select_in_word(self._words[w], t) + 1
 
     def payload_bits(self) -> BitCost:
         width_abs = max(1, (self.m).bit_length())
@@ -349,19 +358,9 @@ class RrrVector(Bitvector):
             offsets = [encode_block(pat, u)[1] for pat in full]
         if m % u:
             offsets.append(encode_block(patterns[-1], m % u)[1])
-        self._init_from_encoding(m, u, classes, offsets)
+        self._init(m, u, classes, offsets)
 
-    @classmethod
-    def _from_encoding(cls, m: int, u: int, classes: list[int],
-                       offsets: list[int]) -> "RrrVector":
-        self = cls.__new__(cls)
-        nblocks = max(1, (m + u - 1) // u) if m else 0
-        if len(classes) != nblocks or len(offsets) != nblocks:
-            raise ValueError("wrong number of blocks")
-        self._init_from_encoding(m, u, classes, offsets)
-        return self
-
-    def _init_from_encoding(self, m, u, classes, offsets):
+    def _init(self, m, u, classes, offsets):
         lens = _block_lens(m, u)
         self.m = m
         self.u = u
@@ -422,15 +421,7 @@ class RrrVector(Bitvector):
         while c + self.classes[b] < i:
             c += self.classes[b]
             b += 1
-        t = i - c
-        pat = self._block_pattern(b)
-        pos = 0
-        while True:
-            if (pat >> pos) & 1:
-                t -= 1
-                if t == 0:
-                    return b * self.u + pos + 1
-            pos += 1
+        return b * self.u + _select_in_word(self._block_pattern(b), i - c) + 1
 
     def payload_bits(self) -> BitCost:
         nblocks = len(self.classes)
@@ -462,16 +453,9 @@ class IdVector(Bitvector):
             stored = [p for p in range(1, m + 1) if p not in present]
         else:
             stored = positions
-        self._init_from_positions(m, tuple(stored), complemented)
+        self._init(m, tuple(stored), complemented)
 
-    @classmethod
-    def _from_positions(cls, m: int, stored: tuple[int, ...],
-                        complemented: bool) -> "IdVector":
-        self = cls.__new__(cls)
-        self._init_from_positions(m, stored, complemented)
-        return self
-
-    def _init_from_positions(self, m, stored, complemented):
+    def _init(self, m, stored, complemented):
         if any(not 1 <= p <= m for p in stored):
             raise ValueError("position out of range")
         if list(stored) != sorted(set(stored)):
@@ -508,14 +492,7 @@ class IdVector(Bitvector):
         self._check_select_arg(i)
         if not self.complemented:
             return self._pos[i - 1]
-        lo, hi = 1, self.m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.rank(mid) >= i:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return self._first_reaching(i, self.rank)
 
     def payload_bits(self) -> BitCost:
         payload = ceil_log2_comb(self.m, self.ones)
@@ -538,7 +515,7 @@ class FixedBlockVector(Bitvector):
         if codec not in ("id", "rrr"):
             raise ValueError("codec must be 'id' or 'rrr'")
         positions = sorted(set(ones))
-        nblocks = max(1, (m + b - 1) // b) if m else 0
+        nblocks = (m + b - 1) // b
         per_block: list[list[int]] = [[] for _ in range(nblocks)]
         for p in positions:
             if not 1 <= p <= m:
@@ -551,16 +528,9 @@ class FixedBlockVector(Bitvector):
                 children.append(IdVector(blen, per_block[i]))
             else:
                 children.append(RrrVector(blen, per_block[i]))
-        self._init_from_children(m, b, codec, tuple(children))
+        self._init(m, b, codec, tuple(children))
 
-    @classmethod
-    def _from_children(cls, m: int, b: int, codec: str,
-                       children: tuple[Bitvector, ...]) -> "FixedBlockVector":
-        self = cls.__new__(cls)
-        self._init_from_children(m, b, codec, children)
-        return self
-
-    def _init_from_children(self, m, b, codec, children):
+    def _init(self, m, b, codec, children):
         self.m = m
         self.b = b
         self.codec = codec
@@ -698,8 +668,8 @@ def _unpack_bitstream(data: bytes, widths: Sequence[int]) -> list[int]:
 def serialize_bitvector(v: Bitvector) -> bytes:
     head = struct.pack("<BQ", BACKEND_TAGS[v.kind], v.m)
     if isinstance(v, PlainBitvector):
-        raw = v._bits.to_bytes((v.m + 7) // 8, "little") if v.m else b""
-        return head + _section(raw)
+        raw = struct.pack(f"<{len(v._words)}Q", *v._words)
+        return head + _section(raw[:(v.m + 7) // 8])
     if isinstance(v, RrrVector):
         widths = _offset_widths(v._lens, v.classes)
         return (head + _section(struct.pack("<Q", v.u))
@@ -727,14 +697,14 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
         raise ValueError(f"unknown back-end tag {tag}")
     if kind == "plain":
         raw, off = _read_section(buf, off)
-        return PlainBitvector._from_bytes(m, raw), off
+        return PlainBitvector._restore(m, raw), off
     if kind == "rrr":
         (u,), off = _read_header(buf, off, "<Q")
         if not 1 <= u <= 24:
             raise ValueError(f"bad rrr block size {u}")
         csec, off = _read_section(buf, off)
         classes = list(csec)
-        nblocks = max(1, (m + u - 1) // u) if m else 0
+        nblocks = (m + u - 1) // u
         if len(classes) != nblocks:
             raise ValueError("bad class section")
         lens = _block_lens(m, u)
@@ -743,14 +713,14 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
                 raise ValueError("bad class section")
         osec, off = _read_section(buf, off)
         offsets = _unpack_bitstream(osec, _offset_widths(lens, classes))
-        return RrrVector._from_encoding(m, u, classes, offsets), off
+        return RrrVector._restore(m, u, classes, offsets), off
     if kind == "id":
         (flags,), off = _read_header(buf, off, "<Q")
         psec, off = _read_section(buf, off)
         if len(psec) % 8:
             raise ValueError("bad position section")
         pos = struct.unpack(f"<{len(psec) // 8}Q", psec)
-        return IdVector._from_positions(m, tuple(pos), bool(flags & 1)), off
+        return IdVector._restore(m, pos, bool(flags & 1)), off
     # fixedblock
     (b, codec_code), off = _read_header(buf, off, "<QB")
     if b < 1:
@@ -761,7 +731,7 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
     kids_blob, off = _read_section(buf, off)
     children = []
     koff = 0
-    nblocks = max(1, (m + b - 1) // b) if m else 0
+    nblocks = (m + b - 1) // b
     for i in range(nblocks):
         blob, koff = _read_section(kids_blob, koff)
         # check the tag before parsing, so children cannot nest
@@ -773,4 +743,4 @@ def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
         children.append(child)
     if koff != len(kids_blob):
         raise ValueError("bad child encoding")
-    return FixedBlockVector._from_children(m, b, codec, tuple(children)), off
+    return FixedBlockVector._restore(m, b, codec, tuple(children)), off

@@ -72,6 +72,19 @@ class SymbolDistribution:
         return len(self.counts)
 
 
+def _preorder(kids, root: int) -> list[int]:
+    """Node ids in depth-first pre-order from ``root``, where ``kids[v]``
+    holds v's (label, child) pairs in label order."""
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for _, w in reversed(kids[v]):
+            stack.append(w)
+    return order
+
+
 class Trie:
     """Immutable trie; build via :func:`build_from_strings` or classmethods."""
 
@@ -97,14 +110,7 @@ class Trie:
                 raise ValueError("outgoing labels must be distinct")
             if labs != sorted(labs):
                 raise ValueError("children must be sorted by label")
-        order = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for _, w in reversed(kids[v]):
-                stack.append(w)
-        if order != list(range(n)):
+        if _preorder(kids, 0) != list(range(n)):
             raise ValueError("node ids must be in pre-order")
         if alphabet is None:
             alphabet = Alphabet.from_symbols(label[v] for v in range(1, n))
@@ -162,13 +168,7 @@ class Trie:
                 kids[parent[v]].append((label[v], v))
         for v in kids:
             kids[v].sort()
-        order: list[int] = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for _, w in reversed(kids[v]):
-                stack.append(w)
+        order = _preorder(kids, root)
         if len(order) != n:
             raise ValueError("nodes not all reachable from root")
         newid = {old: i for i, old in enumerate(order)}
@@ -229,14 +229,7 @@ def build_from_strings(strings: Sequence[bytes]) -> Trie:
 
 def preorder(trie: Trie) -> list[int]:
     """Node ids in depth-first pre-order, children visited in label order."""
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for _, w in reversed(trie.children[v]):
-            stack.append(w)
-    return order
+    return _preorder(trie.children, 0)
 
 
 def colex_order(trie: Trie) -> list[int]:

@@ -198,8 +198,7 @@ def test_rotation_equivalence_classes():
 
 def test_check_rotations_and_verify_distribution():
     assert check_rotations(mat(TOP))
-    res = verify_distribution(SymbolDistribution(7, (1, 3, 2)),
-                              rotations=False)
+    res = verify_distribution(SymbolDistribution(7, (1, 3, 2)))
     assert res.ok and res.formula == 735 and res.matrices == 735 * 7
 
 

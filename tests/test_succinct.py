@@ -302,7 +302,7 @@ def test_plain_words_and_directory():
         ones = _random_ones(rng, m, 0.4)
         v = PlainBitvector(m, ones)
         value = sum(1 << (p - 1) for p in ones)
-        assert v._bits == value
+        assert v.ones == len(ones)
         assert v._words == [(value >> (64 * w)) & (2 ** 64 - 1)
                             for w in range((m + 63) // 64)]
         assert len(v._block) == len(v._words) + 1
@@ -397,3 +397,23 @@ def test_fixedblock_child_checks():
     with pytest.raises(ValueError, match="child"):
         deserialize_bitvector(framed([serialize_bitvector(
             IdVector(4, (1, 3)))] + good[1:]))
+
+
+def test_huge_header_length_checked_before_allocating():
+    # m = 2**62 in each header: the section sizes are checked against m
+    # before anything m-sized is allocated or looped over
+    import struct
+
+    def blob(tag, *sections):
+        return struct.pack("<BQ", tag, 2 ** 62) + b"".join(
+            struct.pack("<Q", len(s)) + s for s in sections)
+
+    with pytest.raises(ValueError, match="bad plain bitvector payload"):
+        deserialize_bitvector(blob(0, b""))
+    with pytest.raises(ValueError, match="bad class section"):
+        deserialize_bitvector(blob(1, struct.pack("<Q", 1), b"\x00"))
+    with pytest.raises(ValueError, match="truncated"):
+        deserialize_bitvector(blob(3, struct.pack("<QB", 1, 0), b""))
+    # no stored positions and not complemented: a valid empty vector
+    v, _ = deserialize_bitvector(blob(2, struct.pack("<Q", 0), b""))
+    assert v.m == 2 ** 62 and v.ones == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from xbwtrie import (Alphabet, SymbolDistribution, build_from_strings,
+from xbwtrie import (Alphabet, SymbolDistribution, Trie, build_from_strings,
                      colex_order, context, naive_count, preorder,
                      strings_from_bytes, symbol_distribution)
 
@@ -56,6 +56,20 @@ def test_preorder(fig_trie):
     assert preorder(build_from_strings([b""])) == [0]
     assert preorder(fig_trie) == list(range(7))
     assert preorder(build_from_strings([b"a", b"b"])) == [0, 1, 2]
+
+
+def test_node_ids_checked_and_renumbered_in_preorder():
+    # node 3 hangs under node 1, so pre-order visits it before node 2
+    parent, label = (0, 0, 0, 1), (0, 97, 98, 97)
+    with pytest.raises(ValueError, match="node ids must be in pre-order"):
+        Trie(parent, label)
+    with pytest.raises(ValueError, match="parent < child"):
+        Trie((0, 2, 0), (0, 97, 98))
+    t = Trie.from_parent_labels(parent, label, root=0)
+    assert t.parent == (0, 0, 1, 0) and t.label == (0, 97, 97, 98)
+    assert preorder(t) == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="reachable"):
+        Trie.from_parent_labels((0, 2, 1), (0, 97, 98), root=0)
 
 
 def test_colex_order_figure(fig_trie):
