@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 
 from . import combinatorics as comb
@@ -25,8 +26,10 @@ def parse_pattern(text: str) -> bytes:
                 out.append(ord("\\"))
                 i += 2
                 continue
-            if text[i + 1:i + 2] == "x" and len(text) >= i + 4:
-                out.append(int(text[i + 2:i + 4], 16))
+            digits = text[i + 2:i + 4]
+            if (text[i + 1:i + 2] == "x" and len(digits) == 2
+                    and all(d in string.hexdigits for d in digits)):
+                out.append(int(digits, 16))
                 i += 4
                 continue
             raise ValueError(f"bad escape at offset {i} in pattern {text!r}")
@@ -85,16 +88,16 @@ def _load_strings(path: str) -> list[bytes]:
     return strings
 
 
-def _load_trie_or_index(path: str) -> tuple[Trie, xidx.XbwtIndex | None]:
+def _load_trie(path: str) -> Trie:
+    """The trie of a string set, or of an index file by inversion."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] == xidx.MAGIC:
-        idx = xidx.deserialize(data)
-        return xidx.invert(idx), idx
+        return xidx.invert(xidx.deserialize(data))
     strings = strings_from_bytes(data)
     if not strings:
         raise ValueError(f"empty input: {path}")
-    return build_from_strings(strings), None
+    return build_from_strings(strings)
 
 
 def cmd_build(args) -> int:
@@ -143,7 +146,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    trie, _ = _load_trie_or_index(args.input)
+    trie = _load_trie(args.input)
     modes = (args.mode,) if args.mode != "auto" else ("plain", "fid", "id",
                                                       "fixedblock")
     report = ent.check_bounds(trie, args.k, modes=modes,

@@ -2,7 +2,8 @@
 
 The nodes are sorted by the co-lexicographic order of their incoming paths;
 one bitvector per symbol marks which sorted nodes have an outgoing edge with
-that symbol, and the C array locates each symbol's block of incoming edges.
+that symbol, and the C array, a prefix sum of the vector weights, locates
+each symbol's block of incoming edges.
 The sort and the per-symbol columns are derived once per trie
 (:func:`xbwt_columns`) and shared by every back-end and every report.
 A pattern is matched by forward search: one rank-pair per symbol maps the
@@ -15,18 +16,16 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .succinct import (BACKEND_TAGS, TAG_KINDS, Bitvector,
-                       deserialize_bitvector, make_bitvector,
+from .succinct import (Bitvector, deserialize_bitvector, make_bitvector,
                        serialize_bitvector)
 from .trie import Alphabet, Trie, colex_order
 
-MODES = ("plain", "fid", "id", "fixedblock")
+MODES = ("plain", "fid", "id", "fixedblock")  # a file stores a mode by position
 _MODE_TO_KIND = {"plain": "plain", "fid": "rrr", "id": "id",
                  "fixedblock": "fixedblock"}
-_KIND_TO_MODE = {v: k for k, v in _MODE_TO_KIND.items()}
 
 MAGIC = b"XBWT"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -53,22 +52,27 @@ class RunCounts:
 
 
 class XbwtIndex:
-    """Searchable XBWT: C array plus one rank/select bitvector per symbol."""
+    """Searchable XBWT: one rank/select bitvector per symbol, plus the C
+    array derived from their weights (C[c] = 1 + the weights of the symbols
+    before c, with the sentinel's slot first)."""
 
     __slots__ = ("n", "alphabet", "mode", "c_array", "vectors", "_sym")
 
     def __init__(self, n: int, alphabet: Alphabet, mode: str,
-                 c_array: tuple[int, ...], vectors: tuple[Bitvector, ...]):
+                 vectors: tuple[Bitvector, ...]):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if len(c_array) != alphabet.sigma + 1 or c_array[0] != 0:
-            raise ValueError("C array must cover the sentinel slot first")
         if len(vectors) != alphabet.sigma:
             raise ValueError("need one bitvector per non-sentinel symbol")
+        c_array = [0]
+        cum = 1
+        for vec in vectors:
+            c_array.append(cum)
+            cum += vec.ones
         self.n = n
         self.alphabet = alphabet
         self.mode = mode
-        self.c_array = c_array
+        self.c_array = tuple(c_array)
         self.vectors = vectors
         self._sym = {c: (c_array[i + 1], vectors[i])
                      for i, c in enumerate(alphabet.symbols)}
@@ -79,12 +83,13 @@ class XbwtIndex:
         return self.alphabet.sigma + 1
 
 
-def resolve_mode(mode: str, n: int, sigma_full: int, eps: float = 0.5) -> str:
-    """'auto' picks the FID back-end for small alphabets, ID otherwise."""
+def resolve_mode(mode: str, n: int, sigma_full: int) -> str:
+    """'auto' picks the FID back-end when the full alphabet size is at most
+    sqrt(log2 n), ID otherwise."""
     if mode != "auto":
         return mode
     logn = math.log2(n) if n > 1 else 1.0
-    return "fid" if sigma_full <= max(1.0, logn) ** eps else "id"
+    return "fid" if sigma_full <= max(1.0, logn) ** 0.5 else "id"
 
 
 def default_block_size(n: int, sigma_eff: int) -> int:
@@ -110,29 +115,25 @@ def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
     return trie._xbwt
 
 
-def build_index(trie: Trie, mode: str = "auto", *, block_size: int | None = None,
-                codec: str = "id", complement_heavy: bool = True) -> XbwtIndex:
+def build_index(trie: Trie, mode: str = "auto", *,
+                block_size: int | None = None) -> XbwtIndex:
     """Index the trie with the selected bitvector back-end.
 
     In ID mode a symbol occurring on more than half the nodes is stored as
     its complement, which changes the measured size but no query answer.
+    Fixed-block vectors hold their blocks as ID vectors.
     """
     n = trie.n
     alphabet = trie.alphabet
     mode = resolve_mode(mode, n, alphabet.sigma + 1)
-    c_array = [0]
-    cum = 0
-    vectors = []
     kind = _MODE_TO_KIND[mode]
     if mode == "fixedblock" and block_size is None:
         block_size = default_block_size(n, alphabet.sigma)
-    for ones in xbwt_columns(trie):
-        c_array.append(cum + 1)
-        cum += len(ones)
-        complemented = mode == "id" and complement_heavy and len(ones) > n / 2
-        vectors.append(make_bitvector(kind, n, ones, b=block_size,
-                                      codec=codec, complemented=complemented))
-    return XbwtIndex(n, alphabet, mode, tuple(c_array), tuple(vectors))
+    vectors = tuple(
+        make_bitvector(kind, n, ones, b=block_size,
+                       complemented=mode == "id" and len(ones) > n / 2)
+        for ones in xbwt_columns(trie))
+    return XbwtIndex(n, alphabet, mode, vectors)
 
 
 def forward_step(index: XbwtIndex, iv: NodeInterval, c: int) -> NodeInterval:
@@ -220,17 +221,9 @@ def leaf_run_count(index: XbwtIndex) -> int:
     return _runs(p for p in range(1, index.n + 1) if not internal[p])
 
 
-def _check_weights(n: int, c_array: Sequence[int],
-                   vectors: Sequence[Bitvector]) -> None:
-    """C[c] must be 1 + the weights of the symbols before c, and the weights
-    must sum to the n - 1 edges of an n-node trie."""
-    cum = 0
-    for i, vec in enumerate(vectors):
-        if c_array[i + 1] != cum + 1:
-            raise ValueError("not a valid XBWT: C array does not match "
-                             "the bitvector weights")
-        cum += vec.ones
-    if cum != n - 1:
+def _check_weights(n: int, vectors: Sequence[Bitvector]) -> None:
+    """The weights must sum to the n - 1 edges of an n-node trie."""
+    if sum(vec.ones for vec in vectors) != n - 1:
         raise ValueError("not a valid XBWT: bitvector weights do not sum "
                          "to n - 1")
 
@@ -242,7 +235,7 @@ def invert(index: XbwtIndex) -> Trie:
     in order of their parents' ranks, so the parents are B_c's one-positions.
     """
     n = index.n
-    _check_weights(n, index.c_array, index.vectors)
+    _check_weights(n, index.vectors)
     parent = [0] * n  # 0-based ids are colex rank - 1
     label = [0] * n
     for i, c in enumerate(index.alphabet.symbols):
@@ -292,15 +285,14 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
 
 def serialize(index: XbwtIndex) -> bytes:
+    """Magic, version, mode, n, sigma, the alphabet (sentinel first), each
+    symbol's vector body, and a CRC-32C of everything before it."""
     sigma_full = index.sigma
-    out = [MAGIC,
-           struct.pack("<HH", VERSION, BACKEND_TAGS[_MODE_TO_KIND[index.mode]]),
-           struct.pack("<QH", index.n, sigma_full),
-           bytes(index.alphabet.full()),
-           struct.pack(f"<{sigma_full}Q", *index.c_array)]
-    for vec in index.vectors:
-        out.append(serialize_bitvector(vec))
-    body = b"".join(out)
+    body = b"".join([MAGIC,
+                     struct.pack("<HHQH", VERSION, MODES.index(index.mode),
+                                 index.n, sigma_full),
+                     bytes(index.alphabet.full()),
+                     *map(serialize_bitvector, index.vectors)])
     return body + struct.pack("<I", crc32c(body))
 
 
@@ -309,11 +301,14 @@ def deserialize(data: bytes) -> XbwtIndex:
         raise ValueError("truncated")
     if data[:4] != MAGIC:
         raise ValueError("bad magic")
-    version, flags = struct.unpack_from("<HH", data, 4)
+    version, code = struct.unpack_from("<HH", data, 4)
     if version != VERSION:
         raise ValueError(f"version mismatch: {version}")
     if crc32c(data[:-4]) != struct.unpack_from("<I", data, len(data) - 4)[0]:
         raise ValueError("checksum failure")
+    if code >= len(MODES):
+        raise ValueError(f"unknown mode {code}")
+    mode = MODES[code]
     body = data[:-4]
     off = 8
     n, sigma_full = struct.unpack_from("<QH", body, off)
@@ -322,24 +317,13 @@ def deserialize(data: bytes) -> XbwtIndex:
         raise ValueError("truncated")
     chars = body[off:off + sigma_full]
     off += sigma_full
-    if off + 8 * sigma_full > len(body):
-        raise ValueError("truncated")
-    c_array = struct.unpack_from(f"<{sigma_full}Q", body, off)
-    off += 8 * sigma_full
     alphabet = Alphabet(tuple(chars[1:]), chars[0])
-    kind = TAG_KINDS.get(flags)
-    mode = _KIND_TO_MODE.get(kind)
-    if mode is None:
-        raise ValueError(f"unknown back-end flags {flags}")
+    kind = _MODE_TO_KIND[mode]
     vectors = []
     for _ in range(sigma_full - 1):
-        vec, off = deserialize_bitvector(body, off)
-        if vec.kind != kind:
-            raise ValueError(f"{vec.kind} bitvector in a {mode} index")
-        if vec.m != n:
-            raise ValueError("bitvector length mismatch")
+        vec, off = deserialize_bitvector(kind, n, body, off)
         vectors.append(vec)
     if off != len(body):
         raise ValueError("trailing bytes in index body")
-    _check_weights(n, c_array, vectors)
-    return XbwtIndex(n, alphabet, mode, tuple(c_array), tuple(vectors))
+    _check_weights(n, vectors)
+    return XbwtIndex(n, alphabet, mode, tuple(vectors))

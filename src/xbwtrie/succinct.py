@@ -54,6 +54,11 @@ def _pack_positions(m: int, ones: Iterable[int]) -> bytearray:
     return raw
 
 
+def _position_width(m: int) -> int:
+    """Bits per stored ID position, which ranges over 1..m."""
+    return max(1, (m + 1).bit_length())
+
+
 def _select_in_word(word: int, t: int) -> int:
     """0-based position of the t-th (1-based) set bit of ``word``."""
     for _ in range(t - 1):
@@ -496,8 +501,11 @@ class IdVector(Bitvector):
 
     def payload_bits(self) -> BitCost:
         payload = ceil_log2_comb(self.m, self.ones)
-        width = max(1, (self.m + 1).bit_length())
+        width = _position_width(self.m)
         return BitCost(payload, len(self._pos) * width - payload)
+
+
+_CODECS = ("id", "rrr")  # a fixed-block file stores the codec's index
 
 
 class FixedBlockVector(Bitvector):
@@ -512,7 +520,7 @@ class FixedBlockVector(Bitvector):
     def __init__(self, m: int, ones: Iterable[int], b: int, codec: str = "id"):
         if b < 1:
             raise ValueError("block size must be positive")
-        if codec not in ("id", "rrr"):
+        if codec not in _CODECS:
             raise ValueError("codec must be 'id' or 'rrr'")
         positions = sorted(set(ones))
         nblocks = (m + b - 1) // b
@@ -576,12 +584,8 @@ class FixedBlockVector(Bitvector):
         return BitCost(payload, overhead)
 
 
-BACKEND_TAGS = {"plain": 0, "rrr": 1, "id": 2, "fixedblock": 3}
-TAG_KINDS = {v: k for k, v in BACKEND_TAGS.items()}
-
-
 def make_bitvector(kind: str, m: int, ones: Sequence[int], *,
-                   b: int | None = None, codec: str = "id",
+                   b: int | None = None,
                    complemented: bool = False) -> Bitvector:
     """Uniform constructor used by the index builder."""
     if kind == "plain":
@@ -593,35 +597,14 @@ def make_bitvector(kind: str, m: int, ones: Sequence[int], *,
     if kind == "fixedblock":
         if b is None:
             raise ValueError("fixedblock requires a block size")
-        return FixedBlockVector(m, ones, b, codec)
+        return FixedBlockVector(m, ones, b)
     raise ValueError(f"unknown back-end {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# serialization: tag byte, m as u64, then length-prefixed sections
+# serialization: a vector's body alone; its kind and length come from the
+# caller, and every size inside the body follows from them
 # ---------------------------------------------------------------------------
-
-def _section(payload: bytes) -> bytes:
-    return struct.pack("<Q", len(payload)) + payload
-
-
-def _read_section(buf: bytes, off: int) -> tuple[bytes, int]:
-    if off + 8 > len(buf):
-        raise ValueError("truncated")
-    (size,) = struct.unpack_from("<Q", buf, off)
-    off += 8
-    if off + size > len(buf):
-        raise ValueError("truncated")
-    return buf[off:off + size], off + size
-
-
-def _read_header(buf: bytes, off: int, fmt: str) -> tuple[tuple, int]:
-    """Unpack a fixed-size section, which must be exactly ``fmt`` long."""
-    sec, off = _read_section(buf, off)
-    if len(sec) != struct.calcsize(fmt):
-        raise ValueError("bad header section")
-    return struct.unpack(fmt, sec), off
-
 
 def _pack_bitstream(values: Sequence[int], widths: Sequence[int]) -> bytes:
     """Values LSB-first at the given bit widths, in ceil(sum/8) bytes."""
@@ -666,81 +649,78 @@ def _unpack_bitstream(data: bytes, widths: Sequence[int]) -> list[int]:
 
 
 def serialize_bitvector(v: Bitvector) -> bytes:
-    head = struct.pack("<BQ", BACKEND_TAGS[v.kind], v.m)
+    """The stored body of v, without its kind or length."""
     if isinstance(v, PlainBitvector):
         raw = struct.pack(f"<{len(v._words)}Q", *v._words)
-        return head + _section(raw[:(v.m + 7) // 8])
+        return raw[:(v.m + 7) // 8]
     if isinstance(v, RrrVector):
         widths = _offset_widths(v._lens, v.classes)
-        return (head + _section(struct.pack("<Q", v.u))
-                + _section(bytes(v.classes))
-                + _section(_pack_bitstream(v.offsets, widths)))
+        return (bytes((v.u,)) + bytes(v.classes)
+                + _pack_bitstream(v.offsets, widths))
     if isinstance(v, IdVector):
-        pos = struct.pack(f"<{len(v._pos)}Q", *v._pos) if v._pos else b""
-        return (head + _section(struct.pack("<Q", int(v.complemented)))
-                + _section(pos))
+        k = len(v._pos)
+        return (struct.pack("<BQ", int(v.complemented), k)
+                + _pack_bitstream(v._pos, [_position_width(v.m)] * k))
     if isinstance(v, FixedBlockVector):
-        kids = b"".join(_section(serialize_bitvector(c)) for c in v.children)
-        return (head + _section(struct.pack("<QB", v.b,
-                                            0 if v.codec == "id" else 1))
-                + _section(kids))
+        return (struct.pack("<QB", v.b, _CODECS.index(v.codec))
+                + b"".join(serialize_bitvector(c) for c in v.children))
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def deserialize_bitvector(buf: bytes, off: int = 0) -> tuple[Bitvector, int]:
-    if off + 9 > len(buf):
+def _take(buf: bytes, off: int, size: int) -> tuple[bytes, int]:
+    """The ``size`` bytes of buf at off, checked against the buffer."""
+    if off + size > len(buf):
         raise ValueError("truncated")
-    tag, m = struct.unpack_from("<BQ", buf, off)
-    off += 9
-    kind = TAG_KINDS.get(tag)
-    if kind is None:
-        raise ValueError(f"unknown back-end tag {tag}")
+    return buf[off:off + size], off + size
+
+
+def deserialize_bitvector(kind: str, m: int, buf: bytes,
+                          off: int = 0) -> tuple[Bitvector, int]:
+    """Read the body of a ``kind`` vector of length m from buf at off.
+
+    Every size is checked against the buffer before anything of that size
+    is allocated or looped over.  Returns the vector and the offset just
+    past its body.
+    """
     if kind == "plain":
-        raw, off = _read_section(buf, off)
+        raw, off = _take(buf, off, (m + 7) // 8)
         return PlainBitvector._restore(m, raw), off
     if kind == "rrr":
-        (u,), off = _read_header(buf, off, "<Q")
+        (u,), off = _take(buf, off, 1)
         if not 1 <= u <= 24:
             raise ValueError(f"bad rrr block size {u}")
-        csec, off = _read_section(buf, off)
-        classes = list(csec)
-        nblocks = (m + u - 1) // u
-        if len(classes) != nblocks:
-            raise ValueError("bad class section")
+        classes, off = _take(buf, off, (m + u - 1) // u)
         lens = _block_lens(m, u)
-        for blen, cls in zip(lens, classes):
-            if cls > blen:
-                raise ValueError("bad class section")
-        osec, off = _read_section(buf, off)
-        offsets = _unpack_bitstream(osec, _offset_widths(lens, classes))
+        if any(cls > blen for blen, cls in zip(lens, classes)):
+            raise ValueError("rrr class exceeds its block length")
+        widths = _offset_widths(lens, classes)
+        stream, off = _take(buf, off, (sum(widths) + 7) // 8)
+        offsets = _unpack_bitstream(stream, widths)
         return RrrVector._restore(m, u, classes, offsets), off
     if kind == "id":
-        (flags,), off = _read_header(buf, off, "<Q")
-        psec, off = _read_section(buf, off)
-        if len(psec) % 8:
-            raise ValueError("bad position section")
-        pos = struct.unpack(f"<{len(psec) // 8}Q", psec)
-        return IdVector._restore(m, pos, bool(flags & 1)), off
-    # fixedblock
-    (b, codec_code), off = _read_header(buf, off, "<QB")
-    if b < 1:
-        raise ValueError(f"bad fixed block size {b}")
-    if codec_code not in (0, 1):
-        raise ValueError(f"unknown fixed-block codec {codec_code}")
-    codec = "id" if codec_code == 0 else "rrr"
-    kids_blob, off = _read_section(buf, off)
-    children = []
-    koff = 0
-    nblocks = (m + b - 1) // b
-    for i in range(nblocks):
-        blob, koff = _read_section(kids_blob, koff)
-        # check the tag before parsing, so children cannot nest
-        if blob[:1] != bytes((BACKEND_TAGS[codec],)):
-            raise ValueError("fixed-block child does not match its codec")
-        child, used = deserialize_bitvector(blob, 0)
-        if used != len(blob) or child.m != min(b, m - i * b):
-            raise ValueError("bad child encoding")
-        children.append(child)
-    if koff != len(kids_blob):
-        raise ValueError("bad child encoding")
-    return FixedBlockVector._restore(m, b, codec, tuple(children)), off
+        head, off = _take(buf, off, 9)
+        flags, k = struct.unpack("<BQ", head)
+        if flags > 1:
+            raise ValueError(f"bad id flags {flags}")
+        if k > m:
+            raise ValueError("more stored positions than bits")
+        width = _position_width(m)
+        stream, off = _take(buf, off, (k * width + 7) // 8)
+        pos = _unpack_bitstream(stream, [width] * k)
+        return IdVector._restore(m, pos, bool(flags)), off
+    if kind == "fixedblock":
+        head, off = _take(buf, off, 9)
+        b, code = struct.unpack("<QB", head)
+        if b < 1:
+            raise ValueError(f"bad fixed block size {b}")
+        if code >= len(_CODECS):
+            raise ValueError(f"unknown fixed-block codec {code}")
+        codec = _CODECS[code]
+        children = []
+        # every child body takes a byte or more, so the buffer bounds this
+        for i in range((m + b - 1) // b):
+            child, off = deserialize_bitvector(codec, min(b, m - i * b),
+                                               buf, off)
+            children.append(child)
+        return FixedBlockVector._restore(m, b, codec, tuple(children)), off
+    raise ValueError(f"unknown back-end {kind!r}")

@@ -52,6 +52,10 @@ def test_pattern_escapes():
     assert format_pattern(b"a\x00\\") == r"a\x00\\"
     with pytest.raises(ValueError):
         parse_pattern(r"\q")
+    # exactly two hex digits: no sign, no space, no single digit
+    for text in (r"\x+f", r"\x f", r"\xf ", r"\x-1"):
+        with pytest.raises(ValueError, match="bad escape at offset 0"):
+            parse_pattern(text)
 
 
 def test_build_stats_line(fig_file, tmp_path, capsys):
@@ -209,22 +213,22 @@ def _replace_first_vector(idx, blob: bytes) -> bytes:
     return body + struct.pack("<I", crc32c(body))
 
 
-@pytest.mark.parametrize("mode, patch", [
-    ("fid", lambda head: head[:7]),
-    ("fid", lambda head: bytes(8)),
-    ("id", lambda head: head[:7]),
-    ("fixedblock", lambda head: bytes(9)),
-    ("fixedblock", lambda head: head[:8] + b"\x02"),
-], ids=["rrr-u-7-bytes", "rrr-u-0", "id-flags-7-bytes", "fixedblock-b-0",
+@pytest.mark.parametrize("mode, patch, match", [
+    ("fid", lambda body: b"\x00" + body[1:], "rrr block size 0"),
+    ("id", lambda body: b"\x02" + body[1:], "id flags 2"),
+    ("id", lambda body: body[:1] + struct.pack("<Q", 8) + body[9:],
+     "more stored positions than bits"),
+    ("fixedblock", lambda body: bytes(8) + body[8:], "block size 0"),
+    ("fixedblock", lambda body: body[:8] + b"\x02" + body[9:], "codec 2"),
+], ids=["rrr-u-0", "id-flags-2", "id-count-8-of-7", "fixedblock-b-0",
         "fixedblock-codec-2"])
-def test_count_rejects_bad_header_section(tmp_path, capsys, mode, patch):
+def test_count_rejects_bad_header_section(tmp_path, capsys, mode, patch,
+                                          match):
+    # the fixed-size fields at the head of the first vector's body
     idx = build_index(build_from_strings(FIG.split()), mode)
-    blob = serialize_bitvector(idx.vectors[0])
-    (size,) = struct.unpack_from("<Q", blob, 9)  # after the tag and m
-    head = patch(blob[17:17 + size])
-    bad = blob[:9] + struct.pack("<Q", len(head)) + head + blob[17 + size:]
-    data = _replace_first_vector(idx, bad)
-    with pytest.raises(ValueError):
+    data = _replace_first_vector(
+        idx, patch(serialize_bitvector(idx.vectors[0])))
+    with pytest.raises(ValueError, match=match):
         deserialize(data)
     path = tmp_path / "bad.xbwt"
     path.write_bytes(data)
@@ -242,18 +246,6 @@ def _fig_body(mode: str) -> bytearray:
                                            mode))[:-4])
 
 
-def _fixedblock_flag_on_plain_vectors():
-    body = _fig_body("plain")
-    struct.pack_into("<H", body, 6, 3)  # back-end flags: fixedblock
-    return _with_crc(bytes(body))
-
-
-def _c_array_not_weights():
-    body = _fig_body("id")
-    struct.pack_into("<Q", body, 22 + 2 * 8, 3)  # C = 0 1 3 5, weights 1 3 2
-    return _with_crc(bytes(body))
-
-
 def _weights_not_n_minus_1():
     body = _fig_body("plain")
     body[-1] = 0x04  # B_c 0010100 -> 0010000: weights sum to 5, n - 1 = 6
@@ -266,21 +258,16 @@ def _plain_padding_bit():
     return _with_crc(bytes(body))
 
 
-def _rrr_offset_padding_byte():
-    idx = build_index(build_from_strings(FIG.split()), "fid")
-    blob = serialize_bitvector(idx.vectors[0])  # u = 1: empty offset section
-    return _replace_first_vector(idx, blob[:-8] + struct.pack("<Q", 1)
-                                 + b"\x00")
+def _byte_after_rrr_offsets():
+    body = _fig_body("fid")  # u = 1: the last vector has no offset bits
+    return _with_crc(bytes(body) + b"\x00")
 
 
 @pytest.mark.parametrize("make, match", [
-    (_fixedblock_flag_on_plain_vectors, "plain bitvector in a fixedblock"),
-    (_c_array_not_weights, "C array"),
     (_weights_not_n_minus_1, "n - 1"),
     (_plain_padding_bit, "padding"),
-    (_rrr_offset_padding_byte, "bitstream length"),
-], ids=["mode-kind", "c-array", "weights-total", "plain-padding",
-        "rrr-offset-length"])
+    (_byte_after_rrr_offsets, "trailing bytes"),
+], ids=["weights-total", "plain-padding", "rrr-offset-length"])
 def test_count_rejects_inconsistent_index(tmp_path, capsys, make, match):
     data = make()
     with pytest.raises(ValueError, match=match):
@@ -290,6 +277,20 @@ def test_count_rejects_inconsistent_index(tmp_path, capsys, make, match):
     assert main(["count", str(path), "b"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# the plain-mode index of the strings "a" and "b", as version 1 wrote it
+V1_FILE = bytes.fromhex(
+    "58425754010000000300000000000000030000616200000000000000000100000000"
+    "000000020000000000000000030000000000000001000000000000000100030000"
+    "00000000000100000000000000015a67f230")
+
+
+def test_count_rejects_version_1_file(tmp_path, capsys):
+    path = tmp_path / "v1.xbwt"
+    path.write_bytes(V1_FILE)
+    assert main(["count", str(path), "b"]) == 1
+    assert capsys.readouterr().err == "error: version mismatch: 1\n"
 
 
 def test_dump_golden(fig_file, capsys):

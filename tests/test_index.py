@@ -8,6 +8,7 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
                      leaf_run_count, naive_count, random_trie, run_count,
                      serialize)
 from xbwtrie.index import crc32c, resolve_mode, xbwt_columns
+from xbwtrie.succinct import IdVector, serialize_bitvector
 
 from conftest import complete_binary
 
@@ -121,17 +122,13 @@ def test_invert_random(small_tries):
         assert invert(build_index(t, MODES[i % 4])) == t
 
 
-def test_invert_rejects_malformed(fig_trie):
-    idx = build_index(fig_trie, "plain")
+def test_invert_rejects_malformed():
     # Self-parenting single edge: the child is its own parent.
     from xbwtrie import Alphabet, PlainBitvector, XbwtIndex
-    bad = XbwtIndex(2, Alphabet((97,), 0), "plain", (0, 1),
+    bad = XbwtIndex(2, Alphabet((97,), 0), "plain",
                     (PlainBitvector(2, (2,)),))
     with pytest.raises(ValueError, match="not a valid XBWT"):
         invert(bad)
-    bad_c = XbwtIndex(7, idx.alphabet, "plain", (0, 2, 3, 5), idx.vectors)
-    with pytest.raises(ValueError, match="not a valid XBWT"):
-        invert(bad_c)
 
 
 def test_ith_child_figure(fig_trie):
@@ -218,9 +215,12 @@ def test_id_complement_auto():
     assert idx.vectors[0].complemented
     assert count(idx, b"aaa") == naive_count(t, b"aaa")
     assert invert(idx) == t
-    off = build_index(t, "id", complement_heavy=False)
-    assert not off.vectors[0].complemented
-    assert count(off, b"aaa") == count(idx, b"aaa")
+    from xbwtrie import XbwtIndex
+    off = IdVector(t.n, xbwt_columns(t)[0])
+    assert not off.complemented
+    assert off.one_positions() == idx.vectors[0].one_positions()
+    assert count(XbwtIndex(t.n, t.alphabet, "id", (off,)), b"aaa") == \
+        count(idx, b"aaa")
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -319,16 +319,42 @@ def test_loader_fuzz():
 
 def test_index_file_header_layout(fig_trie):
     import struct
-    blob = serialize(build_index(fig_trie, "fid"))
+    idx = build_index(fig_trie, "fid")
+    blob = serialize(idx)
     assert blob[:4] == b"XBWT"
-    version, flags = struct.unpack_from("<HH", blob, 4)
-    assert version == 1 and flags == 1  # rrr back-end tag
+    version, mode = struct.unpack_from("<HH", blob, 4)
+    assert version == 2 and mode == 1  # the position of "fid" in MODES
     n, sigma = struct.unpack_from("<QH", blob, 8)
     assert (n, sigma) == (7, 4)  # sentinel included
     assert blob[18:22] == b"\x00abc"  # sentinel first, symbols ascending
-    assert struct.unpack_from("<4Q", blob, 22) == (0, 1, 2, 5)
+    # no C array: the vector bodies follow the alphabet back to back
+    assert blob[22:-4] == b"".join(map(serialize_bitvector, idx.vectors))
     assert struct.unpack_from("<I", blob, len(blob) - 4)[0] == \
         crc32c(blob[:-4])
+
+
+@pytest.mark.parametrize("mode", ("plain", "id", "fixedblock"))
+def test_file_bits_within_accounting(fig_trie, small_tries, mode):
+    # Beyond the accounted bits a file holds only fixed-size fields: the
+    # header and CRC, 8 * (22 + sigma) bits; per ID vector (fixed-block
+    # children included) the flags byte, the u64 count and the padding of
+    # the last position byte, 8 + 64 + 7 = 79 bits; per fixed-block vector
+    # b as u64 and the codec byte, 72 bits.  A plain vector's padding is
+    # smaller than its accounted rank directory.  fid is left out: each RRR
+    # class takes a byte on file against bit_length(u) bits accounted.
+    rng = random.Random(3)
+    words = [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(3, 12)))
+             for _ in range(2000)]
+    for t in [fig_trie, *small_tries, build_from_strings(words)]:
+        idx = build_index(t, mode)
+        bound = 8 * (22 + idx.sigma)
+        for vec in idx.vectors:
+            bound += vec.payload_bits().total
+            if vec.kind == "id":
+                bound += 79
+            elif vec.kind == "fixedblock":
+                bound += 72 + 79 * len(vec.children)
+        assert 8 * len(serialize(idx)) <= bound
 
 
 def test_backend_answers_identical(small_tries):
