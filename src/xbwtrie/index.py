@@ -54,7 +54,12 @@ class RunCounts:
 class XbwtIndex:
     """Searchable XBWT: one rank/select bitvector per symbol, plus the C
     array derived from their weights (C[c] = 1 + the weights of the symbols
-    before c, with the sentinel's slot first)."""
+    before c, with the sentinel's slot first).
+
+    Every vector has length n and the weights sum to n - 1, so forward
+    search keeps 0 <= lo - 1 <= hi <= n and may call each vector's
+    unchecked ``_rank``.
+    """
 
     __slots__ = ("n", "alphabet", "mode", "c_array", "vectors", "_sym")
 
@@ -64,17 +69,22 @@ class XbwtIndex:
             raise ValueError(f"unknown mode {mode!r}")
         if len(vectors) != alphabet.sigma:
             raise ValueError("need one bitvector per non-sentinel symbol")
+        if any(vec.m != n for vec in vectors):
+            raise ValueError("not a valid XBWT: bitvector length is not n")
         c_array = [0]
         cum = 1
         for vec in vectors:
             c_array.append(cum)
             cum += vec.ones
+        if cum != n:  # the weights count the n - 1 edges of an n-node trie
+            raise ValueError("not a valid XBWT: bitvector weights do not sum "
+                             "to n - 1")
         self.n = n
         self.alphabet = alphabet
         self.mode = mode
         self.c_array = tuple(c_array)
         self.vectors = vectors
-        self._sym = {c: (c_array[i + 1], vectors[i])
+        self._sym = {c: (c_array[i + 1], vectors[i]._rank)
                      for i, c in enumerate(alphabet.symbols)}
 
     @property
@@ -145,8 +155,8 @@ def forward_step(index: XbwtIndex, iv: NodeInterval, c: int) -> NodeInterval:
     ent = index._sym.get(c)
     if ent is None:
         return NodeInterval(1, 0)
-    base, vec = ent
-    return NodeInterval(base + vec.rank(iv.lo - 1) + 1, base + vec.rank(iv.hi))
+    base, rank = ent
+    return NodeInterval(base + rank(iv.lo - 1) + 1, base + rank(iv.hi))
 
 
 def count(index: XbwtIndex, pattern: bytes) -> int:
@@ -160,8 +170,8 @@ def count(index: XbwtIndex, pattern: bytes) -> int:
         ent = sym.get(c)
         if ent is None:
             return 0
-        base, vec = ent
-        lo, hi = base + vec.rank(lo - 1) + 1, base + vec.rank(hi)
+        base, rank = ent
+        lo, hi = base + rank(lo - 1) + 1, base + rank(hi)
         if lo > hi:
             return 0
     return hi - lo + 1
@@ -221,13 +231,6 @@ def leaf_run_count(index: XbwtIndex) -> int:
     return _runs(p for p in range(1, index.n + 1) if not internal[p])
 
 
-def _check_weights(n: int, vectors: Sequence[Bitvector]) -> None:
-    """The weights must sum to the n - 1 edges of an n-node trie."""
-    if sum(vec.ones for vec in vectors) != n - 1:
-        raise ValueError("not a valid XBWT: bitvector weights do not sum "
-                         "to n - 1")
-
-
 def invert(index: XbwtIndex) -> Trie:
     """Rebuild the unique trie whose XBWT matches the stored vectors.
 
@@ -235,7 +238,6 @@ def invert(index: XbwtIndex) -> Trie:
     in order of their parents' ranks, so the parents are B_c's one-positions.
     """
     n = index.n
-    _check_weights(n, index.vectors)
     parent = [0] * n  # 0-based ids are colex rank - 1
     label = [0] * n
     for i, c in enumerate(index.alphabet.symbols):
@@ -325,5 +327,4 @@ def deserialize(data: bytes) -> XbwtIndex:
         vectors.append(vec)
     if off != len(body):
         raise ValueError("trailing bytes in index body")
-    _check_weights(n, vectors)
     return XbwtIndex(n, alphabet, mode, tuple(vectors))

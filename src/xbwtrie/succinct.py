@@ -14,7 +14,10 @@ Four interchangeable representations of a static bitvector:
                           RRR vector, plus a precomputed block-rank table.
 
 Positions are 1-based; ``rank(i)`` counts ones in positions 1..i inclusive
-and ``rank(0) == 0``.  All structures are immutable once built.
+and ``rank(0) == 0``.  The public ``rank`` checks 0 <= i <= m once and calls
+the back-end's unchecked ``_rank``, which callers that already hold that
+bound (the index's forward search) call directly.  All structures are
+immutable once built.
 """
 from __future__ import annotations
 
@@ -57,6 +60,14 @@ def _pack_positions(m: int, ones: Iterable[int]) -> bytearray:
 def _position_width(m: int) -> int:
     """Bits per stored ID position, which ranges over 1..m."""
     return max(1, (m + 1).bit_length())
+
+
+def _extend_set_bits(out: list[int], word: int, base: int) -> None:
+    """Append base + j to out for every set bit j of ``word``, lowest first."""
+    while word:
+        low = word & -word
+        out.append(base + low.bit_length() - 1)
+        word ^= low
 
 
 def _select_in_word(word: int, t: int) -> int:
@@ -196,6 +207,12 @@ class Bitvector:
         raise NotImplementedError
 
     def rank(self, i: int) -> int:
+        if not 0 <= i <= self.m:
+            raise ValueError("position out of range")
+        return self._rank(i)
+
+    def _rank(self, i: int) -> int:
+        """rank(i) without the argument check: i must lie in 0..m."""
         raise NotImplementedError
 
     def select(self, i: int) -> int:
@@ -208,24 +225,19 @@ class Bitvector:
         """rank(i) when position i holds a 1, else -1."""
         if not 1 <= i <= self.m:
             raise ValueError("position out of range")
-        return self.rank(i) if self.access(i) else -1
+        return self._rank(i) if self.access(i) else -1
 
     def select0(self, i: int) -> int:
         """Position of the i-th zero, by binary search over zero-rank."""
         if not 1 <= i <= self.m - self.ones:
             raise ValueError("select index out of range")
-        return self._first_reaching(i, lambda p: p - self.rank(p))
+        return self._first_reaching(i, lambda p: p - self._rank(p))
 
     def rank0(self, i: int) -> int:
-        self._check_rank_arg(i)
         return i - self.rank(i)
 
     def payload_bits(self) -> BitCost:
         raise NotImplementedError
-
-    def _check_rank_arg(self, i: int) -> None:
-        if not 0 <= i <= self.m:
-            raise ValueError("position out of range")
 
     def _check_select_arg(self, i: int) -> None:
         if not 1 <= i <= self.ones:
@@ -244,7 +256,8 @@ class Bitvector:
         return lo
 
     def one_positions(self) -> list[int]:
-        return [self.select(i) for i in range(1, self.ones + 1)]
+        """The ascending positions of all ones, read off the stored form."""
+        raise NotImplementedError
 
     def __len__(self) -> int:
         return self.m
@@ -289,12 +302,10 @@ class PlainBitvector(Bitvector):
         self._super.append(total)  # sentinel for the select search
         self.ones = total
 
-    def rank(self, i: int) -> int:
-        self._check_rank_arg(i)
-        if i == 0:
-            return 0
-        f, rem = divmod(i, self.WORD)
+    def _rank(self, i: int) -> int:
+        f = i >> 6  # WORD = 64; _super[0] and _block[0] are 0, so i = 0 works
         c = self._super[f // self.SB_WORDS] + self._block[f]
+        rem = i & 63
         if rem:
             c += (self._words[f] & ((1 << rem) - 1)).bit_count()
         return c
@@ -323,6 +334,12 @@ class PlainBitvector(Bitvector):
             w += 1
         return w * self.WORD + _select_in_word(self._words[w], t) + 1
 
+    def one_positions(self) -> list[int]:
+        out: list[int] = []
+        for w, word in enumerate(self._words):
+            _extend_set_bits(out, word, w * self.WORD + 1)
+        return out
+
     def payload_bits(self) -> BitCost:
         width_abs = max(1, (self.m).bit_length())
         nwords = len(self._words)
@@ -339,7 +356,7 @@ class RrrVector(Bitvector):
     SELECT_SAMPLE = 512
 
     __slots__ = ("m", "ones", "u", "classes", "offsets", "_lens",
-                 "_sb_rank", "_sel_sample", "_payload",
+                 "_table", "_tabled", "_sb_rank", "_sel_sample", "_payload",
                  "entropy_block_size", "entropy_block_count")
 
     def __init__(self, m: int, ones: Iterable[int], u: int | None = None):
@@ -377,6 +394,9 @@ class RrrVector(Bitvector):
             if not 0 <= cls <= blen or not 0 <= off < combs[blen][cls]:
                 raise ValueError("invalid block encoding")
         self.ones = sum(classes)
+        # the full blocks 0.._tabled-1 decode through one table lookup
+        self._table = _decode_table(u) if u <= _TABLE_MAX_U else None
+        self._tabled = m // u if u <= _TABLE_MAX_U else 0
         nblocks = len(classes)
         nsb = max(1, (nblocks + self.SB_BLOCKS - 1) // self.SB_BLOCKS)
         self._sb_rank = [0]
@@ -396,18 +416,20 @@ class RrrVector(Bitvector):
     def _block_pattern(self, b: int) -> int:
         return _decode(self.classes[b], self.offsets[b], self._lens[b])
 
-    def rank(self, i: int) -> int:
-        self._check_rank_arg(i)
-        if i == 0:
-            return 0
-        b = (i - 1) // self.u
+    def _rank(self, i: int) -> int:
+        # b full blocks lie before position i + 1; a block ending at i is
+        # counted by its class, and only a block that i cuts is decoded
+        u = self.u
+        b = i // u
         s = b // self.SB_BLOCKS
-        c = self._sb_rank[s]
-        for j in range(s * self.SB_BLOCKS, b):
-            c += self.classes[j]
-        rem = i - b * self.u
+        c = self._sb_rank[s] + sum(self.classes[s * self.SB_BLOCKS:b])
+        rem = i - b * u
         if rem:
-            c += (self._block_pattern(b) & ((1 << rem) - 1)).bit_count()
+            if b < self._tabled:
+                pat = self._table[self.classes[b]][self.offsets[b]]
+            else:
+                pat = self._block_pattern(b)
+            c += (pat & ((1 << rem) - 1)).bit_count()
         return c
 
     def access(self, i: int) -> int:
@@ -427,6 +449,13 @@ class RrrVector(Bitvector):
             c += self.classes[b]
             b += 1
         return b * self.u + _select_in_word(self._block_pattern(b), i - c) + 1
+
+    def one_positions(self) -> list[int]:
+        out: list[int] = []
+        for b, cls in enumerate(self.classes):
+            if cls:
+                _extend_set_bits(out, self._block_pattern(b), b * self.u + 1)
+        return out
 
     def payload_bits(self) -> BitCost:
         nblocks = len(self.classes)
@@ -472,8 +501,7 @@ class IdVector(Bitvector):
         self.entropy_block_size = m
         self.entropy_block_count = 1
 
-    def rank(self, i: int) -> int:
-        self._check_rank_arg(i)
+    def _rank(self, i: int) -> int:
         stored = bisect_right(self._pos, i)
         return (i - stored) if self.complemented else stored
 
@@ -497,7 +525,17 @@ class IdVector(Bitvector):
         self._check_select_arg(i)
         if not self.complemented:
             return self._pos[i - 1]
-        return self._first_reaching(i, self.rank)
+        return self._first_reaching(i, self._rank)
+
+    def one_positions(self) -> list[int]:
+        if not self.complemented:
+            return list(self._pos)
+        out: list[int] = []
+        prev = 0
+        for p in (*self._pos, self.m + 1):
+            out.extend(range(prev + 1, p))
+            prev = p
+        return out
 
     def payload_bits(self) -> BitCost:
         payload = ceil_log2_comb(self.m, self.ones)
@@ -555,12 +593,11 @@ class FixedBlockVector(Bitvector):
                                           default=1)
             self.entropy_block_count = sum(c.entropy_block_count for c in children)
 
-    def rank(self, i: int) -> int:
-        self._check_rank_arg(i)
+    def _rank(self, i: int) -> int:
         if i == 0:
             return 0
         bi = (i - 1) // self.b
-        return self._R[bi] + self.children[bi].rank(i - bi * self.b)
+        return self._R[bi] + self.children[bi]._rank(i - bi * self.b)
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self.m:
@@ -572,6 +609,10 @@ class FixedBlockVector(Bitvector):
         self._check_select_arg(i)
         j = bisect_left(self._R, i) - 1
         return j * self.b + self.children[j].select(i - self._R[j])
+
+    def one_positions(self) -> list[int]:
+        return [bi * self.b + p for bi, child in enumerate(self.children)
+                for p in child.one_positions()]
 
     def payload_bits(self) -> BitCost:
         payload = 0

@@ -131,6 +131,44 @@ def test_invert_rejects_malformed():
         invert(bad)
 
 
+def test_index_rejects_inconsistent_vectors(fig_trie):
+    from xbwtrie import PlainBitvector, XbwtIndex
+    idx = build_index(fig_trie, "plain")
+    n = idx.n
+    ones = idx.vectors[0].one_positions()
+    short = (PlainBitvector(n - 1, ones), *idx.vectors[1:])
+    with pytest.raises(ValueError, match="length is not n"):
+        XbwtIndex(n, idx.alphabet, "plain", short)
+    extra = min(set(range(1, n + 1)) - set(ones))
+    heavy = (PlainBitvector(n, ones + [extra]), *idx.vectors[1:])
+    with pytest.raises(ValueError, match="n - 1"):
+        XbwtIndex(n, idx.alphabet, "plain", heavy)
+
+
+def test_count_uses_unchecked_rank(small_tries, monkeypatch):
+    from xbwtrie.succinct import Bitvector
+
+    def checked_rank(self, i):
+        raise AssertionError("count took the checked rank")
+
+    # patched before building, so no index can hold the checked method
+    monkeypatch.setattr(Bitvector, "rank", checked_rank)
+    indexes = [(t, build_index(t, mode))
+               for t in small_tries[:40] for mode in MODES]
+    rng = random.Random(43)
+    for t, idx in indexes:
+        symbols = t.alphabet.symbols or (97,)
+        for _ in range(10):
+            p = bytes(rng.choice(symbols) for _ in range(rng.randint(0, 6)))
+            assert count(idx, p) == naive_count(t, p)
+            iv = NodeInterval(1, idx.n)
+            for c in p:
+                iv = forward_step(idx, iv, c)
+                if iv.empty:
+                    break
+            assert len(iv) == naive_count(t, p)
+
+
 def test_ith_child_figure(fig_trie):
     from xbwtrie import colex_order, ith_child
     idx = build_index(fig_trie, "id")

@@ -195,6 +195,37 @@ def test_backends_agree_on_random_vectors():
                     assert v.prank(i) == ref.prank(i)
             for j in range(1, ref.ones + 1):
                 assert v.select(j) == ref.select(j)
+        for v in (ref, *others, *backends(m, ones, heavy=True)):
+            assert v.one_positions() == [v.select(j)
+                                         for j in range(1, v.ones + 1)]
+
+
+def test_rank_matches_prefix_sums():
+    """rank and the unchecked _rank at every i, so every block and
+    superblock boundary, the short last block, the decode-table path
+    (u <= 14) and the path without it (u > 14) are all hit."""
+    rng = random.Random(12)
+
+    def check(v, ones):
+        prefix = [0] * (v.m + 1)
+        for p in ones:
+            prefix[p] = 1
+        for i in range(1, v.m + 1):
+            prefix[i] += prefix[i - 1]
+        assert [v.rank(i) for i in range(v.m + 1)] == prefix
+        assert [v._rank(i) for i in range(v.m + 1)] == prefix
+
+    for density in (0.1, 0.5, 0.9):
+        for m in (0, 1, 64, 517, 1200, 1283):
+            ones = _random_ones(rng, m, density)
+            for v in backends(m, ones, heavy=True):
+                check(v, ones)
+        for u in (1, 3, 8, 14, 15, 24):
+            # 16 blocks end on a superblock boundary; for u > 1, 17 blocks
+            # and a bit leave a short last block
+            for m in (16 * u, 17 * u + u // 2 + 1):
+                ones = _random_ones(rng, m, density)
+                check(RrrVector(m, ones, u), ones)
 
 
 def test_select0_and_rank0():
