@@ -8,6 +8,8 @@ The sort and the per-symbol columns are derived once per trie
 (:func:`xbwt_columns`) and shared by every back-end and every report.
 A pattern is matched by forward search: one rank-pair per symbol maps the
 interval of nodes reached by p to the interval reached by p plus one symbol.
+The intervals of all patterns of length at most k are precomputed on the
+first count, so a query starts its search k symbols in.
 """
 from __future__ import annotations
 
@@ -59,9 +61,15 @@ class XbwtIndex:
     Every vector has length n and the weights sum to n - 1, so forward
     search keeps 0 <= lo - 1 <= hi <= n and may call each vector's
     unchecked ``_rank``.
+
+    ``_head`` maps every pattern of length 0..``_k`` whose interval is
+    non-empty to that interval (FM-index engines call it an "ftab").  It is
+    None until the first :func:`count` builds it (:func:`_head_table`), and
+    it is never stored in a file.
     """
 
-    __slots__ = ("n", "alphabet", "mode", "c_array", "vectors", "_sym")
+    __slots__ = ("n", "alphabet", "mode", "c_array", "vectors", "_sym",
+                 "_k", "_head")
 
     def __init__(self, n: int, alphabet: Alphabet, mode: str,
                  vectors: tuple[Bitvector, ...]):
@@ -86,11 +94,50 @@ class XbwtIndex:
         self.vectors = vectors
         self._sym = {c: (c_array[i + 1], vectors[i]._rank)
                      for i, c in enumerate(alphabet.symbols)}
+        self._k = 0
+        self._head: dict[bytes, tuple[int, int]] | None = None
 
     @property
     def sigma(self) -> int:
         """Full alphabet size, sentinel included."""
         return self.alphabet.sigma + 1
+
+
+def _head_table(index: XbwtIndex) -> dict[bytes, tuple[int, int]]:
+    """Set and return ``index._head``: the interval of every pattern of
+    length 0..k with a non-empty one, k being ``index._k``.
+
+    Filled level by level, one forward step per (entry, symbol).  Level 1
+    is always built.  A further level is added while two caps hold:
+    max(sigma, 2)^k * ceil(log2 n)^2 <= n, so the table has at most about
+    2n / log^2 n + log n entries, o(n) bits; and the steps past level 1
+    stay within the items the vectors store (``stored_items``), so a file
+    whose header declares a huge n cannot make the table outgrow the file.
+    """
+    n = index.n
+    logn = max(1, (n - 1).bit_length())  # ceil(log2 n), at least 1
+    base = max(index.alphabet.sigma, 2)
+    budget = sum(vec.stored_items() for vec in index.vectors)
+    edges = [(bytes((c,)), c0, rank) for c, (c0, rank) in index._sym.items()]
+    head = {b"": (1, n)}
+    level = [(b"", 1, n)]
+    k = steps = 0
+    while True:
+        nxt = []
+        for p, lo, hi in level:
+            for edge, c0, rank in edges:
+                before, upto = rank(lo - 1), rank(hi)
+                if before < upto:
+                    q = p + edge
+                    head[q] = (c0 + before + 1, c0 + upto)
+                    nxt.append((q, c0 + before + 1, c0 + upto))
+        k += 1
+        level = nxt
+        steps += len(edges) * len(level)  # the next level's cost
+        if not level or base ** (k + 1) * logn * logn > n or steps > budget:
+            break
+    index._k, index._head = k, head
+    return head
 
 
 def resolve_mode(mode: str, n: int, sigma_full: int) -> str:
@@ -160,10 +207,29 @@ def forward_step(index: XbwtIndex, iv: NodeInterval, c: int) -> NodeInterval:
 
 
 def count(index: XbwtIndex, pattern: bytes) -> int:
-    """Number of trie nodes whose incoming path ends with ``pattern``."""
+    """Number of trie nodes whose incoming path ends with ``pattern``, a
+    sequence of byte values.
+
+    The search starts from the tabled interval of ``pattern[:k]``; a prefix
+    missing from the table (it holds a sentinel, a foreign byte or an empty
+    interval) or one that cannot be a key (a bytearray, a list) is searched
+    from the whole range as usual.
+    """
+    table = index._head or _head_table(index)
+    k = index._k
+    try:
+        head = table.get(pattern[:k])
+    except TypeError:  # unhashable
+        head = None
+    if head is None:
+        lo, hi = 1, index.n
+    else:
+        lo, hi = head
+        if len(pattern) <= k:
+            return hi - lo + 1
+        pattern = pattern[k:]
     sentinel = index.alphabet.sentinel
     sym = index._sym
-    lo, hi = 1, index.n
     for c in pattern:
         if c == sentinel:
             raise ValueError("pattern contains sentinel")

@@ -239,6 +239,13 @@ class Bitvector:
     def payload_bits(self) -> BitCost:
         raise NotImplementedError
 
+    def stored_items(self) -> int:
+        """Number of items the stored form holds: 64-bit words (plain),
+        blocks (rrr), positions (id), or the children's items plus one per
+        child (fixedblock).  A file spends at least one bit on each item, so
+        work held to this count is linear in the size of a loaded file."""
+        raise NotImplementedError
+
     def _check_select_arg(self, i: int) -> None:
         if not 1 <= i <= self.ones:
             raise ValueError("select index out of range")
@@ -347,6 +354,9 @@ class PlainBitvector(Bitvector):
         width_rel = max(1, (self.SB_WORDS * self.WORD).bit_length())
         return BitCost(self.m, sb * width_abs + (nwords + 1) * width_rel)
 
+    def stored_items(self) -> int:
+        return len(self._words)
+
 
 class RrrVector(Bitvector):
     """FID back-end: class/offset coded blocks with rank and select support."""
@@ -414,6 +424,8 @@ class RrrVector(Bitvector):
         self.entropy_block_count = len(classes)
 
     def _block_pattern(self, b: int) -> int:
+        if b < self._tabled:
+            return self._table[self.classes[b]][self.offsets[b]]
         return _decode(self.classes[b], self.offsets[b], self._lens[b])
 
     def _rank(self, i: int) -> int:
@@ -465,6 +477,9 @@ class RrrVector(Bitvector):
         sel_bits = len(self._sel_sample) * max(1, nsb.bit_length())
         return BitCost(self._payload, class_bits + rank_bits + sel_bits)
 
+    def stored_items(self) -> int:
+        return len(self.classes)
+
 
 class IdVector(Bitvector):
     """ID back-end: stored one-positions (or zero-positions when complemented).
@@ -490,10 +505,13 @@ class IdVector(Bitvector):
         self._init(m, tuple(stored), complemented)
 
     def _init(self, m, stored, complemented):
-        if any(not 1 <= p <= m for p in stored):
+        if stored and not (1 <= stored[0] and stored[-1] <= m):
             raise ValueError("position out of range")
-        if list(stored) != sorted(set(stored)):
-            raise ValueError("positions must be strictly increasing")
+        prev = 0
+        for p in stored:
+            if p <= prev:
+                raise ValueError("positions must be strictly increasing")
+            prev = p
         self.m = m
         self._pos = tuple(stored)
         self.complemented = complemented
@@ -541,6 +559,9 @@ class IdVector(Bitvector):
         payload = ceil_log2_comb(self.m, self.ones)
         width = _position_width(self.m)
         return BitCost(payload, len(self._pos) * width - payload)
+
+    def stored_items(self) -> int:
+        return len(self._pos)
 
 
 _CODECS = ("id", "rrr")  # a fixed-block file stores the codec's index
@@ -623,6 +644,10 @@ class FixedBlockVector(Bitvector):
             overhead += cost.overhead
         overhead += len(self._R) * max(1, (self.m + 1).bit_length())
         return BitCost(payload, overhead)
+
+    def stored_items(self) -> int:
+        return len(self.children) + sum(c.stored_items()
+                                        for c in self.children)
 
 
 def make_bitvector(kind: str, m: int, ones: Sequence[int], *,

@@ -7,7 +7,7 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
                      check_bounds, count, deserialize, forward_step, invert,
                      leaf_run_count, naive_count, random_trie, run_count,
                      serialize)
-from xbwtrie.index import crc32c, resolve_mode, xbwt_columns
+from xbwtrie.index import _head_table, crc32c, resolve_mode, xbwt_columns
 from xbwtrie.succinct import IdVector, serialize_bitvector
 
 from conftest import complete_binary
@@ -167,6 +167,150 @@ def test_count_uses_unchecked_rank(small_tries, monkeypatch):
                 if iv.empty:
                     break
             assert len(iv) == naive_count(t, p)
+
+
+def _forward_count(idx, pattern):
+    """count by forward_step, stopping at the first empty interval."""
+    iv = NodeInterval(1, idx.n)
+    for c in pattern:
+        iv = forward_step(idx, iv, c)
+        if iv.empty:
+            return 0
+    return len(iv)
+
+
+def _reference_head(idx):
+    """The k-symbol table by forward_step over every (entry, symbol)."""
+    head = {b"": (1, idx.n)}
+    level = [(b"", NodeInterval(1, idx.n))]
+    for _ in range(idx._k):
+        nxt = []
+        for p, iv in level:
+            for c in idx.alphabet.symbols:
+                out = forward_step(idx, iv, c)
+                if not out.empty:
+                    head[p + bytes((c,))] = (out.lo, out.hi)
+                    nxt.append((p + bytes((c,)), out))
+        level = nxt
+    return head
+
+
+def _answer(fn, idx, pattern):
+    try:
+        return fn(idx, pattern)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _word_without_bbb(rng):
+    w = bytearray()
+    for _ in range(rng.randint(8, 20)):
+        w.append(97 if w[-2:] == b"bb" else rng.choice(b"ab"))
+    return bytes(w)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_count_head_table_matches_forward_steps(mode):
+    """Every pattern of length 0..k+2 over a, b, a foreign byte and the
+    sentinel gets the forward-step answer or error; "bbb" is absent, so
+    the patterns past its empty interval are covered too."""
+    import itertools
+    import math
+    rng = random.Random(11)
+    words = [_word_without_bbb(rng) for _ in range(140)]
+    idx = build_index(build_from_strings(words), mode)
+    assert idx._head is None  # built by the first count
+    _head_table(idx)
+    n, k = idx.n, idx._k
+    assert n >= 1000 and k >= 3
+    assert len(idx._head) <= 2 * n // math.ceil(math.log2(n)) ** 2 + k + 1
+    assert idx._head == _reference_head(idx) and b"bbb" not in idx._head
+    letters = (97, 98, ord("z"), idx.alphabet.sentinel)
+    for length in range(k + 3):
+        for p in itertools.product(letters, repeat=length):
+            p = bytes(p)
+            assert (_answer(count, idx, p)
+                    == _answer(_forward_count, idx, p)), p
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_count_takes_any_byte_sequence(small_tries, mode):
+    """A bytearray or a list of ints cannot key the table; it is searched
+    from the whole range and gets the same answer as bytes."""
+    idx = build_index(small_tries[0], mode)
+    for p in (b"", b"a", b"ab", b"aba", b"zz"):
+        assert count(idx, bytearray(p)) == count(idx, list(p)) == count(idx, p)
+
+
+def _id_file(n, symbols, vectors):
+    """A valid-checksum ID-mode index file with sentinel 0."""
+    import struct
+    from xbwtrie import Alphabet
+    from xbwtrie.index import MAGIC, MODES as FILE_MODES, VERSION
+    body = (MAGIC + struct.pack("<HHQH", VERSION, FILE_MODES.index("id"), n,
+                                len(symbols) + 1)
+            + bytes(Alphabet(symbols, 0).full())
+            + b"".join(map(serialize_bitvector, vectors)))
+    return body + struct.pack("<I", crc32c(body))
+
+
+def test_count_head_table_bounded_by_header_n():
+    """A 39-byte ID file declaring n = 2^40 (a path trie of one symbol,
+    stored as the single zero of a complemented vector) loads at once."""
+    import time
+    n = 2 ** 40
+    data = _id_file(n, (97,), [IdVector._restore(n, [n], True)])
+    assert len(data) == 39
+    t0 = time.perf_counter()
+    idx = deserialize(data)
+    assert count(idx, b"a" * 40) == n - 40
+    assert time.perf_counter() - t0 < 1.0
+    assert len(idx._head) <= 41
+    assert count(idx, b"a" * 45) == n - 45
+    single = build_index(build_from_strings([b""]), "id")
+    assert count(single, b"") == 1 and single._head == {b"": (1, 1)}
+
+
+def _sparse_sigma255(n, per=4):
+    """One complemented vector and 254 sparse ones whose ones sit in each
+    other's level-1 intervals, so each level has up to 255 times as many
+    entries as the one before."""
+    zeros = per * 254 + 1
+    top = 1 + n - zeros  # C of the first sparse symbol
+    vectors = [IdVector._restore(n, list(range(1, zeros + 1)), True)]
+    for d in range(254):
+        vectors.append(IdVector._restore(
+            n, [top + j * per + 1 + d % per for j in range(per)], False))
+    return _id_file(n, tuple(range(1, 256)), vectors)
+
+
+def _sparse_sigma2(n, m=50):
+    """A complemented a-vector and a b-vector of m ones, all stored
+    positions among the last 4m, where the b-intervals of every level lie."""
+    rng = random.Random(3)
+    near_n = range(n - 4 * m, n + 1)
+    return _id_file(n, (97, 98), [
+        IdVector._restore(n, sorted(rng.sample(near_n, m + 1)), True),
+        IdVector._restore(n, sorted(rng.sample(near_n, m)), False)])
+
+
+@pytest.mark.parametrize("data", [_sparse_sigma255(2 ** 63),
+                                  _sparse_sigma2(2 ** 63)],
+                         ids=["sigma255", "sigma2"])
+def test_head_table_capped_by_stored_items(data):
+    """At n = 2^63 the n cap alone allows k = 6 (sigma = 255) or k = 51
+    (sigma = 2), and these few kilobytes would then make 16,771 or 8,637
+    entries.  Past level 1 the table grows by at most one entry per forward
+    step, and the steps stay within the items the vectors store."""
+    idx = deserialize(data)
+    sigma = idx.alphabet.sigma
+    stored = sum(vec.stored_items() for vec in idx.vectors)
+    assert stored < len(data)
+    head = _head_table(idx)
+    assert len(head) <= 1 + sigma + stored
+    assert head == _reference_head(idx)
+    for p in list(head)[-50:]:
+        assert count(idx, p + b"a") == _forward_count(idx, p + b"a")
 
 
 def test_ith_child_figure(fig_trie):

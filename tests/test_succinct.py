@@ -50,6 +50,16 @@ def test_rank_monotone_and_range(backend):
         v.rank(-1)
 
 
+def test_id_restore_checks_stored_positions():
+    assert IdVector._restore(10, [1, 4, 10], False).ones == 3
+    for stored in ([0, 4], [4, 11], [0, 11]):
+        with pytest.raises(ValueError, match="out of range"):
+            IdVector._restore(10, stored, False)
+    for stored in ([4, 4], [5, 3], [2, 7, 7, 9], [1, 5, 3, 9]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            IdVector._restore(10, stored, True)
+
+
 def test_select_examples(backend):
     assert backend(B_B).select(2) == 3
     assert backend("1000000").select(1) == 1
