@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,6 +29,10 @@ _MODE_TO_KIND = {"plain": "plain", "fid": "rrr", "id": "id",
 
 MAGIC = b"XBWT"
 VERSION = 2
+
+# A file's header can declare any n (a 39-byte ID file holds a path trie of
+# 2^40 nodes), so the operations that allocate n-entry lists refuse larger n.
+MAX_NODES = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -159,16 +164,28 @@ def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
 
     One tuple per symbol, in alphabet order, holding the ascending 1-based
     co-lex positions of the nodes with an out-edge labeled by that symbol:
-    the one-positions of the symbol's bitvector.
+    the one-positions of the symbol's bitvector.  Past the root, the co-lex
+    order holds the nodes labeled c as one block, ordered by their parents'
+    co-lex ranks, so column c is the parents' ranks over that block.
     """
     if trie._xbwt is None:
-        slot = {c: i for i, c in enumerate(trie.alphabet.symbols)}
-        ones: list[list[int]] = [[] for _ in slot]
-        children = trie.children
-        for rank_pos, v in enumerate(colex_order(trie), start=1):
-            for c, _ in children[v]:
-                ones[slot[c]].append(rank_pos)
-        trie._xbwt = tuple(tuple(col) for col in ones)
+        order = colex_order(trie)
+        rank = [0] * trie.n
+        for r, v in enumerate(order, start=1):
+            rank[v] = r
+        # parent_rank[r]: co-lex rank of the parent of the rank-r node, filled
+        # in id order, where a node's parent is a recently visited id
+        parent_rank = [0] * (trie.n + 1)
+        for v, p in enumerate(trie.parent):
+            parent_rank[rank[v]] = rank[p]
+        label = trie.label.__getitem__
+        cols = []
+        start = 1  # order[0] is the root
+        for c in trie.alphabet.symbols:
+            end = bisect_right(order, c, start, key=label)
+            cols.append(tuple(parent_rank[start + 1:end + 1]))
+            start = end
+        trie._xbwt = tuple(cols)
     return trie._xbwt
 
 
@@ -288,8 +305,14 @@ def run_count(index: XbwtIndex) -> RunCounts:
                       (vec.one_positions() for vec in index.vectors))
 
 
+def _check_size(index: XbwtIndex) -> None:
+    if index.n > MAX_NODES:
+        raise ValueError("index too large")
+
+
 def leaf_run_count(index: XbwtIndex) -> int:
     """Number of maximal co-lex runs of leaves (nodes with no out-edges)."""
+    _check_size(index)
     internal = bytearray(index.n + 1)
     for vec in index.vectors:
         for p in vec.one_positions():
@@ -303,6 +326,7 @@ def invert(index: XbwtIndex) -> Trie:
     The children reached by symbol c occupy co-lex ranks C[c]+1 .. C[c]+n_c
     in order of their parents' ranks, so the parents are B_c's one-positions.
     """
+    _check_size(index)
     n = index.n
     parent = [0] * n  # 0-based ids are colex rank - 1
     label = [0] * n

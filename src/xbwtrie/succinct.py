@@ -28,6 +28,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+_LN2 = math.log(2)
+
+
 @dataclass(frozen=True)
 class BitCost:
     """Measured size split into entropy payload and directory overhead."""
@@ -41,7 +44,24 @@ class BitCost:
 
 
 def ceil_log2_comb(n: int, k: int) -> int:
-    """ceil(log2 C(n, k)) computed exactly."""
+    """ceil(log2 C(n, k)), exact.
+
+    An lgamma estimate gives the answer when its error bound is smaller
+    than its distance to the nearest integer, which is nearly always.
+    Otherwise (C a power of two, an n too large for the bound to be small,
+    or k outside 1..n-1) C(n, k) is computed exactly.
+    """
+    # past 2^53 the bound below exceeds 1, and a float(n) could overflow
+    if 0 < k < n < 2 ** 53:
+        a, b, c = math.lgamma(n + 1), math.lgamma(k + 1), math.lgamma(n - k + 1)
+        est = (a - b - c) / _LN2
+        # CPython's lgamma is good to a few ulps of its (here non-negative)
+        # value; 2^-46 of each term, plus 2^-46, also covers the rounding
+        # of the difference and of the division by ln 2
+        err = (a + b + c + 1) * 2.0 ** -44
+        low = math.floor(est)
+        if err < est - low < 1 - err:
+            return low + 1
     return (math.comb(n, k) - 1).bit_length()
 
 

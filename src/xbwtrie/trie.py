@@ -8,6 +8,7 @@ pre-order, so the root is always node 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 
@@ -85,6 +86,28 @@ def _preorder(kids, root: int) -> list[int]:
     return order
 
 
+_PARENT_RANGE = "node ids must be in pre-order (parent < child)"
+
+
+def _label_fault(parent: Sequence[int], label: Sequence[int], p: int) -> str:
+    """Why node p's out-labels, in child-id order, are not strictly
+    increasing: a repeated label, or else an unsorted one."""
+    labs = [label[w] for w in range(p + 1, len(parent)) if parent[w] == p]
+    if len(set(labs)) != len(labs):
+        return "outgoing labels must be distinct"
+    return "children must be sorted by label"
+
+
+def _fault(parent: Sequence[int], label: Sequence[int], v: int,
+           msg: str) -> ValueError:
+    """The error for the first fault met at node v; a parent out of range
+    at a later node is reported first, as it is the more basic fault."""
+    for w in range(v + 1, len(parent)):
+        if not 0 <= parent[w] < w:
+            return ValueError(_PARENT_RANGE)
+    return ValueError(msg)
+
+
 class Trie:
     """Immutable trie; build via :func:`build_from_strings` or classmethods."""
 
@@ -98,28 +121,32 @@ class Trie:
             raise ValueError("parent and label must be nonempty and equal length")
         if parent[0] != 0:
             raise ValueError("root must be node 0 and its own parent")
-        kids: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for v in range(1, n):
-            p = parent[v]
-            if not 0 <= p < v:
-                raise ValueError("node ids must be in pre-order (parent < child)")
-            kids[p].append((label[v], v))
-        for v in range(n):
-            labs = [c for c, _ in kids[v]]
-            if len(set(labs)) != len(labs):
-                raise ValueError("outgoing labels must be distinct")
-            if labs != sorted(labs):
-                raise ValueError("children must be sorted by label")
-        if _preorder(kids, 0) != list(range(n)):
-            raise ValueError("node ids must be in pre-order")
         if alphabet is None:
-            alphabet = Alphabet.from_symbols(label[v] for v in range(1, n))
+            alphabet = Alphabet.from_symbols(islice(label, 1, None))
+        # One forward walk.  ``path`` holds the ancestors of v - 1, root
+        # first: the ids are in pre-order exactly when every parent is on
+        # it.  A node's labels are distinct and sorted exactly when each
+        # exceeds the one before it.  Byte labels allow at most 256
+        # children, so growing a node's tuple child by child stays cheap.
+        kids: list[tuple[tuple[int, int], ...]] = [()] * n
+        path = [0]
+        for v, p, c in zip(range(1, n), islice(parent, 1, None),
+                           islice(label, 1, None)):
+            if not 0 <= p < v:
+                raise _fault(parent, label, v, _PARENT_RANGE)
+            while path[-1] > p:
+                path.pop()
+            if path[-1] != p:
+                raise _fault(parent, label, v, "node ids must be in pre-order")
+            sibs = kids[p]
+            if sibs and c <= sibs[-1][0]:
+                raise _fault(parent, label, v, _label_fault(parent, label, p))
+            kids[p] = sibs + ((c, v),)
+            path.append(v)
         self.n = n
         self.parent = tuple(parent)
-        lab = list(label)
-        lab[0] = alphabet.sentinel
-        self.label = tuple(lab)
-        self.children = tuple(tuple(k) for k in kids)
+        self.label = (alphabet.sentinel, *islice(label, 1, None))
+        self.children = tuple(kids)
         self.alphabet = alphabet
         self._paths: tuple[bytes, ...] | None = None
         # XBWT columns, filled in once by index.xbwt_columns
@@ -162,19 +189,26 @@ class Trie:
                            root: int, alphabet: Alphabet | None = None) -> "Trie":
         """Build from arbitrary node ids, renumbering into pre-order."""
         n = len(parent)
-        kids: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
+        if not 0 <= root < n:
+            raise ValueError("root id out of range")
+        kids: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for v in range(n):
             if v != root:
-                kids[parent[v]].append((label[v], v))
-        for v in kids:
-            kids[v].sort()
+                p = parent[v]
+                if not 0 <= p < n:
+                    raise ValueError("parent id out of range")
+                kids[p].append((label[v], v))
+        for sibs in kids:
+            sibs.sort()
         order = _preorder(kids, root)
         if len(order) != n:
             raise ValueError("nodes not all reachable from root")
-        newid = {old: i for i, old in enumerate(order)}
-        new_parent = [newid[parent[old]] if old != root else 0 for old in order]
-        new_label = [label[old] if old != root else 0 for old in order]
-        return cls(new_parent, new_label, alphabet)
+        newid = [0] * n
+        for i, old in enumerate(order):
+            newid[old] = i
+        rest = order[1:]
+        return cls([0, *map(newid.__getitem__, map(parent.__getitem__, rest))],
+                   [0, *map(label.__getitem__, rest)], alphabet)
 
     def out_labels(self, v: int) -> tuple[int, ...]:
         return tuple(c for c, _ in self.children[v])
@@ -200,31 +234,39 @@ class Trie:
         return f"Trie(n={self.n}, sigma={self.alphabet.sigma})"
 
 
-def build_from_strings(strings: Sequence[bytes]) -> Trie:
-    """Trie of all prefixes of the given byte strings (the empty prefix is the root)."""
-    if not list(strings):
+def build_from_strings(strings: Iterable[bytes]) -> Trie:
+    """Trie of all prefixes of the given byte strings (the empty prefix is the root).
+
+    Pre-order with label-sorted children is the lexicographic order of the
+    node paths, so the sorted distinct strings create the nodes in id
+    order: each adds the bytes past its longest common prefix with the
+    string before it, below the node at that depth on the current path.
+    """
+    # bytes(iter(s)) also takes bytearrays and lists of byte values, and,
+    # like iterating, rejects an int instead of reading it as a length
+    words = sorted({s if type(s) is bytes else bytes(iter(s))
+                    for s in strings})
+    if not words:
         raise ValueError("no strings")
-    root: dict = {}
-    for s in strings:
-        node = root
-        for b in s:
-            node = node.setdefault(b, {})
     parent = [0]
     label = [0]
-    work: list[tuple[dict, int, int]] = []
-    for b in sorted(root, reverse=True):
-        work.append((root[b], 0, b))
-    while work:
-        node, pid, b = work.pop()
-        vid = len(parent)
-        parent.append(pid)
-        label.append(b)
-        for nb in sorted(node, reverse=True):
-            work.append((node[nb], vid, nb))
-    symbols: set[int] = set()
-    for s in strings:
-        symbols.update(s)
-    return Trie(parent, label, Alphabet.from_symbols(symbols))
+    path = [0]  # path[d]: id of the depth-d node on the previous string
+    prev = b""
+    for s in words:
+        d = 0
+        m = min(len(prev), len(s))
+        while d < m and prev[d] == s[d]:
+            d += 1
+        del path[d + 1:]
+        v = len(parent)
+        new = len(s) - d
+        if new:
+            parent.append(path[d])
+            parent.extend(range(v, v + new - 1))
+            label.extend(s[d:])
+            path.extend(range(v, v + new))
+        prev = s
+    return Trie(parent, label)
 
 
 def preorder(trie: Trie) -> list[int]:

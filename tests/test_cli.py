@@ -293,6 +293,23 @@ def test_count_rejects_version_1_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: version mismatch: 1\n"
 
 
+def test_stats_refuses_index_too_large(tmp_path, capsys):
+    """A 39-byte ID file declaring a 2^40-node path trie (one stored zero
+    of a complemented vector) loads, but inverting it is refused."""
+    from xbwtrie.succinct import IdVector
+    n = 2 ** 40
+    body = (xbwtrie.index.MAGIC
+            + struct.pack("<HHQH", xbwtrie.index.VERSION,
+                          xbwtrie.index.MODES.index("id"), n, 2)
+            + b"\x00a" + serialize_bitvector(IdVector._restore(n, [n], True)))
+    path = tmp_path / "huge.xbwt"
+    path.write_bytes(_with_crc(body))
+    assert path.stat().st_size == 39
+    assert main(["stats", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: index too large\n" and captured.out == ""
+
+
 def test_dump_golden(fig_file, capsys):
     assert main(["dump", fig_file]) == 0
     assert capsys.readouterr().out == DUMP_GOLDEN

@@ -11,6 +11,7 @@ from xbwtrie.index import _head_table, crc32c, resolve_mode, xbwt_columns
 from xbwtrie.succinct import IdVector, serialize_bitvector
 
 from conftest import complete_binary
+from construction_oracles import per_node_columns
 
 MODES = ("plain", "fid", "id", "fixedblock")
 
@@ -342,6 +343,51 @@ def test_xbwt_columns_figure(fig_trie):
         tuple(p for p, bit in enumerate(FIG_VECTORS[c], start=1) if bit == "1")
         for c in fig_trie.alphabet.symbols)
     assert xbwt_columns(fig_trie) is cols  # kept on the trie
+
+
+def _corpus(seed, words):
+    rng = random.Random(seed)
+    return [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(3, 12)))
+            for _ in range(words)]
+
+
+def test_xbwt_columns_match_per_node_loop(small_tries):
+    tries = small_tries + [build_from_strings(_corpus(5, 3000)),
+                           build_from_strings([b""]),
+                           build_from_strings([b"\x00\x01", b"\x01\x00"])]
+    for t in tries:
+        assert xbwt_columns(t) == per_node_columns(t)
+
+
+# sha256 of the index files of _corpus(2024, 2000) (n = 8,962), recorded
+# before the trie and XBWT construction were rewritten
+GOLDEN_FILES = {
+    "plain": "f9642ae83ad152e64dd59107d89494492a84c17016142701447326fea8372f4b",
+    "fid": "95149bb1e34c8fda40d74322aac5169e266b1104b5c26b5ee2c0b4328226279c",
+    "id": "6c9c7f0f80e1e3693b908520551cbfee9c11804a9adf1f026b83958b750ac289",
+    "fixedblock":
+        "3727b82145be02857fd661ce88db305158f4ac6406386cc8b9b9690c4b8fca41",
+}
+
+
+def test_index_files_golden():
+    import hashlib
+    trie = build_from_strings(_corpus(2024, 2000))
+    assert trie.n == 8962
+    for mode in MODES:
+        data = serialize(build_index(trie, mode))
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_FILES[mode], mode
+
+
+def test_invert_refuses_huge_n():
+    """The 39-byte file declaring n = 2^40 loads, but the n-entry lists of
+    invert and leaf_run_count are refused before they are allocated."""
+    n = 2 ** 40
+    idx = deserialize(_id_file(n, (97,), [IdVector._restore(n, [n], True)]))
+    with pytest.raises(ValueError, match="^index too large$"):
+        invert(idx)
+    with pytest.raises(ValueError, match="^index too large$"):
+        leaf_run_count(idx)
 
 
 def test_check_bounds_sorts_once_per_trie(monkeypatch):

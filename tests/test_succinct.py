@@ -158,6 +158,31 @@ def test_rrr_per_block_bound():
             assert ceil_log2_comb(blen, cls) <= h0 + 1 + 1e-9
 
 
+def _exact_ceil_log2_comb(n, k):
+    return (math.comb(n, k) - 1).bit_length()
+
+
+def test_ceil_log2_comb_exact():
+    for n in range(201):
+        for k in range(n + 1):
+            assert ceil_log2_comb(n, k) == _exact_ceil_log2_comb(n, k), (n, k)
+    for e in range(64):  # C(n, 1) = n is a power of two
+        n = 2 ** e
+        for k in {0, 1, n - 1, n}:
+            assert ceil_log2_comb(n, k) == _exact_ceil_log2_comb(n, k), (n, k)
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 2 ** rng.randint(1, 20))
+        # the reference's cost grows with min(k, n - k); keep it below 2^13
+        j = rng.randint(0, min(n // 2, 2 ** rng.randint(0, 13)))
+        k = rng.choice((j, n - j))
+        assert ceil_log2_comb(n, k) == _exact_ceil_log2_comb(n, k), (n, k)
+    n = 2 ** 63  # far past the range where the estimate's bound is small
+    for k in (2, 3, n - 5):
+        assert ceil_log2_comb(n, k) == _exact_ceil_log2_comb(n, k)
+    assert ceil_log2_comb(10 ** 400, 1) == (10 ** 400 - 1).bit_length()
+
+
 def test_id_payload_and_complement():
     m, ones = parse_bits("1110111")
     plainv = IdVector(m, ones)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from xbwtrie import (Alphabet, SymbolDistribution, Trie, build_from_strings,
@@ -5,6 +7,7 @@ from xbwtrie import (Alphabet, SymbolDistribution, Trie, build_from_strings,
                      strings_from_bytes, symbol_distribution)
 
 from conftest import FIG_COLEX, FIG_LABEL, FIG_PARENT, FIG_STRINGS
+from construction_oracles import dict_trie, old_trie_check
 
 
 def test_build_single_node():
@@ -159,3 +162,114 @@ def test_strings_from_bytes():
     assert strings_from_bytes(b"a\nbb\n") == [b"a", b"bb"]
     assert strings_from_bytes(b"a\nbb") == [b"a", b"bb"]
     assert strings_from_bytes(b"\n\n") == [b"", b""]
+
+
+def _string_sets():
+    rng = random.Random(8)
+    yield [b"b", b"bb", b"bcba", b"bcbc"]
+    yield [b"bcbc", b"b", b"", b"bb", b"bcba", b"b"]  # unsorted, dup, blank
+    yield [b"", b""]
+    yield [b"\x00", b"\xff", b"\x00\xff", b"\xff\x00\x00", b"\x01"]
+    yield [bytes(rng.randrange(1, 256) for _ in range(10 ** 4)), b"ab", b"a"]
+    for _ in range(40):
+        base = [bytes(rng.choice(b"ab\x00\xff") for _ in range(rng.randint(0, 7)))
+                for _ in range(rng.randint(1, 30))]
+        extra = [w[:rng.randint(0, len(w))] for w in rng.sample(base, len(base) // 2)]
+        words = base + extra + rng.sample(base, len(base) // 3)
+        rng.shuffle(words)
+        yield words
+
+
+def test_build_from_strings_matches_dict_builder():
+    for words in _string_sets():
+        parent, label, symbols = dict_trie(words)
+        t = build_from_strings(words)
+        assert t.parent == tuple(parent)
+        assert t.label[1:] == tuple(label[1:])
+        assert t.alphabet.symbols == symbols
+        assert build_from_strings(map(bytearray, words)) == t
+
+
+def test_build_from_strings_rejects_ints():
+    # bytes(3) would be three zero bytes; an int is not a string
+    with pytest.raises(TypeError):
+        build_from_strings([3])
+
+
+def _mutations(t, rng):
+    """(kind, parent, label) variants of a valid trie, one change each."""
+    n = t.n
+    for _ in range(6):
+        v = rng.randrange(1, n)
+        parent, label = list(t.parent), list(t.label)
+        parent[v] = rng.randrange(v)
+        yield "reparent", parent, label
+        parent = list(t.parent)
+        parent[v] = rng.randrange(v, n)
+        yield "parent>=child", parent, label
+        i, j = sorted(rng.sample(range(1, n), 2))
+        swap = {i: j, j: i}
+        new = [0] * n
+        newlab = [0] * n
+        for old in range(1, n):
+            new[swap.get(old, old)] = swap.get(t.parent[old], t.parent[old])
+            newlab[swap.get(old, old)] = t.label[old]
+        yield "swap", new, newlab
+        sibs = [w for w in range(1, n) if t.parent[w] == t.parent[v] and w != v]
+        label = list(t.label)
+        if sibs:
+            label[v] = t.label[rng.choice(sibs)]
+            yield "duplicate", list(t.parent), label
+        label = list(t.label)
+        label[v] = rng.choice(b"abcdef\x00\xff")
+        yield "relabel", list(t.parent), label
+
+
+def _trie_check(parent, label):
+    try:
+        Trie(parent, label, Alphabet.from_symbols(range(1, 256)))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_trie_check_matches_whole_array_passes(small_tries):
+    rng = random.Random(12)
+    tries = small_tries[:80] + [build_from_strings(w) for w in _string_sets()]
+    single = set()
+    for t in tries:
+        assert _trie_check(t.parent, t.label) is None
+        if t.n < 3:
+            continue
+        for kind, parent, label in _mutations(t, rng):
+            message, rules = old_trie_check(parent, label)
+            got = _trie_check(parent, label)
+            assert (got is None) == (message is None), (kind, parent, label)
+            if len(rules) == 1:
+                assert got == message, (kind, parent, label)
+                single.add(next(iter(rules)))
+    assert single == {"range", "distinct", "sorted", "preorder"}
+    # node 3's parent is off the path, but node 4's parent is out of range,
+    # the fault always reported first
+    parent, label = (0, 0, 0, 1, 5, 0), (0, 97, 98, 97, 97, 99)
+    assert old_trie_check(parent, label) == (
+        "node ids must be in pre-order (parent < child)", {"range"})
+    assert _trie_check(parent, label) == old_trie_check(parent, label)[0]
+
+
+def test_from_parent_labels_renumbers_any_ids(small_tries):
+    rng = random.Random(4)
+    for t in small_tries[:40]:
+        perm = list(range(t.n))
+        rng.shuffle(perm)  # perm[v] is v's new id
+        parent, label = [0] * t.n, [0] * t.n
+        for v in range(t.n):
+            parent[perm[v]] = perm[t.parent[v]]
+            label[perm[v]] = t.label[v]
+        got = Trie.from_parent_labels(parent, label, root=perm[0],
+                                      alphabet=t.alphabet)
+        assert got == t
+    with pytest.raises(ValueError, match="parent id out of range"):
+        Trie.from_parent_labels((0, -1, 0), (0, 97, 98), root=0)
+    with pytest.raises(ValueError, match="root id out of range"):
+        Trie.from_parent_labels((0, 0), (0, 97), root=2)
