@@ -11,7 +11,9 @@ structures cannot beat the entropy-coded ones on that family.
 """
 import random
 
-from xbwtrie import build_from_strings, build_index, leaf_run_count, run_count
+from xbwtrie import (build_from_strings, build_index, index_bits,
+                     leaf_run_count, run_count)
+from xbwtrie.index import MODES
 from xbwtrie.entropy import binary_entropy_bits
 
 rng = random.Random(3)
@@ -31,13 +33,10 @@ def heavy_path(n):
 print(f"{'trie':>16} {'mode':>10} {'payload':>8} {'overhead':>9} {'total':>7}")
 for name, trie in [("binary height 7", complete_binary(7)),
                    ("path n=256", heavy_path(256))]:
-    for mode in ("plain", "fid", "id", "fixedblock"):
-        idx = build_index(trie, mode)
-        costs = [v.payload_bits() for v in idx.vectors]
-        payload = sum(c.payload for c in costs)
-        overhead = sum(c.overhead for c in costs)
-        print(f"{name:>16} {mode:>10} {payload:>8} {overhead:>9} "
-              f"{payload + overhead:>7}")
+    for mode in MODES:
+        cost = index_bits(build_index(trie, mode))
+        print(f"{name:>16} {mode:>10} {cost.payload:>8} {cost.overhead:>9} "
+              f"{cost.total:>7}")
 
 # The path trie's only symbol sits on n-1 of n nodes, so the ID back-end
 # stores the complement: one position instead of n-1.

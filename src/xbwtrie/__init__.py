@@ -8,10 +8,9 @@ from .combinatorics import (DegreeMatrix, canonical_rotation, count_all_tries,
                             enumerate_tries, format_matrix, is_lukasiewicz,
                             l_sequence, matrix_to_trie, rotate, trie_to_matrix)
 from .succinct import (BitCost, FixedBlockVector, IdVector, PlainBitvector,
-                       RrrVector, decode_block, encode_block, make_bitvector,
-                       parse_bits)
+                       RrrVector)
 from .index import (NodeInterval, RunCounts, XbwtIndex, build_index, count,
-                    deserialize, forward_step, invert, ith_child,
+                    deserialize, forward_step, index_bits, invert, ith_child,
                     leaf_run_count, run_count, serialize)
 from .entropy import (BoundCheck, ContextTable, EntropyReport, check_bounds,
                       context_table, h0, hk, worst_case_entropy)
@@ -26,10 +25,9 @@ __all__ = [
     "enumerate_tries", "format_matrix", "is_lukasiewicz", "l_sequence",
     "matrix_to_trie", "rotate", "trie_to_matrix",
     "BitCost", "FixedBlockVector", "IdVector", "PlainBitvector", "RrrVector",
-    "decode_block", "encode_block", "make_bitvector", "parse_bits",
     "NodeInterval", "RunCounts", "XbwtIndex", "build_index", "count",
-    "deserialize", "forward_step", "invert", "ith_child", "leaf_run_count",
-    "run_count", "serialize",
+    "deserialize", "forward_step", "index_bits", "invert", "ith_child",
+    "leaf_run_count", "run_count", "serialize",
     "BoundCheck", "ContextTable", "EntropyReport", "check_bounds",
     "context_table", "h0", "hk", "worst_case_entropy",
     "random_distribution", "random_matrix", "random_trie",

@@ -12,7 +12,7 @@ from . import index as xidx
 from .trie import (SymbolDistribution, Trie, build_from_strings, colex_order,
                    strings_from_bytes)
 
-INDEX_MODES = ("plain", "fid", "id", "fixedblock", "auto")
+INDEX_MODES = (*xidx.MODES, "auto")
 
 
 def parse_pattern(text: str) -> bytes:
@@ -112,14 +112,12 @@ def cmd_build(args) -> int:
             ("metric", "r", "-", str(xidx.count_runs(
                 trie.alphabet.symbols, xidx.xbwt_columns(trie)).total)),
             ("metric", "bytes", "-", str(len(data)))]
-    for mode in ("plain", "fid", "id", "fixedblock"):
+    for mode in xidx.MODES:
         probe = idx if mode == idx.mode else xidx.build_index(
             trie, mode, block_size=args.block_size)
-        costs = [v.payload_bits() for v in probe.vectors]
-        payload = sum(c.payload for c in costs)
-        overhead = sum(c.overhead for c in costs)
-        rows.append(("metric", f"payload[{mode}]", "-", str(payload)))
-        rows.append(("metric", f"overhead[{mode}]", "-", str(overhead)))
+        cost = xidx.index_bits(probe)
+        rows.append(("metric", f"payload[{mode}]", "-", str(cost.payload)))
+        rows.append(("metric", f"overhead[{mode}]", "-", str(cost.overhead)))
     _emit(rows, args.format, sys.stdout)
     return 0
 
@@ -147,8 +145,7 @@ def cmd_count(args) -> int:
 
 def cmd_stats(args) -> int:
     trie = _load_trie(args.input)
-    modes = (args.mode,) if args.mode != "auto" else ("plain", "fid", "id",
-                                                      "fixedblock")
+    modes = (args.mode,) if args.mode != "auto" else xidx.MODES
     report = ent.check_bounds(trie, args.k, modes=modes,
                               block_size=args.block_size)
     _emit(ent.report_rows(report), args.format, sys.stdout)

@@ -57,15 +57,8 @@ class DegreeMatrix:
             raise ValueError("total ones must be n - 1")
         object.__setattr__(self, "row_counts", counts)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        """Column j (0-based) as a 0/1 tuple, one entry per row."""
-        return tuple((row >> j) & 1 for row in self.rows)
-
     def column_ones(self, j: int) -> int:
         return sum((row >> j) & 1 for row in self.rows)
-
-    def distribution(self) -> SymbolDistribution:
-        return SymbolDistribution(self.n, self.row_counts)
 
 
 def trie_to_matrix(trie: Trie) -> DegreeMatrix:

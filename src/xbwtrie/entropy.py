@@ -152,7 +152,7 @@ class EntropyReport:
 
 
 def check_bounds(trie: Trie, max_order: int = 2,
-                 modes: tuple[str, ...] = ("plain", "fid", "id", "fixedblock"),
+                 modes: tuple[str, ...] = xidx.MODES,
                  block_size: int | None = None) -> EntropyReport:
     """Measure entropies, run counts and payloads, and check every bound.
 
@@ -195,9 +195,7 @@ def check_bounds(trie: Trie, max_order: int = 2,
     payloads: list[PayloadReport] = []
     for mode in modes:
         idx = xidx.build_index(trie, mode, block_size=block_size)
-        costs = [v.payload_bits() for v in idx.vectors]
-        cost = BitCost(sum(c.payload for c in costs),
-                       sum(c.overhead for c in costs))
+        cost = xidx.index_bits(idx)
         sizes = [v.entropy_block_size for v in idx.vectors]
         coded = idx.vectors and all(s is not None for s in sizes)
         bsize = max(sizes) if coded else None

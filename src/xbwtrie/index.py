@@ -19,13 +19,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .succinct import (Bitvector, deserialize_bitvector, make_bitvector,
+from .succinct import (BitCost, Bitvector, FixedBlockVector, IdVector,
+                       PlainBitvector, RrrVector, deserialize_bitvector,
                        serialize_bitvector)
 from .trie import Alphabet, Trie, colex_order
 
-MODES = ("plain", "fid", "id", "fixedblock")  # a file stores a mode by position
-_MODE_TO_KIND = {"plain": "plain", "fid": "rrr", "id": "id",
-                 "fixedblock": "fixedblock"}
+# a file stores a mode by position; every vector's kind is its index's mode
+MODES = ("plain", "fid", "id", "fixedblock")
 
 MAGIC = b"XBWT"
 VERSION = 2
@@ -200,14 +200,27 @@ def build_index(trie: Trie, mode: str = "auto", *,
     n = trie.n
     alphabet = trie.alphabet
     mode = resolve_mode(mode, n, alphabet.sigma + 1)
-    kind = _MODE_TO_KIND[mode]
-    if mode == "fixedblock" and block_size is None:
-        block_size = default_block_size(n, alphabet.sigma)
-    vectors = tuple(
-        make_bitvector(kind, n, ones, b=block_size,
-                       complemented=mode == "id" and len(ones) > n / 2)
-        for ones in xbwt_columns(trie))
-    return XbwtIndex(n, alphabet, mode, vectors)
+    columns = xbwt_columns(trie)
+    if mode == "plain":
+        vectors = [PlainBitvector(n, ones) for ones in columns]
+    elif mode == "fid":
+        vectors = [RrrVector(n, ones) for ones in columns]
+    elif mode == "id":
+        vectors = [IdVector(n, ones, len(ones) > n / 2) for ones in columns]
+    elif mode == "fixedblock":
+        if block_size is None:
+            block_size = default_block_size(n, alphabet.sigma)
+        vectors = [FixedBlockVector(n, ones, block_size) for ones in columns]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return XbwtIndex(n, alphabet, mode, tuple(vectors))
+
+
+def index_bits(index: XbwtIndex) -> BitCost:
+    """The measured payload and overhead bits of all the index's vectors."""
+    costs = [vec.payload_bits() for vec in index.vectors]
+    return BitCost(sum(c.payload for c in costs),
+                   sum(c.overhead for c in costs))
 
 
 def forward_step(index: XbwtIndex, iv: NodeInterval, c: int) -> NodeInterval:
@@ -410,10 +423,9 @@ def deserialize(data: bytes) -> XbwtIndex:
     chars = body[off:off + sigma_full]
     off += sigma_full
     alphabet = Alphabet(tuple(chars[1:]), chars[0])
-    kind = _MODE_TO_KIND[mode]
     vectors = []
     for _ in range(sigma_full - 1):
-        vec, off = deserialize_bitvector(kind, n, body, off)
+        vec, off = deserialize_bitvector(mode, n, body, off)
         vectors.append(vec)
     if off != len(body):
         raise ValueError("trailing bytes in index body")

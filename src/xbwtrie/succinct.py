@@ -10,8 +10,8 @@ Four interchangeable representations of a static bitvector:
 * ``IdVector``         -- explicit one-positions supporting select directly
                           and rank by binary search; optionally stores the
                           complement when ones dominate.
-* ``FixedBlockVector`` -- fixed-size blocks, each encoded by an inner ID or
-                          RRR vector, plus a precomputed block-rank table.
+* ``FixedBlockVector`` -- fixed-size blocks, each held by an inner ID
+                          vector, plus a precomputed block-rank table.
 
 Positions are 1-based; ``rank(i)`` counts ones in positions 1..i inclusive
 and ``rank(0) == 0``.  The public ``rank`` checks 0 <= i <= m once and calls
@@ -97,49 +97,18 @@ def _select_in_word(word: int, t: int) -> int:
     return (word & -word).bit_length() - 1
 
 
-def parse_bits(s: str) -> tuple[int, tuple[int, ...]]:
-    """Helper turning a '0'/'1' string into (length, one-positions)."""
-    return len(s), tuple(i + 1 for i, c in enumerate(s) if c == "1")
-
-
 # ---------------------------------------------------------------------------
-# block codec shared by the RRR-style back-ends
+# block codec of the FID back-end: a u-bit block is its class (popcount) and
+# its offset, the lexicographic rank of its bit string (position 1 first,
+# '0' < '1') among the strings of that class, both read off tables
 # ---------------------------------------------------------------------------
-
-def encode_block(pattern: int, u: int) -> tuple[int, int]:
-    """(class, offset) of a u-bit pattern; offset is the lexicographic rank
-    of the pattern string (position 1 first, '0' < '1') among same-weight
-    strings."""
-    k = pattern.bit_count()
-    offset = 0
-    ones_left = k
-    for pos in range(u):
-        if (pattern >> pos) & 1:
-            offset += math.comb(u - pos - 1, ones_left)
-            ones_left -= 1
-    return k, offset
-
-
-def decode_block(cls: int, offset: int, u: int) -> int:
-    """Inverse of :func:`encode_block`."""
-    pattern = 0
-    k = cls
-    for pos in range(u):
-        zeros_first = math.comb(u - pos - 1, k)
-        if offset >= zeros_first:
-            pattern |= 1 << pos
-            offset -= zeros_first
-            k -= 1
-    if k or offset:
-        raise ValueError("offset out of range for class")
-    return pattern
-
 
 _DECODE_TABLES: dict[int, list[list[int]]] = {}
-_TABLE_MAX_U = 14
+_TABLE_MAX_U = 14  # the largest u: every block length has its two tables
 
 
 def _decode_table(u: int) -> list[list[int]]:
+    """The u-bit patterns of every class, in offset order."""
     tables = _DECODE_TABLES.get(u)
     if tables is None:
         tables = [[] for _ in range(u + 1)]
@@ -149,12 +118,6 @@ def _decode_table(u: int) -> list[list[int]]:
             tables[w.bit_count()].append(w)
         _DECODE_TABLES[u] = tables
     return tables
-
-
-def _decode(cls: int, offset: int, u: int) -> int:
-    if u <= _TABLE_MAX_U:
-        return _decode_table(u)[cls][offset]
-    return decode_block(cls, offset, u)
 
 
 _ENCODE_TABLES: dict[int, list[int]] = {}
@@ -261,7 +224,7 @@ class Bitvector:
 
     def stored_items(self) -> int:
         """Number of items the stored form holds: 64-bit words (plain),
-        blocks (rrr), positions (id), or the children's items plus one per
+        blocks (fid), positions (id), or the children's items plus one per
         child (fixedblock).  A file spends at least one bit on each item, so
         work held to this count is linear in the size of a loaded file."""
         raise NotImplementedError
@@ -381,7 +344,7 @@ class PlainBitvector(Bitvector):
 class RrrVector(Bitvector):
     """FID back-end: class/offset coded blocks with rank and select support."""
 
-    kind = "rrr"
+    kind = "fid"
     SB_BLOCKS = 8
     SELECT_SAMPLE = 512
 
@@ -395,21 +358,17 @@ class RrrVector(Bitvector):
         raw = _pack_positions(m, ones)
         if u is None:
             u = max(1, (max(m, 1).bit_length() - 1) // 2)
-        u = max(1, min(24, u))
-        # u <= 24 bits starting at bit `at` lie within the 4 bytes from at>>3;
+        u = max(1, min(_TABLE_MAX_U, u))
+        # u <= 14 bits starting at bit `at` lie within the 3 bytes from at>>3;
         # the padding bits past m are zero, so the last pattern has blen bits
         mask = (1 << u) - 1
-        patterns = [(int.from_bytes(raw[at >> 3:(at >> 3) + 4], "little")
+        patterns = [(int.from_bytes(raw[at >> 3:(at >> 3) + 3], "little")
                      >> (at & 7)) & mask for at in range(0, m, u)]
         classes = [pat.bit_count() for pat in patterns]
-        full = patterns[:m // u]
-        if u <= _TABLE_MAX_U:
-            table = _encode_table(u)
-            offsets = [table[pat] for pat in full]
-        else:
-            offsets = [encode_block(pat, u)[1] for pat in full]
+        table = _encode_table(u)
+        offsets = [table[pat] for pat in patterns[:m // u]]
         if m % u:
-            offsets.append(encode_block(patterns[-1], m % u)[1])
+            offsets.append(_encode_table(m % u)[patterns[-1]])
         self._init(m, u, classes, offsets)
 
     def _init(self, m, u, classes, offsets):
@@ -424,9 +383,10 @@ class RrrVector(Bitvector):
             if not 0 <= cls <= blen or not 0 <= off < combs[blen][cls]:
                 raise ValueError("invalid block encoding")
         self.ones = sum(classes)
-        # the full blocks 0.._tabled-1 decode through one table lookup
-        self._table = _decode_table(u) if u <= _TABLE_MAX_U else None
-        self._tabled = m // u if u <= _TABLE_MAX_U else 0
+        # the full blocks 0.._tabled-1 decode through one table lookup, the
+        # short last block through the table of its own length
+        self._table = _decode_table(u)
+        self._tabled = m // u
         nblocks = len(classes)
         nsb = max(1, (nblocks + self.SB_BLOCKS - 1) // self.SB_BLOCKS)
         self._sb_rank = [0]
@@ -446,7 +406,7 @@ class RrrVector(Bitvector):
     def _block_pattern(self, b: int) -> int:
         if b < self._tabled:
             return self._table[self.classes[b]][self.offsets[b]]
-        return _decode(self.classes[b], self.offsets[b], self._lens[b])
+        return _decode_table(self._lens[b])[self.classes[b]][self.offsets[b]]
 
     def _rank(self, i: int) -> int:
         # b full blocks lie before position i + 1; a block ending at i is
@@ -584,23 +544,18 @@ class IdVector(Bitvector):
         return len(self._pos)
 
 
-_CODECS = ("id", "rrr")  # a fixed-block file stores the codec's index
-
-
 class FixedBlockVector(Bitvector):
-    """Fixed-size blocks, each held by an inner ID or RRR vector, with a
+    """Fixed-size blocks, each held by an inner ID vector, with a
     precomputed table of ranks preceding every block."""
 
     kind = "fixedblock"
 
-    __slots__ = ("m", "ones", "b", "codec", "children", "_R",
+    __slots__ = ("m", "ones", "b", "children", "_R",
                  "entropy_block_size", "entropy_block_count")
 
-    def __init__(self, m: int, ones: Iterable[int], b: int, codec: str = "id"):
+    def __init__(self, m: int, ones: Iterable[int], b: int):
         if b < 1:
             raise ValueError("block size must be positive")
-        if codec not in _CODECS:
-            raise ValueError("codec must be 'id' or 'rrr'")
         positions = sorted(set(ones))
         nblocks = (m + b - 1) // b
         per_block: list[list[int]] = [[] for _ in range(nblocks)]
@@ -608,31 +563,19 @@ class FixedBlockVector(Bitvector):
             if not 1 <= p <= m:
                 raise ValueError("one-position out of range")
             per_block[(p - 1) // b].append(p - ((p - 1) // b) * b)
-        children = []
-        for i in range(nblocks):
-            blen = min(b, m - i * b)
-            if codec == "id":
-                children.append(IdVector(blen, per_block[i]))
-            else:
-                children.append(RrrVector(blen, per_block[i]))
-        self._init(m, b, codec, tuple(children))
+        self._init(m, b, tuple(IdVector(min(b, m - i * b), per_block[i])
+                               for i in range(nblocks)))
 
-    def _init(self, m, b, codec, children):
+    def _init(self, m, b, children):
         self.m = m
         self.b = b
-        self.codec = codec
         self.children = children
         self._R = [0]
         for child in children:
             self._R.append(self._R[-1] + child.ones)
         self.ones = self._R[-1]
-        if codec == "id":
-            self.entropy_block_size = b
-            self.entropy_block_count = len(children)
-        else:
-            self.entropy_block_size = max((c.entropy_block_size for c in children),
-                                          default=1)
-            self.entropy_block_count = sum(c.entropy_block_count for c in children)
+        self.entropy_block_size = b
+        self.entropy_block_count = len(children)
 
     def _rank(self, i: int) -> int:
         if i == 0:
@@ -668,23 +611,6 @@ class FixedBlockVector(Bitvector):
     def stored_items(self) -> int:
         return len(self.children) + sum(c.stored_items()
                                         for c in self.children)
-
-
-def make_bitvector(kind: str, m: int, ones: Sequence[int], *,
-                   b: int | None = None,
-                   complemented: bool = False) -> Bitvector:
-    """Uniform constructor used by the index builder."""
-    if kind == "plain":
-        return PlainBitvector(m, ones)
-    if kind == "rrr":
-        return RrrVector(m, ones)
-    if kind == "id":
-        return IdVector(m, ones, complemented)
-    if kind == "fixedblock":
-        if b is None:
-            raise ValueError("fixedblock requires a block size")
-        return FixedBlockVector(m, ones, b)
-    raise ValueError(f"unknown back-end {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +674,8 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         return (struct.pack("<BQ", int(v.complemented), k)
                 + _pack_bitstream(v._pos, [_position_width(v.m)] * k))
     if isinstance(v, FixedBlockVector):
-        return (struct.pack("<QB", v.b, _CODECS.index(v.codec))
+        # the codec byte is reserved, always 0 (ID blocks)
+        return (struct.pack("<QB", v.b, 0)
                 + b"".join(serialize_bitvector(c) for c in v.children))
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
@@ -771,9 +698,9 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
     if kind == "plain":
         raw, off = _take(buf, off, (m + 7) // 8)
         return PlainBitvector._restore(m, raw), off
-    if kind == "rrr":
+    if kind == "fid":
         (u,), off = _take(buf, off, 1)
-        if not 1 <= u <= 24:
+        if not 1 <= u <= _TABLE_MAX_U:
             raise ValueError(f"bad rrr block size {u}")
         classes, off = _take(buf, off, (m + u - 1) // u)
         lens = _block_lens(m, u)
@@ -799,14 +726,13 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         b, code = struct.unpack("<QB", head)
         if b < 1:
             raise ValueError(f"bad fixed block size {b}")
-        if code >= len(_CODECS):
+        if code:
             raise ValueError(f"unknown fixed-block codec {code}")
-        codec = _CODECS[code]
         children = []
         # every child body takes a byte or more, so the buffer bounds this
         for i in range((m + b - 1) // b):
-            child, off = deserialize_bitvector(codec, min(b, m - i * b),
+            child, off = deserialize_bitvector("id", min(b, m - i * b),
                                                buf, off)
             children.append(child)
-        return FixedBlockVector._restore(m, b, codec, tuple(children)), off
+        return FixedBlockVector._restore(m, b, tuple(children)), off
     raise ValueError(f"unknown back-end {kind!r}")

@@ -114,15 +114,12 @@ class Trie:
     __slots__ = ("n", "parent", "label", "children", "alphabet", "_paths",
                  "_xbwt")
 
-    def __init__(self, parent: Sequence[int], label: Sequence[int],
-                 alphabet: Alphabet | None = None):
+    def __init__(self, parent: Sequence[int], label: Sequence[int]):
         n = len(parent)
         if n == 0 or len(label) != n:
             raise ValueError("parent and label must be nonempty and equal length")
         if parent[0] != 0:
             raise ValueError("root must be node 0 and its own parent")
-        if alphabet is None:
-            alphabet = Alphabet.from_symbols(islice(label, 1, None))
         # One forward walk.  ``path`` holds the ancestors of v - 1, root
         # first: the ids are in pre-order exactly when every parent is on
         # it.  A node's labels are distinct and sorted exactly when each
@@ -143,6 +140,8 @@ class Trie:
                 raise _fault(parent, label, v, _label_fault(parent, label, p))
             kids[p] = sibs + ((c, v),)
             path.append(v)
+        # after the walk, so a structural fault is reported first
+        alphabet = Alphabet.from_symbols(islice(label, 1, None))
         self.n = n
         self.parent = tuple(parent)
         self.label = (alphabet.sentinel, *islice(label, 1, None))
@@ -153,8 +152,7 @@ class Trie:
         self._xbwt: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
-    def from_preorder_outsets(cls, outsets: Sequence[Sequence[int]],
-                              alphabet: Alphabet | None = None) -> "Trie":
+    def from_preorder_outsets(cls, outsets: Sequence[Sequence[int]]) -> "Trie":
         """Rebuild a trie from the out-label sets of its pre-order nodes.
 
         Node i+1 in pre-order attaches to the deepest pending edge on the
@@ -182,11 +180,11 @@ class Trie:
                 stack.append([v, out, 0])
         if stack:
             raise ValueError("pending edges left over")
-        return cls(parent, label, alphabet)
+        return cls(parent, label)
 
     @classmethod
     def from_parent_labels(cls, parent: Sequence[int], label: Sequence[int],
-                           root: int, alphabet: Alphabet | None = None) -> "Trie":
+                           root: int) -> "Trie":
         """Build from arbitrary node ids, renumbering into pre-order."""
         n = len(parent)
         if not 0 <= root < n:
@@ -208,7 +206,7 @@ class Trie:
             newid[old] = i
         rest = order[1:]
         return cls([0, *map(newid.__getitem__, map(parent.__getitem__, rest))],
-                   [0, *map(label.__getitem__, rest)], alphabet)
+                   [0, *map(label.__getitem__, rest)])
 
     def out_labels(self, v: int) -> tuple[int, ...]:
         return tuple(c for c, _ in self.children[v])

@@ -278,7 +278,7 @@ def test_11_backend_cross_equivalence():
         others = (
             RrrVector(m, ones),
             IdVector(m, ones),
-            FixedBlockVector(m, ones, b=max(1, m // 7), codec="id"),
+            FixedBlockVector(m, ones, b=max(1, m // 7)),
         )
         ranks = rng.sample(range(m + 1), min(m + 1, 8))
         pranks = rng.sample(range(1, m + 1), min(m, 8))

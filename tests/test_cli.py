@@ -215,13 +215,15 @@ def _replace_first_vector(idx, blob: bytes) -> bytes:
 
 @pytest.mark.parametrize("mode, patch, match", [
     ("fid", lambda body: b"\x00" + body[1:], "rrr block size 0"),
+    ("fid", lambda body: b"\x0f" + body[1:], "rrr block size 15"),
     ("id", lambda body: b"\x02" + body[1:], "id flags 2"),
     ("id", lambda body: body[:1] + struct.pack("<Q", 8) + body[9:],
      "more stored positions than bits"),
     ("fixedblock", lambda body: bytes(8) + body[8:], "block size 0"),
+    ("fixedblock", lambda body: body[:8] + b"\x01" + body[9:], "codec 1"),
     ("fixedblock", lambda body: body[:8] + b"\x02" + body[9:], "codec 2"),
-], ids=["rrr-u-0", "id-flags-2", "id-count-8-of-7", "fixedblock-b-0",
-        "fixedblock-codec-2"])
+], ids=["rrr-u-0", "rrr-u-15", "id-flags-2", "id-count-8-of-7",
+        "fixedblock-b-0", "fixedblock-codec-1", "fixedblock-codec-2"])
 def test_count_rejects_bad_header_section(tmp_path, capsys, mode, patch,
                                           match):
     # the fixed-size fields at the head of the first vector's body

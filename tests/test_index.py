@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -28,6 +29,7 @@ def test_build_figure_vectors(fig_trie, mode):
     assert idx.c_array == (0, 1, 2, 5)
     for i, c in enumerate(idx.alphabet.symbols):
         assert vector_string(idx, i) == FIG_VECTORS[c]
+        assert idx.vectors[i].kind == mode
 
 
 def test_build_single_node():
@@ -144,6 +146,8 @@ def test_index_rejects_inconsistent_vectors(fig_trie):
     heavy = (PlainBitvector(n, ones + [extra]), *idx.vectors[1:])
     with pytest.raises(ValueError, match="n - 1"):
         XbwtIndex(n, idx.alphabet, "plain", heavy)
+    with pytest.raises(ValueError, match="unknown mode 'rrr'"):
+        build_index(fig_trie, "rrr")
 
 
 def test_count_uses_unchecked_rank(small_tries, monkeypatch):
@@ -561,13 +565,34 @@ def test_index_file_header_layout(fig_trie):
         crc32c(blob[:-4])
 
 
+# SHA-256 of the index file of each mode for the seeded 2,000-word corpus
+# of test_file_bytes_pinned: any change to the bytes a file holds fails here
+FILE_SHA256 = {
+    "plain": "43000c985f8b0d2b28f5cddcd4cf21781f62954b3d490d6a6fa0dd90ed1c9c13",
+    "fid": "d884d4e4d1080ef2f1aa911ef40d64fbed46f4d47e026f58896353b49fa76375",
+    "id": "265310627eb815fe43f24bbf8477cc572e686046536dbd821353b69c50f7b397",
+    "fixedblock":
+        "6d523791ac5ee4c73efa64892d90f9660571dbf8541563fc683683189c154f37",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_file_bytes_pinned(mode):
+    rng = random.Random(1)
+    words = [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(3, 12)))
+             for _ in range(2000)]
+    data = serialize(build_index(build_from_strings(words), mode))
+    assert hashlib.sha256(data).hexdigest() == FILE_SHA256[mode]
+    assert serialize(deserialize(data)) == data
+
+
 @pytest.mark.parametrize("mode", ("plain", "id", "fixedblock"))
 def test_file_bits_within_accounting(fig_trie, small_tries, mode):
     # Beyond the accounted bits a file holds only fixed-size fields: the
     # header and CRC, 8 * (22 + sigma) bits; per ID vector (fixed-block
     # children included) the flags byte, the u64 count and the padding of
     # the last position byte, 8 + 64 + 7 = 79 bits; per fixed-block vector
-    # b as u64 and the codec byte, 72 bits.  A plain vector's padding is
+    # b as u64 and the reserved codec byte, 72 bits.  A plain vector's padding is
     # smaller than its accounted rank directory.  fid is left out: each RRR
     # class takes a byte on file against bit_length(u) bits accounted.
     rng = random.Random(3)

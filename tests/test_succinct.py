@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from xbwtrie import (FixedBlockVector, IdVector, PlainBitvector, RrrVector,
-                     decode_block, encode_block, parse_bits)
-from xbwtrie.succinct import (_pack_bitstream, _unpack_bitstream,
-                              ceil_log2_comb, deserialize_bitvector,
-                              serialize_bitvector)
+from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
+from xbwtrie.succinct import (_decode_table, _encode_table, _pack_bitstream,
+                              _unpack_bitstream, ceil_log2_comb,
+                              deserialize_bitvector, serialize_bitvector)
+
+from succinct_oracles import decode_block, encode_block, parse_bits
 
 B_B = "1010010"   # out-edge vector of the middle symbol in the figure index
 B_A = "0000100"
@@ -19,14 +20,15 @@ def backends(m, ones, heavy=False):
         RrrVector(m, ones),
         IdVector(m, ones),
         IdVector(m, ones, complemented=heavy),
-        FixedBlockVector(m, ones, b=5, codec="id"),
-        FixedBlockVector(m, ones, b=8, codec="rrr"),
+        FixedBlockVector(m, ones, b=5),
+        # 4-bit blocks: a 7-bit vector ends in a short 3-bit block
+        RrrVector(m, ones, u=4),
     ]
     return out
 
 
 @pytest.fixture(params=range(6), ids=["plain", "rrr", "id", "id-comp",
-                                      "fb-id", "fb-rrr"])
+                                      "fb-id", "rrr-u4"])
 def backend(request):
     def make(bits01: str):
         return backends(*parse_bits(bits01), heavy=True)[request.param]
@@ -93,13 +95,18 @@ def test_access(backend):
 # --- block codec -----------------------------------------------------------
 
 def test_codec_bijection_exhaustive():
-    for u in range(1, 13):
+    """The reference codec is a bijection, and the decode and encode tables
+    of every block length up to 14 agree with it."""
+    for u in range(1, 15):
         seen = {}
+        enc, dec = _encode_table(u), _decode_table(u)
         for word in range(1 << u):
             cls, off = encode_block(word, u)
             assert cls == bin(word).count("1")
             assert 0 <= off < math.comb(u, cls)
             assert decode_block(cls, off, u) == word
+            assert enc[word] == off
+            assert dec[cls][off] == word
             seen.setdefault(cls, set()).add(off)
         for cls, offs in seen.items():
             assert offs == set(range(math.comb(u, cls)))
@@ -219,7 +226,7 @@ def test_backends_agree_on_random_vectors():
             IdVector(m, ones),
             IdVector(m, ones, complemented=True),
             FixedBlockVector(m, ones, b=rng.choice([1, 3, 17, 64, 500])),
-            FixedBlockVector(m, ones, b=33, codec="rrr"),
+            RrrVector(m, ones, u=5),
         ]
         probes = sorted(rng.sample(range(m + 1), min(m + 1, 12)))
         for v in others:
@@ -237,8 +244,7 @@ def test_backends_agree_on_random_vectors():
 
 def test_rank_matches_prefix_sums():
     """rank and the unchecked _rank at every i, so every block and
-    superblock boundary, the short last block, the decode-table path
-    (u <= 14) and the path without it (u > 14) are all hit."""
+    superblock boundary and the short last block are all hit."""
     rng = random.Random(12)
 
     def check(v, ones):
@@ -255,7 +261,7 @@ def test_rank_matches_prefix_sums():
             ones = _random_ones(rng, m, density)
             for v in backends(m, ones, heavy=True):
                 check(v, ones)
-        for u in (1, 3, 8, 14, 15, 24):
+        for u in (1, 3, 8, 13, 14):
             # 16 blocks end on a superblock boundary; for u > 1, 17 blocks
             # and a bit leave a short last block
             for m in (16 * u, 17 * u + u // 2 + 1):
@@ -322,7 +328,7 @@ def test_serialized_framing():
         b"\x00" + struct.pack("<Q", 3) + b"\x31\x06"
     assert serialize_bitvector(IdVector(m, ones, complemented=True)) == \
         b"\x01" + struct.pack("<Q", 4) + b"\x42\x75"
-    # fixed-block: u64 b, codec byte (0 = id), the children's bodies:
+    # fixed-block: u64 b, codec byte (reserved, 0), the ID children's bodies:
     # 10100 (positions 1, 3 at 3 bits) and 10 (position 1 at 2 bits)
     assert serialize_bitvector(FixedBlockVector(m, ones, b=5)) == \
         struct.pack("<QB", 5, 0) + b"\x00" + struct.pack("<Q", 2) + b"\x19" \
@@ -384,6 +390,7 @@ def test_plain_words_and_directory():
 
 @pytest.mark.parametrize("u", range(1, 25))
 def test_rrr_blocks_every_u(u):
+    """u is clamped to 14, the largest block length with decode tables."""
     rng = random.Random(u)
     for m in (u - 1, u, u + 1, 3 * u + 2, 5 * u):
         for density in (0.1, 0.5, 0.9):
@@ -392,12 +399,12 @@ def test_rrr_blocks_every_u(u):
             for p in ones:
                 bits[p - 1] = 1
             v = RrrVector(m, ones, u=u)
-            assert v.u == u
+            assert v.u == min(u, 14)
             # every block, the short last one included, is encode_block of
             # its own bits at its own length
             for b, blen in enumerate(v._lens):
                 pat = sum(bit << k for k, bit in
-                          enumerate(bits[b * u:b * u + blen]))
+                          enumerate(bits[b * v.u:b * v.u + blen]))
                 assert (v.classes[b], v.offsets[b]) == encode_block(pat, blen)
             assert sum(v._lens) == m
             _assert_matches_bits(v, bits)
@@ -460,7 +467,7 @@ def test_huge_header_length_checked_before_allocating():
     with pytest.raises(ValueError, match="truncated"):
         deserialize_bitvector("plain", m, b"")
     with pytest.raises(ValueError, match="truncated"):
-        deserialize_bitvector("rrr", m, b"\x01\x00")
+        deserialize_bitvector("fid", m, b"\x01\x00")
     with pytest.raises(ValueError, match="truncated"):
         deserialize_bitvector("fixedblock", m, struct.pack("<QB", 1, 0))
     with pytest.raises(ValueError, match="truncated"):

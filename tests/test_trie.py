@@ -55,6 +55,15 @@ def test_alphabet_invariants():
         Alphabet((97,), 97)
 
 
+def test_trie_alphabet_from_labels():
+    assert Trie((0, 0), (0, 98)).alphabet == Alphabet((98,), 0)
+    with pytest.raises(ValueError, match="symbols must be byte values"):
+        Trie((0, 0, 1), (0, 98, 300))
+    # a structural fault is reported before a bad label
+    with pytest.raises(ValueError, match="parent < child"):
+        Trie((0, 0, 5), (0, 98, 300))
+
+
 def test_preorder(fig_trie):
     assert preorder(build_from_strings([b""])) == [0]
     assert preorder(fig_trie) == list(range(7))
@@ -227,7 +236,7 @@ def _mutations(t, rng):
 
 def _trie_check(parent, label):
     try:
-        Trie(parent, label, Alphabet.from_symbols(range(1, 256)))
+        Trie(parent, label)
     except ValueError as exc:
         return str(exc)
     return None
@@ -237,6 +246,7 @@ def test_trie_check_matches_whole_array_passes(small_tries):
     rng = random.Random(12)
     tries = small_tries[:80] + [build_from_strings(w) for w in _string_sets()]
     single = set()
+    no_sentinel = 0
     for t in tries:
         assert _trie_check(t.parent, t.label) is None
         if t.n < 3:
@@ -244,11 +254,17 @@ def test_trie_check_matches_whole_array_passes(small_tries):
         for kind, parent, label in _mutations(t, rng):
             message, rules = old_trie_check(parent, label)
             got = _trie_check(parent, label)
+            if message is None and len(set(label[1:])) == 256:
+                # a valid shape labeled with every byte leaves no sentinel
+                assert got == "no sentinel available", (kind, parent, label)
+                no_sentinel += 1
+                continue
             assert (got is None) == (message is None), (kind, parent, label)
             if len(rules) == 1:
                 assert got == message, (kind, parent, label)
                 single.add(next(iter(rules)))
     assert single == {"range", "distinct", "sorted", "preorder"}
+    assert no_sentinel
     # node 3's parent is off the path, but node 4's parent is out of range,
     # the fault always reported first
     parent, label = (0, 0, 0, 1, 5, 0), (0, 97, 98, 97, 97, 99)
@@ -266,8 +282,7 @@ def test_from_parent_labels_renumbers_any_ids(small_tries):
         for v in range(t.n):
             parent[perm[v]] = perm[t.parent[v]]
             label[perm[v]] = t.label[v]
-        got = Trie.from_parent_labels(parent, label, root=perm[0],
-                                      alphabet=t.alphabet)
+        got = Trie.from_parent_labels(parent, label, root=perm[0])
         assert got == t
     with pytest.raises(ValueError, match="parent id out of range"):
         Trie.from_parent_labels((0, -1, 0), (0, 97, 98), root=0)
