@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import index as xidx
 from .succinct import BitCost
@@ -76,28 +77,34 @@ class ContextTable:
         return len(self.node_counts)
 
 
+_BYTE = [bytes((b,)) for b in range(256)]
+
+
 def context_table(trie: Trie, k: int) -> ContextTable:
-    """Group nodes by the last k symbols of their incoming path."""
+    """Group nodes by the last k symbols of their incoming path.
+
+    A node's context is its parent's with the node's label appended and
+    the first symbol dropped, so the contexts follow in id order from the
+    root's all-sentinel one; the edge into v is an out-edge of the parent's
+    context.  Memory is O(nk) bytes.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     pad = bytes([trie.alphabet.sentinel]) * k
-    paths = trie.paths()
-    node_counts: dict[bytes, int] = {}
+    ctx = [pad] * trie.n
+    node_counts: dict[bytes, int] = {pad: 1}
     out_counts: dict[bytes, dict[int, int]] = {}
-    for v in range(trie.n):
-        p = paths[v]
-        if k == 0:
-            w = b""
-        elif len(p) >= k:
-            w = p[-k:]
-        else:
-            w = pad[:k - len(p)] + p
+    for v, p, c in zip(range(1, trie.n), islice(trie.parent, 1, None),
+                       islice(trie.label, 1, None)):
+        w = ctx[p]
+        per = out_counts.get(w)
+        if per is None:
+            per = out_counts[w] = {}
+        per[c] = per.get(c, 0) + 1
+        if k:
+            w = w[1:] + _BYTE[c]
+            ctx[v] = w
         node_counts[w] = node_counts.get(w, 0) + 1
-        kids = trie.children[v]
-        if kids:
-            per = out_counts.setdefault(w, {})
-            for c, _ in kids:
-                per[c] = per.get(c, 0) + 1
     return ContextTable(k, trie.n, node_counts, out_counts)
 
 

@@ -84,6 +84,8 @@ class XbwtIndex:
             raise ValueError("need one bitvector per non-sentinel symbol")
         if any(vec.m != n for vec in vectors):
             raise ValueError("not a valid XBWT: bitvector length is not n")
+        if any(vec.ones == 0 for vec in vectors):
+            raise ValueError("not a valid XBWT: symbol labels no edge")
         c_array = [0]
         cum = 1
         for vec in vectors:

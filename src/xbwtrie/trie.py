@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import lt
 from typing import Iterable, Sequence
 
 
@@ -111,7 +112,7 @@ def _fault(parent: Sequence[int], label: Sequence[int], v: int,
 class Trie:
     """Immutable trie; build via :func:`build_from_strings` or classmethods."""
 
-    __slots__ = ("n", "parent", "label", "children", "alphabet", "_paths",
+    __slots__ = ("n", "parent", "label", "alphabet", "_children", "_paths",
                  "_xbwt")
 
     def __init__(self, parent: Sequence[int], label: Sequence[int]):
@@ -122,31 +123,31 @@ class Trie:
             raise ValueError("root must be node 0 and its own parent")
         # One forward walk.  ``path`` holds the ancestors of v - 1, root
         # first: the ids are in pre-order exactly when every parent is on
-        # it.  A node's labels are distinct and sorted exactly when each
-        # exceeds the one before it.  Byte labels allow at most 256
-        # children, so growing a node's tuple child by child stays cheap.
-        kids: list[tuple[tuple[int, int], ...]] = [()] * n
+        # it.  The node popped last, just above the parent p, is then p's
+        # latest child (0 when p is v - 1 and has none yet), so a node's
+        # labels are distinct and sorted exactly when each exceeds the
+        # label of that sibling.
         path = [0]
         for v, p, c in zip(range(1, n), islice(parent, 1, None),
                            islice(label, 1, None)):
             if not 0 <= p < v:
                 raise _fault(parent, label, v, _PARENT_RANGE)
+            sib = 0
             while path[-1] > p:
-                path.pop()
+                sib = path.pop()
             if path[-1] != p:
                 raise _fault(parent, label, v, "node ids must be in pre-order")
-            sibs = kids[p]
-            if sibs and c <= sibs[-1][0]:
+            if sib and c <= label[sib]:
                 raise _fault(parent, label, v, _label_fault(parent, label, p))
-            kids[p] = sibs + ((c, v),)
             path.append(v)
         # after the walk, so a structural fault is reported first
         alphabet = Alphabet.from_symbols(islice(label, 1, None))
         self.n = n
         self.parent = tuple(parent)
         self.label = (alphabet.sentinel, *islice(label, 1, None))
-        self.children = tuple(kids)
         self.alphabet = alphabet
+        # filled in on first use by the children property and by paths
+        self._children: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._paths: tuple[bytes, ...] | None = None
         # XBWT columns, filled in once by index.xbwt_columns
         self._xbwt: tuple[tuple[int, ...], ...] | None = None
@@ -208,11 +209,29 @@ class Trie:
         return cls([0, *map(newid.__getitem__, map(parent.__getitem__, rest))],
                    [0, *map(label.__getitem__, rest)])
 
+    @property
+    def children(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each node's (label, child) pairs in label order, built on first
+        use: the ids are in pre-order, so one pass in id order appends every
+        node's children in label order."""
+        if self._children is None:
+            kids: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for v, p, c in zip(range(1, self.n), islice(self.parent, 1, None),
+                               islice(self.label, 1, None)):
+                kids[p].append((c, v))
+            self._children = tuple(map(tuple, kids))
+        return self._children
+
     def out_labels(self, v: int) -> tuple[int, ...]:
         return tuple(c for c, _ in self.children[v])
 
     def paths(self) -> tuple[bytes, ...]:
-        """Root-to-node label strings; the root's path is empty."""
+        """Root-to-node label strings; the root's path is empty.
+
+        They hold the sum of all depths in bytes, so only the references
+        read them: :func:`naive_count`, the tests and the benchmark's
+        round-trip check.
+        """
         if self._paths is None:
             out = [b""] * self.n
             for v in range(1, self.n):
@@ -272,26 +291,90 @@ def preorder(trie: Trie) -> list[int]:
     return _preorder(trie.children, 0)
 
 
+# window keys stay below 2^62, so they stay small ints whatever the height
+_KEY_LIMIT = 1 << 62
+
+
 def colex_order(trie: Trie) -> list[int]:
     """Node ids sorted by the co-lexicographic order of their incoming paths.
 
     Paths are compared right to left with the empty string smallest, so the
     root always comes first.
+
+    A node's first key packs the last t labels of its path into one int,
+    the last label most significant, each label as its 1-based symbol
+    position in base B = max(2, sigma + 1) and 0 padding past the root; t
+    is the largest window with B^t < 2^62.  Each key follows from its
+    parent's in id order.  Two nodes can share a key only when both lie at
+    depth t or more, so on a trie shallower than t one sort is final.
+    Otherwise the ranks are refined by prefix doubling (Manber and Myers):
+    the pair (rank of v, rank of its d-th ancestor, 0 if none) ranks v by
+    its last 2d labels, and the ancestor pointers are then composed with
+    themselves, until every rank is distinct.  Memory stays O(n).
     """
-    paths = trie.paths()
-    return sorted(range(trie.n), key=lambda v: paths[v][::-1])
+    n = trie.n
+    parent = trie.parent
+    base = max(2, trie.alphabet.sigma + 1)
+    t = 1
+    while base ** (t + 1) < _KEY_LIMIT:
+        t += 1
+    top = base ** (t - 1)
+    digit = [0] * 256
+    for i, c in enumerate(trie.alphabet.symbols, start=1):
+        digit[c] = i * top
+    key = [0] * n
+    for v, p, c in zip(range(1, n), islice(parent, 1, None),
+                       islice(trie.label, 1, None)):
+        key[v] = digit[c] + key[p] // base
+    order = sorted(range(n), key=key.__getitem__)
+    if _distinct(order, key):
+        return order
+    # anc[v]: the t-th ancestor of v, or n (whose rank stays 0) when v is
+    # shallower than t; ``path`` holds the ancestors of v, root first
+    anc = [n] * (n + 1)
+    path = [0]
+    for v, p in zip(range(1, n), islice(parent, 1, None)):
+        while path[-1] != p:
+            path.pop()
+        path.append(v)
+        if len(path) > t:
+            anc[v] = path[-1 - t]
+    rank = [0] * (n + 1)
+    while True:
+        r = 0
+        prev = -1
+        for v in order:
+            if key[v] != prev:
+                r += 1
+                prev = key[v]
+            rank[v] = r
+        key = [r * (n + 1) + rank[a] for r, a in zip(rank, anc)]
+        order.sort(key=key.__getitem__)
+        if _distinct(order, key):
+            return order
+        anc = [anc[a] for a in anc]
+
+
+def _distinct(order: list[int], key: list[int]) -> bool:
+    """Whether the keys, read in ``order`` (sorted by key), all differ."""
+    ks = map(key.__getitem__, order)
+    return all(map(lt, ks, map(key.__getitem__, islice(order, 1, None))))
 
 
 def context(trie: Trie, node: int, k: int) -> bytes:
-    """Last k symbols of the root-to-node path, sentinel-padded on the left."""
+    """Last k symbols of the root-to-node path, sentinel-padded on the left.
+
+    Walks up at most k parents.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return b""
-    path = trie.paths()[node]
-    if len(path) >= k:
-        return path[-k:]
-    return bytes([trie.alphabet.sentinel]) * (k - len(path)) + path
+    tail = bytearray()
+    v = node
+    while len(tail) < k and v:
+        tail.append(trie.label[v])
+        v = trie.parent[v]
+    tail.extend(bytes([trie.alphabet.sentinel]) * (k - len(tail)))
+    return bytes(reversed(tail))
 
 
 def naive_count(trie: Trie, pattern: bytes) -> int:

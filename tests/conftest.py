@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from xbwtrie import Trie, build_from_strings
+from xbwtrie import (Alphabet, PlainBitvector, Trie, build_from_strings,
+                     build_index, serialize)
 
 FIG_STRINGS = [b"b", b"bb", b"bcba", b"bcbc"]
 
@@ -21,6 +22,16 @@ def complete_binary(height: int) -> Trie:
     """Complete binary trie of the given height over {a, b}."""
     words = [bytes(w) for w in _words(height)]
     return build_from_strings(words if words else [b""])
+
+
+def zero_weight_symbol_file(trie: Trie) -> bytes:
+    """A plain index file of the trie with one more symbol, 1 + the largest,
+    whose vector has no ones: a symbol that labels no edge."""
+    idx = build_index(trie, "plain")
+    syms = idx.alphabet.symbols
+    idx.alphabet = Alphabet(syms + (syms[-1] + 1,), idx.alphabet.sentinel)
+    idx.vectors += (PlainBitvector(idx.n, ()),)
+    return serialize(idx)
 
 
 def _words(height: int):

@@ -76,3 +76,28 @@ def per_node_columns(trie):
         for c, _ in trie.children[v]:
             ones[slot[c]].append(rank_pos)
     return tuple(tuple(col) for col in ones)
+
+
+def colex_order_by_paths(trie):
+    """Node ids sorted by their reversed root-to-node strings."""
+    paths = trie.paths()
+    return sorted(range(trie.n), key=lambda v: paths[v][::-1])
+
+
+def context_by_paths(trie, v, k):
+    """The last k symbols of v's path, sentinel-padded on the left."""
+    path = bytes([trie.alphabet.sentinel]) * k + trie.paths()[v]
+    return path[len(path) - k:]
+
+
+def context_table_by_paths(trie, k):
+    """(node_counts, out_counts) of the order-k contexts, from the path
+    strings and each node's out-labels."""
+    node_counts, out_counts = {}, {}
+    for v in range(trie.n):
+        w = context_by_paths(trie, v, k)
+        node_counts[w] = node_counts.get(w, 0) + 1
+        for c in trie.out_labels(v):
+            per = out_counts.setdefault(w, {})
+            per[c] = per.get(c, 0) + 1
+    return node_counts, out_counts

@@ -9,6 +9,8 @@ from xbwtrie.cli import format_pattern, main, parse_pattern
 from xbwtrie.index import crc32c
 from xbwtrie.succinct import serialize_bitvector
 
+from conftest import zero_weight_symbol_file
+
 FIG = b"b\nbb\nbcba\nbcbc\n"
 
 DUMP_GOLDEN = """\
@@ -138,6 +140,16 @@ def test_stats_index_input(fig_index, capsys):
     assert "hwc\t-\t9.521600" in lines
     assert any(line.startswith("check\tsandwich_lower\tpass\t")
                for line in lines)
+
+
+def test_stats_rejects_zero_weight_symbol(tmp_path, capsys):
+    path = tmp_path / "zero.xbwt"
+    path.write_bytes(zero_weight_symbol_file(build_from_strings(FIG.split())))
+    assert main(["stats", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: not a valid XBWT: symbol labels no edge\n"
 
 
 def test_stats_complete_binary_height6(tmp_path, capsys):

@@ -9,6 +9,7 @@ from xbwtrie import (SymbolDistribution, build_from_strings, build_index,
 from xbwtrie.entropy import report_rows
 
 from conftest import complete_binary
+from construction_oracles import context_table_by_paths
 
 
 def test_worst_case_entropy_trivial():
@@ -86,6 +87,18 @@ def test_context_table_sums(small_tries):
                        for c in per.values()) == t.n - 1
             for w, per in table.out_counts.items():
                 assert all(c <= table.node_counts[w] for c in per.values())
+
+
+def test_context_table_matches_path_oracle(small_tries, fig_trie):
+    # k runs past the height of the small tries, of the figure trie
+    # (height 4) and of the single node
+    deep = build_from_strings([b"ab" * 150, b"ba" * 150, b"a" * 200])
+    tries = small_tries + [fig_trie, deep, build_from_strings([b""])]
+    for t in tries:
+        for k in range(5):
+            table = context_table(t, k)
+            assert (table.node_counts, table.out_counts) == \
+                context_table_by_paths(t, k)
 
 
 def test_hk_path_trie():

@@ -11,7 +11,7 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
 from xbwtrie.index import _head_table, crc32c, resolve_mode, xbwt_columns
 from xbwtrie.succinct import IdVector, serialize_bitvector
 
-from conftest import complete_binary
+from conftest import complete_binary, zero_weight_symbol_file
 from construction_oracles import per_node_columns
 
 MODES = ("plain", "fid", "id", "fixedblock")
@@ -392,6 +392,29 @@ def test_invert_refuses_huge_n():
         invert(idx)
     with pytest.raises(ValueError, match="^index too large$"):
         leaf_run_count(idx)
+
+
+def test_index_rejects_zero_weight_symbol(fig_trie):
+    data = zero_weight_symbol_file(fig_trie)
+    with pytest.raises(ValueError,
+                       match="^not a valid XBWT: symbol labels no edge$"):
+        deserialize(data)
+
+
+def test_build_memory_linear_on_deep_path():
+    """Building a unary path trie and its index holds O(n) memory: no
+    root-to-node strings (402 MB at n = 20k when they were built)."""
+    import tracemalloc
+    peaks = []
+    for length in (5000, 20000):
+        tracemalloc.start()
+        try:
+            build_index(build_from_strings([b"a" * length]), "fid")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 20 * 10 ** 6
+    assert peaks[1] <= 5 * peaks[0]
 
 
 def test_check_bounds_sorts_once_per_trie(monkeypatch):

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from xbwtrie import (Alphabet, SymbolDistribution, Trie, build_from_strings,
-                     colex_order, context, naive_count, preorder,
+                     build_index, colex_order, context, naive_count, preorder,
                      strings_from_bytes, symbol_distribution)
 
 from conftest import FIG_COLEX, FIG_LABEL, FIG_PARENT, FIG_STRINGS
-from construction_oracles import dict_trie, old_trie_check
+from construction_oracles import (colex_order_by_paths, context_by_paths,
+                                  dict_trie, old_trie_check)
 
 
 def test_build_single_node():
@@ -89,22 +90,69 @@ def test_colex_order_figure(fig_trie):
 
 
 def test_colex_order_trivial():
+    # sigma = 0: the window keys are still packed in base 2, so t is finite
     assert colex_order(build_from_strings([b""])) == [0]
     assert colex_order(build_from_strings([b"a", b"b"])) == [0, 1, 2]
 
 
 def test_colex_matches_reversed_path_sort(small_tries):
-    for t in small_tries[:60]:
-        paths = t.paths()
-        expect = sorted(range(t.n), key=lambda v: tuple(reversed(paths[v])))
-        assert colex_order(t) == expect
+    for t in small_tries:
+        assert colex_order(t) == colex_order_by_paths(t)
         assert colex_order(t)[0] == 0  # the root comes first
+
+
+@pytest.mark.parametrize("strings", [
+    [b"a" * 300],
+    [b"ab" * 150, b"ba" * 150, b"a" * 200],
+    [b"ab" * 40, b"b" * 90, b"aab" * 30, b"bab" * 25],
+])
+def test_colex_deeper_than_window(strings):
+    # Deeper than the window (61 labels at sigma 1, 39 at sigma 2) with
+    # repeating labels, so equal window keys leave prefix-doubling rounds.
+    t = build_from_strings(strings)
+    assert colex_order(t) == colex_order_by_paths(t)
+
+
+def test_colex_255_symbols():
+    # base 256 leaves a 7-label window; the runs and the shifted copies of
+    # one long string collide on it
+    rng = random.Random(255)
+    strings = [bytes([b]) * 12 for b in range(1, 256)]
+    strings += [bytes(range(1, 256))[i:] * 2 for i in range(0, 255, 17)]
+    strings += [bytes(rng.randrange(1, 256) for _ in range(rng.randrange(30)))
+                for _ in range(200)]
+    t = build_from_strings(strings)
+    assert t.alphabet.sigma == 255
+    assert colex_order(t) == colex_order_by_paths(t)
 
 
 def test_context_basics(fig_trie):
     assert context(fig_trie, 3, 0) == b""
     assert context(fig_trie, 0, 3) == b"\x00\x00\x00"
     assert context(fig_trie, 4, 2) == b"cb"
+
+
+def test_context_matches_path_oracle(small_tries):
+    deep = build_from_strings([b"ab" * 150, b"ba" * 150, b"a" * 200])
+    for t in small_tries[:60] + [deep, build_from_strings([b""])]:
+        for v in range(t.n):
+            for k in range(5):
+                assert context(t, v, k) == context_by_paths(t, v, k)
+
+
+def test_children_built_on_first_use(small_tries):
+    # fresh copies: the session's tries may have built theirs already
+    for s in small_tries[:60] + [build_from_strings([b""])]:
+        t = Trie(s.parent, s.label)
+        build_index(t, "plain")
+        assert t._children is None  # the index path never reads them
+        kids = [[] for _ in range(t.n)]
+        for v in range(1, t.n):
+            kids[t.parent[v]].append((t.label[v], v))
+        assert t.children == tuple(map(tuple, kids))
+        assert t.children is t.children
+        for v in range(t.n):
+            assert list(t.out_labels(v)) == sorted(c for c, _ in kids[v])
 
 
 def test_context_recurrence(small_tries):
