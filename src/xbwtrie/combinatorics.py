@@ -120,7 +120,7 @@ def matrix_to_trie(matrix: DegreeMatrix) -> Trie:
         outsets.append(tuple(matrix.symbols[i]
                              for i in range(matrix.sigma)
                              if (matrix.rows[i] >> j) & 1))
-    return Trie.from_preorder_outsets(outsets)
+    return Trie.from_outsets(outsets)
 
 
 def rotate(matrix: DegreeMatrix, r: int) -> DegreeMatrix:
@@ -206,7 +206,7 @@ def enumerate_tries(dist: SymbolDistribution,
 
     def rec(i: int, avail: int) -> Iterator[Trie]:
         if i == n:
-            yield Trie.from_preorder_outsets(outsets)
+            yield Trie.from_outsets(outsets)
             return
         for m in masks:
             if any(rem[k] == 0 for k in range(sigma) if (m >> k) & 1):

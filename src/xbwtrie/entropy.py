@@ -170,6 +170,10 @@ def check_bounds(trie: Trie, max_order: int = 2,
     """
     if max_order < 0:
         raise ValueError("max order must be nonnegative")
+    try:  # the run bound's sigma^(k+1) must be a float; 2^1025 is not
+        float((trie.alphabet.sigma + 1) ** min(max_order + 1, 1025))
+    except OverflowError:
+        raise ValueError("max order too large") from None
     dist = symbol_distribution(trie)
     n = trie.n
     sigma_eff = trie.alphabet.sigma

@@ -86,6 +86,9 @@ class XbwtIndex:
             raise ValueError("not a valid XBWT: bitvector length is not n")
         if any(vec.ones == 0 for vec in vectors):
             raise ValueError("not a valid XBWT: symbol labels no edge")
+        if alphabet != Alphabet.from_symbols(alphabet.symbols):
+            raise ValueError("not a valid XBWT: sentinel is not the smallest "
+                             "unused byte")
         c_array = [0]
         cum = 1
         for vec in vectors:
@@ -275,27 +278,6 @@ def count(index: XbwtIndex, pattern: bytes) -> int:
     return hi - lo + 1
 
 
-def ith_child(index: XbwtIndex, j: int, i: int) -> int | None:
-    """Co-lex rank of the i-th child (in label order) of the rank-j node.
-
-    Scans the symbols in order, testing membership with a partial-rank
-    query; the i-th hit is followed by one forward step.  None when the
-    node has fewer than i children.
-    """
-    if not 1 <= j <= index.n:
-        raise ValueError("position out of range")
-    if i < 1:
-        raise ValueError("child ordinal must be positive")
-    seen = 0
-    for k, c in enumerate(index.alphabet.symbols):
-        pr = index.vectors[k].prank(j)
-        if pr != -1:
-            seen += 1
-            if seen == i:
-                return index.c_array[k + 1] + pr
-    return None
-
-
 def _runs(positions: Iterable[int]) -> int:
     """Number of maximal runs of consecutive values in ascending positions."""
     runs = 0
@@ -340,19 +322,49 @@ def invert(index: XbwtIndex) -> Trie:
 
     The children reached by symbol c occupy co-lex ranks C[c]+1 .. C[c]+n_c
     in order of their parents' ranks, so the parents are B_c's one-positions.
+    Linking each child in front of its parent's list, symbols taken in
+    reverse order, leaves every list in label order; one stack walk over
+    these first-child/next-sibling lists from rank 1 then numbers the nodes
+    in pre-order.  Rank 1 is no node's child and every other rank is linked
+    once, so the walk visits a node at most once, and it misses one exactly
+    when a cycle cuts it off from the root.
     """
     _check_size(index)
     n = index.n
-    parent = [0] * n  # 0-based ids are colex rank - 1
-    label = [0] * n
-    for i, c in enumerate(index.alphabet.symbols):
-        # the child of rank C[c] + j has 0-based id C[c] + j - 1
+    # first[r], nxt[r], sym[r]: first child, next sibling and label of the
+    # rank-r node, 0 for none
+    first = [0] * (n + 1)
+    nxt = [0] * (n + 1)
+    sym = [0] * (n + 1)
+    symbols = index.alphabet.symbols
+    for i in reversed(range(len(symbols))):
+        c = symbols[i]
         for child, p in enumerate(index.vectors[i].one_positions(),
-                                  start=index.c_array[i + 1]):
-            parent[child] = p - 1
-            label[child] = c
+                                  start=index.c_array[i + 1] + 1):
+            nxt[child] = first[p]
+            first[p] = child
+            sym[child] = c
+    parent = [0]
+    label = [0]
+    # pending ranks, each beside the pre-order id of its parent
+    stack, above = ([first[1]], [0]) if first[1] else ([], [])
+    while stack:
+        r = stack.pop()
+        p = above.pop()
+        v = len(parent)
+        parent.append(p)
+        label.append(sym[r])
+        if nxt[r]:
+            stack.append(nxt[r])
+            above.append(p)
+        if first[r]:
+            stack.append(first[r])
+            above.append(v)
+    del first, nxt, sym  # before Trie copies parent and label
+    if len(parent) != n:
+        raise ValueError("not a valid XBWT")
     try:
-        return Trie.from_parent_labels(parent, label, root=0)
+        return Trie(parent, label)
     except ValueError as exc:
         raise ValueError("not a valid XBWT") from exc
 

@@ -210,15 +210,6 @@ class Bitvector:
             raise ValueError("position out of range")
         return self._rank(i) if self.access(i) else -1
 
-    def select0(self, i: int) -> int:
-        """Position of the i-th zero, by binary search over zero-rank."""
-        if not 1 <= i <= self.m - self.ones:
-            raise ValueError("select index out of range")
-        return self._first_reaching(i, lambda p: p - self._rank(p))
-
-    def rank0(self, i: int) -> int:
-        return i - self.rank(i)
-
     def payload_bits(self) -> BitCost:
         raise NotImplementedError
 
@@ -509,15 +500,6 @@ class IdVector(Bitvector):
         j = bisect_right(self._pos, i)
         member = j > 0 and self._pos[j - 1] == i
         return int(member != self.complemented)
-
-    def prank(self, i: int) -> int:
-        if not 1 <= i <= self.m:
-            raise ValueError("position out of range")
-        j = bisect_right(self._pos, i)
-        member = j > 0 and self._pos[j - 1] == i
-        if self.complemented:
-            return -1 if member else i - j
-        return j if member else -1
 
     def select(self, i: int) -> int:
         self._check_select_arg(i)

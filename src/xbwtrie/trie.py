@@ -74,19 +74,6 @@ class SymbolDistribution:
         return len(self.counts)
 
 
-def _preorder(kids, root: int) -> list[int]:
-    """Node ids in depth-first pre-order from ``root``, where ``kids[v]``
-    holds v's (label, child) pairs in label order."""
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for _, w in reversed(kids[v]):
-            stack.append(w)
-    return order
-
-
 _PARENT_RANGE = "node ids must be in pre-order (parent < child)"
 
 
@@ -153,7 +140,7 @@ class Trie:
         self._xbwt: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
-    def from_preorder_outsets(cls, outsets: Sequence[Sequence[int]]) -> "Trie":
+    def from_outsets(cls, outsets: Sequence[Sequence[int]]) -> "Trie":
         """Rebuild a trie from the out-label sets of its pre-order nodes.
 
         Node i+1 in pre-order attaches to the deepest pending edge on the
@@ -182,32 +169,6 @@ class Trie:
         if stack:
             raise ValueError("pending edges left over")
         return cls(parent, label)
-
-    @classmethod
-    def from_parent_labels(cls, parent: Sequence[int], label: Sequence[int],
-                           root: int) -> "Trie":
-        """Build from arbitrary node ids, renumbering into pre-order."""
-        n = len(parent)
-        if not 0 <= root < n:
-            raise ValueError("root id out of range")
-        kids: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for v in range(n):
-            if v != root:
-                p = parent[v]
-                if not 0 <= p < n:
-                    raise ValueError("parent id out of range")
-                kids[p].append((label[v], v))
-        for sibs in kids:
-            sibs.sort()
-        order = _preorder(kids, root)
-        if len(order) != n:
-            raise ValueError("nodes not all reachable from root")
-        newid = [0] * n
-        for i, old in enumerate(order):
-            newid[old] = i
-        rest = order[1:]
-        return cls([0, *map(newid.__getitem__, map(parent.__getitem__, rest))],
-                   [0, *map(label.__getitem__, rest)])
 
     @property
     def children(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -284,11 +245,6 @@ def build_from_strings(strings: Iterable[bytes]) -> Trie:
             path.extend(range(v, v + new))
         prev = s
     return Trie(parent, label)
-
-
-def preorder(trie: Trie) -> list[int]:
-    """Node ids in depth-first pre-order, children visited in label order."""
-    return _preorder(trie.children, 0)
 
 
 # window keys stay below 2^62, so they stay small ints whatever the height

@@ -152,6 +152,19 @@ def test_stats_rejects_zero_weight_symbol(tmp_path, capsys):
         "error: not a valid XBWT: symbol labels no edge\n"
 
 
+def test_stats_max_order_too_large(tmp_path, capsys):
+    """sigma^(k+1) with sigma = 5 (four symbols and the sentinel) is a float
+    up to k = 440; past it the order is refused before any context table
+    is built."""
+    src = tmp_path / "w.txt"
+    src.write_bytes(b"abc\nabd\nb\n")
+    assert main(["stats", str(src), "--k", "441"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: max order too large\n"
+    assert captured.out == ""
+    assert main(["stats", str(src), "--k", "440"]) == 0
+
+
 def test_stats_complete_binary_height6(tmp_path, capsys):
     words = [bytes(c for c in w) for w in _binary_words(6)]
     src = tmp_path / "cb6.txt"
@@ -277,11 +290,21 @@ def _byte_after_rrr_offsets():
     return _with_crc(bytes(body) + b"\x00")
 
 
+def _sentinel_not_smallest_free_byte():
+    body = bytearray(serialize(build_index(build_from_strings([b"ab", b"b"]),
+                                           "plain"))[:-4])
+    assert body[18] == 0  # the alphabet starts with the sentinel
+    body[18] = 0xFF
+    return _with_crc(bytes(body))
+
+
 @pytest.mark.parametrize("make, match", [
     (_weights_not_n_minus_1, "n - 1"),
     (_plain_padding_bit, "padding"),
     (_byte_after_rrr_offsets, "trailing bytes"),
-], ids=["weights-total", "plain-padding", "rrr-offset-length"])
+    (_sentinel_not_smallest_free_byte, "^not a valid XBWT: sentinel"),
+], ids=["weights-total", "plain-padding", "rrr-offset-length",
+        "sentinel-ff"])
 def test_count_rejects_inconsistent_index(tmp_path, capsys, make, match):
     data = make()
     with pytest.raises(ValueError, match=match):

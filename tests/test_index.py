@@ -132,6 +132,12 @@ def test_invert_rejects_malformed():
                     (PlainBitvector(2, (2,)),))
     with pytest.raises(ValueError, match="not a valid XBWT"):
         invert(bad)
+    # A 2-cycle: rank 2 hangs under rank 3 and rank 3 under rank 2, so the
+    # root has no child and the walk from it misses both.
+    cycle = XbwtIndex(3, Alphabet((97, 98), 0), "plain",
+                      (PlainBitvector(3, (3,)), PlainBitvector(3, (2,))))
+    with pytest.raises(ValueError, match="not a valid XBWT"):
+        invert(cycle)
 
 
 def test_index_rejects_inconsistent_vectors(fig_trie):
@@ -318,29 +324,6 @@ def test_head_table_capped_by_stored_items(data):
         assert count(idx, p + b"a") == _forward_count(idx, p + b"a")
 
 
-def test_ith_child_figure(fig_trie):
-    from xbwtrie import colex_order, ith_child
-    idx = build_index(fig_trie, "id")
-    rank_of = {v: i + 1 for i, v in enumerate(colex_order(fig_trie))}
-    # Node "bcb" (pre-order id 4) has children a -> "bcba" and c -> "bcbc".
-    assert ith_child(idx, rank_of[4], 1) == rank_of[5]
-    assert ith_child(idx, rank_of[4], 2) == rank_of[6]
-    assert ith_child(idx, rank_of[4], 3) is None
-    assert ith_child(idx, rank_of[2], 1) is None  # "bb" is a leaf
-
-
-def test_ith_child_random(small_tries):
-    from xbwtrie import colex_order, ith_child
-    for t in small_tries[:30]:
-        idx = build_index(t, "fixedblock")
-        rank_of = {v: i + 1 for i, v in enumerate(colex_order(t))}
-        for v in range(t.n):
-            kids = t.children[v]
-            for i, (_, w) in enumerate(kids, start=1):
-                assert ith_child(idx, rank_of[v], i) == rank_of[w]
-            assert ith_child(idx, rank_of[v], len(kids) + 1) is None
-
-
 def test_xbwt_columns_figure(fig_trie):
     cols = xbwt_columns(fig_trie)
     assert cols == tuple(
@@ -415,6 +398,27 @@ def test_build_memory_linear_on_deep_path():
             tracemalloc.stop()
     assert peaks[1] <= 20 * 10 ** 6
     assert peaks[1] <= 5 * peaks[0]
+
+
+@pytest.mark.parametrize("mode", ["plain", "id"])
+def test_invert_memory_linear_on_deep_path(mode):
+    """Inverting the index of a 20k-node path trie holds about what building
+    the trie does: three rank-indexed int lists and the pre-order output,
+    no per-node tuple and no renumbering."""
+    import tracemalloc
+    words = [b"a" * 20000]
+    tracemalloc.start()
+    try:
+        trie = build_from_strings(words)
+        built = tracemalloc.get_traced_memory()[1]
+        idx = build_index(trie, mode)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert invert(idx) == trie
+        inverted = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert inverted <= 1.5 * built
 
 
 def test_check_bounds_sorts_once_per_trie(monkeypatch):

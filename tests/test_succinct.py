@@ -269,24 +269,6 @@ def test_rank_matches_prefix_sums():
                 check(RrrVector(m, ones, u), ones)
 
 
-def test_select0_and_rank0():
-    rng = random.Random(3)
-    for _ in range(40):
-        m = rng.randint(1, 200)
-        ones = tuple(p for p in range(1, m + 1) if rng.random() < 0.4)
-        bits = ["0"] * m
-        for p in ones:
-            bits[p - 1] = "1"
-        zeros = [i + 1 for i, b in enumerate(bits) if b == "0"]
-        for v in backends(m, ones, heavy=True):
-            for i in range(m + 1):
-                assert v.rank0(i) == i - v.rank(i)
-            for j, p in enumerate(zeros, start=1):
-                assert v.select0(j) == p
-            with pytest.raises(ValueError, match="out of range"):
-                v.select0(len(zeros) + 1)
-
-
 # --- serialization ---------------------------------------------------------
 
 def test_serialize_round_trip():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from xbwtrie import (Alphabet, SymbolDistribution, Trie, build_from_strings,
-                     build_index, colex_order, context, naive_count, preorder,
+                     build_index, colex_order, context, naive_count,
                      strings_from_bytes, symbol_distribution)
 
 from conftest import FIG_COLEX, FIG_LABEL, FIG_PARENT, FIG_STRINGS
@@ -65,12 +65,6 @@ def test_trie_alphabet_from_labels():
         Trie((0, 0, 5), (0, 98, 300))
 
 
-def test_preorder(fig_trie):
-    assert preorder(build_from_strings([b""])) == [0]
-    assert preorder(fig_trie) == list(range(7))
-    assert preorder(build_from_strings([b"a", b"b"])) == [0, 1, 2]
-
-
 def test_node_ids_checked_and_renumbered_in_preorder():
     # node 3 hangs under node 1, so pre-order visits it before node 2
     parent, label = (0, 0, 0, 1), (0, 97, 98, 97)
@@ -78,11 +72,6 @@ def test_node_ids_checked_and_renumbered_in_preorder():
         Trie(parent, label)
     with pytest.raises(ValueError, match="parent < child"):
         Trie((0, 2, 0), (0, 97, 98))
-    t = Trie.from_parent_labels(parent, label, root=0)
-    assert t.parent == (0, 0, 1, 0) and t.label == (0, 97, 97, 98)
-    assert preorder(t) == [0, 1, 2, 3]
-    with pytest.raises(ValueError, match="reachable"):
-        Trie.from_parent_labels((0, 2, 1), (0, 97, 98), root=0)
 
 
 def test_colex_order_figure(fig_trie):
@@ -319,20 +308,3 @@ def test_trie_check_matches_whole_array_passes(small_tries):
     assert old_trie_check(parent, label) == (
         "node ids must be in pre-order (parent < child)", {"range"})
     assert _trie_check(parent, label) == old_trie_check(parent, label)[0]
-
-
-def test_from_parent_labels_renumbers_any_ids(small_tries):
-    rng = random.Random(4)
-    for t in small_tries[:40]:
-        perm = list(range(t.n))
-        rng.shuffle(perm)  # perm[v] is v's new id
-        parent, label = [0] * t.n, [0] * t.n
-        for v in range(t.n):
-            parent[perm[v]] = perm[t.parent[v]]
-            label[perm[v]] = t.label[v]
-        got = Trie.from_parent_labels(parent, label, root=perm[0])
-        assert got == t
-    with pytest.raises(ValueError, match="parent id out of range"):
-        Trie.from_parent_labels((0, -1, 0), (0, 97, 98), root=0)
-    with pytest.raises(ValueError, match="root id out of range"):
-        Trie.from_parent_labels((0, 0), (0, 97), root=2)
