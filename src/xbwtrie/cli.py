@@ -102,7 +102,7 @@ def _load_trie(path: str) -> Trie:
 
 def cmd_build(args) -> int:
     trie = build_from_strings(_load_strings(args.input))
-    idx = xidx.build_index(trie, args.mode, block_size=args.block_size)
+    idx = xidx.build_index(trie, args.mode)
     data = xidx.serialize(idx)
     with open(args.output, "wb") as fh:
         fh.write(data)
@@ -113,8 +113,7 @@ def cmd_build(args) -> int:
                 trie.alphabet.symbols, xidx.xbwt_columns(trie)).total)),
             ("metric", "bytes", "-", str(len(data)))]
     for mode in xidx.MODES:
-        probe = idx if mode == idx.mode else xidx.build_index(
-            trie, mode, block_size=args.block_size)
+        probe = idx if mode == idx.mode else xidx.build_index(trie, mode)
         cost = xidx.index_bits(probe)
         rows.append(("metric", f"payload[{mode}]", "-", str(cost.payload)))
         rows.append(("metric", f"overhead[{mode}]", "-", str(cost.overhead)))
@@ -146,8 +145,7 @@ def cmd_count(args) -> int:
 def cmd_stats(args) -> int:
     trie = _load_trie(args.input)
     modes = (args.mode,) if args.mode != "auto" else xidx.MODES
-    report = ent.check_bounds(trie, args.k, modes=modes,
-                              block_size=args.block_size)
+    report = ent.check_bounds(trie, args.k, modes=modes)
     _emit(ent.report_rows(report), args.format, sys.stdout)
     return 0 if report.passed else 1
 
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, mode=True, fmt=True):
         if mode:
             p.add_argument("--mode", choices=INDEX_MODES, default="auto")
-            p.add_argument("--block-size", type=int, default=None)
         if fmt:
             p.add_argument("--format", choices=("table", "tsv", "json-lines"),
                            default="table")

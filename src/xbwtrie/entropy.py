@@ -159,8 +159,7 @@ class EntropyReport:
 
 
 def check_bounds(trie: Trie, max_order: int = 2,
-                 modes: tuple[str, ...] = xidx.MODES,
-                 block_size: int | None = None) -> EntropyReport:
+                 modes: tuple[str, ...] = xidx.MODES) -> EntropyReport:
     """Measure entropies, run counts and payloads, and check every bound.
 
     Checks: the worst-case-vs-H0 sandwich, monotonicity of H_k, the run
@@ -178,12 +177,18 @@ def check_bounds(trie: Trie, max_order: int = 2,
     n = trie.n
     sigma_eff = trie.alphabet.sigma
     hwc = worst_case_entropy(dist)
-    hs: tuple[float, ...] = ()
-    ells: tuple[int, ...] = ()
+    hs: list[float] = []
+    ells: list[int] = []
     for k in range(max_order + 1):  # one table per order gives H_k and l_k
+        if ells and ells[-1] == n:
+            # every node has its own context, so every higher order has
+            # l = n and H = 0: the last table's values
+            hs.append(hs[-1])
+            ells.append(n)
+            continue
         table = context_table(trie, k)
-        hs += (_table_entropy(table),)
-        ells += (len(table),)
+        hs.append(_table_entropy(table))
+        ells.append(len(table))
 
     checks: list[BoundCheck] = []
     lower = n * hs[0] - sigma_eff * math.log2(n + 1) - math.log2(n)
@@ -205,7 +210,7 @@ def check_bounds(trie: Trie, max_order: int = 2,
 
     payloads: list[PayloadReport] = []
     for mode in modes:
-        idx = xidx.build_index(trie, mode, block_size=block_size)
+        idx = xidx.build_index(trie, mode)
         cost = xidx.index_bits(idx)
         sizes = [v.entropy_block_size for v in idx.vectors]
         coded = idx.vectors and all(s is not None for s in sizes)
@@ -220,8 +225,9 @@ def check_bounds(trie: Trie, max_order: int = 2,
                                      cost.payload <= rhs + TOL_INEQ,
                                      rhs - cost.payload))
 
-    return EntropyReport(n, sigma_eff, hwc, hs, ells, runs.total,
-                         runs.by_symbol, tuple(payloads), tuple(checks))
+    return EntropyReport(n, sigma_eff, hwc, tuple(hs), tuple(ells),
+                         runs.total, runs.by_symbol, tuple(payloads),
+                         tuple(checks))
 
 
 def report_rows(report: EntropyReport) -> list[tuple[str, ...]]:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import random
 
-from .combinatorics import DegreeMatrix, canonical_rotation, matrix_to_trie, rotate
+from .combinatorics import (DegreeMatrix, _default_symbols, canonical_rotation,
+                            matrix_to_trie, rotate)
 from .trie import SymbolDistribution, Trie
-
-_PALETTE = tuple(range(97, 97 + 26))  # 'a'..'z'
 
 
 def random_distribution(rng: random.Random, n: int, sigma: int) -> SymbolDistribution:
@@ -27,20 +26,17 @@ def random_distribution(rng: random.Random, n: int, sigma: int) -> SymbolDistrib
                                        for i in range(sigma)))
 
 
-def random_matrix(rng: random.Random, dist: SymbolDistribution,
-                  symbols: tuple[int, ...] | None = None) -> DegreeMatrix:
-    """Uniform member of the fixed-row-weight matrix family."""
-    if symbols is None:
-        symbols = _PALETTE[:dist.sigma]
+def random_matrix(rng: random.Random, dist: SymbolDistribution) -> DegreeMatrix:
+    """Uniform member of the fixed-row-weight matrix family; its rows are
+    named 'a'.. when sigma <= 26, else 1..sigma."""
     rows = tuple(sum(1 << p for p in rng.sample(range(dist.n), c))
                  for c in dist.counts)
-    return DegreeMatrix(dist.sigma, dist.n, rows, symbols)
+    return DegreeMatrix(dist.sigma, dist.n, rows, _default_symbols(dist.sigma))
 
 
-def random_trie(rng: random.Random, max_n: int, max_sigma: int,
-                symbols: tuple[int, ...] | None = None) -> Trie:
+def random_trie(rng: random.Random, max_n: int, max_sigma: int) -> Trie:
     """Uniform trie for a random distribution with n <= max_n, sigma <= max_sigma."""
     n = rng.randint(1, max_n)
     dist = random_distribution(rng, n, rng.randint(1, max_sigma))
-    matrix = random_matrix(rng, dist, symbols)
+    matrix = random_matrix(rng, dist)
     return matrix_to_trie(rotate(matrix, canonical_rotation(matrix)))

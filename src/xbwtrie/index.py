@@ -194,13 +194,13 @@ def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
     return trie._xbwt
 
 
-def build_index(trie: Trie, mode: str = "auto", *,
-                block_size: int | None = None) -> XbwtIndex:
+def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
     """Index the trie with the selected bitvector back-end.
 
     In ID mode a symbol occurring on more than half the nodes is stored as
     its complement, which changes the measured size but no query answer.
-    Fixed-block vectors hold their blocks as ID vectors.
+    Fixed-block vectors hold their ``default_block_size(n, sigma)``-bit
+    blocks as ID vectors.
     """
     n = trie.n
     alphabet = trie.alphabet
@@ -213,9 +213,8 @@ def build_index(trie: Trie, mode: str = "auto", *,
     elif mode == "id":
         vectors = [IdVector(n, ones, len(ones) > n / 2) for ones in columns]
     elif mode == "fixedblock":
-        if block_size is None:
-            block_size = default_block_size(n, alphabet.sigma)
-        vectors = [FixedBlockVector(n, ones, block_size) for ones in columns]
+        b = default_block_size(n, alphabet.sigma)
+        vectors = [FixedBlockVector(n, ones, b) for ones in columns]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return XbwtIndex(n, alphabet, mode, tuple(vectors))

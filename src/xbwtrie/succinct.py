@@ -14,10 +14,12 @@ Four interchangeable representations of a static bitvector:
                           vector, plus a precomputed block-rank table.
 
 Positions are 1-based; ``rank(i)`` counts ones in positions 1..i inclusive
-and ``rank(0) == 0``.  The public ``rank`` checks 0 <= i <= m once and calls
-the back-end's unchecked ``_rank``, which callers that already hold that
-bound (the index's forward search) call directly.  All structures are
-immutable once built.
+and ``rank(0) == 0``.  The four public queries ``rank``, ``access``,
+``select`` and ``prank`` check their argument once, in ``Bitvector``, and
+call the back-end's unchecked ``_rank``, ``_access`` and ``_select``, which
+callers that already hold the bound (the index's forward search) call
+directly.  ``select`` finds its superblock in a rank directory by
+``bisect``.  All structures are immutable once built.
 """
 from __future__ import annotations
 
@@ -194,21 +196,32 @@ class Bitvector:
             raise ValueError("position out of range")
         return self._rank(i)
 
+    def access(self, i: int) -> int:
+        if not 1 <= i <= self.m:
+            raise ValueError("position out of range")
+        return self._access(i)
+
+    def select(self, i: int) -> int:
+        """Position of the i-th one."""
+        if not 1 <= i <= self.ones:
+            raise ValueError("select index out of range")
+        return self._select(i)
+
+    def prank(self, i: int) -> int:
+        """rank(i) when position i holds a 1, else -1."""
+        return self._rank(i) if self.access(i) else -1
+
     def _rank(self, i: int) -> int:
         """rank(i) without the argument check: i must lie in 0..m."""
         raise NotImplementedError
 
-    def select(self, i: int) -> int:
+    def _access(self, i: int) -> int:
+        """access(i) without the argument check: i must lie in 1..m."""
         raise NotImplementedError
 
-    def access(self, i: int) -> int:
+    def _select(self, i: int) -> int:
+        """select(i) without the argument check: i must lie in 1..ones."""
         raise NotImplementedError
-
-    def prank(self, i: int) -> int:
-        """rank(i) when position i holds a 1, else -1."""
-        if not 1 <= i <= self.m:
-            raise ValueError("position out of range")
-        return self._rank(i) if self.access(i) else -1
 
     def payload_bits(self) -> BitCost:
         raise NotImplementedError
@@ -220,28 +233,9 @@ class Bitvector:
         work held to this count is linear in the size of a loaded file."""
         raise NotImplementedError
 
-    def _check_select_arg(self, i: int) -> None:
-        if not 1 <= i <= self.ones:
-            raise ValueError("select index out of range")
-
-    def _first_reaching(self, i: int, count) -> int:
-        """Smallest position p in 1..m with count(p) >= i, by binary search;
-        ``count`` is a nondecreasing rank function."""
-        lo, hi = 1, self.m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if count(mid) >= i:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     def one_positions(self) -> list[int]:
         """The ascending positions of all ones, read off the stored form."""
         raise NotImplementedError
-
-    def __len__(self) -> int:
-        return self.m
 
 
 class PlainBitvector(Bitvector):
@@ -291,22 +285,13 @@ class PlainBitvector(Bitvector):
             c += (self._words[f] & ((1 << rem) - 1)).bit_count()
         return c
 
-    def access(self, i: int) -> int:
-        if not 1 <= i <= self.m:
-            raise ValueError("position out of range")
+    def _access(self, i: int) -> int:
         return (self._words[(i - 1) >> 6] >> ((i - 1) & 63)) & 1
 
-    def select(self, i: int) -> int:
-        self._check_select_arg(i)
-        lo, hi = 0, len(self._super) - 1
-        while lo < hi:  # last superblock with count < i
-            mid = (lo + hi + 1) // 2
-            if self._super[mid] < i:
-                lo = mid
-            else:
-                hi = mid - 1
-        t = i - self._super[lo]
-        w = lo * self.SB_WORDS
+    def _select(self, i: int) -> int:
+        s = bisect_left(self._super, i) - 1  # last superblock with count < i
+        t = i - self._super[s]
+        w = s * self.SB_WORDS
         while True:
             c = self._words[w].bit_count()
             if t <= c:
@@ -337,10 +322,9 @@ class RrrVector(Bitvector):
 
     kind = "fid"
     SB_BLOCKS = 8
-    SELECT_SAMPLE = 512
 
     __slots__ = ("m", "ones", "u", "classes", "offsets", "_lens",
-                 "_table", "_tabled", "_sb_rank", "_sel_sample", "_payload",
+                 "_table", "_tabled", "_sb_rank", "_payload",
                  "entropy_block_size", "entropy_block_count")
 
     def __init__(self, m: int, ones: Iterable[int], u: int | None = None):
@@ -385,11 +369,6 @@ class RrrVector(Bitvector):
             end = min(s * self.SB_BLOCKS, nblocks)
             start = (s - 1) * self.SB_BLOCKS
             self._sb_rank.append(self._sb_rank[-1] + sum(classes[start:end]))
-        self._sel_sample = []
-        for t in range(0, self.ones, self.SELECT_SAMPLE):
-            # superblock containing the (t+1)-th one
-            s = bisect_right(self._sb_rank, t) - 1
-            self._sel_sample.append(min(s, nsb - 1))
         self._payload = sum(_offset_widths(lens, classes))
         self.entropy_block_size = u
         self.entropy_block_count = len(classes)
@@ -415,17 +394,12 @@ class RrrVector(Bitvector):
             c += (pat & ((1 << rem) - 1)).bit_count()
         return c
 
-    def access(self, i: int) -> int:
-        if not 1 <= i <= self.m:
-            raise ValueError("position out of range")
+    def _access(self, i: int) -> int:
         b = (i - 1) // self.u
         return (self._block_pattern(b) >> ((i - 1) - b * self.u)) & 1
 
-    def select(self, i: int) -> int:
-        self._check_select_arg(i)
-        s = self._sel_sample[(i - 1) // self.SELECT_SAMPLE]
-        while self._sb_rank[s + 1] < i:
-            s += 1
+    def _select(self, i: int) -> int:
+        s = bisect_left(self._sb_rank, i) - 1  # last superblock with count < i
         c = self._sb_rank[s]
         b = s * self.SB_BLOCKS
         while c + self.classes[b] < i:
@@ -444,9 +418,7 @@ class RrrVector(Bitvector):
         nblocks = len(self.classes)
         class_bits = nblocks * max(1, self.u.bit_length())
         rank_bits = len(self._sb_rank) * max(1, self.m.bit_length())
-        nsb = max(1, len(self._sb_rank) - 1)
-        sel_bits = len(self._sel_sample) * max(1, nsb.bit_length())
-        return BitCost(self._payload, class_bits + rank_bits + sel_bits)
+        return BitCost(self._payload, class_bits + rank_bits)
 
     def stored_items(self) -> int:
         return len(self.classes)
@@ -455,8 +427,9 @@ class RrrVector(Bitvector):
 class IdVector(Bitvector):
     """ID back-end: stored one-positions (or zero-positions when complemented).
 
-    select reads the position list directly; full rank is answered by binary
-    search over those select values, the partial-rank query by membership.
+    select reads the position list directly (complemented, it bisects the
+    zeros); full rank is answered by binary search over the stored
+    positions, access by membership.
     """
 
     kind = "id"
@@ -494,18 +467,18 @@ class IdVector(Bitvector):
         stored = bisect_right(self._pos, i)
         return (i - stored) if self.complemented else stored
 
-    def access(self, i: int) -> int:
-        if not 1 <= i <= self.m:
-            raise ValueError("position out of range")
+    def _access(self, i: int) -> int:
         j = bisect_right(self._pos, i)
         member = j > 0 and self._pos[j - 1] == i
         return int(member != self.complemented)
 
-    def select(self, i: int) -> int:
-        self._check_select_arg(i)
+    def _select(self, i: int) -> int:
+        pos = self._pos
         if not self.complemented:
-            return self._pos[i - 1]
-        return self._first_reaching(i, self._rank)
+            return pos[i - 1]
+        # pos[j] - j - 1 ones precede the (j+1)-th zero; the i-th one has
+        # every zero that fewer than i ones precede before it
+        return i + bisect_left(range(len(pos)), i, key=lambda j: pos[j] - j - 1)
 
     def one_positions(self) -> list[int]:
         if not self.complemented:
@@ -565,16 +538,13 @@ class FixedBlockVector(Bitvector):
         bi = (i - 1) // self.b
         return self._R[bi] + self.children[bi]._rank(i - bi * self.b)
 
-    def access(self, i: int) -> int:
-        if not 1 <= i <= self.m:
-            raise ValueError("position out of range")
+    def _access(self, i: int) -> int:
         bi = (i - 1) // self.b
-        return self.children[bi].access(i - bi * self.b)
+        return self.children[bi]._access(i - bi * self.b)
 
-    def select(self, i: int) -> int:
-        self._check_select_arg(i)
+    def _select(self, i: int) -> int:
         j = bisect_left(self._R, i) - 1
-        return j * self.b + self.children[j].select(i - self._R[j])
+        return j * self.b + self.children[j]._select(i - self._R[j])
 
     def one_positions(self) -> list[int]:
         return [bi * self.b + p for bi, child in enumerate(self.children)

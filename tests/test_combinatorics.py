@@ -6,7 +6,7 @@ from xbwtrie import (DegreeMatrix, SymbolDistribution, build_from_strings,
                      canonical_rotation, count_all_tries, count_tries_formula,
                      d_sequence, enumerate_matrices, enumerate_tries,
                      format_matrix, is_lukasiewicz, l_sequence, matrix_to_trie,
-                     random_matrix, rotate, trie_to_matrix)
+                     random_matrix, random_trie, rotate, trie_to_matrix)
 from xbwtrie.combinatorics import (check_rotations, feasible_distributions,
                                    verify_distribution)
 
@@ -181,6 +181,20 @@ def test_roundtrip_matrix_trie_matrix():
         # Zero-weight rows vanish from the trie's effective alphabet.
         live = tuple(row for row in canon.rows if row)
         assert back.rows == (live if live else (0,))
+
+
+def test_random_trie_past_26_symbols():
+    """Rows are named 'a'.. up to sigma = 26 and 1..sigma past it, the
+    rule enumerate_matrices uses."""
+    rng = random.Random(1)
+    sigmas = []
+    for _ in range(200):
+        t = random_trie(rng, 300, 40)
+        sigma = t.alphabet.sigma
+        sigmas.append(sigma)
+        first = 97 if sigma <= 26 else 1
+        assert t.alphabet.symbols == tuple(range(first, first + sigma))
+    assert max(sigmas) > 26
 
 
 def test_rotation_equivalence_classes():

@@ -6,6 +6,7 @@ from xbwtrie import (SymbolDistribution, build_from_strings, build_index,
                      check_bounds, context_table, count_tries_formula, h0, hk,
                      random_distribution, run_count, symbol_distribution,
                      worst_case_entropy)
+import xbwtrie.entropy as ent
 from xbwtrie.entropy import report_rows
 
 from conftest import complete_binary
@@ -138,6 +139,35 @@ def test_check_bounds_single_node():
     report = check_bounds(build_from_strings([b""]), 3)
     assert report.passed
     assert report.r == 0 and report.hwc == 0.0
+
+
+def test_check_bounds_stops_at_distinct_contexts(monkeypatch):
+    """Once every node has its own context, higher orders reuse that table's
+    values and build none; the report matches the per-order computation."""
+    calls = []
+
+    def counted(trie, k):
+        calls.append(k)
+        return context_table(trie, k)
+
+    monkeypatch.setattr(ent, "context_table", counted)
+    # (trie, max order, orders checked against the per-order reference)
+    cases = [(build_from_strings([b""]), 100000, (0, 1, 2, 99999, 100000))]
+    cases += [(build_from_strings([b"a" * h]), h + 20, range(h + 21))
+              for h in (1, 4, 30)]
+    for trie, max_order, orders in cases:
+        calls.clear()
+        report = check_bounds(trie, max_order)
+        assert report.passed
+        # a path of height h has distinct contexts from order h on
+        assert calls == list(range(trie.n)), (trie.n, len(calls))
+        assert len(report.h) == len(report.context_counts) == max_order + 1
+        rows = {(r[1], r[2]): r[3] for r in report_rows(report)}
+        for k in orders:
+            h, ell = hk(trie, k), len(context_table(trie, k))
+            assert (report.h[k], report.context_counts[k]) == (h, ell)
+            assert rows["nh", str(k)] == f"{trie.n * h:.6f}"
+            assert rows["contexts", str(k)] == str(ell)
 
 
 def test_check_bounds_figure(fig_trie):

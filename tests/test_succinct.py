@@ -4,9 +4,10 @@ import random
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (_decode_table, _encode_table, _pack_bitstream,
-                              _unpack_bitstream, ceil_log2_comb,
-                              deserialize_bitvector, serialize_bitvector)
+from xbwtrie.succinct import (Bitvector, _decode_table, _encode_table,
+                              _pack_bitstream, _unpack_bitstream,
+                              ceil_log2_comb, deserialize_bitvector,
+                              serialize_bitvector)
 
 from succinct_oracles import decode_block, encode_block, parse_bits
 
@@ -197,12 +198,42 @@ def test_id_payload_and_complement():
     assert plainv.payload_bits().payload == comp.payload_bits().payload
     assert comp.payload_bits().total < plainv.payload_bits().total
     assert len(comp._pos) == 1
-    for i in range(0, m + 1):
-        assert comp.rank(i) == plainv.rank(i)
-    for i in range(1, m + 1):
-        assert comp.prank(i) == plainv.prank(i)
-    for i in range(1, plainv.ones + 1):
-        assert comp.select(i) == plainv.select(i)
+    # zeros inside, at 1, at m, adjacent, or none at all
+    for bits in ("1110111", "0111111", "1111110", "1100111", "0010011",
+                 "0011110", "1111111", "1", "0"):
+        m, ones = parse_bits(bits)
+        ref = PlainBitvector(m, ones)
+        comp = IdVector(m, ones, complemented=True)
+        assert comp.ones == ref.ones
+        for i in range(0, m + 1):
+            assert comp.rank(i) == ref.rank(i), (bits, i)
+        for i in range(1, m + 1):
+            assert comp.access(i) == ref.access(i), (bits, i)
+            assert comp.prank(i) == ref.prank(i), (bits, i)
+        for i in range(1, ref.ones + 1):
+            assert comp.select(i) == ref.select(i), (bits, i)
+
+
+def test_rrr_overhead_is_classes_and_superblock_ranks():
+    rng = random.Random(5)
+    for m in (1, 13, 64, 700, 5000):
+        for density in (0.0, 0.3, 0.9):
+            for u in (None, 3, 14):
+                v = RrrVector(m, _random_ones(rng, m, density), u=u)
+                nblocks = len(v.classes)
+                assert v.payload_bits().overhead == (
+                    nblocks * v.u.bit_length()
+                    + len(v._sb_rank) * m.bit_length()), (m, density, u)
+
+
+def test_queries_checked_once_in_base_class():
+    """Back-ends supply only the unchecked _rank/_access/_select."""
+    assert {cls.__name__ for cls in Bitvector.__subclasses__()} == {
+        "PlainBitvector", "RrrVector", "IdVector", "FixedBlockVector"}
+    for cls in Bitvector.__subclasses__():
+        own = set(vars(cls))
+        assert not own & {"rank", "access", "select", "prank"}, cls
+        assert {"_rank", "_access", "_select"} <= own, cls
 
 
 def test_payload_breakdown_sums():
