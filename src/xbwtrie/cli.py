@@ -102,7 +102,15 @@ def _load_trie(path: str) -> Trie:
 
 def cmd_build(args) -> int:
     trie = build_from_strings(_load_strings(args.input))
-    idx = xidx.build_index(trie, args.mode)
+    costs = {}
+    for mode in xidx.MODES:  # each built once; only the kept index stays
+        probe = xidx.build_index(trie, mode)
+        costs[mode] = xidx.index_bits(probe)
+        # 'auto' keeps the fewest bits so far, the first mode on a tie
+        best = min(costs, key=lambda m: costs[m].total)
+        if mode == (best if args.mode == "auto" else args.mode):
+            idx = probe
+        del probe
     data = xidx.serialize(idx)
     with open(args.output, "wb") as fh:
         fh.write(data)
@@ -112,9 +120,7 @@ def cmd_build(args) -> int:
             ("metric", "r", "-", str(xidx.count_runs(
                 trie.alphabet.symbols, xidx.xbwt_columns(trie)).total)),
             ("metric", "bytes", "-", str(len(data)))]
-    for mode in xidx.MODES:
-        probe = idx if mode == idx.mode else xidx.build_index(trie, mode)
-        cost = xidx.index_bits(probe)
+    for mode, cost in costs.items():
         rows.append(("metric", f"payload[{mode}]", "-", str(cost.payload)))
         rows.append(("metric", f"overhead[{mode}]", "-", str(cost.overhead)))
     _emit(rows, args.format, sys.stdout)

@@ -134,14 +134,6 @@ class BoundCheck:
 
 
 @dataclass(frozen=True)
-class PayloadReport:
-    mode: str
-    cost: BitCost
-    block_size: int | None
-    block_count: int
-
-
-@dataclass(frozen=True)
 class EntropyReport:
     n: int
     sigma: int                      # effective alphabet size, sentinel excluded
@@ -150,7 +142,7 @@ class EntropyReport:
     context_counts: tuple[int, ...]  # realized contexts per k
     r: int
     r_by_symbol: dict[int, int]
-    payloads: tuple[PayloadReport, ...]
+    payloads: tuple[tuple[str, BitCost], ...]  # (mode, measured bits)
     checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
 
     @property
@@ -208,17 +200,16 @@ def check_bounds(trie: Trie, max_order: int = 2,
         checks.append(BoundCheck(f"run_bound_k{k}", runs.total <= rhs + TOL_INEQ,
                                  rhs - runs.total))
 
-    payloads: list[PayloadReport] = []
+    payloads: list[tuple[str, BitCost]] = []
     for mode in modes:
         idx = xidx.build_index(trie, mode)
         cost = xidx.index_bits(idx)
+        payloads.append((mode, cost))
         sizes = [v.entropy_block_size for v in idx.vectors]
-        coded = idx.vectors and all(s is not None for s in sizes)
-        bsize = max(sizes) if coded else None
-        bcount = sum(v.entropy_block_count for v in idx.vectors)
-        payloads.append(PayloadReport(mode, cost, bsize, bcount))
-        if not coded:
+        if not idx.vectors or None in sizes:
             continue
+        bsize = max(sizes)
+        bcount = sum(v.entropy_block_count for v in idx.vectors)
         for k in range(max_order + 1):
             rhs = n * hs[k] + sigma_eff * (ells[k] - 1) * bsize + bcount
             checks.append(BoundCheck(f"payload_bound_{mode}_k{k}",
@@ -244,10 +235,10 @@ def report_rows(report: EntropyReport) -> list[tuple[str, ...]]:
     rows.append(("metric", "r", "-", str(report.r)))
     for c, rc in sorted(report.r_by_symbol.items()):
         rows.append(("metric", f"r[{_printable(c)}]", "-", str(rc)))
-    for p in report.payloads:
-        rows.append(("metric", f"payload[{p.mode}]", "-", str(p.cost.payload)))
-        rows.append(("metric", f"overhead[{p.mode}]", "-", str(p.cost.overhead)))
-        rows.append(("metric", f"total[{p.mode}]", "-", str(p.cost.total)))
+    for mode, cost in report.payloads:
+        rows.append(("metric", f"payload[{mode}]", "-", str(cost.payload)))
+        rows.append(("metric", f"overhead[{mode}]", "-", str(cost.overhead)))
+        rows.append(("metric", f"total[{mode}]", "-", str(cost.total)))
     for c in report.checks:
         rows.append(("check", c.name, "pass" if c.passed else "fail",
                      f"{c.slack:.6g}"))

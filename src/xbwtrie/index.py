@@ -28,7 +28,7 @@ from .trie import Alphabet, Trie, colex_order
 MODES = ("plain", "fid", "id", "fixedblock")
 
 MAGIC = b"XBWT"
-VERSION = 2
+VERSION = 3
 
 # A file's header can declare any n (a 39-byte ID file holds a path trie of
 # 2^40 nodes), so the operations that allocate n-entry lists refuse larger n.
@@ -150,15 +150,6 @@ def _head_table(index: XbwtIndex) -> dict[bytes, tuple[int, int]]:
     return head
 
 
-def resolve_mode(mode: str, n: int, sigma_full: int) -> str:
-    """'auto' picks the FID back-end when the full alphabet size is at most
-    sqrt(log2 n), ID otherwise."""
-    if mode != "auto":
-        return mode
-    logn = math.log2(n) if n > 1 else 1.0
-    return "fid" if sigma_full <= max(1.0, logn) ** 0.5 else "id"
-
-
 def default_block_size(n: int, sigma_eff: int) -> int:
     logn = math.ceil(math.log2(n)) if n > 1 else 1
     return max(1, max(1, sigma_eff) * logn * logn)
@@ -197,14 +188,18 @@ def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
 def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
     """Index the trie with the selected bitvector back-end.
 
+    'auto' builds the back-ends one by one and keeps the one with the least
+    ``index_bits(...).total``, the first in ``MODES`` on a tie.
     In ID mode a symbol occurring on more than half the nodes is stored as
     its complement, which changes the measured size but no query answer.
     Fixed-block vectors hold their ``default_block_size(n, sigma)``-bit
     blocks as ID vectors.
     """
+    if mode == "auto":
+        return min((build_index(trie, m) for m in MODES),
+                   key=lambda idx: index_bits(idx).total)
     n = trie.n
     alphabet = trie.alphabet
-    mode = resolve_mode(mode, n, alphabet.sigma + 1)
     columns = xbwt_columns(trie)
     if mode == "plain":
         vectors = [PlainBitvector(n, ones) for ones in columns]
@@ -222,9 +217,7 @@ def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
 
 def index_bits(index: XbwtIndex) -> BitCost:
     """The measured payload and overhead bits of all the index's vectors."""
-    costs = [vec.payload_bits() for vec in index.vectors]
-    return BitCost(sum(c.payload for c in costs),
-                   sum(c.overhead for c in costs))
+    return sum((vec.payload_bits() for vec in index.vectors), BitCost(0, 0))
 
 
 def forward_step(index: XbwtIndex, iv: NodeInterval, c: int) -> NodeInterval:

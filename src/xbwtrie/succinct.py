@@ -27,6 +27,7 @@ import math
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -43,6 +44,10 @@ class BitCost:
     @property
     def total(self) -> int:
         return self.payload + self.overhead
+
+    def __add__(self, other: BitCost) -> BitCost:
+        return BitCost(self.payload + other.payload,
+                       self.overhead + other.overhead)
 
 
 def ceil_log2_comb(n: int, k: int) -> int:
@@ -512,25 +517,25 @@ class FixedBlockVector(Bitvector):
         if b < 1:
             raise ValueError("block size must be positive")
         positions = sorted(set(ones))
-        nblocks = (m + b - 1) // b
-        per_block: list[list[int]] = [[] for _ in range(nblocks)]
+        counts = [0] * ((m + b - 1) // b)
         for p in positions:
             if not 1 <= p <= m:
                 raise ValueError("one-position out of range")
-            per_block[(p - 1) // b].append(p - ((p - 1) // b) * b)
-        self._init(m, b, tuple(IdVector(min(b, m - i * b), per_block[i])
-                               for i in range(nblocks)))
+            counts[(p - 1) // b] += 1
+        self._init(m, b, counts, [(p - 1) % b + 1 for p in positions])
 
-    def _init(self, m, b, children):
+    def _init(self, m, b, counts, positions):
         self.m = m
         self.b = b
-        self.children = children
-        self._R = [0]
-        for child in children:
-            self._R.append(self._R[-1] + child.ones)
+        # stored form: the blocks' one-counts, then all in-block positions
+        ends = accumulate(counts)
+        self.children = tuple(
+            IdVector._restore(blen, positions[end - k:end], False)
+            for blen, k, end in zip(_block_lens(m, b), counts, ends))
+        self._R = [0, *accumulate(counts)]
         self.ones = self._R[-1]
         self.entropy_block_size = b
-        self.entropy_block_count = len(children)
+        self.entropy_block_count = len(counts)
 
     def _rank(self, i: int) -> int:
         if i == 0:
@@ -551,14 +556,9 @@ class FixedBlockVector(Bitvector):
                 for p in child.one_positions()]
 
     def payload_bits(self) -> BitCost:
-        payload = 0
-        overhead = 0
-        for child in self.children:
-            cost = child.payload_bits()
-            payload += cost.payload
-            overhead += cost.overhead
-        overhead += len(self._R) * max(1, (self.m + 1).bit_length())
-        return BitCost(payload, overhead)
+        cost = sum((child.payload_bits() for child in self.children),
+                   BitCost(0, 0))
+        return cost + BitCost(0, len(self._R) * (self.m + 1).bit_length())
 
     def stored_items(self) -> int:
         return len(self.children) + sum(c.stored_items()
@@ -619,16 +619,20 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         return raw[:(v.m + 7) // 8]
     if isinstance(v, RrrVector):
         widths = _offset_widths(v._lens, v.classes)
-        return (bytes((v.u,)) + bytes(v.classes)
+        return (bytes((v.u,))
+                + _pack_bitstream(v.classes, [v.u.bit_length()] * len(widths))
                 + _pack_bitstream(v.offsets, widths))
     if isinstance(v, IdVector):
         k = len(v._pos)
         return (struct.pack("<BQ", int(v.complemented), k)
                 + _pack_bitstream(v._pos, [_position_width(v.m)] * k))
     if isinstance(v, FixedBlockVector):
-        # the codec byte is reserved, always 0 (ID blocks)
-        return (struct.pack("<QB", v.b, 0)
-                + b"".join(serialize_bitvector(c) for c in v.children))
+        counts = [len(c._pos) for c in v.children]
+        widths = [_position_width(c.m) for c in v.children for _ in c._pos]
+        return (struct.pack("<Q", v.b)
+                + _pack_bitstream(counts, [v.b.bit_length()] * len(counts))
+                + _pack_bitstream([p for c in v.children for p in c._pos],
+                                  widths))
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
@@ -654,7 +658,9 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         (u,), off = _take(buf, off, 1)
         if not 1 <= u <= _TABLE_MAX_U:
             raise ValueError(f"bad rrr block size {u}")
-        classes, off = _take(buf, off, (m + u - 1) // u)
+        nblocks = (m + u - 1) // u
+        stream, off = _take(buf, off, (nblocks * u.bit_length() + 7) // 8)
+        classes = _unpack_bitstream(stream, [u.bit_length()] * nblocks)
         lens = _block_lens(m, u)
         if any(cls > blen for blen, cls in zip(lens, classes)):
             raise ValueError("rrr class exceeds its block length")
@@ -674,17 +680,21 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         pos = _unpack_bitstream(stream, [width] * k)
         return IdVector._restore(m, pos, bool(flags)), off
     if kind == "fixedblock":
-        head, off = _take(buf, off, 9)
-        b, code = struct.unpack("<QB", head)
+        head, off = _take(buf, off, 8)
+        (b,) = struct.unpack("<Q", head)
         if b < 1:
             raise ValueError(f"bad fixed block size {b}")
-        if code:
-            raise ValueError(f"unknown fixed-block codec {code}")
-        children = []
-        # every child body takes a byte or more, so the buffer bounds this
-        for i in range((m + b - 1) // b):
-            child, off = deserialize_bitvector("id", min(b, m - i * b),
-                                               buf, off)
-            children.append(child)
-        return FixedBlockVector._restore(m, b, tuple(children)), off
+        nblocks = (m + b - 1) // b
+        stream, off = _take(buf, off, (nblocks * b.bit_length() + 7) // 8)
+        counts = _unpack_bitstream(stream, [b.bit_length()] * nblocks)
+        lens = _block_lens(m, b)
+        if any(k > blen for blen, k in zip(lens, counts)):
+            raise ValueError("more stored positions than bits")
+        # the position stream's size is checked before its widths are listed
+        width = {blen: _position_width(blen) for blen in set(lens)}
+        size = sum(k * width[blen] for blen, k in zip(lens, counts))
+        stream, off = _take(buf, off, (size + 7) // 8)
+        pos = _unpack_bitstream(stream, [width[blen] for blen, k in
+                                         zip(lens, counts) for _ in range(k)])
+        return FixedBlockVector._restore(m, b, counts, pos), off
     raise ValueError(f"unknown back-end {kind!r}")

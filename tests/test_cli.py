@@ -245,10 +245,11 @@ def _replace_first_vector(idx, blob: bytes) -> bytes:
     ("id", lambda body: body[:1] + struct.pack("<Q", 8) + body[9:],
      "more stored positions than bits"),
     ("fixedblock", lambda body: bytes(8) + body[8:], "block size 0"),
-    ("fixedblock", lambda body: body[:8] + b"\x01" + body[9:], "codec 1"),
-    ("fixedblock", lambda body: body[:8] + b"\x02" + body[9:], "codec 2"),
+    # one 7-bit block, its count at 5 bits (b = 27) claiming 8 positions
+    ("fixedblock", lambda body: body[:8] + b"\x08" + body[9:],
+     "more stored positions than bits"),
 ], ids=["rrr-u-0", "rrr-u-15", "id-flags-2", "id-count-8-of-7",
-        "fixedblock-b-0", "fixedblock-codec-1", "fixedblock-codec-2"])
+        "fixedblock-b-0", "fixedblock-count-8-of-7"])
 def test_count_rejects_bad_header_section(tmp_path, capsys, mode, patch,
                                           match):
     # the fixed-size fields at the head of the first vector's body
@@ -328,6 +329,18 @@ def test_count_rejects_version_1_file(tmp_path, capsys):
     path.write_bytes(V1_FILE)
     assert main(["count", str(path), "b"]) == 1
     assert capsys.readouterr().err == "error: version mismatch: 1\n"
+
+
+# the same index as version 2 wrote it
+V2_FILE = bytes.fromhex(
+    "5842575402000000030000000000000003000061620101ad0eb4f5")
+
+
+def test_count_rejects_version_2_file(tmp_path, capsys):
+    path = tmp_path / "v2.xbwt"
+    path.write_bytes(V2_FILE)
+    assert main(["count", str(path), "b"]) == 1
+    assert capsys.readouterr().err == "error: version mismatch: 2\n"
 
 
 def test_stats_refuses_index_too_large(tmp_path, capsys):

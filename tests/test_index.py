@@ -8,7 +8,7 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
                      check_bounds, count, deserialize, forward_step, invert,
                      leaf_run_count, naive_count, random_trie, run_count,
                      serialize)
-from xbwtrie.index import _head_table, crc32c, resolve_mode, xbwt_columns
+from xbwtrie.index import _head_table, crc32c, index_bits, xbwt_columns
 from xbwtrie.succinct import IdVector, serialize_bitvector
 
 from conftest import complete_binary, zero_weight_symbol_file
@@ -347,13 +347,14 @@ def test_xbwt_columns_match_per_node_loop(small_tries):
 
 
 # sha256 of the index files of _corpus(2024, 2000) (n = 8,962), recorded
-# before the trie and XBWT construction were rewritten
+# before the trie and XBWT construction were rewritten and re-recorded for
+# file version 3, whose plain and id bodies are those of version 2
 GOLDEN_FILES = {
-    "plain": "f9642ae83ad152e64dd59107d89494492a84c17016142701447326fea8372f4b",
-    "fid": "95149bb1e34c8fda40d74322aac5169e266b1104b5c26b5ee2c0b4328226279c",
-    "id": "6c9c7f0f80e1e3693b908520551cbfee9c11804a9adf1f026b83958b750ac289",
+    "plain": "b57c2c24301f0279beed12531e5d7b2afea07e1bc672980a2693706ccd9621b7",
+    "fid": "2d6792ef3c0c1656c9e14bb062b568d85d05d48ddaca658d40faf935afc8f4d2",
+    "id": "024844d585f45f90186c99cb4e6eb0fa5b0e73e3fb6f7a46752a558ff0ef386e",
     "fixedblock":
-        "3727b82145be02857fd661ce88db305158f4ac6406386cc8b9b9690c4b8fca41",
+        "e822b4424a2c319bb08f45ac61dcccc3bd5d3ec54b2ab1c8c49fd72a146bb45d",
 }
 
 
@@ -462,10 +463,14 @@ def test_run_bound_on_random_tries(small_tries):
             assert r <= t.n * hk(t, k) + sigma_full ** (k + 1) + 1e-6
 
 
-def test_auto_mode_selection():
-    assert resolve_mode("auto", 200, 9) == "id"
-    assert resolve_mode("auto", 200, 2) == "fid"
-    assert resolve_mode("plain", 200, 9) == "plain"
+def test_auto_mode_selection(fig_trie, small_tries):
+    """'auto' is the mode with the fewest accounted bits, the first in
+    MODES on a tie."""
+    corpus = build_from_strings(_corpus(1, 2000))
+    for t in [fig_trie, *small_tries, corpus]:
+        totals = [index_bits(build_index(t, mode)).total for mode in MODES]
+        assert build_index(t, "auto").mode == MODES[totals.index(min(totals))]
+    assert build_index(corpus, "auto").mode == "fid"
 
 
 def test_id_complement_auto():
@@ -582,7 +587,7 @@ def test_index_file_header_layout(fig_trie):
     blob = serialize(idx)
     assert blob[:4] == b"XBWT"
     version, mode = struct.unpack_from("<HH", blob, 4)
-    assert version == 2 and mode == 1  # the position of "fid" in MODES
+    assert version == 3 and mode == 1  # the position of "fid" in MODES
     n, sigma = struct.unpack_from("<QH", blob, 8)
     assert (n, sigma) == (7, 4)  # sentinel included
     assert blob[18:22] == b"\x00abc"  # sentinel first, symbols ascending
@@ -595,11 +600,11 @@ def test_index_file_header_layout(fig_trie):
 # SHA-256 of the index file of each mode for the seeded 2,000-word corpus
 # of test_file_bytes_pinned: any change to the bytes a file holds fails here
 FILE_SHA256 = {
-    "plain": "43000c985f8b0d2b28f5cddcd4cf21781f62954b3d490d6a6fa0dd90ed1c9c13",
-    "fid": "d884d4e4d1080ef2f1aa911ef40d64fbed46f4d47e026f58896353b49fa76375",
-    "id": "265310627eb815fe43f24bbf8477cc572e686046536dbd821353b69c50f7b397",
+    "plain": "0892624f5868c3a4c86c7301e080ac61e0877cc5bbad4170870c021243ae19d9",
+    "fid": "1f30c4d00b48f4f7f54bff56083bdc91d3ac5224745fd89aa9c1699e175c9e5f",
+    "id": "e8ee9a80e97d99f3b763815cc94bdeb3654aa3bb66cef3bfcbb5e01e6d70e3f7",
     "fixedblock":
-        "6d523791ac5ee4c73efa64892d90f9660571dbf8541563fc683683189c154f37",
+        "de085b4b4474cc58bb5498ec7e86e5d8781a1b7f41c5ca47496a45346fc5b9c3",
 }
 
 
@@ -613,27 +618,23 @@ def test_file_bytes_pinned(mode):
     assert serialize(deserialize(data)) == data
 
 
-@pytest.mark.parametrize("mode", ("plain", "id", "fixedblock"))
+# The bits a vector body holds beyond its accounted total, all fixed-size:
+# up to 7 padding bits per packed stream (fid's classes and offsets, id's
+# positions, fixedblock's counts and positions), fid's u byte, id's flags
+# byte and u64 count, and fixedblock's u64 b.  A plain body's padding is
+# smaller than its accounted rank directory.
+FIXED_BITS = {"plain": 0, "fid": 8 + 7 + 7, "id": 8 + 64 + 7,
+              "fixedblock": 64 + 7 + 7}
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_file_bits_within_accounting(fig_trie, small_tries, mode):
-    # Beyond the accounted bits a file holds only fixed-size fields: the
-    # header and CRC, 8 * (22 + sigma) bits; per ID vector (fixed-block
-    # children included) the flags byte, the u64 count and the padding of
-    # the last position byte, 8 + 64 + 7 = 79 bits; per fixed-block vector
-    # b as u64 and the reserved codec byte, 72 bits.  A plain vector's padding is
-    # smaller than its accounted rank directory.  fid is left out: each RRR
-    # class takes a byte on file against bit_length(u) bits accounted.
-    rng = random.Random(3)
-    words = [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(3, 12)))
-             for _ in range(2000)]
-    for t in [fig_trie, *small_tries, build_from_strings(words)]:
+    # a file is its header and CRC, 8 * (22 + sigma) bits, and the bodies
+    corpus = build_from_strings(_corpus(3, 2000))
+    for t in [fig_trie, *small_tries, corpus]:
         idx = build_index(t, mode)
-        bound = 8 * (22 + idx.sigma)
-        for vec in idx.vectors:
-            bound += vec.payload_bits().total
-            if vec.kind == "id":
-                bound += 79
-            elif vec.kind == "fixedblock":
-                bound += 72 + 79 * len(vec.children)
+        bound = 8 * (22 + idx.sigma) + sum(
+            vec.payload_bits().total + FIXED_BITS[mode] for vec in idx.vectors)
         assert 8 * len(serialize(idx)) <= bound
 
 

@@ -332,20 +332,26 @@ def test_serialized_framing():
     m, ones = parse_bits(B_B)  # ones at 1, 3, 6
     # plain packs bits LSB-first: 1010010 -> 0b0100101 = 0x25
     assert serialize_bitvector(PlainBitvector(m, ones)) == b"\x25"
-    # rrr: u = 1, one class byte per block, no offset bits (C(1, c) = 1)
-    assert serialize_bitvector(RrrVector(m, ones)) == \
-        b"\x01" + bytes((1, 0, 1, 0, 0, 1, 0))
+    # rrr: u, then the classes at u.bit_length() bits, then the offsets at
+    # ceil(log2 C(block length, class)) bits.  u = 1: the classes are the
+    # bits themselves and no offset takes a bit (C(1, c) = 1)
+    assert serialize_bitvector(RrrVector(m, ones)) == b"\x01\x25"
+    # u = 4: blocks 1010 (class 2) and 010 (class 1) at 3 bits, 2 | 1 << 3;
+    # offsets 4 of C(4, 2) = 6 (3 bits) and 1 of C(3, 1) = 3 (2 bits)
+    assert serialize_bitvector(RrrVector(m, ones, u=4)) == \
+        b"\x04" + bytes((2 | 1 << 3, 4 | 1 << 3))
     # id: flags, u64 count, positions LSB-first at (m + 1).bit_length() = 4
     # bits: 1 | 3 << 4 | 6 << 8 = 0x631; complemented, the zeros 2, 4, 5, 7
     assert serialize_bitvector(IdVector(m, ones)) == \
         b"\x00" + struct.pack("<Q", 3) + b"\x31\x06"
     assert serialize_bitvector(IdVector(m, ones, complemented=True)) == \
         b"\x01" + struct.pack("<Q", 4) + b"\x42\x75"
-    # fixed-block: u64 b, codec byte (reserved, 0), the ID children's bodies:
-    # 10100 (positions 1, 3 at 3 bits) and 10 (position 1 at 2 bits)
+    # fixed-block: u64 b, the blocks' one-counts at b.bit_length() = 3 bits,
+    # then their in-block positions at (block length + 1).bit_length() bits:
+    # 10100 holds 2 (positions 1, 3 at 3 bits) and 10 holds 1 (position 1 at
+    # 2 bits), so 2 | 1 << 3 and 1 | 3 << 3 | 1 << 6
     assert serialize_bitvector(FixedBlockVector(m, ones, b=5)) == \
-        struct.pack("<QB", 5, 0) + b"\x00" + struct.pack("<Q", 2) + b"\x19" \
-        + b"\x00" + struct.pack("<Q", 1) + b"\x01"
+        struct.pack("<Q", 5) + bytes((2 | 1 << 3, 1 | 3 << 3 | 1 << 6))
 
 
 # --- byte-level construction and loading ------------------------------------
@@ -482,7 +488,13 @@ def test_huge_header_length_checked_before_allocating():
     with pytest.raises(ValueError, match="truncated"):
         deserialize_bitvector("fid", m, b"\x01\x00")
     with pytest.raises(ValueError, match="truncated"):
-        deserialize_bitvector("fixedblock", m, struct.pack("<QB", 1, 0))
+        deserialize_bitvector("fixedblock", m, struct.pack("<Q", 1))
+    # 2^22 blocks of b = 2^40 bits whose stored counts claim full blocks:
+    # 41 * 2^62 position bits, refused before a width is listed for each
+    b = 2 ** 40
+    counts = _pack_bitstream([b] * 8, [41] * 8) * (2 ** 19)  # 8 per 41 bytes
+    with pytest.raises(ValueError, match="truncated"):
+        deserialize_bitvector("fixedblock", m, struct.pack("<Q", b) + counts)
     with pytest.raises(ValueError, match="truncated"):
         deserialize_bitvector("id", m, struct.pack("<BQ", 0, 2 ** 40))
     # no stored positions and not complemented: a valid empty vector
