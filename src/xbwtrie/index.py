@@ -13,7 +13,6 @@ first count, so a query starts its search k symbols in.
 """
 from __future__ import annotations
 
-import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .trie import Alphabet, Trie, colex_order
 MODES = ("plain", "fid", "id", "fixedblock")
 
 MAGIC = b"XBWT"
-VERSION = 3
+VERSION = 4
 
 # A file's header can declare any n (a 39-byte ID file holds a path trie of
 # 2^40 nodes), so the operations that allocate n-entry lists refuse larger n.
@@ -150,9 +149,17 @@ def _head_table(index: XbwtIndex) -> dict[bytes, tuple[int, int]]:
     return head
 
 
-def default_block_size(n: int, sigma_eff: int) -> int:
-    logn = math.ceil(math.log2(n)) if n > 1 else 1
-    return max(1, max(1, sigma_eff) * logn * logn)
+def default_block_size(n: int) -> int:
+    """The fixed-block b: the largest 2^j - 2 at most ceil(log2 n)^2, and
+    at least 2.
+
+    A block of length 2^j - 2 is the longest whose in-block positions take
+    j bits, so each step up from it costs every stored position a bit.  A
+    sweep over both kinds of corpus put the smallest file and accounted
+    total near this b (ROADMAP item 3).
+    """
+    logn = max(1, (n - 1).bit_length())  # ceil(log2 n), at least 1
+    return max(2, (1 << (logn * logn + 2).bit_length() - 1) - 2)
 
 
 def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
@@ -192,8 +199,8 @@ def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
     ``index_bits(...).total``, the first in ``MODES`` on a tie.
     In ID mode a symbol occurring on more than half the nodes is stored as
     its complement, which changes the measured size but no query answer.
-    Fixed-block vectors hold their ``default_block_size(n, sigma)``-bit
-    blocks as ID vectors.
+    Fixed-block vectors cut their columns into ``default_block_size(n)``-bit
+    blocks, each stored in its cheapest kind.
     """
     if mode == "auto":
         return min((build_index(trie, m) for m in MODES),
@@ -208,7 +215,7 @@ def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
     elif mode == "id":
         vectors = [IdVector(n, ones, len(ones) > n / 2) for ones in columns]
     elif mode == "fixedblock":
-        b = default_block_size(n, alphabet.sigma)
+        b = default_block_size(n)
         vectors = [FixedBlockVector(n, ones, b) for ones in columns]
     else:
         raise ValueError(f"unknown mode {mode!r}")

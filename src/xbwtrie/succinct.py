@@ -10,8 +10,10 @@ Four interchangeable representations of a static bitvector:
 * ``IdVector``         -- explicit one-positions supporting select directly
                           and rank by binary search; optionally stores the
                           complement when ones dominate.
-* ``FixedBlockVector`` -- fixed-size blocks, each held by an inner ID
-                          vector, plus a precomputed block-rank table.
+* ``FixedBlockVector`` -- fixed-size blocks, each stored as the cheapest of
+                          its one-positions, its zero-positions (an inner
+                          ID vector) or its raw bits, plus a precomputed
+                          block-rank table.
 
 Positions are 1-based; ``rank(i)`` counts ones in positions 1..i inclusive
 and ``rank(0) == 0``.  The four public queries ``rank``, ``access``,
@@ -233,9 +235,10 @@ class Bitvector:
 
     def stored_items(self) -> int:
         """Number of items the stored form holds: 64-bit words (plain),
-        blocks (fid), positions (id), or the children's items plus one per
-        child (fixedblock).  A file spends at least one bit on each item, so
-        work held to this count is linear in the size of a loaded file."""
+        blocks (fid), positions (id), or one per block plus its positions
+        or raw 64-bit words (fixedblock).  A file spends at least one bit on
+        each item, so work held to this count is linear in the size of a
+        loaded file."""
         raise NotImplementedError
 
     def one_positions(self) -> list[int]:
@@ -504,9 +507,36 @@ class IdVector(Bitvector):
         return len(self._pos)
 
 
+# the stored kinds of a fixed block
+SPARSE, COMPLEMENTED, RAW = 0, 1, 2
+
+
+def _block_layout(k: int, blen: int) -> tuple[int, int, int]:
+    """(kind, items, width) of a fixed block of blen bits holding k ones.
+
+    The block is stored as the cheapest of its k one-positions (SPARSE),
+    its blen - k zero-positions (COMPLEMENTED), both at
+    ``_position_width(blen)`` bits, or its blen bits as one int (RAW), the
+    first in that order on a tie.  The kind follows from (k, blen), so a
+    file stores none.  k must lie in 0..blen.
+    """
+    w = _position_width(blen)
+    if k * w <= min((blen - k) * w, blen):
+        return SPARSE, k, w
+    if (blen - k) * w <= blen:
+        return COMPLEMENTED, blen - k, w
+    return RAW, 1, blen
+
+
 class FixedBlockVector(Bitvector):
-    """Fixed-size blocks, each held by an inner ID vector, with a
-    precomputed table of ranks preceding every block."""
+    """Fixed-size blocks, each stored in the cheapest of three kinds (see
+    :func:`_block_layout`), with a precomputed table of ranks preceding
+    every block.
+
+    A sparse or complemented block is an inner ``IdVector``; a raw block is
+    an int whose bit j holds in-block position j + 1, and its rank is the
+    block's count less the ones past the cut.
+    """
 
     kind = "fixedblock"
 
@@ -517,52 +547,107 @@ class FixedBlockVector(Bitvector):
         if b < 1:
             raise ValueError("block size must be positive")
         positions = sorted(set(ones))
-        counts = [0] * ((m + b - 1) // b)
-        for p in positions:
-            if not 1 <= p <= m:
-                raise ValueError("one-position out of range")
-            counts[(p - 1) // b] += 1
-        self._init(m, b, counts, [(p - 1) % b + 1 for p in positions])
+        if positions and not (1 <= positions[0] and positions[-1] <= m):
+            raise ValueError("one-position out of range")
+        counts: list[int] = []
+        items: list[int] = []
+        at = 0
+        for base, blen in zip(range(0, m, b), _block_lens(m, b)):
+            end = bisect_right(positions, base + blen, at)
+            pos = [p - base for p in positions[at:end]]  # in-block, 1-based
+            at = end
+            kind = _block_layout(len(pos), blen)[0]
+            if kind == SPARSE:
+                items += pos
+            elif kind == COMPLEMENTED:
+                present = set(pos)
+                items += [p for p in range(1, blen + 1) if p not in present]
+            else:
+                items.append(sum(1 << p for p in pos) >> 1)
+            counts.append(len(pos))
+        self._init(m, b, counts, items)
 
-    def _init(self, m, b, counts, positions):
+    def _init(self, m, b, counts, items):
+        # stored form: the blocks' one-counts, then every block's items in
+        # the kind its count derives
+        children: list[IdVector | int] = []
+        at = 0
+        for blen, k in zip(_block_lens(m, b), counts):
+            kind, size, _ = _block_layout(k, blen)
+            body = items[at:at + size]
+            at += size
+            if kind == RAW:
+                if body[0].bit_count() != k:
+                    raise ValueError("raw block does not hold its count")
+                children.append(body[0])
+            else:
+                children.append(
+                    IdVector._restore(blen, body, kind == COMPLEMENTED))
         self.m = m
         self.b = b
-        # stored form: the blocks' one-counts, then all in-block positions
-        ends = accumulate(counts)
-        self.children = tuple(
-            IdVector._restore(blen, positions[end - k:end], False)
-            for blen, k, end in zip(_block_lens(m, b), counts, ends))
+        self.children = tuple(children)
         self._R = [0, *accumulate(counts)]
         self.ones = self._R[-1]
         self.entropy_block_size = b
         self.entropy_block_count = len(counts)
 
     def _rank(self, i: int) -> int:
-        if i == 0:
-            return 0
-        bi = (i - 1) // self.b
-        return self._R[bi] + self.children[bi]._rank(i - bi * self.b)
+        # a block ending at i is counted by _R alone
+        bi = i // self.b
+        r = i - bi * self.b
+        if not r:
+            return self._R[bi]
+        child = self.children[bi]
+        if child.__class__ is int:
+            return self._R[bi + 1] - (child >> r).bit_count()
+        return self._R[bi] + child._rank(r)
 
     def _access(self, i: int) -> int:
         bi = (i - 1) // self.b
-        return self.children[bi]._access(i - bi * self.b)
+        r = i - bi * self.b
+        child = self.children[bi]
+        if child.__class__ is int:
+            return (child >> (r - 1)) & 1
+        return child._access(r)
 
     def _select(self, i: int) -> int:
         j = bisect_left(self._R, i) - 1
-        return j * self.b + self.children[j]._select(i - self._R[j])
+        child = self.children[j]
+        if child.__class__ is int:
+            return j * self.b + _select_in_word(child, i - self._R[j]) + 1
+        return j * self.b + child._select(i - self._R[j])
 
     def one_positions(self) -> list[int]:
-        return [bi * self.b + p for bi, child in enumerate(self.children)
-                for p in child.one_positions()]
+        out: list[int] = []
+        for bi, child in enumerate(self.children):
+            base = bi * self.b
+            if child.__class__ is int:
+                _extend_set_bits(out, child, base + 1)
+            else:
+                out += [base + p for p in child.one_positions()]
+        return out
+
+    def _blocks(self) -> Iterable[tuple[int, int, IdVector | int]]:
+        """(block length, one-count, child) of every block."""
+        R = self._R
+        return zip(_block_lens(self.m, self.b),
+                   (hi - lo for lo, hi in zip(R, R[1:])), self.children)
 
     def payload_bits(self) -> BitCost:
-        cost = sum((child.payload_bits() for child in self.children),
-                   BitCost(0, 0))
-        return cost + BitCost(0, len(self._R) * (self.m + 1).bit_length())
+        payload = stored = 0
+        for blen, k, _ in self._blocks():
+            _, size, width = _block_layout(k, blen)
+            payload += ceil_log2_comb(blen, k)
+            stored += size * width
+        directory = len(self._R) * (self.m + 1).bit_length()
+        return BitCost(payload, stored - payload + directory)
 
     def stored_items(self) -> int:
-        return len(self.children) + sum(c.stored_items()
-                                        for c in self.children)
+        """One per block, plus the positions of an ID child or the 64-bit
+        words of a raw one."""
+        return len(self.children) + sum(
+            (blen + 63) >> 6 if child.__class__ is int else len(child._pos)
+            for blen, _, child in self._blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +712,21 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         return (struct.pack("<BQ", int(v.complemented), k)
                 + _pack_bitstream(v._pos, [_position_width(v.m)] * k))
     if isinstance(v, FixedBlockVector):
-        counts = [len(c._pos) for c in v.children]
-        widths = [_position_width(c.m) for c in v.children for _ in c._pos]
+        counts, items, widths = [], [], []
+        for blen, k, child in v._blocks():
+            _, size, width = _block_layout(k, blen)
+            counts.append(k)
+            items += (child,) if child.__class__ is int else child._pos
+            widths += [width] * size
         return (struct.pack("<Q", v.b)
                 + _pack_bitstream(counts, [v.b.bit_length()] * len(counts))
-                + _pack_bitstream([p for c in v.children for p in c._pos],
-                                  widths))
+                + _pack_bitstream(items, widths))
     raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+# fixed-block counts read between two checks of the summed body size; a
+# multiple of 8, so that every full chunk is a whole number of bytes
+_COUNT_CHUNK = 1 << 12
 
 
 def _take(buf: bytes, off: int, size: int) -> tuple[bytes, int]:
@@ -685,16 +778,30 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         if b < 1:
             raise ValueError(f"bad fixed block size {b}")
         nblocks = (m + b - 1) // b
-        stream, off = _take(buf, off, (nblocks * b.bit_length() + 7) // 8)
-        counts = _unpack_bitstream(stream, [b.bit_length()] * nblocks)
-        lens = _block_lens(m, b)
-        if any(k > blen for blen, k in zip(lens, counts)):
-            raise ValueError("more stored positions than bits")
-        # the position stream's size is checked before its widths are listed
-        width = {blen: _position_width(blen) for blen in set(lens)}
-        size = sum(k * width[blen] for blen, k in zip(lens, counts))
-        stream, off = _take(buf, off, (size + 7) // 8)
-        pos = _unpack_bitstream(stream, [width[blen] for blen, k in
-                                         zip(lens, counts) for _ in range(k)])
-        return FixedBlockVector._restore(m, b, counts, pos), off
+        bw = b.bit_length()
+        view = memoryview(buf)
+        stream, off = _take(view, off, (nblocks * bw + 7) // 8)
+        # each block's body size follows from its count; the sizes are
+        # summed as the counts are read, a chunk of _COUNT_CHUNK at a time,
+        # and a sum past the buffer is refused before the next chunk
+        room = 8 * (len(buf) - off)
+        last = m - (nblocks - 1) * b
+        counts: list[int] = []
+        widths: list[int] = []
+        for first in range(0, nblocks, _COUNT_CHUNK):
+            chunk = stream[first * bw // 8:][:_COUNT_CHUNK * bw // 8]
+            for k in _unpack_bitstream(
+                    chunk, [bw] * min(_COUNT_CHUNK, nblocks - first)):
+                blen = b if len(counts) < nblocks - 1 else last
+                if k > blen:
+                    raise ValueError("more stored positions than bits")
+                _, size, width = _block_layout(k, blen)
+                room -= size * width
+                if room < 0:
+                    raise ValueError("truncated")
+                counts.append(k)
+                widths += [width] * size
+        stream, off = _take(view, off, (sum(widths) + 7) // 8)
+        items = _unpack_bitstream(stream, widths)
+        return FixedBlockVector._restore(m, b, counts, items), off
     raise ValueError(f"unknown back-end {kind!r}")

@@ -245,8 +245,8 @@ def _replace_first_vector(idx, blob: bytes) -> bytes:
     ("id", lambda body: body[:1] + struct.pack("<Q", 8) + body[9:],
      "more stored positions than bits"),
     ("fixedblock", lambda body: bytes(8) + body[8:], "block size 0"),
-    # one 7-bit block, its count at 5 bits (b = 27) claiming 8 positions
-    ("fixedblock", lambda body: body[:8] + b"\x08" + body[9:],
+    # b set to 27: one 7-bit block, its count at 5 bits claiming 8 positions
+    ("fixedblock", lambda body: struct.pack("<Q", 27) + b"\x08" + body[9:],
      "more stored positions than bits"),
 ], ids=["rrr-u-0", "rrr-u-15", "id-flags-2", "id-count-8-of-7",
         "fixedblock-b-0", "fixedblock-count-8-of-7"])
@@ -341,6 +341,19 @@ def test_count_rejects_version_2_file(tmp_path, capsys):
     path.write_bytes(V2_FILE)
     assert main(["count", str(path), "b"]) == 1
     assert capsys.readouterr().err == "error: version mismatch: 2\n"
+
+
+# the fixed-block index of the same strings as version 3 wrote it
+V3_FIXEDBLOCK_FILE = bytes.fromhex(
+    "584257540300030003000000000000000300006162080000000000000001010800"
+    "0000000000000101ede9eff8")
+
+
+def test_count_rejects_version_3_file(tmp_path, capsys):
+    path = tmp_path / "v3.xbwt"
+    path.write_bytes(V3_FIXEDBLOCK_FILE)
+    assert main(["count", str(path), "b"]) == 1
+    assert capsys.readouterr().err == "error: version mismatch: 3\n"
 
 
 def test_stats_refuses_index_too_large(tmp_path, capsys):

@@ -348,13 +348,14 @@ def test_xbwt_columns_match_per_node_loop(small_tries):
 
 # sha256 of the index files of _corpus(2024, 2000) (n = 8,962), recorded
 # before the trie and XBWT construction were rewritten and re-recorded for
-# file version 3, whose plain and id bodies are those of version 2
+# file versions 3 and 4; test_version_4_moved_only_fixed_block_bodies shows
+# that the plain, fid and id bodies are those of version 3
 GOLDEN_FILES = {
-    "plain": "b57c2c24301f0279beed12531e5d7b2afea07e1bc672980a2693706ccd9621b7",
-    "fid": "2d6792ef3c0c1656c9e14bb062b568d85d05d48ddaca658d40faf935afc8f4d2",
-    "id": "024844d585f45f90186c99cb4e6eb0fa5b0e73e3fb6f7a46752a558ff0ef386e",
+    "plain": "9893fcdcea8fb1b325c99dc7cb4fe7154b975cef8d8722ebeb79eb226e739f9d",
+    "fid": "90576da966b79117fca5d29bfaf1813661d4be8d29a14046e73a38a8ee3da6e6",
+    "id": "0e3a66775b8e527526b5ef8475eb2fa1c67aeaca37021d8b7f982440b3ef6518",
     "fixedblock":
-        "e822b4424a2c319bb08f45ac61dcccc3bd5d3ec54b2ab1c8c49fd72a146bb45d",
+        "66352d724a09b728f5495c30017f6c7255090e38ab4bcddd83868d36ecb2560f",
 }
 
 
@@ -470,7 +471,7 @@ def test_auto_mode_selection(fig_trie, small_tries):
     for t in [fig_trie, *small_tries, corpus]:
         totals = [index_bits(build_index(t, mode)).total for mode in MODES]
         assert build_index(t, "auto").mode == MODES[totals.index(min(totals))]
-    assert build_index(corpus, "auto").mode == "fid"
+    assert build_index(corpus, "auto").mode == "fixedblock"
 
 
 def test_id_complement_auto():
@@ -587,7 +588,7 @@ def test_index_file_header_layout(fig_trie):
     blob = serialize(idx)
     assert blob[:4] == b"XBWT"
     version, mode = struct.unpack_from("<HH", blob, 4)
-    assert version == 3 and mode == 1  # the position of "fid" in MODES
+    assert version == 4 and mode == 1  # the position of "fid" in MODES
     n, sigma = struct.unpack_from("<QH", blob, 8)
     assert (n, sigma) == (7, 4)  # sentinel included
     assert blob[18:22] == b"\x00abc"  # sentinel first, symbols ascending
@@ -600,29 +601,60 @@ def test_index_file_header_layout(fig_trie):
 # SHA-256 of the index file of each mode for the seeded 2,000-word corpus
 # of test_file_bytes_pinned: any change to the bytes a file holds fails here
 FILE_SHA256 = {
-    "plain": "0892624f5868c3a4c86c7301e080ac61e0877cc5bbad4170870c021243ae19d9",
-    "fid": "1f30c4d00b48f4f7f54bff56083bdc91d3ac5224745fd89aa9c1699e175c9e5f",
-    "id": "e8ee9a80e97d99f3b763815cc94bdeb3654aa3bb66cef3bfcbb5e01e6d70e3f7",
+    "plain": "539829e83ab7aac689828523578abaf3f95b1fc1338044941276e5fd74cd82e4",
+    "fid": "3e52210175abf673b364fb381a800374f89d9d6111ccf24ed92e505214880f7a",
+    "id": "825b7cff221d632242db32b035df6afce37f98103938e14112dbdfe68b65d3d3",
     "fixedblock":
-        "de085b4b4474cc58bb5498ec7e86e5d8781a1b7f41c5ca47496a45346fc5b9c3",
+        "bc35fac94ce62f132f547ab1ed32c4770525568a92d8e43090a1b5f7cc9deac6",
 }
+
+
+def _pinned_words():
+    rng = random.Random(1)
+    return [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(3, 12)))
+            for _ in range(2000)]
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_file_bytes_pinned(mode):
-    rng = random.Random(1)
-    words = [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(3, 12)))
-             for _ in range(2000)]
-    data = serialize(build_index(build_from_strings(words), mode))
+    data = serialize(build_index(build_from_strings(_pinned_words()), mode))
     assert hashlib.sha256(data).hexdigest() == FILE_SHA256[mode]
     assert serialize(deserialize(data)) == data
 
 
+# FILE_SHA256 and GOLDEN_FILES as file version 3 recorded them
+V3_FILE_SHA256 = {
+    "plain": "0892624f5868c3a4c86c7301e080ac61e0877cc5bbad4170870c021243ae19d9",
+    "fid": "1f30c4d00b48f4f7f54bff56083bdc91d3ac5224745fd89aa9c1699e175c9e5f",
+    "id": "e8ee9a80e97d99f3b763815cc94bdeb3654aa3bb66cef3bfcbb5e01e6d70e3f7",
+}
+V3_GOLDEN_FILES = {
+    "plain": "b57c2c24301f0279beed12531e5d7b2afea07e1bc672980a2693706ccd9621b7",
+    "fid": "2d6792ef3c0c1656c9e14bb062b568d85d05d48ddaca658d40faf935afc8f4d2",
+    "id": "024844d585f45f90186c99cb4e6eb0fa5b0e73e3fb6f7a46752a558ff0ef386e",
+}
+
+
+@pytest.mark.parametrize("mode", ["plain", "fid", "id"])
+def test_version_4_moved_only_fixed_block_bodies(mode):
+    """A plain, fid or id file of version 4, its version field set back to
+    3 and its CRC recomputed, is the version 3 file byte for byte."""
+    import struct
+    for words, v3 in ((_pinned_words(), V3_FILE_SHA256),
+                      (_corpus(2024, 2000), V3_GOLDEN_FILES)):
+        data = serialize(build_index(build_from_strings(words), mode))
+        body = data[:4] + struct.pack("<H", 3) + data[6:-4]
+        old = body + struct.pack("<I", crc32c(body))
+        assert hashlib.sha256(old).hexdigest() == v3[mode]
+
+
 # The bits a vector body holds beyond its accounted total, all fixed-size:
 # up to 7 padding bits per packed stream (fid's classes and offsets, id's
-# positions, fixedblock's counts and positions), fid's u byte, id's flags
+# positions, fixedblock's counts and block bodies), fid's u byte, id's flags
 # byte and u64 count, and fixedblock's u64 b.  A plain body's padding is
-# smaller than its accounted rank directory.
+# smaller than its accounted rank directory, and a fixed-block body's counts
+# are smaller than its accounted _R; each block body is exactly the bits its
+# accounting charges.
 FIXED_BITS = {"plain": 0, "fid": 8 + 7 + 7, "id": 8 + 64 + 7,
               "fixedblock": 64 + 7 + 7}
 

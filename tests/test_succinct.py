@@ -346,12 +346,124 @@ def test_serialized_framing():
         b"\x00" + struct.pack("<Q", 3) + b"\x31\x06"
     assert serialize_bitvector(IdVector(m, ones, complemented=True)) == \
         b"\x01" + struct.pack("<Q", 4) + b"\x42\x75"
-    # fixed-block: u64 b, the blocks' one-counts at b.bit_length() = 3 bits,
-    # then their in-block positions at (block length + 1).bit_length() bits:
-    # 10100 holds 2 (positions 1, 3 at 3 bits) and 10 holds 1 (position 1 at
-    # 2 bits), so 2 | 1 << 3 and 1 | 3 << 3 | 1 << 6
+    # fixed-block: u64 b, the blocks' one-counts at b.bit_length() = 3 bits
+    # (2 | 1 << 3), then one stream of block bodies, each in the kind its
+    # count derives, positions at w = (block length + 1).bit_length() bits.
+    # 10100 holds 2 ones, w = 3: sparse 2 * 3 = 6, complemented 3 * 3 = 9,
+    # raw 5 bits, so raw 0b00101.  10 holds 1 one, w = 2: sparse, complemented
+    # and raw all cost 2 bits, and the tie goes to sparse, position 1 at
+    # 2 bits.  The stream is 0b00101 | 1 << 5
     assert serialize_bitvector(FixedBlockVector(m, ones, b=5)) == \
-        struct.pack("<Q", 5) + bytes((2 | 1 << 3, 1 | 3 << 3 | 1 << 6))
+        struct.pack("<Q", 5) + bytes((2 | 1 << 3, 0b00101 | 1 << 5))
+
+
+def _costs(k, blen):
+    """Sparse, complemented and raw bits of a block of blen bits, k ones."""
+    w = (blen + 1).bit_length()
+    return [k * w, (blen - k) * w, blen]
+
+
+def _child_kind(child):
+    """0 sparse, 1 complemented or 2 raw: the index of its cost."""
+    if isinstance(child, int):
+        return 2
+    return 1 if child.complemented else 0
+
+
+def _blocks_of(v, bits):
+    """(length, one-count, child) of every block of v, read off bits."""
+    for bi, child in enumerate(v.children):
+        block = bits[bi * v.b:(bi + 1) * v.b]
+        yield len(block), sum(block), child
+
+
+def _kind_vectors():
+    """Fixed-block vectors whose blocks are empty, full, sparse, dense,
+    half full and random, at block lengths whose costs tie, with a short
+    last block or none."""
+    rng = random.Random(14)
+    for b in (1, 2, 5, 6, 14, 62, 63, 64, 126):
+        for tail in (0, 1, b // 2 + 1, b - 1):
+            fills = [0, b, 1, b - 1, b // 2, b // 3, 2 * b // 3,
+                     rng.randint(0, b)]
+            rng.shuffle(fills)
+            bits = []
+            for k in fills:
+                block = [1] * k + [0] * (b - k)
+                rng.shuffle(block)
+                bits += block
+            bits += [rng.randint(0, 1) for _ in range(tail)]
+            m = len(bits)
+            yield FixedBlockVector(m, [i + 1 for i in range(m) if bits[i]],
+                                   b), bits
+
+
+def test_fixed_block_kinds_follow_argmin():
+    """Every child is stored in the kind the argmin rule derives from its
+    one-count and length, the first on a tie, and the queries equal
+    plain's at every position, so every block edge, before and after a
+    file round trip."""
+    seen, ties = set(), set()
+    for v, bits in _kind_vectors():
+        blocks = list(_blocks_of(v, bits))
+        assert sum(blen for blen, _, _ in blocks) == v.m
+        for blen, k, child in blocks:
+            costs = _costs(k, blen)
+            kind = _child_kind(child)
+            assert kind == costs.index(min(costs)), (v.b, k, blen)
+            seen.add(kind)
+            if costs.count(min(costs)) > 1:
+                ties.add((kind, tuple(c == min(costs) for c in costs)))
+        ref = PlainBitvector(v.m, [i + 1 for i in range(v.m) if bits[i]])
+        back, _ = deserialize_bitvector(v.kind, v.m, serialize_bitvector(v))
+        for u in (v, back):
+            assert [_child_kind(c) for c in u.children] == \
+                [_child_kind(c) for c in v.children]
+            assert u.ones == ref.ones
+            assert u.one_positions() == ref.one_positions()
+            assert [u.rank(i) for i in range(v.m + 1)] == \
+                [ref.rank(i) for i in range(v.m + 1)]
+            for i in range(1, v.m + 1):
+                assert u.access(i) == ref.access(i)
+                assert u.prank(i) == ref.prank(i)
+            for j in range(1, ref.ones + 1):
+                assert u.select(j) == ref.select(j)
+    assert seen == {0, 1, 2}
+    # ties of sparse with raw and with both others go to sparse, and of
+    # complemented with raw to complemented (sparse and complemented alone
+    # cannot tie at the minimum: k = blen / 2 costs blen * w / 2 >= blen)
+    assert ties == {(0, (True, False, True)), (0, (True, True, True)),
+                    (1, (False, True, True))}
+
+
+def test_fixed_block_stored_bits():
+    """A body holds b, the counts and exactly the bits of each block's
+    cheapest kind, which the accounting charges beside _R; a raw block
+    counts its 64-bit words as stored items."""
+    for v, bits in _kind_vectors():
+        blocks = list(_blocks_of(v, bits))
+        stored = sum(min(_costs(k, blen)) for blen, k, _ in blocks)
+        items = sum(1 + (k, blen - k, (blen + 63) // 64)[_child_kind(child)]
+                    for blen, k, child in blocks)
+        cost = v.payload_bits()
+        assert cost.payload == sum(ceil_log2_comb(blen, k)
+                                   for blen, k, _ in blocks)
+        assert cost.total == \
+            stored + (len(blocks) + 1) * (v.m + 1).bit_length()
+        body = serialize_bitvector(v)
+        assert len(body) == (8 + (len(blocks) * v.b.bit_length() + 7) // 8
+                             + (stored + 7) // 8)
+        assert v.stored_items() == items
+
+
+def test_fixed_block_raw_count_checked():
+    """A raw block whose bits disagree with its stored count is refused."""
+    v = FixedBlockVector(5, [1, 3], b=5)  # 10100: raw, see the framing test
+    assert isinstance(v.children[0], int)
+    body = bytearray(serialize_bitvector(v))
+    body[-1] ^= 0b10  # position 2 set: three ones under a count of two
+    with pytest.raises(ValueError, match="raw block does not hold its count"):
+        deserialize_bitvector("fixedblock", 5, bytes(body))
 
 
 # --- byte-level construction and loading ------------------------------------
@@ -489,12 +601,23 @@ def test_huge_header_length_checked_before_allocating():
         deserialize_bitvector("fid", m, b"\x01\x00")
     with pytest.raises(ValueError, match="truncated"):
         deserialize_bitvector("fixedblock", m, struct.pack("<Q", 1))
-    # 2^22 blocks of b = 2^40 bits whose stored counts claim full blocks:
-    # 41 * 2^62 position bits, refused before a width is listed for each
+    # 2^22 blocks of b = 2^40 bits whose stored counts claim one position
+    # each, 41 bits per block body (a full block's body is empty): the
+    # 21.5 MB of counts are refused at the first body past the buffer, with
+    # no list of 2^22 counts or widths
+    import tracemalloc
     b = 2 ** 40
-    counts = _pack_bitstream([b] * 8, [41] * 8) * (2 ** 19)  # 8 per 41 bytes
-    with pytest.raises(ValueError, match="truncated"):
-        deserialize_bitvector("fixedblock", m, struct.pack("<Q", b) + counts)
+    counts = _pack_bitstream([1] * 8, [41] * 8) * (2 ** 19)  # 8 per 41 bytes
+    data = struct.pack("<Q", b) + counts
+    del counts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated"):
+            deserialize_bitvector("fixedblock", m, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 10 ** 6
     with pytest.raises(ValueError, match="truncated"):
         deserialize_bitvector("id", m, struct.pack("<BQ", 0, 2 ** 40))
     # no stored positions and not complemented: a valid empty vector
