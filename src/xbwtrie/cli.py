@@ -176,6 +176,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 1 or args.max_sigma < 1:
+        raise ValueError("max_n and max_sigma must be positive")
     dists = list(comb.feasible_distributions(args.max_n, args.max_sigma))
     results = [comb.verify_distribution(d, args.cap) for d in dists]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Iterator, Sequence
 
 from .trie import Alphabet, SymbolDistribution, Trie
@@ -57,9 +57,6 @@ class DegreeMatrix:
             raise ValueError("total ones must be n - 1")
         object.__setattr__(self, "row_counts", counts)
 
-    def column_ones(self, j: int) -> int:
-        return sum((row >> j) & 1 for row in self.rows)
-
 
 def trie_to_matrix(trie: Trie) -> DegreeMatrix:
     """Out-label indicator matrix of the pre-order node sequence."""
@@ -76,18 +73,20 @@ def trie_to_matrix(trie: Trie) -> DegreeMatrix:
 
 
 def d_sequence(matrix: DegreeMatrix) -> list[int]:
-    """Per-column ones count minus one (out-degree minus one in pre-order)."""
-    return [matrix.column_ones(j) - 1 for j in range(matrix.n)]
+    """Per-column ones count minus one (out-degree minus one in pre-order),
+    from one walk over each row's set bits."""
+    d = [-1] * matrix.n
+    for row in matrix.rows:
+        while row:
+            low = row & -row
+            d[low.bit_length() - 1] += 1
+            row ^= low
+    return d
 
 
 def l_sequence(matrix: DegreeMatrix) -> list[int]:
     """Prefix sums of the D sequence; the final entry is always -1."""
-    out = []
-    total = 0
-    for d in d_sequence(matrix):
-        total += d
-        out.append(total)
-    return out
+    return list(accumulate(d_sequence(matrix)))
 
 
 def is_lukasiewicz(values: Sequence[int]) -> bool:
@@ -111,15 +110,17 @@ def matrix_to_trie(matrix: DegreeMatrix) -> Trie:
 
     Scanning columns left to right, each new node attaches to the deepest
     pending edge on the left; the j-th edge out of a node takes the j-th
-    top-down one of that node's column.
+    top-down one of that node's column.  Rows are walked top-down, so each
+    out-set is filled in symbol order.
     """
     if not is_lukasiewicz(l_sequence(matrix)):
         raise ValueError("matrix not in image of f")
-    outsets = []
-    for j in range(matrix.n):
-        outsets.append(tuple(matrix.symbols[i]
-                             for i in range(matrix.sigma)
-                             if (matrix.rows[i] >> j) & 1))
+    outsets: list[list[int]] = [[] for _ in range(matrix.n)]
+    for symbol, row in zip(matrix.symbols, matrix.rows):
+        while row:
+            low = row & -row
+            outsets[low.bit_length() - 1].append(symbol)
+            row ^= low
     return Trie.from_outsets(outsets)
 
 
@@ -197,8 +198,8 @@ def enumerate_tries(dist: SymbolDistribution,
         raise ValueError("enumeration too large")
     symbols = _default_symbols(sigma)
     masks = list(range(1 << sigma))
-    mask_syms = [tuple(symbols[i] for i in range(sigma) if (m >> i) & 1)
-                 for m in masks]
+    mask_rows = [tuple(i for i in range(sigma) if (m >> i) & 1) for m in masks]
+    mask_syms = [tuple(symbols[i] for i in rows) for rows in mask_rows]
     mask_sizes = [m.bit_count() for m in masks]
 
     outsets: list[tuple[int, ...]] = [()] * n
@@ -209,7 +210,8 @@ def enumerate_tries(dist: SymbolDistribution,
             yield Trie.from_outsets(outsets)
             return
         for m in masks:
-            if any(rem[k] == 0 for k in range(sigma) if (m >> k) & 1):
+            rows = mask_rows[m]
+            if any(rem[k] == 0 for k in rows):
                 continue
             size = mask_sizes[m]
             nxt = avail - (1 if i > 0 else 0) + size
@@ -219,14 +221,12 @@ def enumerate_tries(dist: SymbolDistribution,
                 continue
             if i == n - 1 and nxt != 0:
                 continue
-            for k in range(sigma):
-                if (m >> k) & 1:
-                    rem[k] -= 1
+            for k in rows:
+                rem[k] -= 1
             outsets[i] = mask_syms[m]
             yield from rec(i + 1, nxt)
-            for k in range(sigma):
-                if (m >> k) & 1:
-                    rem[k] += 1
+            for k in rows:
+                rem[k] += 1
         outsets[i] = ()
 
     yield from rec(0, 0)
@@ -272,14 +272,21 @@ class DistributionCheck:
 
 
 def check_rotations(matrix: DegreeMatrix) -> bool:
-    """All n column rotations distinct, with exactly one valid inversion."""
+    """All n column rotations distinct, with exactly one valid inversion.
+
+    Every rotation is tested.  Rotation r moves the last r columns to the
+    front, so its D sequence is D cyclically shifted by r and its rows are
+    the rows rotated left by r bits; D is taken once.
+    """
     n = matrix.n
+    d = d_sequence(matrix)
+    rows = matrix.rows
+    mask = (1 << n) - 1
     seen = set()
     lukas = 0
     for r in range(n):
-        rot = rotate(matrix, r)
-        seen.add(rot.rows)
-        if is_lukasiewicz(l_sequence(rot)):
+        seen.add(tuple(((row << r) | (row >> (n - r))) & mask for row in rows))
+        if is_lukasiewicz(list(accumulate(d[n - r:] + d[:n - r]))):
             lukas += 1
     return len(seen) == n and lukas == 1
 
@@ -298,7 +305,11 @@ def verify_distribution(dist: SymbolDistribution,
     rt_ok = True
     for t in enumerate_tries(dist, cap):
         tries += 1
-        if matrix_to_trie(trie_to_matrix(t)) != t:
+        try:
+            back = matrix_to_trie(trie_to_matrix(t))
+        except ValueError:  # a trie's own matrix refused is a failed roundtrip
+            back = None
+        if back != t:
             rt_ok = False
     return DistributionCheck(dist, formula, matrices, tries, rot_ok, rt_ok)
 

@@ -228,6 +228,15 @@ def test_verify_small(capsys):
     assert "check   verify              pass" in out or "pass" in out
 
 
+@pytest.mark.parametrize("caps", [("0", "3"), ("-1", "3"), ("3", "0")])
+def test_verify_rejects_empty_sweep(capsys, caps):
+    """A sweep over no distribution checks nothing, so it must not pass."""
+    assert main(["verify", *caps]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: max_n and max_sigma must be positive\n"
+    assert captured.out == ""
+
+
 def _replace_first_vector(idx, blob: bytes) -> bytes:
     """The index file of idx with its first vector's blob swapped for blob,
     the CRC recomputed so that only the vector's own checks can object."""

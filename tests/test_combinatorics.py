@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from xbwtrie import (DegreeMatrix, SymbolDistribution, build_from_strings,
-                     canonical_rotation, count_all_tries, count_tries_formula,
-                     d_sequence, enumerate_matrices, enumerate_tries,
-                     format_matrix, is_lukasiewicz, l_sequence, matrix_to_trie,
+import xbwtrie.combinatorics
+from xbwtrie import (DegreeMatrix, SymbolDistribution, Trie,
+                     build_from_strings, canonical_rotation, count_all_tries,
+                     count_tries_formula, d_sequence, enumerate_matrices,
+                     enumerate_tries, format_matrix, is_lukasiewicz,
+                     l_sequence, matrix_to_trie, random_distribution,
                      random_matrix, random_trie, rotate, trie_to_matrix)
 from xbwtrie.combinatorics import (check_rotations, feasible_distributions,
                                    verify_distribution)
@@ -49,6 +51,72 @@ def test_d_l_sequences():
     zero = DegreeMatrix(1, 1, (0,), (97,))
     assert d_sequence(zero) == [-1]
     assert l_sequence(zero) == [-1]
+
+
+def _column_d_sequence(m: DegreeMatrix) -> list[int]:
+    """Reference D: count the ones of each column, one column at a time."""
+    return [sum((row >> j) & 1 for row in m.rows) - 1 for j in range(m.n)]
+
+
+def _column_matrix_to_trie(m: DegreeMatrix) -> Trie:
+    """Reference inversion: read each column's symbols top-down."""
+    d = _column_d_sequence(m)
+    if not is_lukasiewicz([sum(d[:i + 1]) for i in range(m.n)]):
+        raise ValueError("matrix not in image of f")
+    return Trie.from_outsets([
+        tuple(m.symbols[i] for i in range(m.sigma) if (m.rows[i] >> j) & 1)
+        for j in range(m.n)])
+
+
+def _column_canonical_rotation(m: DegreeMatrix) -> int:
+    """Reference canonical rotation: right after the first minimum prefix."""
+    d = _column_d_sequence(m)
+    prefixes = [sum(d[:i]) for i in range(1, m.n + 1)]
+    low = min(0, *prefixes)
+    return (m.n - (0 if low == 0 else prefixes.index(low) + 1)) % m.n
+
+
+def _random_weights(rng: random.Random, n: int, sigma: int) -> tuple:
+    """n - 1 edges spread over sigma rows; some rows may get none."""
+    counts = [0] * sigma
+    for _ in range(n - 1):
+        counts[rng.randrange(sigma)] += 1
+    return tuple(counts)
+
+
+def test_one_pass_matches_column_reference():
+    rng = random.Random(15)
+    zero_rows = past_26 = 0
+    for _ in range(150):
+        n = rng.randint(1, 400)
+        sigma = rng.randint(1, 30)
+        m = random_matrix(rng, SymbolDistribution(n, _random_weights(
+            rng, n, sigma)))
+        zero_rows += 0 in m.rows
+        past_26 += m.symbols[0] == 1
+        assert d_sequence(m) == _column_d_sequence(m)
+        canon = rotate(m, _column_canonical_rotation(m))
+        assert matrix_to_trie(canon) == _column_matrix_to_trie(canon)
+        if canon is not m:
+            with pytest.raises(ValueError, match="matrix not in image of f"):
+                matrix_to_trie(m)
+    assert zero_rows and past_26
+    zero = DegreeMatrix(1, 1, (0,), (97,))
+    assert d_sequence(zero) == _column_d_sequence(zero) == [-1]
+    assert matrix_to_trie(zero) == _column_matrix_to_trie(zero)
+
+
+def test_random_trie_matches_column_reference():
+    """Same seed, same draws, same tries as the column-by-column path."""
+    fast, ref = random.Random(3), random.Random(3)
+    for _ in range(150):
+        trie = random_trie(fast, 400, 30)
+        n = ref.randint(1, 400)
+        dist = random_distribution(ref, n, ref.randint(1, 30))
+        m = random_matrix(ref, dist)
+        assert trie == _column_matrix_to_trie(
+            rotate(m, _column_canonical_rotation(m)))
+    assert fast.getstate() == ref.getstate()
 
 
 def test_is_lukasiewicz():
@@ -103,11 +171,8 @@ def test_canonical_rotation_matches_exhaustive_scan():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 12)
-        sigma = rng.randint(1, 3)
-        counts = [0] * sigma
-        for _ in range(n - 1):
-            counts[rng.randrange(sigma)] += 1
-        m = random_matrix(rng, SymbolDistribution(n, tuple(counts)))
+        m = random_matrix(rng, SymbolDistribution(n, _random_weights(
+            rng, n, rng.randint(1, 3))))
         valid = [r for r in range(n)
                  if is_lukasiewicz(l_sequence(rotate(m, r)))]
         assert valid == [canonical_rotation(m)]
@@ -170,11 +235,8 @@ def test_roundtrip_matrix_trie_matrix():
     rng = random.Random(13)
     for _ in range(100):
         n = rng.randint(1, 15)
-        sigma = rng.randint(1, 3)
-        counts = [0] * sigma
-        for _ in range(n - 1):
-            counts[rng.randrange(sigma)] += 1
-        m = random_matrix(rng, SymbolDistribution(n, tuple(counts)))
+        m = random_matrix(rng, SymbolDistribution(n, _random_weights(
+            rng, n, rng.randint(1, 3))))
         canon = rotate(m, canonical_rotation(m))
         trie = matrix_to_trie(canon)
         back = trie_to_matrix(trie)
@@ -214,6 +276,16 @@ def test_check_rotations_and_verify_distribution():
     assert check_rotations(mat(TOP))
     res = verify_distribution(SymbolDistribution(7, (1, 3, 2)))
     assert res.ok and res.formula == 735 and res.matrices == 735 * 7
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_check_rotations_can_fail(monkeypatch, verdict):
+    """Each rotation's Lukasiewicz test counts: if all or none pass, the
+    exactly-one-valid check fails."""
+    monkeypatch.setattr(xbwtrie.combinatorics, "is_lukasiewicz",
+                        lambda values: verdict)
+    assert not check_rotations(mat(TOP))
+    assert not verify_distribution(SymbolDistribution(7, (1, 3, 2))).ok
 
 
 def test_feasible_distributions_count():
