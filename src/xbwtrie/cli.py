@@ -103,15 +103,16 @@ def _load_trie(path: str) -> Trie:
 def cmd_build(args) -> int:
     trie = build_from_strings(_load_strings(args.input))
     costs = {}
+    data = None
     for mode in xidx.MODES:  # each built once; only the kept index stays
         probe = xidx.build_index(trie, mode)
         costs[mode] = xidx.index_bits(probe)
-        # 'auto' keeps the fewest bits so far, the first mode on a tie
-        best = min(costs, key=lambda m: costs[m].total)
-        if mode == (best if args.mode == "auto" else args.mode):
-            idx = probe
+        if args.mode in ("auto", mode):
+            blob = xidx.serialize(probe)
+            # 'auto' keeps the smallest file so far, the first mode on a tie
+            if data is None or len(blob) < len(data):
+                idx, data = probe, blob
         del probe
-    data = xidx.serialize(idx)
     with open(args.output, "wb") as fh:
         fh.write(data)
     rows = [("metric", "n", "-", str(idx.n)),

@@ -57,6 +57,17 @@ class DegreeMatrix:
             raise ValueError("total ones must be n - 1")
         object.__setattr__(self, "row_counts", counts)
 
+    @classmethod
+    def _trusted(cls, sigma: int, n: int, rows: tuple[int, ...],
+                 symbols: tuple[int, ...], row_counts: tuple[int, ...]
+                 ) -> DegreeMatrix:
+        """A matrix whose rows and row counts hold by construction, made
+        without the checks of ``__post_init__``."""
+        self = cls.__new__(cls)
+        self.__dict__.update(sigma=sigma, n=n, rows=rows, symbols=symbols,
+                             row_counts=row_counts)
+        return self
+
 
 def trie_to_matrix(trie: Trie) -> DegreeMatrix:
     """Out-label indicator matrix of the pre-order node sequence."""
@@ -177,10 +188,13 @@ def enumerate_matrices(dist: SymbolDistribution,
     _check_cap(dist, cap)
     n, sigma = dist.n, dist.sigma
     symbols = _default_symbols(sigma)
-    per_row = [combinations(range(n), c) for c in dist.counts]
+    counts = tuple(dist.counts)
+    per_row = [combinations(range(n), c) for c in counts]
+    # row i has counts[i] distinct bits below n, and the counts of a
+    # distribution sum to n - 1: what the public constructor checks
     for choice in product(*per_row):
         rows = tuple(sum(1 << p for p in positions) for positions in choice)
-        yield DegreeMatrix(sigma, n, rows, symbols)
+        yield DegreeMatrix._trusted(sigma, n, rows, symbols, counts)
 
 
 def enumerate_tries(dist: SymbolDistribution,

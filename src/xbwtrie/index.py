@@ -27,7 +27,7 @@ from .trie import Alphabet, Trie, colex_order
 MODES = ("plain", "fid", "id", "fixedblock")
 
 MAGIC = b"XBWT"
-VERSION = 4
+VERSION = 5
 
 # A file's header can declare any n (a 39-byte ID file holds a path trie of
 # 2^40 nodes), so the operations that allocate n-entry lists refuse larger n.
@@ -154,9 +154,11 @@ def default_block_size(n: int) -> int:
     at least 2.
 
     A block of length 2^j - 2 is the longest whose in-block positions take
-    j bits, so each step up from it costs every stored position a bit.  A
-    sweep over both kinds of corpus put the smallest file and accounted
-    total near this b (ROADMAP item 3).
+    j bits, so each step up from it costs a bit per position an in-memory
+    block keeps; a sweep over both kinds of corpus put the smallest
+    version-4 file near this b.  A file now stores each block's enumerative
+    rank, whose width has no such step, and its b must lie in
+    1..``default_block_size(MAX_NODES)`` = 510.
     """
     logn = max(1, (n - 1).bit_length())  # ceil(log2 n), at least 1
     return max(2, (1 << (logn * logn + 2).bit_length() - 1) - 2)
@@ -195,16 +197,16 @@ def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
 def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
     """Index the trie with the selected bitvector back-end.
 
-    'auto' builds the back-ends one by one and keeps the one with the least
-    ``index_bits(...).total``, the first in ``MODES`` on a tie.
+    'auto' builds the back-ends one by one and keeps the one with the
+    smallest file, ``len(serialize(...))``, the first in ``MODES`` on a tie.
     In ID mode a symbol occurring on more than half the nodes is stored as
     its complement, which changes the measured size but no query answer.
     Fixed-block vectors cut their columns into ``default_block_size(n)``-bit
-    blocks, each stored in its cheapest kind.
+    blocks, each kept in its cheapest kind.
     """
     if mode == "auto":
         return min((build_index(trie, m) for m in MODES),
-                   key=lambda idx: index_bits(idx).total)
+                   key=lambda idx: len(serialize(idx)))
     n = trie.n
     alphabet = trie.alphabet
     columns = xbwt_columns(trie)

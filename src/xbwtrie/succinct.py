@@ -10,10 +10,11 @@ Four interchangeable representations of a static bitvector:
 * ``IdVector``         -- explicit one-positions supporting select directly
                           and rank by binary search; optionally stores the
                           complement when ones dominate.
-* ``FixedBlockVector`` -- fixed-size blocks, each stored as the cheapest of
+* ``FixedBlockVector`` -- fixed-size blocks, each kept as the cheapest of
                           its one-positions, its zero-positions (an inner
                           ID vector) or its raw bits, plus a precomputed
-                          block-rank table.
+                          block-rank table; a file stores each block as
+                          its enumerative rank, in ceil(log C(b, k)) bits.
 
 Positions are 1-based; ``rank(i)`` counts ones in positions 1..i inclusive
 and ``rank(0) == 0``.  The four public queries ``rank``, ``access``,
@@ -507,30 +508,44 @@ class IdVector(Bitvector):
         return len(self._pos)
 
 
-# the stored kinds of a fixed block
+# the in-memory kinds of a fixed block
 SPARSE, COMPLEMENTED, RAW = 0, 1, 2
 
 
-def _block_layout(k: int, blen: int) -> tuple[int, int, int]:
-    """(kind, items, width) of a fixed block of blen bits holding k ones.
+def _block_kind(k: int, blen: int) -> int:
+    """The in-memory kind of a fixed block of blen bits holding k ones.
 
-    The block is stored as the cheapest of its k one-positions (SPARSE),
-    its blen - k zero-positions (COMPLEMENTED), both at
+    The block is kept as the cheapest of its k one-positions (SPARSE), its
+    blen - k zero-positions (COMPLEMENTED), both at
     ``_position_width(blen)`` bits, or its blen bits as one int (RAW), the
-    first in that order on a tie.  The kind follows from (k, blen), so a
-    file stores none.  k must lie in 0..blen.
+    first in that order on a tie.  SPARSE implies 2k <= blen and
+    COMPLEMENTED 2k > blen.  k must lie in 0..blen.
     """
     w = _position_width(blen)
     if k * w <= min((blen - k) * w, blen):
-        return SPARSE, k, w
+        return SPARSE
     if (blen - k) * w <= blen:
-        return COMPLEMENTED, blen - k, w
-    return RAW, 1, blen
+        return COMPLEMENTED
+    return RAW
+
+
+def _block_child(blen: int, k: int, members: Sequence[int],
+                 zeros: bool) -> IdVector | int:
+    """The child of a block of blen bits holding k ones, from the ascending
+    in-block positions of its ones, or of its zeros when ``zeros``."""
+    kind = _block_kind(k, blen)
+    if kind == RAW:
+        word = sum(1 << p for p in members) >> 1
+        return word ^ ((1 << blen) - 1) if zeros else word
+    if (kind == COMPLEMENTED) != zeros:
+        present = set(members)
+        members = [p for p in range(1, blen + 1) if p not in present]
+    return IdVector._restore(blen, members, kind == COMPLEMENTED)
 
 
 class FixedBlockVector(Bitvector):
-    """Fixed-size blocks, each stored in the cheapest of three kinds (see
-    :func:`_block_layout`), with a precomputed table of ranks preceding
+    """Fixed-size blocks, each kept in the cheapest of three kinds (see
+    :func:`_block_kind`), with a precomputed table of ranks preceding
     every block.
 
     A sparse or complemented block is an inner ``IdVector``; a raw block is
@@ -550,39 +565,17 @@ class FixedBlockVector(Bitvector):
         if positions and not (1 <= positions[0] and positions[-1] <= m):
             raise ValueError("one-position out of range")
         counts: list[int] = []
-        items: list[int] = []
+        children: list[IdVector | int] = []
         at = 0
         for base, blen in zip(range(0, m, b), _block_lens(m, b)):
             end = bisect_right(positions, base + blen, at)
             pos = [p - base for p in positions[at:end]]  # in-block, 1-based
             at = end
-            kind = _block_layout(len(pos), blen)[0]
-            if kind == SPARSE:
-                items += pos
-            elif kind == COMPLEMENTED:
-                present = set(pos)
-                items += [p for p in range(1, blen + 1) if p not in present]
-            else:
-                items.append(sum(1 << p for p in pos) >> 1)
             counts.append(len(pos))
-        self._init(m, b, counts, items)
+            children.append(_block_child(blen, len(pos), pos, False))
+        self._init(m, b, counts, children)
 
-    def _init(self, m, b, counts, items):
-        # stored form: the blocks' one-counts, then every block's items in
-        # the kind its count derives
-        children: list[IdVector | int] = []
-        at = 0
-        for blen, k in zip(_block_lens(m, b), counts):
-            kind, size, _ = _block_layout(k, blen)
-            body = items[at:at + size]
-            at += size
-            if kind == RAW:
-                if body[0].bit_count() != k:
-                    raise ValueError("raw block does not hold its count")
-                children.append(body[0])
-            else:
-                children.append(
-                    IdVector._restore(blen, body, kind == COMPLEMENTED))
+    def _init(self, m, b, counts, children):
         self.m = m
         self.b = b
         self.children = tuple(children)
@@ -634,13 +627,11 @@ class FixedBlockVector(Bitvector):
                    (hi - lo for lo, hi in zip(R, R[1:])), self.children)
 
     def payload_bits(self) -> BitCost:
-        payload = stored = 0
-        for blen, k, _ in self._blocks():
-            _, size, width = _block_layout(k, blen)
-            payload += ceil_log2_comb(blen, k)
-            stored += size * width
-        directory = len(self._R) * (self.m + 1).bit_length()
-        return BitCost(payload, stored - payload + directory)
+        """Each block's body is the rank of its ones among the C(l, k)
+        placements, which a file stores at ceil(log2 C(l, k)) bits; the
+        overhead is the _R directory."""
+        payload = sum(ceil_log2_comb(blen, k) for blen, k, _ in self._blocks())
+        return BitCost(payload, len(self._R) * (self.m + 1).bit_length())
 
     def stored_items(self) -> int:
         """One per block, plus the positions of an ID child or the 64-bit
@@ -697,6 +688,67 @@ def _unpack_bitstream(data: bytes, widths: Sequence[int]) -> list[int]:
     return out
 
 
+# A fixed-block body is the rank of the block's ones, or of its zeros when
+# ones are the majority, in the combinatorial number system: the j-set
+# {c_1 < ... < c_j} of 0-based in-block positions has rank sum C(c_i, i),
+# which lies in 0..C(l, j) - 1 and takes ceil(log2 C(l, j)) bits.  A file's
+# b lies in 1..MAX_FILE_BLOCK = default_block_size(index.MAX_NODES), so the
+# Pascal columns that rank and unrank its blocks hold at most 255 x 511
+# entries, whatever a header declares.
+MAX_FILE_BLOCK = 510
+
+_PASCAL: list[list[int]] = [[]]  # _PASCAL[j][p] = C(p, j) for j >= 1
+
+
+def _pascal(size: int) -> list[list[int]]:
+    """Columns C(p, j) for p in 0..size and 1 <= j <= size // 2; column 0
+    is left empty, since a rank never reads C(p, 0).
+
+    One table is kept, the largest asked for, and serves every smaller
+    size.  Column j holds the prefix sums of column j - 1 (C(p, j) is the
+    sum of C(q, j - 1) over q < p), so it is built by addition alone.
+    """
+    if size // 2 >= len(_PASCAL) or (size > 1 and len(_PASCAL[1]) <= size):
+        cols = [[], list(range(size + 1))]
+        while len(cols) <= size // 2:
+            cols.append([0, *accumulate(cols[-1][:size])])
+        _PASCAL[:] = cols
+    return _PASCAL
+
+
+def _binomials(cols: list[list[int]], blen: int) -> list[int]:
+    """C(blen, k) for k in 0..blen, read off the columns."""
+    return [cols[min(k, blen - k)][blen] if 0 < k < blen else 1
+            for k in range(blen + 1)]
+
+
+def _block_members(child: IdVector | int, blen: int, zeros: bool
+                   ) -> Sequence[int]:
+    """The ascending in-block positions of a block's ones, or of its zeros
+    when ``zeros``."""
+    if child.__class__ is not int:
+        # a sparse child stores its ones and a complemented one its zeros,
+        # and the kinds imply 2k <= blen and 2k > blen: the ranked sets
+        return child._pos
+    out: list[int] = []
+    _extend_set_bits(out, child ^ ((1 << blen) - 1) if zeros else child, 1)
+    return out
+
+
+def _unrank(cols: list[list[int]], r: int, j: int, blen: int) -> list[int]:
+    """The ascending 1-based positions of the j-set of rank r in blen bits;
+    r must be below C(blen, j).  Each c_i, from the largest down, is the
+    last p with C(p, i) <= what is left of r, found by one bisect."""
+    out = [0] * j
+    hi = blen
+    for i in range(j, 0, -1):
+        col = cols[i]
+        hi = bisect_right(col, r, i, hi) - 1
+        r -= col[hi]
+        out[i - 1] = hi + 1
+    return out
+
+
 def serialize_bitvector(v: Bitvector) -> bytes:
     """The stored body of v, without its kind or length."""
     if isinstance(v, PlainBitvector):
@@ -712,15 +764,21 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         return (struct.pack("<BQ", int(v.complemented), k)
                 + _pack_bitstream(v._pos, [_position_width(v.m)] * k))
     if isinstance(v, FixedBlockVector):
-        counts, items, widths = [], [], []
+        if not 1 <= v.b <= MAX_FILE_BLOCK:
+            raise ValueError(f"bad fixed block size {v.b}")
+        cols = _pascal(v.b)
+        rows = {blen: _binomials(cols, blen)
+                for blen in {v.b, v.m % v.b or v.b}}
+        counts, ranks, widths = [], [], []
         for blen, k, child in v._blocks():
-            _, size, width = _block_layout(k, blen)
+            members = _block_members(child, blen, 2 * k > blen)
             counts.append(k)
-            items += (child,) if child.__class__ is int else child._pos
-            widths += [width] * size
+            ranks.append(sum(cols[i][p - 1]
+                             for i, p in enumerate(members, start=1)))
+            widths.append((rows[blen][k] - 1).bit_length())
         return (struct.pack("<Q", v.b)
                 + _pack_bitstream(counts, [v.b.bit_length()] * len(counts))
-                + _pack_bitstream(items, widths))
+                + _pack_bitstream(ranks, widths))
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
@@ -775,33 +833,44 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
     if kind == "fixedblock":
         head, off = _take(buf, off, 8)
         (b,) = struct.unpack("<Q", head)
-        if b < 1:
+        if not 1 <= b <= MAX_FILE_BLOCK:
             raise ValueError(f"bad fixed block size {b}")
         nblocks = (m + b - 1) // b
         bw = b.bit_length()
         view = memoryview(buf)
         stream, off = _take(view, off, (nblocks * bw + 7) // 8)
-        # each block's body size follows from its count; the sizes are
+        cols = _pascal(b)
+        last = m - (nblocks - 1) * b
+        rows = {blen: _binomials(cols, blen) for blen in {b, last}}
+        row_widths = {blen: [(c - 1).bit_length() for c in row]
+                      for blen, row in rows.items()}
+        # each block's body width follows from its count; the widths are
         # summed as the counts are read, a chunk of _COUNT_CHUNK at a time,
         # and a sum past the buffer is refused before the next chunk
         room = 8 * (len(buf) - off)
-        last = m - (nblocks - 1) * b
         counts: list[int] = []
         widths: list[int] = []
         for first in range(0, nblocks, _COUNT_CHUNK):
             chunk = stream[first * bw // 8:][:_COUNT_CHUNK * bw // 8]
             for k in _unpack_bitstream(
                     chunk, [bw] * min(_COUNT_CHUNK, nblocks - first)):
-                blen = b if len(counts) < nblocks - 1 else last
-                if k > blen:
+                row = row_widths[b if len(counts) < nblocks - 1 else last]
+                if k >= len(row):
                     raise ValueError("more stored positions than bits")
-                _, size, width = _block_layout(k, blen)
-                room -= size * width
+                room -= row[k]
                 if room < 0:
                     raise ValueError("truncated")
                 counts.append(k)
-                widths += [width] * size
+                widths.append(row[k])
         stream, off = _take(view, off, (sum(widths) + 7) // 8)
-        items = _unpack_bitstream(stream, widths)
-        return FixedBlockVector._restore(m, b, counts, items), off
+        children = []
+        for blen, k, r in zip(_block_lens(m, b), counts,
+                              _unpack_bitstream(stream, widths)):
+            if r >= rows[blen][k]:
+                raise ValueError("fixed block rank out of range")
+            zeros = 2 * k > blen
+            children.append(_block_child(
+                blen, k, _unrank(cols, r, blen - k if zeros else k, blen),
+                zeros))
+        return FixedBlockVector._restore(m, b, counts, children), off
     raise ValueError(f"unknown back-end {kind!r}")

@@ -83,6 +83,36 @@ def test_build_and_stats_sort_once(fig_file, tmp_path, monkeypatch, capsys,
     assert len(calls) == 1
 
 
+def _words(seed, count):
+    import random
+    rng = random.Random(seed)
+    return b"".join(bytes(rng.choice(b"abcdefgh")
+                          for _ in range(rng.randint(3, 12))) + b"\n"
+                    for _ in range(count))
+
+
+@pytest.mark.parametrize("text", [FIG, b"a\nb\n", b"\n", _words(1, 5000)],
+                         ids=["figure", "a-b", "single", "words-5k"])
+def test_build_auto_writes_smallest_file(tmp_path, capsys, text):
+    """`build` without --mode writes the smallest of the four files, the
+    first mode on a tie, and reports that mode and its size."""
+    src = tmp_path / "in.txt"
+    src.write_bytes(text)
+    sizes = {}
+    for mode in (*xbwtrie.index.MODES, "auto"):
+        out = tmp_path / f"{mode}.xbwt"
+        assert main(["build", str(src), "--output", str(out), "--mode", mode,
+                     "--format", "tsv"]) == 0
+        rows = dict(line.split("\t")[0::2]
+                    for line in capsys.readouterr().out.splitlines())
+        sizes[mode] = out.stat().st_size
+        assert rows["bytes"] == str(sizes[mode])
+    best = min(xbwtrie.index.MODES, key=sizes.get)
+    assert rows["mode"] == best
+    assert (tmp_path / "auto.xbwt").read_bytes() == \
+        (tmp_path / f"{best}.xbwt").read_bytes()
+
+
 def test_build_trailing_newline_only(tmp_path, capsys):
     src = tmp_path / "empty_string.txt"
     src.write_bytes(b"\n")
@@ -363,6 +393,19 @@ def test_count_rejects_version_3_file(tmp_path, capsys):
     path.write_bytes(V3_FIXEDBLOCK_FILE)
     assert main(["count", str(path), "b"]) == 1
     assert capsys.readouterr().err == "error: version mismatch: 3\n"
+
+
+# the fixed-block index of the same strings as version 4 wrote it
+V4_FIXEDBLOCK_FILE = bytes.fromhex(
+    "584257540400030003000000000000000300006162020000000000000001010200"
+    "0000000000000101b71ee30b")
+
+
+def test_count_rejects_version_4_file(tmp_path, capsys):
+    path = tmp_path / "v4.xbwt"
+    path.write_bytes(V4_FIXEDBLOCK_FILE)
+    assert main(["count", str(path), "b"]) == 1
+    assert capsys.readouterr().err == "error: version mismatch: 4\n"
 
 
 def test_stats_refuses_index_too_large(tmp_path, capsys):

@@ -186,6 +186,30 @@ def test_enumerate_matrices_small():
     assert len(only) == 1 and only[0].rows == (0,)
 
 
+@pytest.mark.parametrize("n, counts", [
+    (1, (0,)), (2, (1,)), (3, (1, 1)), (4, (0, 3)), (5, (2, 0, 2)),
+    (6, (1, 2, 2)), (7, (3, 2, 1)), (8, (0, 0, 7)), (27, (26,)),
+])
+def test_enumerated_matrices_equal_checked_ones(n, counts):
+    """Each matrix enumerate_matrices makes without the constructor's
+    checks equals the one the public constructor builds from its rows."""
+    out = list(enumerate_matrices(SymbolDistribution(n, counts)))
+    assert len({m.rows for m in out}) == len(out)
+    for m in out:
+        checked = DegreeMatrix(m.sigma, m.n, m.rows, m.symbols)
+        assert m == checked and hash(m) == hash(checked)
+        assert m.row_counts == checked.row_counts == counts
+
+
+def test_enumerate_matrices_skips_checks(monkeypatch):
+    calls = []
+    monkeypatch.setattr(DegreeMatrix, "__post_init__",
+                        lambda self: calls.append(self))
+    assert sum(1 for _ in enumerate_matrices(
+        SymbolDistribution(7, (3, 2, 1)))) == 35 * 21 * 7
+    assert calls == []
+
+
 def test_enumerate_matrices_cap():
     with pytest.raises(ValueError, match="enumeration too large"):
         list(enumerate_matrices(SymbolDistribution(8, (3, 2, 2)), cap=10))

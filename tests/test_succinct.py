@@ -347,14 +347,19 @@ def test_serialized_framing():
     assert serialize_bitvector(IdVector(m, ones, complemented=True)) == \
         b"\x01" + struct.pack("<Q", 4) + b"\x42\x75"
     # fixed-block: u64 b, the blocks' one-counts at b.bit_length() = 3 bits
-    # (2 | 1 << 3), then one stream of block bodies, each in the kind its
-    # count derives, positions at w = (block length + 1).bit_length() bits.
-    # 10100 holds 2 ones, w = 3: sparse 2 * 3 = 6, complemented 3 * 3 = 9,
-    # raw 5 bits, so raw 0b00101.  10 holds 1 one, w = 2: sparse, complemented
-    # and raw all cost 2 bits, and the tie goes to sparse, position 1 at
-    # 2 bits.  The stream is 0b00101 | 1 << 5
+    # (2 | 1 << 3), then one stream of block bodies: each block's rank, in
+    # the combinatorial number system, of its ones (of its zeros when 2k > l)
+    # at ceil(log2 C(l, k)) bits.  10100 holds the ones {0, 2} (0-based):
+    # C(0, 1) + C(2, 2) = 1 at ceil(log2 C(5, 2) = 10) = 4 bits.  10 holds
+    # the one {0}: C(0, 1) = 0 at ceil(log2 C(2, 1) = 2) = 1 bit.  The
+    # stream is 1 | 0 << 4
     assert serialize_bitvector(FixedBlockVector(m, ones, b=5)) == \
-        struct.pack("<Q", 5) + bytes((2 | 1 << 3, 0b00101 | 1 << 5))
+        struct.pack("<Q", 5) + bytes((2 | 1 << 3, 1))
+    # 11011 holds 4 ones, so its zero {2} is ranked: C(2, 1) = 2 at
+    # ceil(log2 C(5, 4) = 5) = 3 bits; 11 is full, C(2, 2) = 1, 0 bits
+    assert serialize_bitvector(FixedBlockVector(7, [1, 2, 4, 5, 6, 7],
+                                                b=5)) == \
+        struct.pack("<Q", 5) + bytes((4 | 2 << 3, 2))
 
 
 def _costs(k, blen):
@@ -437,33 +442,104 @@ def test_fixed_block_kinds_follow_argmin():
 
 
 def test_fixed_block_stored_bits():
-    """A body holds b, the counts and exactly the bits of each block's
-    cheapest kind, which the accounting charges beside _R; a raw block
-    counts its 64-bit words as stored items."""
+    """A body holds b, the counts and each block's rank at exactly the
+    ceil(log2 C(l, k)) bits the payload charges, and the overhead is the
+    _R directory alone; a raw block counts its 64-bit words as stored
+    items."""
     for v, bits in _kind_vectors():
         blocks = list(_blocks_of(v, bits))
-        stored = sum(min(_costs(k, blen)) for blen, k, _ in blocks)
+        payload = sum(ceil_log2_comb(blen, k) for blen, k, _ in blocks)
         items = sum(1 + (k, blen - k, (blen + 63) // 64)[_child_kind(child)]
                     for blen, k, child in blocks)
         cost = v.payload_bits()
-        assert cost.payload == sum(ceil_log2_comb(blen, k)
-                                   for blen, k, _ in blocks)
-        assert cost.total == \
-            stored + (len(blocks) + 1) * (v.m + 1).bit_length()
+        assert cost.payload == payload
+        assert cost.overhead == (len(blocks) + 1) * (v.m + 1).bit_length()
         body = serialize_bitvector(v)
         assert len(body) == (8 + (len(blocks) * v.b.bit_length() + 7) // 8
-                             + (stored + 7) // 8)
+                             + (payload + 7) // 8)
         assert v.stored_items() == items
 
 
-def test_fixed_block_raw_count_checked():
-    """A raw block whose bits disagree with its stored count is refused."""
-    v = FixedBlockVector(5, [1, 3], b=5)  # 10100: raw, see the framing test
-    assert isinstance(v.children[0], int)
-    body = bytearray(serialize_bitvector(v))
-    body[-1] ^= 0b10  # position 2 set: three ones under a count of two
-    with pytest.raises(ValueError, match="raw block does not hold its count"):
-        deserialize_bitvector("fixedblock", 5, bytes(body))
+def _combination_rank(members):
+    """sum C(c_i, i) over the ascending 0-based positions c_1 < c_2 < ..."""
+    return sum(math.comb(c, i) for i, c in enumerate(members, start=1))
+
+
+def test_fixed_block_body_is_combination_rank():
+    """Every block body is the rank of its ones (its zeros when 2k > l),
+    and the ranks of the j-sets of l bits are exactly 0..C(l, j) - 1."""
+    from itertools import combinations
+    for blen in range(1, 11):
+        for j in range(blen + 1):
+            ranks = sorted(_combination_rank(c)
+                           for c in combinations(range(blen), j))
+            assert ranks == list(range(math.comb(blen, j)))
+    for v, bits in _kind_vectors():
+        body = serialize_bitvector(v)
+        counts_end = 8 + (len(v.children) * v.b.bit_length() + 7) // 8
+        stream = int.from_bytes(body[counts_end:], "little")
+        for blen, k, _ in _blocks_of(v, bits):
+            block = bits[:blen]
+            bits = bits[blen:]
+            ranked = 1 if 2 * k <= blen else 0
+            width = ceil_log2_comb(blen, k)
+            assert stream & ((1 << width) - 1) == _combination_rank(
+                [c for c in range(blen) if block[c] == ranked])
+            stream >>= width
+        assert stream == 0
+
+
+def _fixed_block_body(b, counts, ranks, widths):
+    import struct
+    return (struct.pack("<Q", b)
+            + _pack_bitstream(counts, [b.bit_length()] * len(counts))
+            + _pack_bitstream(ranks, widths))
+
+
+def test_fixed_block_rank_checked():
+    """A block rank at or past C(l, k) is refused; C(l, k) - 1 loads."""
+    # one 10-bit block of 3 ones (7 bits, C(10, 3) = 120) and one 4-bit
+    # block of 3 ones, whose single zero is ranked (2 bits, C(4, 1) = 4)
+    for ranks, ok in (((119, 3), True), ((120, 0), False),
+                      ((127, 0), False), ((0, 3), True)):
+        body = _fixed_block_body(10, [3, 3], ranks, [7, 2])
+        if ok:
+            v, _ = deserialize_bitvector("fixedblock", 14, body)
+            assert serialize_bitvector(v) == body
+        else:
+            with pytest.raises(ValueError,
+                               match="^fixed block rank out of range$"):
+                deserialize_bitvector("fixedblock", 14, body)
+    # the last block: zero {3} has rank C(3, 1) = 3, the largest below 4;
+    # its ones are 1, 2 and 3 of the block, 11 to 13 of the vector
+    v, _ = deserialize_bitvector(
+        "fixedblock", 14, _fixed_block_body(10, [3, 3], [0, 3], [7, 2]))
+    assert v.one_positions() == [1, 2, 3, 11, 12, 13]
+
+
+def test_fixed_block_file_size_bounded():
+    """b outside 1..510 (default_block_size(MAX_NODES)) is refused on write
+    and on load, and every legal b keeps the Pascal table at 255 x 511
+    entries or fewer."""
+    from xbwtrie import index
+    from xbwtrie import succinct
+    assert succinct.MAX_FILE_BLOCK == \
+        index.default_block_size(index.MAX_NODES) == 510
+    ones = range(1, 1200, 3)
+    for b in (511, 585, 2 ** 40):
+        with pytest.raises(ValueError, match=f"^bad fixed block size {b}$"):
+            serialize_bitvector(FixedBlockVector(1200, ones, b))
+        body = bytearray(serialize_bitvector(FixedBlockVector(1200, ones,
+                                                              510)))
+        body[:8] = b.to_bytes(8, "little")
+        with pytest.raises(ValueError, match=f"^bad fixed block size {b}$"):
+            deserialize_bitvector("fixedblock", 1200, bytes(body))
+    for b in (1, 2, 3, 254, 509, 510):
+        v = FixedBlockVector(1200, ones, b)
+        back, _ = deserialize_bitvector("fixedblock", 1200,
+                                        serialize_bitvector(v))
+        assert back.one_positions() == list(ones)
+        assert sum(map(len, succinct._PASCAL)) <= 255 * 511
 
 
 # --- byte-level construction and loading ------------------------------------
@@ -601,19 +677,21 @@ def test_huge_header_length_checked_before_allocating():
         deserialize_bitvector("fid", m, b"\x01\x00")
     with pytest.raises(ValueError, match="truncated"):
         deserialize_bitvector("fixedblock", m, struct.pack("<Q", 1))
-    # 2^22 blocks of b = 2^40 bits whose stored counts claim one position
-    # each, 41 bits per block body (a full block's body is empty): the
-    # 21.5 MB of counts are refused at the first body past the buffer, with
-    # no list of 2^22 counts or widths
+    with pytest.raises(ValueError, match="bad fixed block size"):
+        deserialize_bitvector("fixedblock", m, struct.pack("<Q", 2 ** 40))
+    # 2^22 blocks of b = 510 bits whose stored counts claim one position
+    # each, a 9-bit rank per block body (a full block's body is empty):
+    # the 4.7 MB of counts are refused at the first body past the buffer,
+    # with no list of 2^22 counts or widths
     import tracemalloc
-    b = 2 ** 40
-    counts = _pack_bitstream([1] * 8, [41] * 8) * (2 ** 19)  # 8 per 41 bytes
+    b = 510
+    counts = _pack_bitstream([1] * 8, [9] * 8) * (2 ** 19)  # 8 per 9 bytes
     data = struct.pack("<Q", b) + counts
     del counts
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="truncated"):
-            deserialize_bitvector("fixedblock", m, data)
+            deserialize_bitvector("fixedblock", b * 2 ** 22, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
