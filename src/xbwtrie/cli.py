@@ -102,26 +102,23 @@ def _load_trie(path: str) -> Trie:
 
 def cmd_build(args) -> int:
     trie = build_from_strings(_load_strings(args.input))
-    costs = {}
     data = None
-    for mode in xidx.MODES:  # each built once; only the kept index stays
-        probe = xidx.build_index(trie, mode)
-        costs[mode] = xidx.index_bits(probe)
-        if args.mode in ("auto", mode):
-            blob = xidx.serialize(probe)
-            # 'auto' keeps the smallest file so far, the first mode on a tie
-            if data is None or len(blob) < len(data):
-                idx, data = probe, blob
-        del probe
+    # only the named mode is built; 'auto' builds each in turn and keeps the
+    # smallest file so far, the first mode on a tie
+    for mode in (xidx.MODES if args.mode == "auto" else (args.mode,)):
+        blob = xidx.serialize(xidx.build_index(trie, mode))
+        if data is None or len(blob) < len(data):
+            kept, data = mode, blob
     with open(args.output, "wb") as fh:
         fh.write(data)
-    rows = [("metric", "n", "-", str(idx.n)),
+    rows = [("metric", "n", "-", str(trie.n)),
             ("metric", "sigma", "-", str(trie.alphabet.sigma)),
-            ("metric", "mode", "-", idx.mode),
+            ("metric", "mode", "-", kept),
             ("metric", "r", "-", str(xidx.count_runs(
                 trie.alphabet.symbols, xidx.xbwt_columns(trie)).total)),
             ("metric", "bytes", "-", str(len(data)))]
-    for mode, cost in costs.items():
+    for mode in xidx.MODES:  # accounted from the columns, nothing built
+        cost = xidx.column_cost(trie, mode).bits
         rows.append(("metric", f"payload[{mode}]", "-", str(cost.payload)))
         rows.append(("metric", f"overhead[{mode}]", "-", str(cost.overhead)))
     _emit(rows, args.format, sys.stdout)

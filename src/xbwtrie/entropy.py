@@ -157,8 +157,13 @@ def check_bounds(trie: Trie, max_order: int = 2,
     Checks: the worst-case-vs-H0 sandwich, monotonicity of H_k, the run
     bound r <= n H_k + sigma^(k+1) (sigma counting the sentinel), and for
     every entropy-coded back-end the block payload bound
-    total <= n H_k + sigma_eff * (l - 1) * blocksize + #blocks.
+    total <= n H_k + sigma_eff * (l - 1) * blocksize + #blocks.  The
+    payloads of ``modes``, each one of ``index.MODES``, are accounted from
+    the XBWT columns; no index is built.
     """
+    for mode in modes:  # 'auto' names a choice by file size, not a cost
+        if mode not in xidx.MODES:
+            raise ValueError(f"unknown mode {mode!r}")
     if max_order < 0:
         raise ValueError("max order must be nonnegative")
     try:  # the run bound's sigma^(k+1) must be a float; 2^1025 is not
@@ -201,20 +206,18 @@ def check_bounds(trie: Trie, max_order: int = 2,
                                  rhs - runs.total))
 
     payloads: list[tuple[str, BitCost]] = []
-    for mode in modes:
-        idx = xidx.build_index(trie, mode)
-        cost = xidx.index_bits(idx)
-        payloads.append((mode, cost))
-        sizes = [v.entropy_block_size for v in idx.vectors]
-        if not idx.vectors or None in sizes:
+    for mode in modes:  # accounted from the columns, no index built
+        acc = xidx.column_cost(trie, mode)
+        payloads.append((mode, acc.bits))
+        if acc.block_size is None:
             continue
-        bsize = max(sizes)
-        bcount = sum(v.entropy_block_count for v in idx.vectors)
+        payload = acc.bits.payload
         for k in range(max_order + 1):
-            rhs = n * hs[k] + sigma_eff * (ells[k] - 1) * bsize + bcount
+            rhs = (n * hs[k] + sigma_eff * (ells[k] - 1) * acc.block_size
+                   + acc.block_count)
             checks.append(BoundCheck(f"payload_bound_{mode}_k{k}",
-                                     cost.payload <= rhs + TOL_INEQ,
-                                     rhs - cost.payload))
+                                     payload <= rhs + TOL_INEQ,
+                                     rhs - payload))
 
     return EntropyReport(n, sigma_eff, hwc, tuple(hs), tuple(ells),
                          runs.total, runs.by_symbol, tuple(payloads),

@@ -5,7 +5,9 @@ one bitvector per symbol marks which sorted nodes have an outgoing edge with
 that symbol, and the C array, a prefix sum of the vector weights, locates
 each symbol's block of incoming edges.
 The sort and the per-symbol columns are derived once per trie
-(:func:`xbwt_columns`) and shared by every back-end and every report.
+(:func:`xbwt_columns`) and shared by every back-end and every report; the
+reports account each back-end's bits from them (:func:`column_cost`)
+without building its vectors.
 A pattern is matched by forward search: one rank-pair per symbol maps the
 interval of nodes reached by p to the interval reached by p plus one symbol.
 The intervals of all patterns of length at most k are precomputed on the
@@ -19,7 +21,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .succinct import (BitCost, Bitvector, FixedBlockVector, IdVector,
-                       PlainBitvector, RrrVector, deserialize_bitvector,
+                       PlainBitvector, RrrVector, block_counts,
+                       deserialize_bitvector, fid_block_size, fid_cost,
+                       fixedblock_cost, id_cost, plain_cost,
                        serialize_bitvector)
 from .trie import Alphabet, Trie, colex_order
 
@@ -194,6 +198,19 @@ def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
     return trie._xbwt
 
 
+def _setting(mode: str, n: int, ones: Sequence[int]):
+    """What the mode's vector over a column fixes beyond n and the ones:
+    fid's block size u, id's complement flag (set when the ones are the
+    majority), fixed-block's b; plain fixes nothing."""
+    if mode == "fid":
+        return fid_block_size(n)
+    if mode == "id":
+        return len(ones) > n / 2
+    if mode == "fixedblock":
+        return default_block_size(n)
+    return None
+
+
 def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
     """Index the trie with the selected bitvector back-end.
 
@@ -207,21 +224,53 @@ def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
     if mode == "auto":
         return min((build_index(trie, m) for m in MODES),
                    key=lambda idx: len(serialize(idx)))
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     n = trie.n
-    alphabet = trie.alphabet
     columns = xbwt_columns(trie)
     if mode == "plain":
         vectors = [PlainBitvector(n, ones) for ones in columns]
-    elif mode == "fid":
-        vectors = [RrrVector(n, ones) for ones in columns]
-    elif mode == "id":
-        vectors = [IdVector(n, ones, len(ones) > n / 2) for ones in columns]
-    elif mode == "fixedblock":
-        b = default_block_size(n)
-        vectors = [FixedBlockVector(n, ones, b) for ones in columns]
     else:
+        make = {"fid": RrrVector, "id": IdVector,
+                "fixedblock": FixedBlockVector}[mode]
+        vectors = [make(n, ones, _setting(mode, n, ones)) for ones in columns]
+    return XbwtIndex(n, trie.alphabet, mode, tuple(vectors))
+
+
+@dataclass(frozen=True)
+class IndexCost:
+    """What ``index_bits`` and the vectors' entropy-block fields report of
+    an index: its measured bits, the largest entropy block (None when no
+    vector codes blocks: plain, or no symbols) and the number of blocks."""
+
+    bits: BitCost
+    block_size: int | None
+    block_count: int
+
+
+def column_cost(trie: Trie, mode: str) -> IndexCost:
+    """The cost of ``build_index(trie, mode)``, accounted from the XBWT
+    columns without building a vector: each back-end's size follows from
+    n, its setting and the per-block one counts of a column."""
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return XbwtIndex(n, alphabet, mode, tuple(vectors))
+    n = trie.n
+    bits = BitCost(0, 0)
+    size = None
+    blocks = 0
+    for ones in xbwt_columns(trie):
+        setting = _setting(mode, n, ones)
+        if mode == "plain":
+            bits += plain_cost(n)
+        elif mode == "id":  # one block, the whole column
+            bits += id_cost(n, len(ones), setting)
+            size, blocks = n, blocks + 1
+        else:
+            counts = block_counts(n, setting, ones)
+            cost = fid_cost if mode == "fid" else fixedblock_cost
+            bits += cost(n, setting, counts)
+            size, blocks = setting, blocks + len(counts)
+    return IndexCost(bits, size, blocks)
 
 
 def index_bits(index: XbwtIndex) -> BitCost:

@@ -145,16 +145,29 @@ def _encode_table(u: int) -> list[int]:
     return table
 
 
-_COMB_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+_COMB_ROWS: dict[int, tuple[int, ...]] = {}
 
 
-def _comb_row(blen: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """C(blen, cls) and the offset width ceil(log2 C(blen, cls)) per class."""
+def _comb_row(blen: int) -> tuple[int, ...]:
+    """C(blen, cls) for every class cls of a fid block of blen bits."""
     row = _COMB_ROWS.get(blen)
     if row is None:
-        combs = tuple(math.comb(blen, k) for k in range(blen + 1))
-        row = combs, tuple((c - 1).bit_length() for c in combs)
-        _COMB_ROWS[blen] = row
+        row = _COMB_ROWS[blen] = tuple(math.comb(blen, k)
+                                       for k in range(blen + 1))
+    return row
+
+
+# small ints only: a row of big C(blen, k) for every fixed-block length up
+# to 510 would hold megabytes
+_WIDTH_ROWS: dict[int, tuple[int, ...]] = {}
+
+
+def _width_row(blen: int) -> tuple[int, ...]:
+    """ceil(log2 C(blen, k)) for k in 0..blen."""
+    row = _WIDTH_ROWS.get(blen)
+    if row is None:
+        row = _WIDTH_ROWS[blen] = tuple(ceil_log2_comb(blen, k)
+                                        for k in range(blen + 1))
     return row
 
 
@@ -166,10 +179,77 @@ def _block_lens(m: int, u: int) -> list[int]:
     return lens
 
 
-def _offset_widths(lens: Sequence[int], classes: Sequence[int]) -> list[int]:
-    """Stored width of every block offset, ceil(log2 C(blen, class))."""
-    rows = {blen: _comb_row(blen)[1] for blen in set(lens)}
-    return [rows[blen][cls] for blen, cls in zip(lens, classes)]
+def _class_widths(m: int, size: int, counts: Sequence[int]) -> list[int]:
+    """ceil(log2 C(blen, k)) for every size-bit block covering m bits,
+    of length blen and holding k ones: the width of a fid offset or of a
+    fixed-block body."""
+    full = m // size
+    widths = list(map(_width_row(size).__getitem__, counts[:full]))
+    if m % size:
+        widths.append(_width_row(m % size)[counts[full]])
+    return widths
+
+
+def fid_block_size(m: int, u: int | None = None) -> int:
+    """The u of an ``RrrVector`` of length m: the given u, by default
+    floor(floor(log2 m) / 2), held to 1.._TABLE_MAX_U."""
+    if u is None:
+        u = (max(m, 1).bit_length() - 1) // 2
+    return max(1, min(_TABLE_MAX_U, u))
+
+
+def block_counts(m: int, size: int, positions: Sequence[int]) -> list[int]:
+    """The one count of every size-bit block covering m bits, from the
+    1-based one-positions, each in 1..m; the last block may be short."""
+    counts = [0] * ((m + size - 1) // size)
+    for p in positions:
+        counts[(p - 1) // size] += 1
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# accounting: each back-end's payload and overhead as a function of what
+# fixes its size, so a cost is known without building the vector
+# ---------------------------------------------------------------------------
+
+def plain_cost(m: int) -> BitCost:
+    """m raw bits; the overhead is an absolute count of ceil(log2 (m+1))
+    bits per ``PlainBitvector.SB_WORDS`` words and a relative count per
+    word, each directory with one more entry at its end."""
+    nwords = (m + PlainBitvector.WORD - 1) // PlainBitvector.WORD
+    sb = nwords // PlainBitvector.SB_WORDS + 1
+    width_abs = max(1, m.bit_length())
+    width_rel = max(1, (PlainBitvector.SB_WORDS * PlainBitvector.WORD
+                        ).bit_length())
+    return BitCost(m, sb * width_abs + (nwords + 1) * width_rel)
+
+
+def fid_cost(m: int, u: int, classes: Sequence[int]) -> BitCost:
+    """Each u-bit block's offset at ceil(log2 C(blen, class)) bits; the
+    overhead is a class per block and a rank per ``RrrVector.SB_BLOCKS``
+    blocks, with one more rank at the end."""
+    nblocks = len(classes)
+    nsb = max(1, (nblocks + RrrVector.SB_BLOCKS - 1) // RrrVector.SB_BLOCKS)
+    payload = sum(_class_widths(m, u, classes))
+    return BitCost(payload, nblocks * max(1, u.bit_length())
+                   + (nsb + 1) * max(1, m.bit_length()))
+
+
+def id_cost(m: int, ones: int, complemented: bool) -> BitCost:
+    """ceil(log2 C(m, ones)) payload; the stored positions, of the zeros
+    when complemented, take the rest of their width."""
+    payload = ceil_log2_comb(m, ones)
+    stored = m - ones if complemented else ones
+    return BitCost(payload, stored * _position_width(m) - payload)
+
+
+def fixedblock_cost(m: int, b: int, counts: Sequence[int]) -> BitCost:
+    """Each block's body is the rank of its ones among the C(l, k)
+    placements, which a file stores at ceil(log2 C(l, k)) bits; the
+    overhead is the directory of ranks before every block and after the
+    last."""
+    payload = sum(_class_widths(m, b, counts))
+    return BitCost(payload, (len(counts) + 1) * (m + 1).bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +396,7 @@ class PlainBitvector(Bitvector):
         return out
 
     def payload_bits(self) -> BitCost:
-        width_abs = max(1, (self.m).bit_length())
-        nwords = len(self._words)
-        sb = nwords // self.SB_WORDS + 1
-        width_rel = max(1, (self.SB_WORDS * self.WORD).bit_length())
-        return BitCost(self.m, sb * width_abs + (nwords + 1) * width_rel)
+        return plain_cost(self.m)
 
     def stored_items(self) -> int:
         return len(self._words)
@@ -333,16 +409,14 @@ class RrrVector(Bitvector):
     SB_BLOCKS = 8
 
     __slots__ = ("m", "ones", "u", "classes", "offsets", "_lens",
-                 "_table", "_tabled", "_sb_rank", "_payload",
+                 "_table", "_tabled", "_sb_rank",
                  "entropy_block_size", "entropy_block_count")
 
     def __init__(self, m: int, ones: Iterable[int], u: int | None = None):
         if m < 0:
             raise ValueError("length must be nonnegative")
         raw = _pack_positions(m, ones)
-        if u is None:
-            u = max(1, (max(m, 1).bit_length() - 1) // 2)
-        u = max(1, min(_TABLE_MAX_U, u))
+        u = fid_block_size(m, u)
         # u <= 14 bits starting at bit `at` lie within the 3 bytes from at>>3;
         # the padding bits past m are zero, so the last pattern has blen bits
         mask = (1 << u) - 1
@@ -362,7 +436,7 @@ class RrrVector(Bitvector):
         self.classes = tuple(classes)
         self.offsets = tuple(offsets)
         self._lens = tuple(lens)
-        combs = {blen: _comb_row(blen)[0] for blen in set(lens)}
+        combs = {blen: _comb_row(blen) for blen in set(lens)}
         for cls, off, blen in zip(classes, offsets, lens):
             if not 0 <= cls <= blen or not 0 <= off < combs[blen][cls]:
                 raise ValueError("invalid block encoding")
@@ -378,7 +452,6 @@ class RrrVector(Bitvector):
             end = min(s * self.SB_BLOCKS, nblocks)
             start = (s - 1) * self.SB_BLOCKS
             self._sb_rank.append(self._sb_rank[-1] + sum(classes[start:end]))
-        self._payload = sum(_offset_widths(lens, classes))
         self.entropy_block_size = u
         self.entropy_block_count = len(classes)
 
@@ -424,10 +497,7 @@ class RrrVector(Bitvector):
         return out
 
     def payload_bits(self) -> BitCost:
-        nblocks = len(self.classes)
-        class_bits = nblocks * max(1, self.u.bit_length())
-        rank_bits = len(self._sb_rank) * max(1, self.m.bit_length())
-        return BitCost(self._payload, class_bits + rank_bits)
+        return fid_cost(self.m, self.u, self.classes)
 
     def stored_items(self) -> int:
         return len(self.classes)
@@ -500,9 +570,7 @@ class IdVector(Bitvector):
         return out
 
     def payload_bits(self) -> BitCost:
-        payload = ceil_log2_comb(self.m, self.ones)
-        width = _position_width(self.m)
-        return BitCost(payload, len(self._pos) * width - payload)
+        return id_cost(self.m, self.ones, self.complemented)
 
     def stored_items(self) -> int:
         return len(self._pos)
@@ -564,15 +632,13 @@ class FixedBlockVector(Bitvector):
         positions = sorted(set(ones))
         if positions and not (1 <= positions[0] and positions[-1] <= m):
             raise ValueError("one-position out of range")
-        counts: list[int] = []
+        counts = block_counts(m, b, positions)
         children: list[IdVector | int] = []
         at = 0
-        for base, blen in zip(range(0, m, b), _block_lens(m, b)):
-            end = bisect_right(positions, base + blen, at)
-            pos = [p - base for p in positions[at:end]]  # in-block, 1-based
-            at = end
-            counts.append(len(pos))
-            children.append(_block_child(blen, len(pos), pos, False))
+        for base, blen, k in zip(range(0, m, b), _block_lens(m, b), counts):
+            pos = [p - base for p in positions[at:at + k]]  # in-block, 1-based
+            at += k
+            children.append(_block_child(blen, k, pos, False))
         self._init(m, b, counts, children)
 
     def _init(self, m, b, counts, children):
@@ -620,18 +686,17 @@ class FixedBlockVector(Bitvector):
                 out += [base + p for p in child.one_positions()]
         return out
 
+    def _counts(self) -> list[int]:
+        """The one count of every block."""
+        R = self._R
+        return [hi - lo for lo, hi in zip(R, R[1:])]
+
     def _blocks(self) -> Iterable[tuple[int, int, IdVector | int]]:
         """(block length, one-count, child) of every block."""
-        R = self._R
-        return zip(_block_lens(self.m, self.b),
-                   (hi - lo for lo, hi in zip(R, R[1:])), self.children)
+        return zip(_block_lens(self.m, self.b), self._counts(), self.children)
 
     def payload_bits(self) -> BitCost:
-        """Each block's body is the rank of its ones among the C(l, k)
-        placements, which a file stores at ceil(log2 C(l, k)) bits; the
-        overhead is the _R directory."""
-        payload = sum(ceil_log2_comb(blen, k) for blen, k, _ in self._blocks())
-        return BitCost(payload, len(self._R) * (self.m + 1).bit_length())
+        return fixedblock_cost(self.m, self.b, self._counts())
 
     def stored_items(self) -> int:
         """One per block, plus the positions of an ID child or the 64-bit
@@ -755,7 +820,7 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         raw = struct.pack(f"<{len(v._words)}Q", *v._words)
         return raw[:(v.m + 7) // 8]
     if isinstance(v, RrrVector):
-        widths = _offset_widths(v._lens, v.classes)
+        widths = _class_widths(v.m, v.u, v.classes)
         return (bytes((v.u,))
                 + _pack_bitstream(v.classes, [v.u.bit_length()] * len(widths))
                 + _pack_bitstream(v.offsets, widths))
@@ -815,7 +880,7 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         lens = _block_lens(m, u)
         if any(cls > blen for blen, cls in zip(lens, classes)):
             raise ValueError("rrr class exceeds its block length")
-        widths = _offset_widths(lens, classes)
+        widths = _class_widths(m, u, classes)
         stream, off = _take(buf, off, (sum(widths) + 7) // 8)
         offsets = _unpack_bitstream(stream, widths)
         return RrrVector._restore(m, u, classes, offsets), off

@@ -127,9 +127,23 @@ class Trie:
             if sib and c <= label[sib]:
                 raise _fault(parent, label, v, _label_fault(parent, label, p))
             path.append(v)
-        # after the walk, so a structural fault is reported first
+        # the alphabet is derived after the walk, so a structural fault is
+        # reported first
+        self._init(parent, label)
+
+    @classmethod
+    def _trusted(cls, parent: Sequence[int], label: Sequence[int]) -> "Trie":
+        """A trie whose ids are in pre-order with each node's labels
+        distinct and ascending by construction, made without the walk of
+        ``__init__``.  The alphabet is still derived, so a trie that uses
+        all 256 byte values is still refused."""
+        self = cls.__new__(cls)
+        self._init(parent, label)
+        return self
+
+    def _init(self, parent: Sequence[int], label: Sequence[int]) -> None:
         alphabet = Alphabet.from_symbols(islice(label, 1, None))
-        self.n = n
+        self.n = len(parent)
         self.parent = tuple(parent)
         self.label = (alphabet.sentinel, *islice(label, 1, None))
         self.alphabet = alphabet
@@ -244,7 +258,8 @@ def build_from_strings(strings: Iterable[bytes]) -> Trie:
             label.extend(s[d:])
             path.extend(range(v, v + new))
         prev = s
-    return Trie(parent, label)
+    # distinct sorted strings give pre-order ids and ascending labels
+    return Trie._trusted(parent, label)
 
 
 # window keys stay below 2^62, so they stay small ints whatever the height

@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+import xbwtrie.entropy
 import xbwtrie.index
 from xbwtrie import build_from_strings, build_index, deserialize, serialize
 from xbwtrie.cli import format_pattern, main, parse_pattern
@@ -81,6 +82,35 @@ def test_build_and_stats_sort_once(fig_file, tmp_path, monkeypatch, capsys,
             "stats": ["stats", fig_file]}[command]
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [*xbwtrie.index.MODES, "auto", "stats",
+                                     "stats-index", "check_bounds"])
+def test_only_the_kept_index_is_built(fig_file, tmp_path, monkeypatch, capsys,
+                                      command):
+    """`build --mode m` builds m's index alone and `auto` each mode once;
+    `stats` and `check_bounds` account every back-end from the columns."""
+    index_file = str(tmp_path / "f.xbwt")
+    assert main(["build", fig_file, "--output", index_file]) == 0
+    real = xbwtrie.index.build_index
+    calls = []
+    monkeypatch.setattr(xbwtrie.index, "build_index",
+                        lambda trie, mode: calls.append(mode) or real(trie,
+                                                                      mode))
+    if command == "check_bounds":
+        assert xbwtrie.entropy.check_bounds(build_from_strings(
+            FIG.split()), 2).passed
+        expected = []
+    elif command.startswith("stats"):
+        source = index_file if command == "stats-index" else fig_file
+        assert main(["stats", source]) == 0
+        expected = []
+    else:
+        assert main(["build", fig_file, "--output", index_file,
+                     "--mode", command]) == 0
+        expected = (list(xbwtrie.index.MODES) if command == "auto"
+                    else [command])
+    assert calls == expected
 
 
 def _words(seed, count):

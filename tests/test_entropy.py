@@ -170,6 +170,19 @@ def test_check_bounds_stops_at_distinct_contexts(monkeypatch):
             assert rows["contexts", str(k)] == str(ell)
 
 
+@pytest.mark.parametrize("mode", ["bogus", "auto"])
+def test_check_bounds_refuses_unknown_mode_first(fig_trie, monkeypatch,
+                                                 mode):
+    """A mode outside index.MODES, 'auto' included, is refused before any
+    context table or XBWT column is built."""
+    calls = []
+    monkeypatch.setattr(ent, "context_table",
+                        lambda trie, k: calls.append(k))
+    with pytest.raises(ValueError, match="unknown mode"):
+        check_bounds(fig_trie, 2, modes=("fid", mode))
+    assert calls == [] and fig_trie._xbwt is None
+
+
 def test_check_bounds_figure(fig_trie):
     report = check_bounds(fig_trie, 2)
     assert report.passed

@@ -8,7 +8,8 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
                      check_bounds, count, deserialize, forward_step, invert,
                      leaf_run_count, naive_count, random_trie, run_count,
                      serialize)
-from xbwtrie.index import _head_table, crc32c, xbwt_columns
+from xbwtrie.index import (_head_table, column_cost, crc32c, index_bits,
+                           xbwt_columns)
 from xbwtrie.succinct import IdVector, serialize_bitvector
 
 from conftest import complete_binary, zero_weight_symbol_file
@@ -422,6 +423,41 @@ def test_invert_memory_linear_on_deep_path(mode):
     finally:
         tracemalloc.stop()
     assert inverted <= 1.5 * built
+
+
+def test_column_cost_matches_built_index(small_tries):
+    """The cost accounted from the columns is what the built vectors
+    report: their bits, their largest entropy block and their block count.
+    The cases include a short last block for both u and b, and an id vector
+    stored as its complement."""
+    tries = [*small_tries, *(complete_binary(h) for h in range(1, 9)),
+             *(build_from_strings([b"a" * length]) for length in range(1, 71))]
+    seen = set()
+    for t in tries:
+        for mode in MODES:
+            idx = build_index(t, mode)
+            acc = column_cost(t, mode)
+            assert acc.bits == index_bits(idx), (t, mode)
+            sizes = [v.entropy_block_size for v in idx.vectors]
+            assert acc.block_size == (None if not sizes or None in sizes
+                                      else max(sizes)), (t, mode)
+            assert acc.block_count == sum(v.entropy_block_count
+                                          for v in idx.vectors), (t, mode)
+            for v in idx.vectors:
+                if mode == "fid" and v.m % v.u:
+                    seen.add("short fid block")
+                if mode == "fixedblock" and v.m % v.b:
+                    seen.add("short fixed block")
+                if mode == "id" and v.complemented:
+                    seen.add("complemented id")
+    assert seen == {"short fid block", "short fixed block",
+                    "complemented id"}
+
+
+@pytest.mark.parametrize("mode", ["auto", "bogus"])
+def test_column_cost_refuses_unknown_mode(fig_trie, mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        column_cost(fig_trie, mode)
 
 
 def test_check_bounds_sorts_once_per_trie(monkeypatch):

@@ -236,6 +236,29 @@ def test_build_from_strings_matches_dict_builder():
         assert build_from_strings(map(bytearray, words)) == t
 
 
+def test_build_from_strings_passes_the_checked_constructor():
+    """build_from_strings skips the checks of Trie(...), and what it makes
+    passes them: bytes, bytearrays and lists of byte values, the empty
+    string, and a set using 255 distinct bytes."""
+    rng = random.Random(23)
+    sets = [[b""], [b"", b"a"]]
+    for _ in range(30):
+        pool = rng.sample(range(256), rng.randint(1, 6))
+        words = [bytes(rng.choices(pool, k=rng.randint(0, 9)))
+                 for _ in range(rng.randint(1, 40))]
+        sets += [words, [bytearray(w) for w in words], [list(w) for w in words]]
+    missing = rng.randrange(256)
+    wide = [b for b in range(256) if b != missing]
+    sets.append([bytes(rng.choices(wide, k=rng.randint(0, 5)))
+                 for _ in range(600)] + [bytes([b]) for b in wide])
+    for words in sets:
+        t = build_from_strings(words)
+        checked = Trie(t.parent, t.label)
+        assert t == checked
+        assert (t.n, t.alphabet) == (checked.n, checked.alphabet)
+    assert len(t.alphabet.symbols) == 255 and t.alphabet.sentinel == missing
+
+
 def test_build_from_strings_rejects_ints():
     # bytes(3) would be three zero bytes; an int is not a string
     with pytest.raises(TypeError):
