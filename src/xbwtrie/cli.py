@@ -102,18 +102,14 @@ def _load_trie(path: str) -> Trie:
 
 def cmd_build(args) -> int:
     trie = build_from_strings(_load_strings(args.input))
-    data = None
-    # only the named mode is built; 'auto' builds each in turn and keeps the
-    # smallest file so far, the first mode on a tie
-    for mode in (xidx.MODES if args.mode == "auto" else (args.mode,)):
-        blob = xidx.serialize(xidx.build_index(trie, mode))
-        if data is None or len(blob) < len(data):
-            kept, data = mode, blob
+    # one index is built; 'auto' picks the smallest file from the columns
+    index = xidx.build_index(trie, args.mode)
+    data = xidx.serialize(index)
     with open(args.output, "wb") as fh:
         fh.write(data)
     rows = [("metric", "n", "-", str(trie.n)),
             ("metric", "sigma", "-", str(trie.alphabet.sigma)),
-            ("metric", "mode", "-", kept),
+            ("metric", "mode", "-", index.mode),
             ("metric", "r", "-", str(xidx.count_runs(
                 trie.alphabet.symbols, xidx.xbwt_columns(trie)).total)),
             ("metric", "bytes", "-", str(len(data)))]

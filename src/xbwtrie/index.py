@@ -157,12 +157,11 @@ def default_block_size(n: int) -> int:
     """The fixed-block b: the largest 2^j - 2 at most ceil(log2 n)^2, and
     at least 2.
 
-    A block of length 2^j - 2 is the longest whose in-block positions take
-    j bits, so each step up from it costs a bit per position an in-memory
-    block keeps; a sweep over both kinds of corpus put the smallest
-    version-4 file near this b.  A file now stores each block's enumerative
-    rank, whose width has no such step, and its b must lie in
-    1..``default_block_size(MAX_NODES)`` = 510.
+    The rule dates from blocks that kept j-bit in-block positions, for
+    which 2^j - 2 was the longest length at j bits; no block keeps
+    positions now, and a file stores each block's enumerative rank.  The
+    rule is kept unchanged so that files stay byte-identical; a file's b
+    must lie in 1..``default_block_size(MAX_NODES)`` = 510.
     """
     logn = max(1, (n - 1).bit_length())  # ceil(log2 n), at least 1
     return max(2, (1 << (logn * logn + 2).bit_length() - 1) - 2)
@@ -214,17 +213,16 @@ def _setting(mode: str, n: int, ones: Sequence[int]):
 def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
     """Index the trie with the selected bitvector back-end.
 
-    'auto' builds the back-ends one by one and keeps the one with the
-    smallest file, ``len(serialize(...))``, the first in ``MODES`` on a tie.
+    'auto' builds the one back-end with the smallest file
+    (:func:`file_length`), the first in ``MODES`` on a tie.
     In ID mode a symbol occurring on more than half the nodes is stored as
     its complement, which changes the measured size but no query answer.
     Fixed-block vectors cut their columns into ``default_block_size(n)``-bit
-    blocks, each kept in its cheapest kind.
+    blocks.
     """
     if mode == "auto":
-        return min((build_index(trie, m) for m in MODES),
-                   key=lambda idx: len(serialize(idx)))
-    if mode not in MODES:
+        mode = min(MODES, key=lambda m: file_length(trie, m))
+    elif mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     n = trie.n
     columns = xbwt_columns(trie)
@@ -248,29 +246,58 @@ class IndexCost:
     block_count: int
 
 
-def column_cost(trie: Trie, mode: str) -> IndexCost:
-    """The cost of ``build_index(trie, mode)``, accounted from the XBWT
-    columns without building a vector: each back-end's size follows from
-    n, its setting and the per-block one counts of a column."""
+def _vector_costs(trie: Trie, mode: str):
+    """(block size, block count, bits) of the mode's vector over each
+    column, accounted without building it: each back-end's size follows
+    from n, its setting and the per-block one counts of a column.  The
+    block size is None for plain, which codes no blocks."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     n = trie.n
-    bits = BitCost(0, 0)
-    size = None
-    blocks = 0
     for ones in xbwt_columns(trie):
         setting = _setting(mode, n, ones)
         if mode == "plain":
-            bits += plain_cost(n)
+            yield None, 0, plain_cost(n)
         elif mode == "id":  # one block, the whole column
-            bits += id_cost(n, len(ones), setting)
-            size, blocks = n, blocks + 1
+            yield n, 1, id_cost(n, len(ones), setting)
         else:
             counts = block_counts(n, setting, ones)
             cost = fid_cost if mode == "fid" else fixedblock_cost
-            bits += cost(n, setting, counts)
-            size, blocks = setting, blocks + len(counts)
+            yield setting, len(counts), cost(n, setting, counts)
+
+
+def column_cost(trie: Trie, mode: str) -> IndexCost:
+    """The cost of ``build_index(trie, mode)``, accounted from the XBWT
+    columns without building a vector."""
+    bits = BitCost(0, 0)
+    size = None
+    blocks = 0
+    for size, nblocks, cost in _vector_costs(trie, mode):
+        bits += cost
+        blocks += nblocks
     return IndexCost(bits, size, blocks)
+
+
+def file_length(trie: Trie, mode: str) -> int:
+    """``len(serialize(build_index(trie, mode)))``, from the XBWT columns.
+
+    The header, the alphabet and the CRC take 22 + sigma bytes.  A plain
+    body is the n bits; an id body is a flags byte, a u64 count and the
+    stored positions (the accounted total); a fid or fixed-block body is
+    its u byte or u64 b, the per-block counts at bit_length(u or b) bits
+    and the payload, each stream padded to whole bytes.
+    """
+    size = 22 + trie.alphabet.sigma + 1
+    for block_size, nblocks, cost in _vector_costs(trie, mode):
+        if mode == "plain":
+            size += (cost.payload + 7) // 8
+        elif mode == "id":
+            size += 9 + (cost.total + 7) // 8
+        else:
+            size += ((1 if mode == "fid" else 8)
+                     + (nblocks * block_size.bit_length() + 7) // 8
+                     + (cost.payload + 7) // 8)
+    return size
 
 
 def index_bits(index: XbwtIndex) -> BitCost:

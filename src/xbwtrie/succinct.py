@@ -10,11 +10,10 @@ Four interchangeable representations of a static bitvector:
 * ``IdVector``         -- explicit one-positions supporting select directly
                           and rank by binary search; optionally stores the
                           complement when ones dominate.
-* ``FixedBlockVector`` -- fixed-size blocks, each kept as the cheapest of
-                          its one-positions, its zero-positions (an inner
-                          ID vector) or its raw bits, plus a precomputed
-                          block-rank table; a file stores each block as
-                          its enumerative rank, in ceil(log C(b, k)) bits.
+* ``FixedBlockVector`` -- fixed-size blocks, each kept as one int of its
+                          raw bits, plus a precomputed block-rank table; a
+                          file stores each block as its enumerative rank,
+                          in ceil(log C(b, k)) bits.
 
 Positions are 1-based; ``rank(i)`` counts ones in positions 1..i inclusive
 and ``rank(0) == 0``.  The four public queries ``rank``, ``access``,
@@ -316,10 +315,11 @@ class Bitvector:
 
     def stored_items(self) -> int:
         """Number of items the stored form holds: 64-bit words (plain),
-        blocks (fid), positions (id), or one per block plus its positions
-        or raw 64-bit words (fixedblock).  A file spends at least one bit on
-        each item, so work held to this count is linear in the size of a
-        loaded file."""
+        blocks (fid), positions (id), or one per block plus the block's
+        64-bit words (fixedblock).  A file spends at least one bit on each
+        item, or on each fixed block, whose at most ``MAX_FILE_BLOCK`` bits
+        make at most 8 words, so work held to this count is linear in the
+        size of a loaded file."""
         raise NotImplementedError
 
     def one_positions(self) -> list[int]:
@@ -576,50 +576,11 @@ class IdVector(Bitvector):
         return len(self._pos)
 
 
-# the in-memory kinds of a fixed block
-SPARSE, COMPLEMENTED, RAW = 0, 1, 2
-
-
-def _block_kind(k: int, blen: int) -> int:
-    """The in-memory kind of a fixed block of blen bits holding k ones.
-
-    The block is kept as the cheapest of its k one-positions (SPARSE), its
-    blen - k zero-positions (COMPLEMENTED), both at
-    ``_position_width(blen)`` bits, or its blen bits as one int (RAW), the
-    first in that order on a tie.  SPARSE implies 2k <= blen and
-    COMPLEMENTED 2k > blen.  k must lie in 0..blen.
-    """
-    w = _position_width(blen)
-    if k * w <= min((blen - k) * w, blen):
-        return SPARSE
-    if (blen - k) * w <= blen:
-        return COMPLEMENTED
-    return RAW
-
-
-def _block_child(blen: int, k: int, members: Sequence[int],
-                 zeros: bool) -> IdVector | int:
-    """The child of a block of blen bits holding k ones, from the ascending
-    in-block positions of its ones, or of its zeros when ``zeros``."""
-    kind = _block_kind(k, blen)
-    if kind == RAW:
-        word = sum(1 << p for p in members) >> 1
-        return word ^ ((1 << blen) - 1) if zeros else word
-    if (kind == COMPLEMENTED) != zeros:
-        present = set(members)
-        members = [p for p in range(1, blen + 1) if p not in present]
-    return IdVector._restore(blen, members, kind == COMPLEMENTED)
-
-
 class FixedBlockVector(Bitvector):
-    """Fixed-size blocks, each kept in the cheapest of three kinds (see
-    :func:`_block_kind`), with a precomputed table of ranks preceding
-    every block.
-
-    A sparse or complemented block is an inner ``IdVector``; a raw block is
-    an int whose bit j holds in-block position j + 1, and its rank is the
-    block's count less the ones past the cut.
-    """
+    """Fixed-size blocks, each kept as one int whose bit j holds in-block
+    position j + 1, with a precomputed table of ranks preceding every
+    block; a cut block's rank is the block's count less the ones past the
+    cut."""
 
     kind = "fixedblock"
 
@@ -629,26 +590,21 @@ class FixedBlockVector(Bitvector):
     def __init__(self, m: int, ones: Iterable[int], b: int):
         if b < 1:
             raise ValueError("block size must be positive")
-        positions = sorted(set(ones))
-        if positions and not (1 <= positions[0] and positions[-1] <= m):
-            raise ValueError("one-position out of range")
-        counts = block_counts(m, b, positions)
-        children: list[IdVector | int] = []
-        at = 0
-        for base, blen, k in zip(range(0, m, b), _block_lens(m, b), counts):
-            pos = [p - base for p in positions[at:at + k]]  # in-block, 1-based
-            at += k
-            children.append(_block_child(blen, k, pos, False))
-        self._init(m, b, counts, children)
+        raw = _pack_positions(m, ones)
+        # the padding bits past m are zero, so the last word has blen bits
+        mask = (1 << min(b, m)) - 1
+        self._init(m, b, [(int.from_bytes(raw[at >> 3:((at + b) >> 3) + 1],
+                                          "little") >> (at & 7)) & mask
+                          for at in range(0, m, b)])
 
-    def _init(self, m, b, counts, children):
+    def _init(self, m, b, children):
         self.m = m
         self.b = b
         self.children = tuple(children)
-        self._R = [0, *accumulate(counts)]
+        self._R = [0, *accumulate(w.bit_count() for w in children)]
         self.ones = self._R[-1]
         self.entropy_block_size = b
-        self.entropy_block_count = len(counts)
+        self.entropy_block_count = len(children)
 
     def _rank(self, i: int) -> int:
         # a block ending at i is counted by _R alone
@@ -656,54 +612,34 @@ class FixedBlockVector(Bitvector):
         r = i - bi * self.b
         if not r:
             return self._R[bi]
-        child = self.children[bi]
-        if child.__class__ is int:
-            return self._R[bi + 1] - (child >> r).bit_count()
-        return self._R[bi] + child._rank(r)
+        return self._R[bi + 1] - (self.children[bi] >> r).bit_count()
 
     def _access(self, i: int) -> int:
         bi = (i - 1) // self.b
-        r = i - bi * self.b
-        child = self.children[bi]
-        if child.__class__ is int:
-            return (child >> (r - 1)) & 1
-        return child._access(r)
+        return (self.children[bi] >> (i - 1 - bi * self.b)) & 1
 
     def _select(self, i: int) -> int:
         j = bisect_left(self._R, i) - 1
-        child = self.children[j]
-        if child.__class__ is int:
-            return j * self.b + _select_in_word(child, i - self._R[j]) + 1
-        return j * self.b + child._select(i - self._R[j])
+        return j * self.b + _select_in_word(self.children[j],
+                                            i - self._R[j]) + 1
 
     def one_positions(self) -> list[int]:
         out: list[int] = []
-        for bi, child in enumerate(self.children):
-            base = bi * self.b
-            if child.__class__ is int:
-                _extend_set_bits(out, child, base + 1)
-            else:
-                out += [base + p for p in child.one_positions()]
+        for bi, word in enumerate(self.children):
+            _extend_set_bits(out, word, bi * self.b + 1)
         return out
 
     def _counts(self) -> list[int]:
         """The one count of every block."""
-        R = self._R
-        return [hi - lo for lo, hi in zip(R, R[1:])]
-
-    def _blocks(self) -> Iterable[tuple[int, int, IdVector | int]]:
-        """(block length, one-count, child) of every block."""
-        return zip(_block_lens(self.m, self.b), self._counts(), self.children)
+        return [w.bit_count() for w in self.children]
 
     def payload_bits(self) -> BitCost:
         return fixedblock_cost(self.m, self.b, self._counts())
 
     def stored_items(self) -> int:
-        """One per block, plus the positions of an ID child or the 64-bit
-        words of a raw one."""
-        return len(self.children) + sum(
-            (blen + 63) >> 6 if child.__class__ is int else len(child._pos)
-            for blen, _, child in self._blocks())
+        full, tail = divmod(self.m, self.b)
+        return (len(self.children) + full * ((self.b + 63) >> 6)
+                + ((tail + 63) >> 6))
 
 
 # ---------------------------------------------------------------------------
@@ -787,31 +723,30 @@ def _binomials(cols: list[list[int]], blen: int) -> list[int]:
             for k in range(blen + 1)]
 
 
-def _block_members(child: IdVector | int, blen: int, zeros: bool
-                   ) -> Sequence[int]:
-    """The ascending in-block positions of a block's ones, or of its zeros
-    when ``zeros``."""
-    if child.__class__ is not int:
-        # a sparse child stores its ones and a complemented one its zeros,
-        # and the kinds imply 2k <= blen and 2k > blen: the ranked sets
-        return child._pos
-    out: list[int] = []
-    _extend_set_bits(out, child ^ ((1 << blen) - 1) if zeros else child, 1)
-    return out
+def _rank_word(cols: list[list[int]], word: int) -> int:
+    """The rank of the set bits c_1 < c_2 < ... of word, sum C(c_i, i);
+    the inverse of :func:`_unrank`."""
+    r = i = 0
+    while word:
+        low = word & -word
+        i += 1
+        r += cols[i][low.bit_length() - 1]
+        word ^= low
+    return r
 
 
-def _unrank(cols: list[list[int]], r: int, j: int, blen: int) -> list[int]:
-    """The ascending 1-based positions of the j-set of rank r in blen bits;
-    r must be below C(blen, j).  Each c_i, from the largest down, is the
-    last p with C(p, i) <= what is left of r, found by one bisect."""
-    out = [0] * j
+def _unrank(cols: list[list[int]], r: int, j: int, blen: int) -> int:
+    """The word of blen bits whose j set bits have rank r; r must be below
+    C(blen, j).  Each c_i, from the largest down, is the last p with
+    C(p, i) <= what is left of r, found by one bisect."""
+    word = 0
     hi = blen
     for i in range(j, 0, -1):
         col = cols[i]
         hi = bisect_right(col, r, i, hi) - 1
         r -= col[hi]
-        out[i - 1] = hi + 1
-    return out
+        word |= 1 << hi
+    return word
 
 
 def serialize_bitvector(v: Bitvector) -> bytes:
@@ -832,18 +767,15 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         if not 1 <= v.b <= MAX_FILE_BLOCK:
             raise ValueError(f"bad fixed block size {v.b}")
         cols = _pascal(v.b)
-        rows = {blen: _binomials(cols, blen)
-                for blen in {v.b, v.m % v.b or v.b}}
-        counts, ranks, widths = [], [], []
-        for blen, k, child in v._blocks():
-            members = _block_members(child, blen, 2 * k > blen)
-            counts.append(k)
-            ranks.append(sum(cols[i][p - 1]
-                             for i, p in enumerate(members, start=1)))
-            widths.append((rows[blen][k] - 1).bit_length())
+        counts = v._counts()
+        ranks = []
+        for blen, k, word in zip(_block_lens(v.m, v.b), counts, v.children):
+            if 2 * k > blen:  # the zeros are ranked
+                word ^= (1 << blen) - 1
+            ranks.append(_rank_word(cols, word))
         return (struct.pack("<Q", v.b)
                 + _pack_bitstream(counts, [v.b.bit_length()] * len(counts))
-                + _pack_bitstream(ranks, widths))
+                + _pack_bitstream(ranks, _class_widths(v.m, v.b, counts)))
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
@@ -933,9 +865,10 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
                               _unpack_bitstream(stream, widths)):
             if r >= rows[blen][k]:
                 raise ValueError("fixed block rank out of range")
-            zeros = 2 * k > blen
-            children.append(_block_child(
-                blen, k, _unrank(cols, r, blen - k if zeros else k, blen),
-                zeros))
-        return FixedBlockVector._restore(m, b, counts, children), off
+            if 2 * k > blen:  # the zeros were ranked
+                children.append(_unrank(cols, r, blen - k, blen)
+                                ^ ((1 << blen) - 1))
+            else:
+                children.append(_unrank(cols, r, k, blen))
+        return FixedBlockVector._restore(m, b, children), off
     raise ValueError(f"unknown back-end {kind!r}")

@@ -88,8 +88,9 @@ def test_build_and_stats_sort_once(fig_file, tmp_path, monkeypatch, capsys,
                                      "stats-index", "check_bounds"])
 def test_only_the_kept_index_is_built(fig_file, tmp_path, monkeypatch, capsys,
                                       command):
-    """`build --mode m` builds m's index alone and `auto` each mode once;
-    `stats` and `check_bounds` account every back-end from the columns."""
+    """`build --mode m` builds m's index alone, and `auto` the one index it
+    keeps, picked by file length from the columns; `stats` and
+    `check_bounds` account every back-end from the columns."""
     index_file = str(tmp_path / "f.xbwt")
     assert main(["build", fig_file, "--output", index_file]) == 0
     real = xbwtrie.index.build_index
@@ -108,8 +109,7 @@ def test_only_the_kept_index_is_built(fig_file, tmp_path, monkeypatch, capsys,
     else:
         assert main(["build", fig_file, "--output", index_file,
                      "--mode", command]) == 0
-        expected = (list(xbwtrie.index.MODES) if command == "auto"
-                    else [command])
+        expected = [command]
     assert calls == expected
 
 

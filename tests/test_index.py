@@ -8,8 +8,8 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
                      check_bounds, count, deserialize, forward_step, invert,
                      leaf_run_count, naive_count, random_trie, run_count,
                      serialize)
-from xbwtrie.index import (_head_table, column_cost, crc32c, index_bits,
-                           xbwt_columns)
+from xbwtrie.index import (_head_table, column_cost, crc32c, file_length,
+                           index_bits, xbwt_columns)
 from xbwtrie.succinct import IdVector, serialize_bitvector
 
 from conftest import complete_binary, zero_weight_symbol_file
@@ -456,8 +456,9 @@ def test_column_cost_matches_built_index(small_tries):
 
 @pytest.mark.parametrize("mode", ["auto", "bogus"])
 def test_column_cost_refuses_unknown_mode(fig_trie, mode):
-    with pytest.raises(ValueError, match="unknown mode"):
-        column_cost(fig_trie, mode)
+    for accounting in (column_cost, file_length):
+        with pytest.raises(ValueError, match="unknown mode"):
+            accounting(fig_trie, mode)
 
 
 def test_check_bounds_sorts_once_per_trie(monkeypatch):
@@ -522,6 +523,21 @@ def test_auto_writes_smallest_file():
     assert sizes["fid"] == 15911
     assert sizes["fixedblock"] == 12130
     assert len(serialize(build_index(trie, "auto"))) == min(sizes.values())
+
+
+def test_file_length_is_serialized_length(small_tries):
+    """The file length computed from the columns is the serialized one, in
+    every mode, and 'auto' builds the mode of the least, the first in
+    MODES on a tie."""
+    tries = [*small_tries, *(complete_binary(h) for h in range(1, 9)),
+             *(build_from_strings([b"a" * length]) for length in range(1, 71)),
+             build_from_strings(_corpus(1, 5000))]
+    for t in tries:
+        lengths = [file_length(t, mode) for mode in MODES]
+        for mode, length in zip(MODES, lengths):
+            assert length == len(serialize(build_index(t, mode))), (t, mode)
+        assert build_index(t, "auto").mode == MODES[lengths.index(
+            min(lengths))]
 
 
 def test_id_complement_auto():

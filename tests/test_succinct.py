@@ -362,19 +362,6 @@ def test_serialized_framing():
         struct.pack("<Q", 5) + bytes((4 | 2 << 3, 2))
 
 
-def _costs(k, blen):
-    """Sparse, complemented and raw bits of a block of blen bits, k ones."""
-    w = (blen + 1).bit_length()
-    return [k * w, (blen - k) * w, blen]
-
-
-def _child_kind(child):
-    """0 sparse, 1 complemented or 2 raw: the index of its cost."""
-    if isinstance(child, int):
-        return 2
-    return 1 if child.complemented else 0
-
-
 def _blocks_of(v, bits):
     """(length, one-count, child) of every block of v, read off bits."""
     for bi, child in enumerate(v.children):
@@ -382,9 +369,10 @@ def _blocks_of(v, bits):
         yield len(block), sum(block), child
 
 
-def _kind_vectors():
+def _block_vectors():
     """Fixed-block vectors whose blocks are empty, full, sparse, dense,
-    half full and random, at block lengths whose costs tie, with a short
+    half full and random, at block lengths of the 2^j - 2 form that
+    ``default_block_size`` picks and around one 64-bit word, with a short
     last block or none."""
     rng = random.Random(14)
     for b in (1, 2, 5, 6, 14, 62, 63, 64, 126):
@@ -403,27 +391,24 @@ def _kind_vectors():
                                    b), bits
 
 
-def test_fixed_block_kinds_follow_argmin():
-    """Every child is stored in the kind the argmin rule derives from its
-    one-count and length, the first on a tie, and the queries equal
-    plain's at every position, so every block edge, before and after a
-    file round trip."""
-    seen, ties = set(), set()
-    for v, bits in _kind_vectors():
+def test_fixed_block_children_are_raw_words():
+    """Every child is an int of its block's bits, bit j holding in-block
+    position j + 1, and the loaded children equal the built ones; the
+    queries equal plain's at every position, so every block edge, before
+    and after a file round trip."""
+    for v, bits in _block_vectors():
         blocks = list(_blocks_of(v, bits))
         assert sum(blen for blen, _, _ in blocks) == v.m
+        at = 0
         for blen, k, child in blocks:
-            costs = _costs(k, blen)
-            kind = _child_kind(child)
-            assert kind == costs.index(min(costs)), (v.b, k, blen)
-            seen.add(kind)
-            if costs.count(min(costs)) > 1:
-                ties.add((kind, tuple(c == min(costs) for c in costs)))
+            assert child.__class__ is int and 0 <= child < 1 << blen
+            assert child.bit_count() == k
+            assert child == sum(bits[at + j] << j for j in range(blen))
+            at += blen
         ref = PlainBitvector(v.m, [i + 1 for i in range(v.m) if bits[i]])
         back, _ = deserialize_bitvector(v.kind, v.m, serialize_bitvector(v))
+        assert back.children == v.children
         for u in (v, back):
-            assert [_child_kind(c) for c in u.children] == \
-                [_child_kind(c) for c in v.children]
             assert u.ones == ref.ones
             assert u.one_positions() == ref.one_positions()
             assert [u.rank(i) for i in range(v.m + 1)] == \
@@ -433,24 +418,17 @@ def test_fixed_block_kinds_follow_argmin():
                 assert u.prank(i) == ref.prank(i)
             for j in range(1, ref.ones + 1):
                 assert u.select(j) == ref.select(j)
-    assert seen == {0, 1, 2}
-    # ties of sparse with raw and with both others go to sparse, and of
-    # complemented with raw to complemented (sparse and complemented alone
-    # cannot tie at the minimum: k = blen / 2 costs blen * w / 2 >= blen)
-    assert ties == {(0, (True, False, True)), (0, (True, True, True)),
-                    (1, (False, True, True))}
 
 
 def test_fixed_block_stored_bits():
     """A body holds b, the counts and each block's rank at exactly the
     ceil(log2 C(l, k)) bits the payload charges, and the overhead is the
-    _R directory alone; a raw block counts its 64-bit words as stored
-    items."""
-    for v, bits in _kind_vectors():
+    _R directory alone; a block counts as one stored item plus its 64-bit
+    words."""
+    for v, bits in _block_vectors():
         blocks = list(_blocks_of(v, bits))
         payload = sum(ceil_log2_comb(blen, k) for blen, k, _ in blocks)
-        items = sum(1 + (k, blen - k, (blen + 63) // 64)[_child_kind(child)]
-                    for blen, k, child in blocks)
+        items = sum(1 + (blen + 63) // 64 for blen, _, _ in blocks)
         cost = v.payload_bits()
         assert cost.payload == payload
         assert cost.overhead == (len(blocks) + 1) * (v.m + 1).bit_length()
@@ -474,7 +452,7 @@ def test_fixed_block_body_is_combination_rank():
             ranks = sorted(_combination_rank(c)
                            for c in combinations(range(blen), j))
             assert ranks == list(range(math.comb(blen, j)))
-    for v, bits in _kind_vectors():
+    for v, bits in _block_vectors():
         body = serialize_bitvector(v)
         counts_end = 8 + (len(v.children) * v.b.bit_length() + 7) // 8
         stream = int.from_bytes(body[counts_end:], "little")
