@@ -5,12 +5,19 @@ throughout.  The worst-case entropy of a symbol distribution is the log of
 the number of tries realizing it; the k-th order empirical entropy charges
 each node's out-label indicator bits against its k-symbol incoming context
 (sentinel-padded near the root).
+
+Every order-k context is one interval of the co-lex order, so
+:func:`entropy_profile` reads H_k and the context count l_k for all orders
+off the XBWT columns, refining integer class ids one order at a time; no
+context is spelled out.  :func:`context_table` keeps the byte-keyed form,
+O(nk) bytes, as the reference the profile is tested against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, compress, count, islice, repeat
+from operator import ne, sub
 
 from . import index as xidx
 from .succinct import BitCost
@@ -110,7 +117,7 @@ def context_table(trie: Trie, k: int) -> ContextTable:
 
 def hk(trie: Trie, k: int) -> float:
     """k-th order empirical entropy, bits per node."""
-    return _table_entropy(context_table(trie, k))
+    return entropy_profile(trie, k)[0][k]
 
 
 def _table_entropy(table: ContextTable) -> float:
@@ -121,6 +128,64 @@ def _table_entropy(table: ContextTable) -> float:
         for nwc in per.values():
             terms.extend(_h0_terms(nw, nwc))
     return math.fsum(terms) / table.n
+
+
+def entropy_profile(trie: Trie, max_order: int
+                    ) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """H_k (bits per node) and l_k (realized contexts) for k = 0..max_order,
+    read off the XBWT columns alone.
+
+    Rank 1 is the root, and column c holds the parent ranks, in order, of
+    the block of ranks whose nodes are labeled c.  Order 0 is one class.
+    At order k + 1 the root is a class of its own, and every other node's
+    context is its parent's order-k context followed by its label: within
+    a column, a new class starts wherever the parent's order-k class
+    changes.  The run lengths of the order-k pass are the out-edge counts
+    n_{w,c}, and the runs are the classes of order k + 1.  Once every node
+    has its own context, higher orders repeat l = n and H = 0.
+    """
+    if max_order < 0:
+        raise ValueError("k must be nonnegative")
+    n = trie.n
+    cols = xidx.xbwt_columns(trie)
+    cls = [0] * (n + 1)  # order-k class of each rank; slot 0 is unused
+    sizes = [n]          # node count n_w of each order-k class
+    hs: list[float] = []
+    ells: list[int] = []
+    for _ in range(max_order + 1):
+        ells.append(len(sizes))
+        nh, cls, sizes = _order_pass(cols, cls, sizes)
+        hs.append(nh / n)
+        if ells[-1] == n:
+            break
+    rest = max_order + 1 - len(hs)
+    return tuple(hs) + (hs[-1],) * rest, tuple(ells) + (n,) * rest
+
+
+def _order_pass(cols: tuple[tuple[int, ...], ...], cls: list[int],
+                sizes: list[int]) -> tuple[float, list[int], list[int]]:
+    """n * H_k from the order-k classes, and the classes of order k + 1
+    with their sizes.
+
+    Every step iterates at C level; the Python-level work is per column
+    and per class, not per node.
+    """
+    terms: list[float] = []
+    nxt = [0, 0]  # the root, rank 1, is class 0
+    nxt_sizes = [1]
+    for col in cols:
+        ids = list(map(cls.__getitem__, col))  # nondecreasing down a column
+        starts = [0]
+        starts += compress(count(1), map(ne, islice(ids, 1, None), ids))
+        lens = list(map(sub, chain(islice(starts, 1, None), (len(ids),)),
+                        starts))
+        nw = map(sizes.__getitem__, map(ids.__getitem__, starts))
+        terms += chain.from_iterable(map(_h0_terms, nw, lens))
+        first = len(nxt_sizes)
+        nxt += chain.from_iterable(
+            map(repeat, range(first, first + len(lens)), lens))
+        nxt_sizes += lens
+    return math.fsum(terms), nxt, nxt_sizes
 
 
 @dataclass(frozen=True)
@@ -157,9 +222,10 @@ def check_bounds(trie: Trie, max_order: int = 2,
     Checks: the worst-case-vs-H0 sandwich, monotonicity of H_k, the run
     bound r <= n H_k + sigma^(k+1) (sigma counting the sentinel), and for
     every entropy-coded back-end the block payload bound
-    total <= n H_k + sigma_eff * (l - 1) * blocksize + #blocks.  The
-    payloads of ``modes``, each one of ``index.MODES``, are accounted from
-    the XBWT columns; no index is built.
+    total <= n H_k + sigma_eff * (l - 1) * blocksize + #blocks.  The symbol
+    distribution, H_k and l_k (:func:`entropy_profile`), the runs and the
+    payloads of ``modes``, each one of ``index.MODES``, all come from the
+    XBWT columns; no index or context table is built.
     """
     for mode in modes:  # 'auto' names a choice by file size, not a cost
         if mode not in xidx.MODES:
@@ -170,22 +236,13 @@ def check_bounds(trie: Trie, max_order: int = 2,
         float((trie.alphabet.sigma + 1) ** min(max_order + 1, 1025))
     except OverflowError:
         raise ValueError("max order too large") from None
-    dist = symbol_distribution(trie)
     n = trie.n
     sigma_eff = trie.alphabet.sigma
-    hwc = worst_case_entropy(dist)
-    hs: list[float] = []
-    ells: list[int] = []
-    for k in range(max_order + 1):  # one table per order gives H_k and l_k
-        if ells and ells[-1] == n:
-            # every node has its own context, so every higher order has
-            # l = n and H = 0: the last table's values
-            hs.append(hs[-1])
-            ells.append(n)
-            continue
-        table = context_table(trie, k)
-        hs.append(_table_entropy(table))
-        ells.append(len(table))
+    cols = xidx.xbwt_columns(trie)
+    # a single node has no column and, as in symbol_distribution, one zero
+    hwc = worst_case_entropy(
+        SymbolDistribution(n, tuple(map(len, cols)) or (0,)))
+    hs, ells = entropy_profile(trie, max_order)
 
     checks: list[BoundCheck] = []
     lower = n * hs[0] - sigma_eff * math.log2(n + 1) - math.log2(n)
@@ -198,7 +255,7 @@ def check_bounds(trie: Trie, max_order: int = 2,
         slack = hs[k] - hs[k + 1]
         checks.append(BoundCheck(f"monotone_k{k}", slack >= -TOL_MONO, slack))
 
-    runs = xidx.count_runs(trie.alphabet.symbols, xidx.xbwt_columns(trie))
+    runs = xidx.count_runs(trie.alphabet.symbols, cols)
     sigma_full = sigma_eff + 1
     for k in range(max_order + 1):
         rhs = n * hs[k] + sigma_full ** (k + 1)

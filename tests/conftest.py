@@ -24,6 +24,14 @@ def complete_binary(height: int) -> Trie:
     return build_from_strings(words if words else [b""])
 
 
+def word_corpus(seed: int, words: int) -> list[bytes]:
+    """Seeded random words over a-h of length 3-12; seed 1 and 5,000 words
+    give the 5k-word corpus."""
+    rng = random.Random(seed)
+    return [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(3, 12)))
+            for _ in range(words)]
+
+
 def zero_weight_symbol_file(trie: Trie) -> bytes:
     """A plain index file of the trie with one more symbol, 1 + the largest,
     whose vector has no ones: a symbol that labels no edge."""

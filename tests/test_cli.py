@@ -10,7 +10,7 @@ from xbwtrie.cli import format_pattern, main, parse_pattern
 from xbwtrie.index import crc32c
 from xbwtrie.succinct import serialize_bitvector
 
-from conftest import zero_weight_symbol_file
+from conftest import word_corpus, zero_weight_symbol_file
 
 FIG = b"b\nbb\nbcba\nbcbc\n"
 
@@ -114,11 +114,7 @@ def test_only_the_kept_index_is_built(fig_file, tmp_path, monkeypatch, capsys,
 
 
 def _words(seed, count):
-    import random
-    rng = random.Random(seed)
-    return b"".join(bytes(rng.choice(b"abcdefgh")
-                          for _ in range(rng.randint(3, 12))) + b"\n"
-                    for _ in range(count))
+    return b"".join(w + b"\n" for w in word_corpus(seed, count))
 
 
 @pytest.mark.parametrize("text", [FIG, b"a\nb\n", b"\n", _words(1, 5000)],

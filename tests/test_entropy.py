@@ -7,9 +7,10 @@ from xbwtrie import (SymbolDistribution, build_from_strings, build_index,
                      random_distribution, run_count, symbol_distribution,
                      worst_case_entropy)
 import xbwtrie.entropy as ent
-from xbwtrie.entropy import report_rows
+from xbwtrie.entropy import (_table_entropy, binary_entropy_bits,
+                             report_rows)
 
-from conftest import complete_binary
+from conftest import complete_binary, word_corpus
 from construction_oracles import context_table_by_paths
 
 
@@ -141,43 +142,105 @@ def test_check_bounds_single_node():
     assert report.r == 0 and report.hwc == 0.0
 
 
+def _height(trie):
+    depth = [0] * trie.n
+    for v in range(1, trie.n):
+        depth[v] = depth[trie.parent[v]] + 1
+    return max(depth)
+
+
+def _referee(trie, max_order):
+    """(H_k, l_k) for k = 0..max_order from the byte-keyed context tables."""
+    tables = [context_table(trie, k) for k in range(max_order + 1)]
+    return (tuple(_table_entropy(t) for t in tables),
+            tuple(len(t) for t in tables))
+
+
+def test_profile_matches_context_tables(small_tries, fig_trie):
+    """check_bounds reads H_k and l_k off the XBWT columns; they equal, as
+    floats, what the byte-context tables give, up to two orders past the
+    height."""
+    tries = [*small_tries, fig_trie, build_from_strings([b""]),
+             *(complete_binary(h) for h in range(1, 9)),
+             *(build_from_strings([b"a" * h]) for h in range(1, 71)),
+             build_from_strings(word_corpus(1, 5000))]
+    for t in tries:
+        max_order = _height(t) + 2
+        report = check_bounds(t, max_order, modes=())
+        assert (report.h, report.context_counts) == _referee(t, max_order)
+        assert ent.entropy_profile(t, max_order) == \
+            (report.h, report.context_counts)
+
+
+def test_profile_path_closed_form():
+    # the path a^h: order k has one context per depth below k and one for
+    # the rest, and only the context a^k of the n - k deepest nodes has
+    # mixed out-labels (n - k - 1 of them continue)
+    for h in range(1, 71):
+        n = h + 1
+        t = build_from_strings([b"a" * h])
+        report = check_bounds(t, h + 2, modes=())
+        for k in range(h + 3):
+            assert report.context_counts[k] == min(k + 1, n)
+            expect = binary_entropy_bits(max(n - k, 0), max(n - k - 1, 0))
+            assert report.h[k] == expect / n, (h, k)
+
+
 def test_check_bounds_stops_at_distinct_contexts(monkeypatch):
-    """Once every node has its own context, higher orders reuse that table's
-    values and build none; the report matches the per-order computation."""
-    calls = []
+    """check_bounds and hk never build a byte-keyed table.  Once every node
+    has its own context, higher orders reuse the last pass's values and run
+    none; the report matches the per-order reference."""
+    referee = ent.context_table
 
-    def counted(trie, k):
-        calls.append(k)
-        return context_table(trie, k)
+    def refused(trie, k):
+        raise AssertionError("context_table called")
 
-    monkeypatch.setattr(ent, "context_table", counted)
+    passes = []
+    real_pass = ent._order_pass
+
+    def counted(*args):
+        passes.append(1)
+        return real_pass(*args)
+
+    monkeypatch.setattr(ent, "context_table", refused)
+    monkeypatch.setattr(ent, "_order_pass", counted)
     # (trie, max order, orders checked against the per-order reference)
     cases = [(build_from_strings([b""]), 100000, (0, 1, 2, 99999, 100000))]
     cases += [(build_from_strings([b"a" * h]), h + 20, range(h + 21))
               for h in (1, 4, 30)]
     for trie, max_order, orders in cases:
-        calls.clear()
+        passes.clear()
         report = check_bounds(trie, max_order)
         assert report.passed
-        # a path of height h has distinct contexts from order h on
-        assert calls == list(range(trie.n)), (trie.n, len(calls))
+        # a path of height h has distinct contexts from order h = n - 1 on:
+        # one pass for each order up to that one
+        assert len(passes) == trie.n, (trie.n, len(passes))
         assert len(report.h) == len(report.context_counts) == max_order + 1
         rows = {(r[1], r[2]): r[3] for r in report_rows(report)}
         for k in orders:
-            h, ell = hk(trie, k), len(context_table(trie, k))
+            table = referee(trie, k)
+            h, ell = _table_entropy(table), len(table)
+            assert hk(trie, k) == h
             assert (report.h[k], report.context_counts[k]) == (h, ell)
             assert rows["nh", str(k)] == f"{trie.n * h:.6f}"
             assert rows["contexts", str(k)] == str(ell)
+
+
+def test_hk_refuses_negative_order():
+    t = build_from_strings([b"ab"])
+    for order_fn in (hk, ent.entropy_profile):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            order_fn(t, -1)
 
 
 @pytest.mark.parametrize("mode", ["bogus", "auto"])
 def test_check_bounds_refuses_unknown_mode_first(fig_trie, monkeypatch,
                                                  mode):
     """A mode outside index.MODES, 'auto' included, is refused before any
-    context table or XBWT column is built."""
+    class pass or XBWT column is built."""
     calls = []
-    monkeypatch.setattr(ent, "context_table",
-                        lambda trie, k: calls.append(k))
+    monkeypatch.setattr(ent, "_order_pass",
+                        lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="unknown mode"):
         check_bounds(fig_trie, 2, modes=("fid", mode))
     assert calls == [] and fig_trie._xbwt is None

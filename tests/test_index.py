@@ -12,7 +12,7 @@ from xbwtrie.index import (_head_table, column_cost, crc32c, file_length,
                            index_bits, xbwt_columns)
 from xbwtrie.succinct import IdVector, serialize_bitvector
 
-from conftest import complete_binary, zero_weight_symbol_file
+from conftest import complete_binary, word_corpus, zero_weight_symbol_file
 from construction_oracles import per_node_columns
 
 MODES = ("plain", "fid", "id", "fixedblock")
@@ -333,21 +333,15 @@ def test_xbwt_columns_figure(fig_trie):
     assert xbwt_columns(fig_trie) is cols  # kept on the trie
 
 
-def _corpus(seed, words):
-    rng = random.Random(seed)
-    return [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(3, 12)))
-            for _ in range(words)]
-
-
 def test_xbwt_columns_match_per_node_loop(small_tries):
-    tries = small_tries + [build_from_strings(_corpus(5, 3000)),
+    tries = small_tries + [build_from_strings(word_corpus(5, 3000)),
                            build_from_strings([b""]),
                            build_from_strings([b"\x00\x01", b"\x01\x00"])]
     for t in tries:
         assert xbwt_columns(t) == per_node_columns(t)
 
 
-# sha256 of the index files of _corpus(2024, 2000) (n = 8,962), recorded
+# sha256 of the index files of word_corpus(2024, 2000) (n = 8,962), recorded
 # before the trie and XBWT construction were rewritten and re-recorded for
 # file versions 3, 4 and 5; test_version_4_moved_only_fixed_block_bodies and
 # test_version_5_moved_only_fixed_block_bodies show that the plain, fid and
@@ -363,7 +357,7 @@ GOLDEN_FILES = {
 
 def test_index_files_golden():
     import hashlib
-    trie = build_from_strings(_corpus(2024, 2000))
+    trie = build_from_strings(word_corpus(2024, 2000))
     assert trie.n == 8962
     for mode in MODES:
         data = serialize(build_index(trie, mode))
@@ -505,7 +499,7 @@ def test_run_bound_on_random_tries(small_tries):
 def test_auto_mode_selection(fig_trie, small_tries):
     """'auto' is the mode with the smallest file, the first in MODES on a
     tie."""
-    corpus = build_from_strings(_corpus(1, 2000))
+    corpus = build_from_strings(word_corpus(1, 2000))
     for t in [fig_trie, *small_tries, corpus]:
         sizes = [len(serialize(build_index(t, mode))) for mode in MODES]
         auto = serialize(build_index(t, "auto"))
@@ -518,7 +512,7 @@ def test_auto_writes_smallest_file():
     """On the seed-1 5k-word corpus the accounted totals put fixedblock
     first while fid's version-4 file was the smaller (15,911 against
     18,937 bytes); 'auto' now compares the files themselves."""
-    trie = build_from_strings(_corpus(1, 5000))
+    trie = build_from_strings(word_corpus(1, 5000))
     sizes = {mode: len(serialize(build_index(trie, mode))) for mode in MODES}
     assert sizes["fid"] == 15911
     assert sizes["fixedblock"] == 12130
@@ -531,7 +525,7 @@ def test_file_length_is_serialized_length(small_tries):
     MODES on a tie."""
     tries = [*small_tries, *(complete_binary(h) for h in range(1, 9)),
              *(build_from_strings([b"a" * length]) for length in range(1, 71)),
-             build_from_strings(_corpus(1, 5000))]
+             build_from_strings(word_corpus(1, 5000))]
     for t in tries:
         lengths = [file_length(t, mode) for mode in MODES]
         for mode, length in zip(MODES, lengths):
@@ -707,7 +701,7 @@ def test_version_4_moved_only_fixed_block_bodies(mode):
     3 and its CRC recomputed, is the version 3 file byte for byte."""
     import struct
     for words, v3 in ((_pinned_words(), V3_FILE_SHA256),
-                      (_corpus(2024, 2000), V3_GOLDEN_FILES)):
+                      (word_corpus(2024, 2000), V3_GOLDEN_FILES)):
         data = serialize(build_index(build_from_strings(words), mode))
         body = data[:4] + struct.pack("<H", 3) + data[6:-4]
         old = body + struct.pack("<I", crc32c(body))
@@ -733,7 +727,7 @@ def test_version_5_moved_only_fixed_block_bodies(mode):
     4 and its CRC recomputed, is the version 4 file byte for byte."""
     import struct
     for words, v4 in ((_pinned_words(), V4_FILE_SHA256),
-                      (_corpus(2024, 2000), V4_GOLDEN_FILES)):
+                      (word_corpus(2024, 2000), V4_GOLDEN_FILES)):
         data = serialize(build_index(build_from_strings(words), mode))
         body = data[:4] + struct.pack("<H", 4) + data[6:-4]
         old = body + struct.pack("<I", crc32c(body))
@@ -761,7 +755,7 @@ def _accounted_body_bits(vec):
 @pytest.mark.parametrize("mode", MODES)
 def test_file_bits_within_accounting(fig_trie, small_tries, mode):
     # a file is its header and CRC, 8 * (22 + sigma) bits, and the bodies
-    corpus = build_from_strings(_corpus(3, 2000))
+    corpus = build_from_strings(word_corpus(3, 2000))
     for t in [fig_trie, *small_tries, corpus]:
         idx = build_index(t, mode)
         bound = 8 * (22 + idx.sigma) + sum(
