@@ -21,7 +21,10 @@ and ``rank(0) == 0``.  The four public queries ``rank``, ``access``,
 call the back-end's unchecked ``_rank``, ``_access`` and ``_select``, which
 callers that already hold the bound (the index's forward search) call
 directly.  ``select`` finds its superblock in a rank directory by
-``bisect``.  All structures are immutable once built.
+``bisect``.  All structures are immutable once built, with one exception
+that no answer can see: a fixed-block vector read from a file keeps each
+block's stored rank, checked at load, and fills in the block's word the
+first time a query reads it.
 """
 from __future__ import annotations
 
@@ -29,7 +32,8 @@ import math
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import lt, sub
 from typing import Iterable, Sequence
 
 
@@ -436,22 +440,30 @@ class RrrVector(Bitvector):
         self.classes = tuple(classes)
         self.offsets = tuple(offsets)
         self._lens = tuple(lens)
-        combs = {blen: _comb_row(blen) for blen in set(lens)}
-        for cls, off, blen in zip(classes, offsets, lens):
-            if not 0 <= cls <= blen or not 0 <= off < combs[blen][cls]:
-                raise ValueError("invalid block encoding")
+        # every block's class lies in 0..blen and its offset in
+        # 0..C(blen, class) - 1: the full blocks are checked in C-level
+        # passes against one row, the short last block on its own
+        full = m // u
+        if len(classes) != len(lens) or len(offsets) != len(lens):
+            raise ValueError("invalid block encoding")
+        if lens and (min(classes) < 0 or max(classes) > u
+                     or min(offsets) < 0):
+            raise ValueError("invalid block encoding")
+        if not all(map(lt, islice(offsets, full),
+                       map(_comb_row(u).__getitem__, islice(classes, full)))):
+            raise ValueError("invalid block encoding")
+        if m % u and not (classes[-1] <= m % u
+                          and offsets[-1] < _comb_row(m % u)[classes[-1]]):
+            raise ValueError("invalid block encoding")
         self.ones = sum(classes)
         # the full blocks 0.._tabled-1 decode through one table lookup, the
         # short last block through the table of its own length
         self._table = _decode_table(u)
-        self._tabled = m // u
-        nblocks = len(classes)
-        nsb = max(1, (nblocks + self.SB_BLOCKS - 1) // self.SB_BLOCKS)
-        self._sb_rank = [0]
-        for s in range(1, nsb + 1):
-            end = min(s * self.SB_BLOCKS, nblocks)
-            start = (s - 1) * self.SB_BLOCKS
-            self._sb_rank.append(self._sb_rank[-1] + sum(classes[start:end]))
+        self._tabled = full
+        sb = self.SB_BLOCKS
+        starts = range(0, max(len(lens), 1), sb)  # one superblock at least
+        self._sb_rank = [0, *accumulate(sum(self.classes[s:s + sb])
+                                        for s in starts)]
         self.entropy_block_size = u
         self.entropy_block_count = len(classes)
 
@@ -530,11 +542,8 @@ class IdVector(Bitvector):
     def _init(self, m, stored, complemented):
         if stored and not (1 <= stored[0] and stored[-1] <= m):
             raise ValueError("position out of range")
-        prev = 0
-        for p in stored:
-            if p <= prev:
-                raise ValueError("positions must be strictly increasing")
-            prev = p
+        if not all(map(lt, stored, islice(stored, 1, None))):
+            raise ValueError("positions must be strictly increasing")
         self.m = m
         self._pos = tuple(stored)
         self.complemented = complemented
@@ -580,7 +589,11 @@ class FixedBlockVector(Bitvector):
     """Fixed-size blocks, each kept as one int whose bit j holds in-block
     position j + 1, with a precomputed table of ranks preceding every
     block; a cut block's rank is the block's count less the ones past the
-    cut."""
+    cut.
+
+    ``children`` is read by block index only: a built vector holds a tuple
+    of the words, a loaded one an :class:`_UnrankedBlocks` that fills in a
+    block's word on its first read."""
 
     kind = "fixedblock"
 
@@ -593,18 +606,19 @@ class FixedBlockVector(Bitvector):
         raw = _pack_positions(m, ones)
         # the padding bits past m are zero, so the last word has blen bits
         mask = (1 << min(b, m)) - 1
-        self._init(m, b, [(int.from_bytes(raw[at >> 3:((at + b) >> 3) + 1],
-                                          "little") >> (at & 7)) & mask
-                          for at in range(0, m, b)])
+        words = tuple((int.from_bytes(raw[at >> 3:((at + b) >> 3) + 1],
+                                      "little") >> (at & 7)) & mask
+                      for at in range(0, m, b))
+        self._init(m, b, [0, *accumulate(map(int.bit_count, words))], words)
 
-    def _init(self, m, b, children):
+    def _init(self, m, b, R, children):
         self.m = m
         self.b = b
-        self.children = tuple(children)
-        self._R = [0, *accumulate(w.bit_count() for w in children)]
+        self.children = children
+        self._R = R
         self.ones = self._R[-1]
         self.entropy_block_size = b
-        self.entropy_block_count = len(children)
+        self.entropy_block_count = len(self._R) - 1
 
     def _rank(self, i: int) -> int:
         # a block ending at i is counted by _R alone
@@ -625,20 +639,21 @@ class FixedBlockVector(Bitvector):
 
     def one_positions(self) -> list[int]:
         out: list[int] = []
-        for bi, word in enumerate(self.children):
-            _extend_set_bits(out, word, bi * self.b + 1)
+        children = self.children
+        for bi in range(self.entropy_block_count):
+            _extend_set_bits(out, children[bi], bi * self.b + 1)
         return out
 
     def _counts(self) -> list[int]:
         """The one count of every block."""
-        return [w.bit_count() for w in self.children]
+        return list(map(sub, islice(self._R, 1, None), self._R))
 
     def payload_bits(self) -> BitCost:
         return fixedblock_cost(self.m, self.b, self._counts())
 
     def stored_items(self) -> int:
         full, tail = divmod(self.m, self.b)
-        return (len(self.children) + full * ((self.b + 63) >> 6)
+        return (self.entropy_block_count + full * ((self.b + 63) >> 6)
                 + ((tail + 63) >> 6))
 
 
@@ -686,6 +701,33 @@ def _unpack_bitstream(data: bytes, widths: Sequence[int]) -> list[int]:
         have -= w
     if acc or any(data[pos:]):
         raise ValueError("bitstream has padding bits set")
+    return out
+
+
+def _unpack_uniform(data: bytes, w: int, k: int) -> list[int]:
+    """``_unpack_bitstream(data, [w] * k)`` for one width w >= 1, with the
+    same checks.  Eight w-bit values fill exactly w bytes, so the stream
+    is read a group at a time: one ``int.from_bytes`` and eight
+    shift-and-masks per group, and the tail group's padding checked."""
+    total = w * k
+    if total > len(data) * 8:
+        raise ValueError("truncated")
+    if len(data) != (total + 7) // 8:
+        raise ValueError("bad bitstream length")
+    mask = (1 << w) - 1
+    shifts = range(0, 8 * w, w)
+    full = (k >> 3) * w  # the bytes of the full groups
+    frm = int.from_bytes
+    out = [(g >> s) & mask
+           for g in [frm(data[at:at + w], "little")
+                     for at in range(0, full, w)]
+           for s in shifts]
+    tail = k & 7
+    if tail:
+        g = frm(data[full:], "little")
+        if g >> (tail * w):
+            raise ValueError("bitstream has padding bits set")
+        out += [(g >> s) & mask for s in shifts[:tail]]
     return out
 
 
@@ -749,6 +791,30 @@ def _unrank(cols: list[list[int]], r: int, j: int, blen: int) -> int:
     return word
 
 
+class _UnrankedBlocks(dict):
+    """The words of a loaded vector's fixed blocks, by block index.  A
+    block's word is unranked from its stored rank, checked at load, the
+    first time it is read, and then kept, so a read that finds it stays in
+    the dict's own lookup."""
+
+    __slots__ = ("m", "b", "_R", "ranks")
+
+    def __init__(self, m: int, b: int, R: list[int], ranks: list[int]):
+        super().__init__()
+        self.m, self.b, self._R, self.ranks = m, b, R, ranks
+
+    def __missing__(self, bi: int) -> int:
+        blen = min(self.b, self.m - bi * self.b)
+        k = self._R[bi + 1] - self._R[bi]
+        if 2 * k > blen:  # the zeros were ranked
+            word = (_unrank(_pascal(self.b), self.ranks[bi], blen - k, blen)
+                    ^ ((1 << blen) - 1))
+        else:
+            word = _unrank(_pascal(self.b), self.ranks[bi], k, blen)
+        self[bi] = word
+        return word
+
+
 def serialize_bitvector(v: Bitvector) -> bytes:
     """The stored body of v, without its kind or length."""
     if isinstance(v, PlainBitvector):
@@ -769,7 +835,8 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         cols = _pascal(v.b)
         counts = v._counts()
         ranks = []
-        for blen, k, word in zip(_block_lens(v.m, v.b), counts, v.children):
+        for bi, (blen, k) in enumerate(zip(_block_lens(v.m, v.b), counts)):
+            word = v.children[bi]
             if 2 * k > blen:  # the zeros are ranked
                 word ^= (1 << blen) - 1
             ranks.append(_rank_word(cols, word))
@@ -808,9 +875,9 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
             raise ValueError(f"bad rrr block size {u}")
         nblocks = (m + u - 1) // u
         stream, off = _take(buf, off, (nblocks * u.bit_length() + 7) // 8)
-        classes = _unpack_bitstream(stream, [u.bit_length()] * nblocks)
-        lens = _block_lens(m, u)
-        if any(cls > blen for blen, cls in zip(lens, classes)):
+        classes = _unpack_uniform(stream, u.bit_length(), nblocks)
+        if classes and (max(classes) > u
+                        or classes[-1] > m - (nblocks - 1) * u):
             raise ValueError("rrr class exceeds its block length")
         widths = _class_widths(m, u, classes)
         stream, off = _take(buf, off, (sum(widths) + 7) // 8)
@@ -825,7 +892,7 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
             raise ValueError("more stored positions than bits")
         width = _position_width(m)
         stream, off = _take(buf, off, (k * width + 7) // 8)
-        pos = _unpack_bitstream(stream, [width] * k)
+        pos = _unpack_uniform(stream, width, k)
         return IdVector._restore(m, pos, bool(flags)), off
     if kind == "fixedblock":
         head, off = _take(buf, off, 8)
@@ -839,36 +906,44 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         cols = _pascal(b)
         last = m - (nblocks - 1) * b
         rows = {blen: _binomials(cols, blen) for blen in {b, last}}
-        row_widths = {blen: [(c - 1).bit_length() for c in row]
-                      for blen, row in rows.items()}
         # each block's body width follows from its count; the widths are
         # summed as the counts are read, a chunk of _COUNT_CHUNK at a time,
-        # and a sum past the buffer is refused before the next chunk
+        # and a sum past the buffer is refused before the next chunk.  A
+        # count past its block length takes a width past any room, so the
+        # first block that overruns the room is the first bad one, and the
+        # error names what is wrong with it
         room = 8 * (len(buf) - off)
+        past = [room + 1] * (1 << bw)
+        row_widths = {blen: ([(c - 1).bit_length() for c in row]
+                             + past)[:1 << bw]
+                      for blen, row in rows.items()}
         counts: list[int] = []
         widths: list[int] = []
         for first in range(0, nblocks, _COUNT_CHUNK):
             chunk = stream[first * bw // 8:][:_COUNT_CHUNK * bw // 8]
-            for k in _unpack_bitstream(
-                    chunk, [bw] * min(_COUNT_CHUNK, nblocks - first)):
-                row = row_widths[b if len(counts) < nblocks - 1 else last]
-                if k >= len(row):
-                    raise ValueError("more stored positions than bits")
-                room -= row[k]
-                if room < 0:
-                    raise ValueError("truncated")
-                counts.append(k)
-                widths.append(row[k])
+            ks = _unpack_uniform(chunk, bw, min(_COUNT_CHUNK, nblocks - first))
+            ws = list(map(row_widths[b].__getitem__, ks))
+            if first + len(ks) == nblocks:  # the last block may be short
+                ws[-1] = row_widths[last][ks[-1]]
+            spent = sum(ws)
+            if spent > room:
+                i = bisect_right(list(accumulate(ws)), room)
+                blen = last if first + i == nblocks - 1 else b
+                raise ValueError("more stored positions than bits"
+                                 if ks[i] > blen else "truncated")
+            room -= spent
+            counts += ks
+            widths += ws
         stream, off = _take(view, off, (sum(widths) + 7) // 8)
-        children = []
-        for blen, k, r in zip(_block_lens(m, b), counts,
-                              _unpack_bitstream(stream, widths)):
-            if r >= rows[blen][k]:
-                raise ValueError("fixed block rank out of range")
-            if 2 * k > blen:  # the zeros were ranked
-                children.append(_unrank(cols, r, blen - k, blen)
-                                ^ ((1 << blen) - 1))
-            else:
-                children.append(_unrank(cols, r, k, blen))
-        return FixedBlockVector._restore(m, b, children), off
+        ranks = _unpack_bitstream(stream, widths)
+        # every rank lies below C(l, k); the blocks are unranked on first
+        # read, by _UnrankedBlocks
+        bounds = list(map(rows[b].__getitem__, counts))
+        if nblocks:
+            bounds[-1] = rows[last][counts[-1]]
+        if not all(map(lt, ranks, bounds)):
+            raise ValueError("fixed block rank out of range")
+        R = [0, *accumulate(counts)]
+        return FixedBlockVector._restore(m, b, R, _UnrankedBlocks(m, b, R,
+                                                                  ranks)), off
     raise ValueError(f"unknown back-end {kind!r}")

@@ -57,3 +57,18 @@ def small_tries() -> list[Trie]:
     from xbwtrie import random_trie
     rng = random.Random(0xC0FFEE)
     return [random_trie(rng, 60, 6) for _ in range(300)]
+
+
+@pytest.fixture
+def unrank_calls(monkeypatch) -> list[tuple]:
+    """A list that gets the arguments of every ``succinct._unrank`` call
+    from now on: a fixed block's word is unranked on its first read."""
+    from xbwtrie import succinct
+    calls = []
+    real = succinct._unrank
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(succinct, "_unrank", counted)
+    return calls

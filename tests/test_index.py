@@ -266,6 +266,40 @@ def _id_file(n, symbols, vectors):
     return body + struct.pack("<I", crc32c(body))
 
 
+class _ReadLog(tuple):
+    """A tuple of block words that logs the index of every read."""
+
+    def __getitem__(self, bi):
+        self.reads.add(bi)
+        return super().__getitem__(bi)
+
+
+def test_fixed_block_file_unranks_only_blocks_count_reads(unrank_calls):
+    """Loading a fixed-block file unranks no block; count unranks exactly
+    the blocks it reads, found by logging the reads of the built index's
+    tuples, each of them once."""
+    calls = unrank_calls
+    built = build_index(build_from_strings(word_corpus(1, 2000)),
+                        "fixedblock")
+    loaded = deserialize(serialize(built))
+    assert calls == []
+    for vec in built.vectors:
+        vec.children = _ReadLog(vec.children)
+        vec.children.reads = set()
+    rng = random.Random(3)
+    patterns = [bytes(rng.choice(b"abcdefgh")
+                      for _ in range(rng.randint(1, 6))) for _ in range(40)]
+    for _ in range(2):  # the second pass reads only unranked words
+        assert [count(loaded, p) for p in patterns] == \
+            [count(built, p) for p in patterns]
+    blocks = read = 0
+    for old, new in zip(built.vectors, loaded.vectors):
+        assert set(new.children) == old.children.reads
+        blocks += len(old.children)
+        read += len(new.children)
+    assert len(calls) == read < blocks
+
+
 def test_count_head_table_bounded_by_header_n():
     """A 39-byte ID file declaring n = 2^40 (a path trie of one symbol,
     stored as the single zero of a complemented vector) loads at once."""
@@ -748,7 +782,7 @@ FIXED_BITS = {"plain": 0, "fid": 8 + 7 + 7, "id": 8 + 64 + 7,
 def _accounted_body_bits(vec):
     cost = vec.payload_bits()
     if vec.kind == "fixedblock":
-        return cost.payload + len(vec.children) * vec.b.bit_length()
+        return cost.payload + vec.entropy_block_count * vec.b.bit_length()
     return cost.total
 
 

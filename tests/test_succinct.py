@@ -1,13 +1,14 @@
 import math
 import random
+import struct
 
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
 from xbwtrie.succinct import (Bitvector, _decode_table, _encode_table,
                               _pack_bitstream, _unpack_bitstream,
-                              ceil_log2_comb, deserialize_bitvector,
-                              serialize_bitvector)
+                              _unpack_uniform, ceil_log2_comb,
+                              deserialize_bitvector, serialize_bitvector)
 
 from succinct_oracles import decode_block, encode_block, parse_bits
 
@@ -61,6 +62,37 @@ def test_id_restore_checks_stored_positions():
     for stored in ([4, 4], [5, 3], [2, 7, 7, 9], [1, 5, 3, 9]):
         with pytest.raises(ValueError, match="strictly increasing"):
             IdVector._restore(10, stored, True)
+
+
+def test_rrr_restore_checks_every_block():
+    """Each block's class lies in 0..blen and its offset below C(blen,
+    class), in every full block and in the short last block."""
+    # m = 8, u = 4: two full blocks; m = 7: a full block and a 3-bit one
+    assert RrrVector._restore(8, 4, [2, 1], [5, 3]).ones == 3
+    assert RrrVector._restore(7, 4, [2, 1], [5, 2]).ones == 3
+    for m, classes, offsets in (
+            (8, [2, 1], [6, 0]),   # C(4, 2) = 6 in a full block
+            (8, [1, 2], [0, 6]),   # ... in the last full block
+            (7, [2, 1], [0, 3]),   # C(3, 1) = 3 in the short last block
+            (7, [2, 0], [0, 1]),   # C(3, 0) = 1 in the short last block
+            (8, [5, 1], [0, 0]),   # class 5 in a 4-bit block
+            (7, [2, 4], [0, 0]),   # class 4 in the 3-bit last block
+            (7, [-1, 1], [0, 0]),
+            (7, [2, 1], [-1, 0]),
+            (7, [2], [0])):        # one block short
+        with pytest.raises(ValueError, match="^invalid block encoding$"):
+            RrrVector._restore(m, 4, classes, offsets)
+
+
+def test_rrr_loader_checks_every_class():
+    """A stored class past its block length is refused before any offset
+    is read, in a full block and in the short last block."""
+    # m = 7, u = 4: classes at 3 bits, then the offsets
+    for classes in ([5, 1], [2, 4]):
+        body = b"\x04" + _pack_bitstream(classes, [3, 3]) + bytes(2)
+        with pytest.raises(ValueError,
+                           match="^rrr class exceeds its block length$"):
+            deserialize_bitvector("fid", 7, body)
 
 
 def test_select_examples(backend):
@@ -393,9 +425,9 @@ def _block_vectors():
 
 def test_fixed_block_children_are_raw_words():
     """Every child is an int of its block's bits, bit j holding in-block
-    position j + 1, and the loaded children equal the built ones; the
-    queries equal plain's at every position, so every block edge, before
-    and after a file round trip."""
+    position j + 1, and the loaded children, read by block index, equal
+    the built ones; the queries equal plain's at every position, so every
+    block edge, before and after a file round trip."""
     for v, bits in _block_vectors():
         blocks = list(_blocks_of(v, bits))
         assert sum(blen for blen, _, _ in blocks) == v.m
@@ -407,7 +439,8 @@ def test_fixed_block_children_are_raw_words():
             at += blen
         ref = PlainBitvector(v.m, [i + 1 for i in range(v.m) if bits[i]])
         back, _ = deserialize_bitvector(v.kind, v.m, serialize_bitvector(v))
-        assert back.children == v.children
+        assert [back.children[bi] for bi in range(len(v.children))] == \
+            list(v.children)
         for u in (v, back):
             assert u.ones == ref.ones
             assert u.one_positions() == ref.one_positions()
@@ -493,6 +526,69 @@ def test_fixed_block_rank_checked():
     v, _ = deserialize_bitvector(
         "fixedblock", 14, _fixed_block_body(10, [3, 3], [0, 3], [7, 2]))
     assert v.one_positions() == [1, 2, 3, 11, 12, 13]
+
+
+def test_fixed_block_rank_checked_at_load_in_last_block(unrank_calls):
+    """A rank at C(l, k) in the short last block is refused at load, with
+    no block unranked; one below it loads, and still unranks nothing."""
+    calls = unrank_calls
+    # a 10-bit block of 3 ones, then a 3-bit block of one one, whose rank
+    # takes 2 bits and must lie below C(3, 1) = 3
+    with pytest.raises(ValueError, match="^fixed block rank out of range$"):
+        deserialize_bitvector("fixedblock", 13,
+                              _fixed_block_body(10, [3, 1], [0, 3], [7, 2]))
+    v, _ = deserialize_bitvector("fixedblock", 13,
+                                 _fixed_block_body(10, [3, 1], [0, 2], [7, 2]))
+    assert calls == []
+    assert v.one_positions() == [1, 2, 3, 13]
+    assert len(calls) == 2
+
+
+def test_fixed_block_counts_checked_in_block_order():
+    """Of a count past its block length and a body past the buffer, the
+    error names whichever comes first in block order."""
+    # b = 10, m = 13: counts at 4 bits, a 10-bit block then a 3-bit one
+    for counts, tail, message in (
+            ([11, 0], b"", "more stored positions than bits"),
+            ([3, 4], bytes(2), "more stored positions than bits"),
+            ([3, 15], b"", "truncated"),
+            ([3, 1], b"", "truncated")):
+        body = struct.pack("<Q", 10) + _pack_bitstream(counts, [4, 4]) + tail
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            deserialize_bitvector("fixedblock", 13, body)
+
+
+@pytest.mark.parametrize("m", (0, 1, 7, 8, 9, 63, 64, 65, 511, 512, 513,
+                               4097))
+def test_fixed_blocks_loaded_lazily_agree_with_built(m, unrank_calls):
+    """A loaded vector unranks no block until a query reads it, and then
+    answers rank, access, select, one_positions and its serialized bytes
+    as the built one does."""
+    calls = unrank_calls
+    rng = random.Random(m)
+    for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+        ones = tuple(p for p in range(1, m + 1) if rng.random() < density)
+        for b in (5, 64, 254):
+            v = FixedBlockVector(m, ones, b)
+            blob = serialize_bitvector(v)
+            del calls[:]
+            loaded = [deserialize_bitvector(v.kind, m, blob)[0]
+                      for _ in range(5)]
+            assert calls == []
+            rank, access, select, positions, body = loaded
+            assert [rank.rank(i) for i in range(m + 1)] == \
+                [v.rank(i) for i in range(m + 1)]
+            assert [access.access(i) for i in range(1, m + 1)] == \
+                [v.access(i) for i in range(1, m + 1)]
+            assert [select.select(j) for j in range(1, v.ones + 1)] == \
+                [select.select(j) for j in range(1, v.ones + 1)] == \
+                [v.select(j) for j in range(1, v.ones + 1)]
+            assert positions.one_positions() == v.one_positions()
+            assert serialize_bitvector(body) == blob
+            # each loaded vector unranked each block it read once
+            assert len(calls) == sum(len(u.children) for u in loaded)
+            assert all(set(u.children) <= set(range(len(v.children)))
+                       for u in loaded)
 
 
 def test_fixed_block_file_size_bounded():
@@ -608,8 +704,17 @@ def _reference_pack(values, widths):
     return acc.to_bytes((at + 7) // 8, "little")
 
 
+UNIFORM_COUNTS = (0, 1, 7, 8, 9, 15, 16, 17, 100)
+
+
 def test_bitstream_round_trip():
     rng = random.Random(13)
+    for w in range(1, 65):  # the grouped reader of one width
+        for count in UNIFORM_COUNTS:
+            values = [rng.getrandbits(w) for _ in range(count)]
+            data = _pack_bitstream(values, [w] * count)
+            assert _unpack_uniform(data, w, count) == values
+            assert _unpack_uniform(memoryview(data), w, count) == values
     for w in range(25):
         for count in (0, 1, 7, 8, 9, 100):
             widths = [w] * count
@@ -625,7 +730,20 @@ def test_bitstream_round_trip():
         assert _unpack_bitstream(data, widths) == values
 
 
+def _unpacked(unpack, *args):
+    """What unpack returns, or the message of the ValueError it raises."""
+    try:
+        return unpack(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_bitstream_rejects_bad_streams():
+    """A stream a byte short or a byte long, or with a set bit past its
+    last value, is refused; the grouped reader of one width raises the
+    general reader's errors, whether that bit is padding in a tail group
+    or, when the values end on a byte, a bit in a byte past the last full
+    group."""
     widths = [5, 5, 5]
     data = _pack_bitstream([31, 0, 17], widths)  # 15 bits in 2 bytes
     with pytest.raises(ValueError, match="truncated"):
@@ -634,6 +752,27 @@ def test_bitstream_rejects_bad_streams():
         _unpack_bitstream(data + b"\x00", widths)
     with pytest.raises(ValueError, match="padding"):
         _unpack_bitstream(data[:1] + bytes((data[1] | 0x80,)), widths)
+    rng = random.Random(15)
+    for w in range(1, 65):
+        for count in UNIFORM_COUNTS:
+            data = _pack_bitstream([rng.getrandbits(w) for _ in range(count)],
+                                   [w] * count)
+            bad = {"bad bitstream length": [data + b"\x00", data + b"\x80"]}
+            if data:
+                bad["truncated"] = [data[:-1]]
+            # the top bit of the last byte is padding unless the values
+            # fill that byte, as they do when count % 8 == 0
+            top = data[:-1] + bytes((data[-1] | 0x80,)) if data else b""
+            if w * count % 8:
+                bad["bitstream has padding bits set"] = [top]
+            elif data:
+                assert _unpack_uniform(top, w, count) == \
+                    _unpack_bitstream(top, [w] * count)
+            for message, streams in bad.items():
+                for stream in streams:
+                    assert _unpacked(_unpack_uniform, stream, w, count) == \
+                        _unpacked(_unpack_bitstream, stream, [w] * count) == \
+                        message
 
 
 def test_plain_rejects_padding_bits():
