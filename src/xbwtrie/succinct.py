@@ -3,10 +3,12 @@
 Four interchangeable representations of a static bitvector:
 
 * ``PlainBitvector``   -- packed words plus a two-level rank directory.
-* ``RrrVector``        -- per-block class/offset coding (the FID back-end);
-                          each u-bit block is stored as its popcount plus the
-                          lexicographic rank of its pattern among same-weight
-                          words, in ceil(log C(u, class)) bits.
+* ``RrrVector``        -- per-block class/offset coding (the FID back-end):
+                          a file stores each u-bit block as its popcount plus
+                          the lexicographic rank of its pattern among
+                          same-weight words, in ceil(log C(u, class)) bits,
+                          and a rank per superblock of 8 blocks; in memory a
+                          superblock is one int of its 8u raw bits.
 * ``IdVector``         -- explicit one-positions supporting select directly
                           and rank by binary search; optionally stores the
                           complement when ones dominate.
@@ -15,16 +17,18 @@ Four interchangeable representations of a static bitvector:
                           file stores each block as its enumerative rank,
                           in ceil(log C(b, k)) bits.
 
-Positions are 1-based; ``rank(i)`` counts ones in positions 1..i inclusive
-and ``rank(0) == 0``.  The four public queries ``rank``, ``access``,
-``select`` and ``prank`` check their argument once, in ``Bitvector``, and
-call the back-end's unchecked ``_rank``, ``_access`` and ``_select``, which
-callers that already hold the bound (the index's forward search) call
-directly.  ``select`` finds its superblock in a rank directory by
-``bisect``.  All structures are immutable once built, with one exception
-that no answer can see: a fixed-block vector read from a file keeps each
-block's stored rank, checked at load, and fills in the block's word the
-first time a query reads it.
+Fid and fixed-block answer queries on one path, that of their common base
+``_WordBlocks``: words of b raw bits (8u for fid) and the rank before
+every word.  Positions are 1-based; ``rank(i)`` counts ones in positions
+1..i inclusive and ``rank(0) == 0``.  The four public queries ``rank``,
+``access``, ``select`` and ``prank`` check their argument once, in
+``Bitvector``, and call the back-end's unchecked ``_rank``, ``_access`` and
+``_select``, which callers that already hold the bound (the index's forward
+search) call directly.  ``select`` finds its superblock in a rank directory
+by ``bisect``.  All structures are immutable once built, with one exception
+that no answer can see: a fid or fixed-block vector read from a file keeps
+what the file stored for each word, checked at load, and fills in the word
+the first time a query reads it.
 """
 from __future__ import annotations
 
@@ -110,6 +114,20 @@ def _select_in_word(word: int, t: int) -> int:
     return (word & -word).bit_length() - 1
 
 
+def _block_words(m: int, ones: Iterable[int],
+                 b: int) -> tuple[list[int], tuple[int, ...]]:
+    """The b-bit words covering m bits, bit j of a word holding position
+    j + 1 of its block, and the ranks before every word and after the
+    last."""
+    raw = _pack_positions(m, ones)
+    # the padding bits past m are zero, so the last word has blen bits
+    mask = (1 << min(b, m)) - 1
+    words = tuple((int.from_bytes(raw[at >> 3:((at + b) >> 3) + 1],
+                                  "little") >> (at & 7)) & mask
+                  for at in range(0, m, b))
+    return [0, *accumulate(map(int.bit_count, words))], words
+
+
 # ---------------------------------------------------------------------------
 # block codec of the FID back-end: a u-bit block is its class (popcount) and
 # its offset, the lexicographic rank of its bit string (position 1 first,
@@ -146,18 +164,6 @@ def _encode_table(u: int) -> list[int]:
                 table[w] = offset
         _ENCODE_TABLES[u] = table
     return table
-
-
-_COMB_ROWS: dict[int, tuple[int, ...]] = {}
-
-
-def _comb_row(blen: int) -> tuple[int, ...]:
-    """C(blen, cls) for every class cls of a fid block of blen bits."""
-    row = _COMB_ROWS.get(blen)
-    if row is None:
-        row = _COMB_ROWS[blen] = tuple(math.comb(blen, k)
-                                       for k in range(blen + 1))
-    return row
 
 
 # small ints only: a row of big C(blen, k) for every fixed-block length up
@@ -406,107 +412,126 @@ class PlainBitvector(Bitvector):
         return len(self._words)
 
 
-class RrrVector(Bitvector):
-    """FID back-end: class/offset coded blocks with rank and select support."""
+class _WordBlocks(Bitvector):
+    """The query path of the block back-ends: the bits cut into b-bit
+    blocks, each read as one int whose bit j holds in-block position j + 1,
+    and ``_R``, the ranks before every block and after the last.  A cut
+    block's rank is the rank after it less the ones past the cut.
+
+    ``children`` is read by block index only: a built vector holds a tuple
+    of the words, a loaded one a :class:`_LazyWords` that decodes a block's
+    word on its first read."""
+
+    __slots__ = ("m", "ones", "b", "children", "_R",
+                 "entropy_block_size", "entropy_block_count")
+
+    def _init(self, m, b, R, children):
+        self.m = m
+        self.b = b
+        self.children = children
+        self._R = R
+        self.ones = R[-1]
+        self.entropy_block_size = b
+        self.entropy_block_count = len(R) - 1
+
+    def _rank(self, i: int) -> int:
+        # a block ending at i is counted by _R alone
+        bi = i // self.b
+        r = i - bi * self.b
+        if not r:
+            return self._R[bi]
+        return self._R[bi + 1] - (self.children[bi] >> r).bit_count()
+
+    def _access(self, i: int) -> int:
+        bi = (i - 1) // self.b
+        return (self.children[bi] >> (i - 1 - bi * self.b)) & 1
+
+    def _select(self, i: int) -> int:
+        j = bisect_left(self._R, i) - 1
+        return j * self.b + _select_in_word(self.children[j],
+                                            i - self._R[j]) + 1
+
+    def one_positions(self) -> list[int]:
+        out: list[int] = []
+        children = self.children
+        for bi in range(len(self._R) - 1):
+            _extend_set_bits(out, children[bi], bi * self.b + 1)
+        return out
+
+
+class RrrVector(_WordBlocks):
+    """FID back-end: u-bit blocks, each coded as its class (one count) and
+    its offset among the blocks of that class, with a rank before every
+    superblock of ``SB_BLOCKS`` blocks.
+
+    ``classes`` holds every block's class, one byte each.  In memory a
+    superblock is one word of its 8u raw bits and ``_R`` the superblock
+    ranks, so fid queries run on the fixed-block path at b = 8u.  A built
+    vector holds no offsets: the serializer looks each one up from its
+    block's bits.  A loaded one keeps the file's offsets to decode its
+    words from."""
 
     kind = "fid"
     SB_BLOCKS = 8
 
-    __slots__ = ("m", "ones", "u", "classes", "offsets", "_lens",
-                 "_table", "_tabled", "_sb_rank",
-                 "entropy_block_size", "entropy_block_count")
+    __slots__ = ("u", "classes")
 
     def __init__(self, m: int, ones: Iterable[int], u: int | None = None):
         if m < 0:
             raise ValueError("length must be nonnegative")
-        raw = _pack_positions(m, ones)
         u = fid_block_size(m, u)
-        # u <= 14 bits starting at bit `at` lie within the 3 bytes from at>>3;
-        # the padding bits past m are zero, so the last pattern has blen bits
+        R, words = _block_words(m, ones, self.SB_BLOCKS * u)
         mask = (1 << u) - 1
-        patterns = [(int.from_bytes(raw[at >> 3:(at >> 3) + 3], "little")
-                     >> (at & 7)) & mask for at in range(0, m, u)]
-        classes = [pat.bit_count() for pat in patterns]
-        table = _encode_table(u)
-        offsets = [table[pat] for pat in patterns[:m // u]]
-        if m % u:
-            offsets.append(_encode_table(m % u)[patterns[-1]])
-        self._init(m, u, classes, offsets)
+        shifts = range(0, self.SB_BLOCKS * u, u)
+        # the padding blocks past m in the last word are cut off
+        classes = bytes([((w >> s) & mask).bit_count()
+                         for w in words for s in shifts][:(m + u - 1) // u])
+        self._init(m, u, classes, R, words)
 
-    def _init(self, m, u, classes, offsets):
-        lens = _block_lens(m, u)
-        self.m = m
+    def _init(self, m, u, classes, R, children):
+        super()._init(m, self.SB_BLOCKS * u, R, children)
         self.u = u
-        self.classes = tuple(classes)
-        self.offsets = tuple(offsets)
-        self._lens = tuple(lens)
-        # every block's class lies in 0..blen and its offset in
-        # 0..C(blen, class) - 1: the full blocks are checked in C-level
-        # passes against one row, the short last block on its own
-        full = m // u
-        if len(classes) != len(lens) or len(offsets) != len(lens):
-            raise ValueError("invalid block encoding")
-        if lens and (min(classes) < 0 or max(classes) > u
-                     or min(offsets) < 0):
-            raise ValueError("invalid block encoding")
-        if not all(map(lt, islice(offsets, full),
-                       map(_comb_row(u).__getitem__, islice(classes, full)))):
-            raise ValueError("invalid block encoding")
-        if m % u and not (classes[-1] <= m % u
-                          and offsets[-1] < _comb_row(m % u)[classes[-1]]):
-            raise ValueError("invalid block encoding")
-        self.ones = sum(classes)
-        # the full blocks 0.._tabled-1 decode through one table lookup, the
-        # short last block through the table of its own length
-        self._table = _decode_table(u)
-        self._tabled = full
-        sb = self.SB_BLOCKS
-        starts = range(0, max(len(lens), 1), sb)  # one superblock at least
-        self._sb_rank = [0, *accumulate(sum(self.classes[s:s + sb])
-                                        for s in starts)]
+        self.classes = classes
         self.entropy_block_size = u
         self.entropy_block_count = len(classes)
 
-    def _block_pattern(self, b: int) -> int:
-        if b < self._tabled:
-            return self._table[self.classes[b]][self.offsets[b]]
-        return _decode_table(self._lens[b])[self.classes[b]][self.offsets[b]]
+    @classmethod
+    def _from_blocks(cls, m: int, u: int, classes: Sequence[int],
+                     offsets: Sequence[int]) -> "RrrVector":
+        """A vector from its blocks' classes and offsets, as a file stores
+        them, each checked: a class lies in 0..blen and an offset in
+        0..C(blen, class) - 1.  A superblock's word is decoded on its first
+        read."""
+        nblocks = (m + u - 1) // u
+        full = m // u
+        rows = _decode_table(u)  # row k lists the C(u, k) blocks of class k
+        # the full blocks are checked in C-level passes, the short last
+        # block on its own
+        if len(classes) != nblocks or len(offsets) != nblocks:
+            raise ValueError("invalid block encoding")
+        if nblocks and (min(classes) < 0 or max(classes) > u
+                        or min(offsets) < 0):
+            raise ValueError("invalid block encoding")
+        if not all(map(lt, islice(offsets, full),
+                       map(len, map(rows.__getitem__,
+                                    islice(classes, full))))):
+            raise ValueError("invalid block encoding")
+        if m % u and not (classes[-1] <= m % u and offsets[-1] < len(
+                _decode_table(m % u)[classes[-1]])):
+            raise ValueError("invalid block encoding")
+        classes = bytes(classes)
+        sb = cls.SB_BLOCKS
+        R = [0, *islice(accumulate(classes), sb - 1, None, sb)]
+        if nblocks % sb:
+            R.append(sum(classes))
 
-    def _rank(self, i: int) -> int:
-        # b full blocks lie before position i + 1; a block ending at i is
-        # counted by its class, and only a block that i cuts is decoded
-        u = self.u
-        b = i // u
-        s = b // self.SB_BLOCKS
-        c = self._sb_rank[s] + sum(self.classes[s * self.SB_BLOCKS:b])
-        rem = i - b * u
-        if rem:
-            if b < self._tabled:
-                pat = self._table[self.classes[b]][self.offsets[b]]
-            else:
-                pat = self._block_pattern(b)
-            c += (pat & ((1 << rem) - 1)).bit_count()
-        return c
-
-    def _access(self, i: int) -> int:
-        b = (i - 1) // self.u
-        return (self._block_pattern(b) >> ((i - 1) - b * self.u)) & 1
-
-    def _select(self, i: int) -> int:
-        s = bisect_left(self._sb_rank, i) - 1  # last superblock with count < i
-        c = self._sb_rank[s]
-        b = s * self.SB_BLOCKS
-        while c + self.classes[b] < i:
-            c += self.classes[b]
-            b += 1
-        return b * self.u + _select_in_word(self._block_pattern(b), i - c) + 1
-
-    def one_positions(self) -> list[int]:
-        out: list[int] = []
-        for b, cls in enumerate(self.classes):
-            if cls:
-                _extend_set_bits(out, self._block_pattern(b), b * self.u + 1)
-        return out
+        def decode(s: int) -> int:
+            word = 0
+            for j in range(s * sb, min(s * sb + sb, nblocks)):
+                table = rows if j < full else _decode_table(m % u)
+                word |= table[classes[j]][offsets[j]] << ((j - s * sb) * u)
+            return word
+        return cls._restore(m, u, classes, R, _LazyWords(decode))
 
     def payload_bits(self) -> BitCost:
         return fid_cost(self.m, self.u, self.classes)
@@ -585,64 +610,19 @@ class IdVector(Bitvector):
         return len(self._pos)
 
 
-class FixedBlockVector(Bitvector):
-    """Fixed-size blocks, each kept as one int whose bit j holds in-block
-    position j + 1, with a precomputed table of ranks preceding every
-    block; a cut block's rank is the block's count less the ones past the
-    cut.
-
-    ``children`` is read by block index only: a built vector holds a tuple
-    of the words, a loaded one an :class:`_UnrankedBlocks` that fills in a
-    block's word on its first read."""
+class FixedBlockVector(_WordBlocks):
+    """Fixed-size blocks, each kept as one int of its raw bits, with a
+    precomputed table of ranks preceding every block; a file stores each
+    block as its enumerative rank."""
 
     kind = "fixedblock"
 
-    __slots__ = ("m", "ones", "b", "children", "_R",
-                 "entropy_block_size", "entropy_block_count")
+    __slots__ = ()
 
     def __init__(self, m: int, ones: Iterable[int], b: int):
         if b < 1:
             raise ValueError("block size must be positive")
-        raw = _pack_positions(m, ones)
-        # the padding bits past m are zero, so the last word has blen bits
-        mask = (1 << min(b, m)) - 1
-        words = tuple((int.from_bytes(raw[at >> 3:((at + b) >> 3) + 1],
-                                      "little") >> (at & 7)) & mask
-                      for at in range(0, m, b))
-        self._init(m, b, [0, *accumulate(map(int.bit_count, words))], words)
-
-    def _init(self, m, b, R, children):
-        self.m = m
-        self.b = b
-        self.children = children
-        self._R = R
-        self.ones = self._R[-1]
-        self.entropy_block_size = b
-        self.entropy_block_count = len(self._R) - 1
-
-    def _rank(self, i: int) -> int:
-        # a block ending at i is counted by _R alone
-        bi = i // self.b
-        r = i - bi * self.b
-        if not r:
-            return self._R[bi]
-        return self._R[bi + 1] - (self.children[bi] >> r).bit_count()
-
-    def _access(self, i: int) -> int:
-        bi = (i - 1) // self.b
-        return (self.children[bi] >> (i - 1 - bi * self.b)) & 1
-
-    def _select(self, i: int) -> int:
-        j = bisect_left(self._R, i) - 1
-        return j * self.b + _select_in_word(self.children[j],
-                                            i - self._R[j]) + 1
-
-    def one_positions(self) -> list[int]:
-        out: list[int] = []
-        children = self.children
-        for bi in range(self.entropy_block_count):
-            _extend_set_bits(out, children[bi], bi * self.b + 1)
-        return out
+        self._init(m, b, *_block_words(m, ones, b))
 
     def _counts(self) -> list[int]:
         """The one count of every block."""
@@ -791,27 +771,20 @@ def _unrank(cols: list[list[int]], r: int, j: int, blen: int) -> int:
     return word
 
 
-class _UnrankedBlocks(dict):
-    """The words of a loaded vector's fixed blocks, by block index.  A
-    block's word is unranked from its stored rank, checked at load, the
-    first time it is read, and then kept, so a read that finds it stays in
-    the dict's own lookup."""
+class _LazyWords(dict):
+    """The words of a loaded vector's blocks, by block index.  A word is
+    decoded by ``decode`` from what the file stored for its block, checked
+    at load, the first time it is read, and then kept, so a read that finds
+    it stays in the dict's own lookup."""
 
-    __slots__ = ("m", "b", "_R", "ranks")
+    __slots__ = ("decode",)
 
-    def __init__(self, m: int, b: int, R: list[int], ranks: list[int]):
+    def __init__(self, decode):
         super().__init__()
-        self.m, self.b, self._R, self.ranks = m, b, R, ranks
+        self.decode = decode
 
     def __missing__(self, bi: int) -> int:
-        blen = min(self.b, self.m - bi * self.b)
-        k = self._R[bi + 1] - self._R[bi]
-        if 2 * k > blen:  # the zeros were ranked
-            word = (_unrank(_pascal(self.b), self.ranks[bi], blen - k, blen)
-                    ^ ((1 << blen) - 1))
-        else:
-            word = _unrank(_pascal(self.b), self.ranks[bi], k, blen)
-        self[bi] = word
+        word = self[bi] = self.decode(bi)
         return word
 
 
@@ -821,10 +794,19 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         raw = struct.pack(f"<{len(v._words)}Q", *v._words)
         return raw[:(v.m + 7) // 8]
     if isinstance(v, RrrVector):
-        widths = _class_widths(v.m, v.u, v.classes)
-        return (bytes((v.u,))
-                + _pack_bitstream(v.classes, [v.u.bit_length()] * len(widths))
-                + _pack_bitstream(v.offsets, widths))
+        # each block's offset is looked up from its bits, those of the
+        # short last block in the table of its own length
+        u, nblocks = v.u, len(v.classes)
+        mask = (1 << u) - 1
+        shifts = range(0, v.b, u)
+        patterns = [(v.children[s] >> at) & mask
+                    for s in range(len(v._R) - 1) for at in shifts][:nblocks]
+        offsets = list(map(_encode_table(u).__getitem__, patterns))
+        if v.m % u:
+            offsets[-1] = _encode_table(v.m % u)[patterns[-1]]
+        return (bytes((u,))
+                + _pack_bitstream(v.classes, [u.bit_length()] * nblocks)
+                + _pack_bitstream(offsets, _class_widths(v.m, u, v.classes)))
     if isinstance(v, IdVector):
         k = len(v._pos)
         return (struct.pack("<BQ", int(v.complemented), k)
@@ -875,14 +857,14 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
             raise ValueError(f"bad rrr block size {u}")
         nblocks = (m + u - 1) // u
         stream, off = _take(buf, off, (nblocks * u.bit_length() + 7) // 8)
-        classes = _unpack_uniform(stream, u.bit_length(), nblocks)
+        classes = bytes(_unpack_uniform(stream, u.bit_length(), nblocks))
         if classes and (max(classes) > u
                         or classes[-1] > m - (nblocks - 1) * u):
             raise ValueError("rrr class exceeds its block length")
         widths = _class_widths(m, u, classes)
         stream, off = _take(buf, off, (sum(widths) + 7) // 8)
-        offsets = _unpack_bitstream(stream, widths)
-        return RrrVector._restore(m, u, classes, offsets), off
+        return RrrVector._from_blocks(m, u, classes,
+                                      _unpack_bitstream(stream, widths)), off
     if kind == "id":
         head, off = _take(buf, off, 9)
         flags, k = struct.unpack("<BQ", head)
@@ -936,14 +918,21 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
             widths += ws
         stream, off = _take(view, off, (sum(widths) + 7) // 8)
         ranks = _unpack_bitstream(stream, widths)
-        # every rank lies below C(l, k); the blocks are unranked on first
-        # read, by _UnrankedBlocks
+        # every rank lies below C(l, k); a block is unranked on its first
+        # read
         bounds = list(map(rows[b].__getitem__, counts))
         if nblocks:
             bounds[-1] = rows[last][counts[-1]]
         if not all(map(lt, ranks, bounds)):
             raise ValueError("fixed block rank out of range")
         R = [0, *accumulate(counts)]
-        return FixedBlockVector._restore(m, b, R, _UnrankedBlocks(m, b, R,
-                                                                  ranks)), off
+
+        def unrank(bi: int) -> int:
+            blen = min(b, m - bi * b)
+            k = R[bi + 1] - R[bi]
+            if 2 * k > blen:  # the zeros were ranked
+                return (_unrank(cols, ranks[bi], blen - k, blen)
+                        ^ ((1 << blen) - 1))
+            return _unrank(cols, ranks[bi], k, blen)
+        return FixedBlockVector._restore(m, b, R, _LazyWords(unrank)), off
     raise ValueError(f"unknown back-end {kind!r}")

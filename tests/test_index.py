@@ -359,6 +359,20 @@ def test_head_table_capped_by_stored_items(data):
         assert count(idx, p + b"a") == _forward_count(idx, p + b"a")
 
 
+def test_head_table_depth_pinned():
+    """On the seed-1 20k-word corpus (n = 72,772) the head table reaches
+    k = 2 in every mode; a fid vector counts one stored item per u-bit
+    block (u = 8), however its words are held, so its budget is pinned."""
+    trie = build_from_strings(word_corpus(1, 20000))
+    stored = {"plain": 9104, "fid": 72776, "id": 72771, "fixedblock": 11464}
+    for mode in MODES:
+        idx = build_index(trie, mode)
+        _head_table(idx)
+        assert idx._k == 2, mode
+        assert sum(vec.stored_items() for vec in idx.vectors) == \
+            stored[mode], mode
+
+
 def test_xbwt_columns_figure(fig_trie):
     cols = xbwt_columns(fig_trie)
     assert cols == tuple(

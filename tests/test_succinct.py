@@ -5,10 +5,11 @@ import struct
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (Bitvector, _decode_table, _encode_table,
-                              _pack_bitstream, _unpack_bitstream,
-                              _unpack_uniform, ceil_log2_comb,
-                              deserialize_bitvector, serialize_bitvector)
+from xbwtrie.succinct import (Bitvector, _block_lens, _decode_table,
+                              _encode_table, _pack_bitstream,
+                              _unpack_bitstream, _unpack_uniform,
+                              ceil_log2_comb, deserialize_bitvector,
+                              serialize_bitvector)
 
 from succinct_oracles import decode_block, encode_block, parse_bits
 
@@ -66,10 +67,11 @@ def test_id_restore_checks_stored_positions():
 
 def test_rrr_restore_checks_every_block():
     """Each block's class lies in 0..blen and its offset below C(blen,
-    class), in every full block and in the short last block."""
+    class), in every full block and in the short last block, as the loader
+    reads them."""
     # m = 8, u = 4: two full blocks; m = 7: a full block and a 3-bit one
-    assert RrrVector._restore(8, 4, [2, 1], [5, 3]).ones == 3
-    assert RrrVector._restore(7, 4, [2, 1], [5, 2]).ones == 3
+    assert RrrVector._from_blocks(8, 4, [2, 1], [5, 3]).ones == 3
+    assert RrrVector._from_blocks(7, 4, [2, 1], [5, 2]).ones == 3
     for m, classes, offsets in (
             (8, [2, 1], [6, 0]),   # C(4, 2) = 6 in a full block
             (8, [1, 2], [0, 6]),   # ... in the last full block
@@ -81,7 +83,7 @@ def test_rrr_restore_checks_every_block():
             (7, [2, 1], [-1, 0]),
             (7, [2], [0])):        # one block short
         with pytest.raises(ValueError, match="^invalid block encoding$"):
-            RrrVector._restore(m, 4, classes, offsets)
+            RrrVector._from_blocks(m, 4, classes, offsets)
 
 
 def test_rrr_loader_checks_every_class():
@@ -183,6 +185,20 @@ def test_rrr_payload_alternating():
     assert v.payload_bits().payload == (m // 4) * ceil_log2_comb(4, 2)
 
 
+def _fid_blocks(v):
+    """(length, class, offset) of every block of the fid vector v, read off
+    its serialized body: u, the classes at u.bit_length() bits, then each
+    offset at ceil(log2 C(length, class)) bits."""
+    body = serialize_bitvector(v)
+    u = body[0]
+    lens = _block_lens(v.m, u)
+    head = 1 + (len(lens) * u.bit_length() + 7) // 8
+    classes = _unpack_uniform(body[1:head], u.bit_length(), len(lens))
+    offsets = _unpack_bitstream(body[head:], list(map(ceil_log2_comb, lens,
+                                                      classes)))
+    return list(zip(lens, classes, offsets))
+
+
 def test_rrr_per_block_bound():
     # ceil(log C(len, class)) <= len * H0(block) + 1 for every block.
     rng = random.Random(11)
@@ -190,7 +206,7 @@ def test_rrr_per_block_bound():
         m = rng.randint(1, 300)
         ones = [p for p in range(1, m + 1) if rng.random() < rng.random()]
         v = RrrVector(m, ones)
-        for blen, cls in zip(v._lens, v.classes):
+        for blen, cls, _ in _fid_blocks(v):
             h0 = 0.0
             if 0 < cls < blen:
                 h0 = (cls * math.log2(blen / cls)
@@ -255,17 +271,29 @@ def test_rrr_overhead_is_classes_and_superblock_ranks():
                 nblocks = len(v.classes)
                 assert v.payload_bits().overhead == (
                     nblocks * v.u.bit_length()
-                    + len(v._sb_rank) * m.bit_length()), (m, density, u)
+                    + len(v._R) * m.bit_length()), (m, density, u)
 
 
 def test_queries_checked_once_in_base_class():
-    """Back-ends supply only the unchecked _rank/_access/_select."""
-    assert {cls.__name__ for cls in Bitvector.__subclasses__()} == {
+    """Back-ends supply only the unchecked _rank/_access/_select; fid and
+    fixed-block share one word-block query path."""
+    leaves, todo = set(), [Bitvector]
+    while todo:
+        cls = todo.pop()
+        subs = cls.__subclasses__()
+        todo += subs
+        if not subs:
+            leaves.add(cls)
+    assert {cls.__name__ for cls in leaves} == {
         "PlainBitvector", "RrrVector", "IdVector", "FixedBlockVector"}
-    for cls in Bitvector.__subclasses__():
-        own = set(vars(cls))
-        assert not own & {"rank", "access", "select", "prank"}, cls
-        assert {"_rank", "_access", "_select"} <= own, cls
+    for cls in leaves:
+        for base in cls.__mro__[:cls.__mro__.index(Bitvector)]:
+            assert not set(vars(base)) & {"rank", "access", "select",
+                                          "prank"}, base
+        for name in ("_rank", "_access", "_select"):
+            assert getattr(cls, name) is not getattr(Bitvector, name), cls
+    for name in ("_rank", "_access", "_select", "one_positions"):
+        assert getattr(RrrVector, name) is getattr(FixedBlockVector, name)
 
 
 def test_payload_breakdown_sums():
@@ -591,6 +619,61 @@ def test_fixed_blocks_loaded_lazily_agree_with_built(m, unrank_calls):
                        for u in loaded)
 
 
+@pytest.mark.parametrize("u", (1, 3, 8, 14))
+def test_fid_loaded_lazily_agree_with_built(u):
+    """A loaded fid vector decodes no superblock until a query reads it,
+    and then answers rank, access, select, one_positions and its
+    serialized bytes as the built one does."""
+    rng = random.Random(u)
+    for m in sorted({u - 1, u, 8 * u - 1, 8 * u, 8 * u + 1, 17 * u + 3}):
+        for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+            ones = _random_ones(rng, m, density)
+            v = RrrVector(m, ones, u=u)
+            blob = serialize_bitvector(v)
+            loaded = [deserialize_bitvector(v.kind, m, blob)[0]
+                      for _ in range(5)]
+            assert all(len(w.children) == 0 for w in loaded)
+            rank, access, select, positions, body = loaded
+            assert [rank.rank(i) for i in range(m + 1)] == \
+                [v.rank(i) for i in range(m + 1)]
+            assert [access.access(i) for i in range(1, m + 1)] == \
+                [v.access(i) for i in range(1, m + 1)]
+            assert [select.select(j) for j in range(1, v.ones + 1)] == \
+                [select.select(j) for j in range(1, v.ones + 1)] == \
+                [v.select(j) for j in range(1, v.ones + 1)]
+            assert positions.one_positions() == v.one_positions()
+            assert serialize_bitvector(body) == blob
+            # every superblock read was decoded to the built word
+            for w in loaded:
+                assert w.classes == v.classes and w._R == v._R
+                assert set(w.children) <= set(range(len(v.children)))
+                assert all(w.children[s] == v.children[s]
+                           for s in list(w.children))
+
+
+def test_fid_words_are_raw_superblocks():
+    """A built fid vector holds one word of 8u raw bits per superblock,
+    ceil(m / 8u) of them, and one more rank than words; it still stores one
+    item per u-bit block."""
+    rng = random.Random(9)
+    for u in (1, 3, 8, 14):
+        for m in (0, 1, u, 8 * u, 8 * u + 1, 17 * u + 3, 500):
+            ones = _random_ones(rng, m, 0.4)
+            v = RrrVector(m, ones, u=u)
+            value = sum(1 << (p - 1) for p in ones)
+            sb = 8 * u
+            assert v.b == sb
+            assert v.children == tuple((value >> at) & ((1 << sb) - 1)
+                                       for at in range(0, m, sb))
+            assert len(v.children) == -(-m // sb)
+            assert v._R == [sum(1 for p in ones if p <= at)
+                            for at in range(0, m, sb)] + [len(ones)]
+            assert v.stored_items() == len(v.classes) == -(-m // u)
+            assert v.classes == bytes(
+                sum(1 for p in ones if at < p <= at + u)
+                for at in range(0, m, u))
+
+
 def test_fixed_block_file_size_bounded():
     """b outside 1..510 (default_block_size(MAX_NODES)) is refused on write
     and on load, and every legal b keeps the Pascal table at 255 x 511
@@ -683,11 +766,13 @@ def test_rrr_blocks_every_u(u):
             assert v.u == min(u, 14)
             # every block, the short last one included, is encode_block of
             # its own bits at its own length
-            for b, blen in enumerate(v._lens):
+            blocks = _fid_blocks(v)
+            for b, (blen, cls, offset) in enumerate(blocks):
                 pat = sum(bit << k for k, bit in
                           enumerate(bits[b * v.u:b * v.u + blen]))
-                assert (v.classes[b], v.offsets[b]) == encode_block(pat, blen)
-            assert sum(v._lens) == m
+                assert (cls, offset) == encode_block(pat, blen)
+                assert v.classes[b] == cls
+            assert sum(blen for blen, _, _ in blocks) == m
             _assert_matches_bits(v, bits)
             blob = serialize_bitvector(v)
             back, _ = deserialize_bitvector(v.kind, v.m, blob)
