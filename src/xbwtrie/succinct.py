@@ -2,7 +2,8 @@
 
 Four interchangeable representations of a static bitvector:
 
-* ``PlainBitvector``   -- packed words plus a two-level rank directory.
+* ``PlainBitvector``   -- raw bits, one int per 512-bit superblock, plus
+                          the rank before every superblock.
 * ``RrrVector``        -- per-block class/offset coding (the FID back-end):
                           a file stores each u-bit block as its popcount plus
                           the lexicographic rank of its pattern among
@@ -17,15 +18,15 @@ Four interchangeable representations of a static bitvector:
                           file stores each block as its enumerative rank,
                           in ceil(log C(b, k)) bits.
 
-Fid and fixed-block answer queries on one path, that of their common base
-``_WordBlocks``: words of b raw bits (8u for fid) and the rank before
-every word.  Positions are 1-based; ``rank(i)`` counts ones in positions
-1..i inclusive and ``rank(0) == 0``.  The four public queries ``rank``,
-``access``, ``select`` and ``prank`` check their argument once, in
-``Bitvector``, and call the back-end's unchecked ``_rank``, ``_access`` and
-``_select``, which callers that already hold the bound (the index's forward
-search) call directly.  ``select`` finds its superblock in a rank directory
-by ``bisect``.  All structures are immutable once built, with one exception
+Plain, fid and fixed-block answer queries on one path, that of their
+common base ``_WordBlocks``: words of b raw bits (512 for plain, 8u for
+fid) and the rank before every word.  Positions are 1-based; ``rank(i)``
+counts ones in positions 1..i inclusive and ``rank(0) == 0``.  The four
+public queries ``rank``, ``access``, ``select`` and ``prank`` check their
+argument once, in ``Bitvector``, and call the back-end's unchecked
+``_rank``, ``_access`` and ``_select``, which callers that already hold
+the bound (the index's forward search) call directly.  ``select`` finds
+its superblock in a rank directory by ``bisect``.  All structures are immutable once built, with one exception
 that no answer can see: a fid or fixed-block vector read from a file keeps
 what the file stored for each word, checked at load, and fills in the word
 the first time a query reads it.
@@ -108,10 +109,26 @@ def _extend_set_bits(out: list[int], word: int, base: int) -> None:
 
 
 def _select_in_word(word: int, t: int) -> int:
-    """0-based position of the t-th (1-based) set bit of ``word``."""
+    """0-based position of the t-th (1-based) set bit of ``word``.
+
+    While more than 8 lowest set bits would have to be cleared, the word
+    is halved by the one count of its low half, so a 512-bit word takes a
+    few halvings and at most 7 clears, not up to 511 clears.  The halving
+    ends, since a word of t > 8 ones is at least 9 bits wide."""
+    at = 0
+    while t > 8:
+        half = word.bit_length() >> 1
+        low = word & ((1 << half) - 1)
+        c = low.bit_count()
+        if t > c:
+            t -= c
+            word >>= half
+            at += half
+        else:
+            word = low
     for _ in range(t - 1):
         word &= word - 1  # clear the lowest set bit
-    return (word & -word).bit_length() - 1
+    return at + (word & -word).bit_length() - 1
 
 
 def _block_words(m: int, ones: Iterable[int],
@@ -222,9 +239,11 @@ def block_counts(m: int, size: int, positions: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def plain_cost(m: int) -> BitCost:
-    """m raw bits; the overhead is an absolute count of ceil(log2 (m+1))
-    bits per ``PlainBitvector.SB_WORDS`` words and a relative count per
-    word, each directory with one more entry at its end."""
+    """m raw bits; the overhead is the word-RAM two-level directory: an
+    absolute count of ceil(log2 (m+1)) bits per ``PlainBitvector.SB_WORDS``
+    words and a relative count per word, each directory with one more
+    entry at its end.  Memory holds one int per superblock plus ``_R``,
+    the absolute level alone."""
     nwords = (m + PlainBitvector.WORD - 1) // PlainBitvector.WORD
     sb = nwords // PlainBitvector.SB_WORDS + 1
     width_abs = max(1, m.bit_length())
@@ -337,90 +356,16 @@ class Bitvector:
         raise NotImplementedError
 
 
-class PlainBitvector(Bitvector):
-    """Packed words with superblock absolute / block relative rank counts."""
-
-    kind = "plain"
-    WORD = 64
-    SB_WORDS = 8
-
-    __slots__ = ("m", "ones", "_words", "_super", "_block")
-
-    def __init__(self, m: int, ones: Iterable[int]):
-        if m < 0:
-            raise ValueError("length must be nonnegative")
-        self._init(m, _pack_positions(m, ones))
-
-    def _init(self, m, raw):
-        if len(raw) != (m + 7) // 8:
-            raise ValueError("bad plain bitvector payload")
-        if m & 7 and raw[-1] >> (m & 7):
-            raise ValueError("plain bitvector has padding bits set")
-        self.m = m
-        nwords = (m + self.WORD - 1) // self.WORD
-        padded = raw + bytes(8 * nwords - len(raw))
-        self._words = list(struct.unpack(f"<{nwords}Q", padded))
-        self._super: list[int] = []
-        self._block: list[int] = []
-        total = 0
-        rel = 0
-        for w in range(nwords + 1):
-            if w % self.SB_WORDS == 0:
-                self._super.append(total)
-                rel = 0
-            self._block.append(rel)
-            if w < nwords:
-                c = self._words[w].bit_count()
-                total += c
-                rel += c
-        self._super.append(total)  # sentinel for the select search
-        self.ones = total
-
-    def _rank(self, i: int) -> int:
-        f = i >> 6  # WORD = 64; _super[0] and _block[0] are 0, so i = 0 works
-        c = self._super[f // self.SB_WORDS] + self._block[f]
-        rem = i & 63
-        if rem:
-            c += (self._words[f] & ((1 << rem) - 1)).bit_count()
-        return c
-
-    def _access(self, i: int) -> int:
-        return (self._words[(i - 1) >> 6] >> ((i - 1) & 63)) & 1
-
-    def _select(self, i: int) -> int:
-        s = bisect_left(self._super, i) - 1  # last superblock with count < i
-        t = i - self._super[s]
-        w = s * self.SB_WORDS
-        while True:
-            c = self._words[w].bit_count()
-            if t <= c:
-                break
-            t -= c
-            w += 1
-        return w * self.WORD + _select_in_word(self._words[w], t) + 1
-
-    def one_positions(self) -> list[int]:
-        out: list[int] = []
-        for w, word in enumerate(self._words):
-            _extend_set_bits(out, word, w * self.WORD + 1)
-        return out
-
-    def payload_bits(self) -> BitCost:
-        return plain_cost(self.m)
-
-    def stored_items(self) -> int:
-        return len(self._words)
-
-
 class _WordBlocks(Bitvector):
-    """The query path of the block back-ends: the bits cut into b-bit
-    blocks, each read as one int whose bit j holds in-block position j + 1,
+    """The query path of the plain, fid and fixed-block back-ends: the bits
+    cut into b-bit blocks (a plain superblock, a fid superblock, a fixed
+    block), each read as one int whose bit j holds in-block position j + 1,
     and ``_R``, the ranks before every block and after the last.  A cut
     block's rank is the rank after it less the ones past the cut.
 
-    ``children`` is read by block index only: a built vector holds a tuple
-    of the words, a loaded one a :class:`_LazyWords` that decodes a block's
-    word on its first read."""
+    ``children`` is read by block index only: a built vector, and a loaded
+    plain one, holds a tuple of the words; a loaded fid or fixed-block one
+    a :class:`_LazyWords` that decodes a block's word on its first read."""
 
     __slots__ = ("m", "ones", "b", "children", "_R",
                  "entropy_block_size", "entropy_block_count")
@@ -457,6 +402,43 @@ class _WordBlocks(Bitvector):
         for bi in range(len(self._R) - 1):
             _extend_set_bits(out, children[bi], bi * self.b + 1)
         return out
+
+
+class PlainBitvector(_WordBlocks):
+    """Raw bits, one int per superblock of ``SB_WORDS`` 64-bit words, with
+    ``_R`` the rank before every superblock and after the last: plain
+    queries run on the fixed-block path at b = 512.  Its entropy fields
+    stay None and 0, since no bit is entropy-coded."""
+
+    kind = "plain"
+    WORD = 64
+    SB_WORDS = 8
+
+    __slots__ = ()
+
+    def __init__(self, m: int, ones: Iterable[int]):
+        if m < 0:
+            raise ValueError("length must be nonnegative")
+        self._init(m, _pack_positions(m, ones))
+
+    def _init(self, m, raw):
+        if len(raw) != (m + 7) // 8:
+            raise ValueError("bad plain bitvector payload")
+        if m & 7 and raw[-1] >> (m & 7):
+            raise ValueError("plain bitvector has padding bits set")
+        step = self.SB_WORDS * self.WORD // 8  # bytes per superblock
+        words = tuple(int.from_bytes(raw[at:at + step], "little")
+                      for at in range(0, len(raw), step))
+        super()._init(m, 8 * step, [0, *accumulate(map(int.bit_count, words))],
+                      words)
+        self.entropy_block_size = None
+        self.entropy_block_count = 0
+
+    def payload_bits(self) -> BitCost:
+        return plain_cost(self.m)
+
+    def stored_items(self) -> int:
+        return (self.m + self.WORD - 1) // self.WORD
 
 
 class RrrVector(_WordBlocks):
@@ -791,8 +773,9 @@ class _LazyWords(dict):
 def serialize_bitvector(v: Bitvector) -> bytes:
     """The stored body of v, without its kind or length."""
     if isinstance(v, PlainBitvector):
-        raw = struct.pack(f"<{len(v._words)}Q", *v._words)
-        return raw[:(v.m + 7) // 8]
+        size = v.b // 8
+        return b"".join(w.to_bytes(size, "little")
+                        for w in v.children)[:(v.m + 7) // 8]
     if isinstance(v, RrrVector):
         # each block's offset is looked up from its bits, those of the
         # short last block in the table of its own length

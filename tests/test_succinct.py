@@ -1,15 +1,16 @@
 import math
 import random
 import struct
+from itertools import accumulate
 
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
 from xbwtrie.succinct import (Bitvector, _block_lens, _decode_table,
                               _encode_table, _pack_bitstream,
-                              _unpack_bitstream, _unpack_uniform,
-                              ceil_log2_comb, deserialize_bitvector,
-                              serialize_bitvector)
+                              _select_in_word, _unpack_bitstream,
+                              _unpack_uniform, ceil_log2_comb,
+                              deserialize_bitvector, serialize_bitvector)
 
 from succinct_oracles import decode_block, encode_block, parse_bits
 
@@ -125,6 +126,24 @@ def test_prank(backend):
 def test_access(backend):
     v = backend(B_B)
     assert [v.access(i) for i in range(1, 8)] == [1, 0, 1, 0, 0, 1, 0]
+
+
+def test_select_in_word_every_t():
+    """The halving select equals clearing the lowest set bit t - 1 times,
+    for every t, on random, sparse and full words of every width up to
+    520 bits: every halving depth, both sides of a half, and the widths
+    around a 64-bit word and a 512-bit superblock."""
+    rng = random.Random(16)
+    for width in range(1, 521):
+        top = 1 << (width - 1)
+        for word in (rng.getrandbits(width) | top, (1 << width) - 1,
+                     top | 1 << rng.randrange(width)):
+            cleared, expect = word, []
+            while cleared:
+                expect.append((cleared & -cleared).bit_length() - 1)
+                cleared &= cleared - 1
+            assert [_select_in_word(word, t)
+                    for t in range(1, len(expect) + 1)] == expect, width
 
 
 # --- block codec -----------------------------------------------------------
@@ -275,8 +294,8 @@ def test_rrr_overhead_is_classes_and_superblock_ranks():
 
 
 def test_queries_checked_once_in_base_class():
-    """Back-ends supply only the unchecked _rank/_access/_select; fid and
-    fixed-block share one word-block query path."""
+    """Back-ends supply only the unchecked _rank/_access/_select; plain,
+    fid and fixed-block share one word-block query path."""
     leaves, todo = set(), [Bitvector]
     while todo:
         cls = todo.pop()
@@ -293,7 +312,8 @@ def test_queries_checked_once_in_base_class():
         for name in ("_rank", "_access", "_select"):
             assert getattr(cls, name) is not getattr(Bitvector, name), cls
     for name in ("_rank", "_access", "_select", "one_positions"):
-        assert getattr(RrrVector, name) is getattr(FixedBlockVector, name)
+        assert getattr(PlainBitvector, name) is getattr(RrrVector, name) \
+            is getattr(FixedBlockVector, name)
 
 
 def test_payload_breakdown_sums():
@@ -305,13 +325,27 @@ def test_payload_breakdown_sums():
 
 # --- cross-back-end equivalence -------------------------------------------
 
+def _prefix_ranks(m, ones):
+    """rank(0..m) as prefix sums over the bits: a referee that shares no
+    code with any back-end."""
+    bits = [0] * (m + 1)
+    for p in ones:
+        bits[p] = 1
+    return list(accumulate(bits))
+
+
 def test_backends_agree_on_random_vectors():
+    """Every back-end answers as plain does, and plain, which shares its
+    query path with fid and fixed-block, as the prefix sums over the bits."""
     rng = random.Random(99)
     for _ in range(120):
         m = rng.randint(1, 400)
         density = rng.choice([0.02, 0.1, 0.5, 0.9, 0.98])
         ones = tuple(p for p in range(1, m + 1) if rng.random() < density)
+        prefix = _prefix_ranks(m, ones)
         ref = PlainBitvector(m, ones)
+        assert ref.ones == len(ones)
+        assert ref.one_positions() == list(ones)
         others = [
             RrrVector(m, ones),
             IdVector(m, ones),
@@ -323,11 +357,12 @@ def test_backends_agree_on_random_vectors():
         for v in others:
             assert v.ones == ref.ones
             for i in probes:
-                assert v.rank(i) == ref.rank(i), (v.kind, m, i)
+                assert v.rank(i) == ref.rank(i) == prefix[i], (v.kind, m, i)
                 if i >= 1:
-                    assert v.prank(i) == ref.prank(i)
+                    assert v.prank(i) == ref.prank(i) == (
+                        prefix[i] if prefix[i] > prefix[i - 1] else -1)
             for j in range(1, ref.ones + 1):
-                assert v.select(j) == ref.select(j)
+                assert v.select(j) == ref.select(j) == ones[j - 1]
         for v in (ref, *others, *backends(m, ones, heavy=True)):
             assert v.one_positions() == [v.select(j)
                                          for j in range(1, v.ones + 1)]
@@ -454,8 +489,9 @@ def _block_vectors():
 def test_fixed_block_children_are_raw_words():
     """Every child is an int of its block's bits, bit j holding in-block
     position j + 1, and the loaded children, read by block index, equal
-    the built ones; the queries equal plain's at every position, so every
-    block edge, before and after a file round trip."""
+    the built ones; the queries equal plain's, and the prefix sums over
+    the bits, at every position, so every block edge, before and after a
+    file round trip."""
     for v, bits in _block_vectors():
         blocks = list(_blocks_of(v, bits))
         assert sum(blen for blen, _, _ in blocks) == v.m
@@ -465,20 +501,23 @@ def test_fixed_block_children_are_raw_words():
             assert child.bit_count() == k
             assert child == sum(bits[at + j] << j for j in range(blen))
             at += blen
-        ref = PlainBitvector(v.m, [i + 1 for i in range(v.m) if bits[i]])
+        positions = [i + 1 for i in range(v.m) if bits[i]]
+        prefix = _prefix_ranks(v.m, positions)
+        ref = PlainBitvector(v.m, positions)
         back, _ = deserialize_bitvector(v.kind, v.m, serialize_bitvector(v))
         assert [back.children[bi] for bi in range(len(v.children))] == \
             list(v.children)
         for u in (v, back):
-            assert u.ones == ref.ones
-            assert u.one_positions() == ref.one_positions()
+            assert u.ones == ref.ones == len(positions)
+            assert u.one_positions() == ref.one_positions() == positions
             assert [u.rank(i) for i in range(v.m + 1)] == \
-                [ref.rank(i) for i in range(v.m + 1)]
+                [ref.rank(i) for i in range(v.m + 1)] == prefix
             for i in range(1, v.m + 1):
-                assert u.access(i) == ref.access(i)
-                assert u.prank(i) == ref.prank(i)
+                assert u.access(i) == ref.access(i) == bits[i - 1]
+                assert u.prank(i) == ref.prank(i) == (
+                    prefix[i] if bits[i - 1] else -1)
             for j in range(1, ref.ones + 1):
-                assert u.select(j) == ref.select(j)
+                assert u.select(j) == ref.select(j) == positions[j - 1]
 
 
 def test_fixed_block_stored_bits():
@@ -739,17 +778,31 @@ def test_round_trip_edge_lengths(m):
             _assert_matches_bits(back, bits)
 
 
-def test_plain_words_and_directory():
+def test_plain_words_are_raw_superblocks():
+    """A plain vector holds one word of 512 raw bits per superblock,
+    ceil(m / 512) of them, and one more rank than words; it still stores
+    one item per 64-bit word, has no entropy blocks, and its file is the
+    packed bits, read back byte for byte."""
     rng = random.Random(8)
-    for m in EDGE_LENGTHS:
-        ones = _random_ones(rng, m, 0.4)
-        v = PlainBitvector(m, ones)
-        value = sum(1 << (p - 1) for p in ones)
-        assert v.ones == len(ones)
-        assert v._words == [(value >> (64 * w)) & (2 ** 64 - 1)
-                            for w in range((m + 63) // 64)]
-        assert len(v._block) == len(v._words) + 1
-        assert v._super[-1] == len(ones)
+    for m in EDGE_LENGTHS:  # 511, 512 and 513 among them
+        for density in (0.0, 0.4, 1.0):
+            ones = _random_ones(rng, m, density)
+            v = PlainBitvector(m, ones)
+            value = sum(1 << (p - 1) for p in ones)
+            assert v.b == 512 and v.ones == len(ones)
+            assert v.children == tuple((value >> at) & ((1 << 512) - 1)
+                                       for at in range(0, m, 512))
+            assert len(v.children) == -(-m // 512)
+            assert v._R == [sum(1 for p in ones if p <= at)
+                            for at in range(0, m, 512)] + [len(ones)]
+            assert v.stored_items() == -(-m // 64)
+            assert v.entropy_block_size is None
+            assert v.entropy_block_count == 0
+            blob = serialize_bitvector(v)
+            assert blob == value.to_bytes((m + 7) // 8, "little")
+            back, used = deserialize_bitvector("plain", m, blob)
+            assert used == len(blob) and serialize_bitvector(back) == blob
+            assert back.children == v.children and back._R == v._R
 
 
 @pytest.mark.parametrize("u", range(1, 25))
