@@ -43,7 +43,7 @@ for name, trie in [("binary height 7", complete_binary(7)),
 idx = build_index(heavy_path(256), "id")
 vec = idx.vectors[0]
 print(f"\npath trie ID vector: complemented={vec.complemented}, "
-      f"stored positions={len(vec._pos)}, ones={vec.ones}")
+      f"stored positions={vec.stored_items()}, ones={vec.ones}")
 
 # Runs on the complete binary family grow linearly while n*H_0 ~ 2n, so
 # the run count is a constant fraction of the entropy-coded size.

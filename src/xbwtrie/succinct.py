@@ -10,9 +10,11 @@ Four interchangeable representations of a static bitvector:
                           same-weight words, in ceil(log C(u, class)) bits,
                           and a rank per superblock of 8 blocks; in memory a
                           superblock is one int of its 8u raw bits.
-* ``IdVector``         -- explicit one-positions supporting select directly
-                          and rank by binary search; optionally stores the
-                          complement when ones dominate.
+* ``IdVector``         -- explicit one-positions in one packed array,
+                          supporting select directly and rank by binary
+                          search in one bucket of a high-bits directory;
+                          optionally stores the complement when ones
+                          dominate.
 * ``FixedBlockVector`` -- fixed-size blocks, each kept as one int of its
                           raw bits, plus a precomputed block-rank table; a
                           file stores each block as its enumerative rank,
@@ -35,9 +37,10 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import lt, sub
 from typing import Iterable, Sequence
 
@@ -93,6 +96,11 @@ def _pack_positions(m: int, ones: Iterable[int]) -> bytearray:
         p -= 1
         raw[p >> 3] |= 1 << (p & 7)
     return raw
+
+
+# the 4-byte array typecode of ID positions below 2^32; C fixes only a
+# lower bound on each item size, so it is chosen by itemsize
+_POS32 = next((t for t in "IL" if array(t).itemsize == 4), "Q")
 
 
 def _position_width(m: int) -> int:
@@ -525,18 +533,25 @@ class RrrVector(_WordBlocks):
 class IdVector(Bitvector):
     """ID back-end: stored one-positions (or zero-positions when complemented).
 
-    select reads the position list directly (complemented, it bisects the
-    zeros); full rank is answered by binary search over the stored
-    positions, access by membership.
+    The stored positions sit in one ``array`` of 4-byte items when m < 2^32
+    and of 8-byte items otherwise.  ``_D`` is a bucket directory over them
+    (the high-bits bucketing of Elias-Fano rank): ``_D[h]`` counts the
+    stored positions below h * 2^L, with 2^L about 8 to 16 times the mean
+    gap, so a bucket holds one or two cache lines of the array and the
+    directory at most k // 4 + 2 entries for k stored positions.  Rank and
+    access bisect one bucket; select reads the array directly
+    (complemented, it bisects the zeros).
     """
 
     kind = "id"
 
-    __slots__ = ("m", "ones", "complemented", "_pos",
+    __slots__ = ("m", "ones", "complemented", "_pos", "_L", "_D",
                  "entropy_block_size", "entropy_block_count")
 
     def __init__(self, m: int, ones: Iterable[int], complemented: bool = False):
-        positions = sorted(set(ones))
+        positions = sorted(ones)
+        if not all(map(lt, positions, islice(positions, 1, None))):
+            positions = sorted(set(positions))
         if positions and not (1 <= positions[0] and positions[-1] <= m):
             raise ValueError("one-position out of range")
         if complemented:
@@ -544,27 +559,35 @@ class IdVector(Bitvector):
             stored = [p for p in range(1, m + 1) if p not in present]
         else:
             stored = positions
-        self._init(m, tuple(stored), complemented)
+        self._init(m, stored, complemented)
 
     def _init(self, m, stored, complemented):
         if stored and not (1 <= stored[0] and stored[-1] <= m):
             raise ValueError("position out of range")
         if not all(map(lt, stored, islice(stored, 1, None))):
             raise ValueError("positions must be strictly increasing")
+        k = len(stored)
         self.m = m
-        self._pos = tuple(stored)
+        self._pos = array(_POS32 if m >> 32 == 0 else "Q", stored)
+        self._L = L = (m // max(k, 1)).bit_length() + 3
+        self._D = tuple(map(bisect_left, repeat(stored),
+                            range(0, ((m >> L) + 2) << L, 1 << L)))
         self.complemented = complemented
-        self.ones = (m - len(stored)) if complemented else len(stored)
+        self.ones = (m - k) if complemented else k
         self.entropy_block_size = m
         self.entropy_block_count = 1
 
     def _rank(self, i: int) -> int:
-        stored = bisect_right(self._pos, i)
+        D = self._D
+        h = i >> self._L
+        stored = bisect_right(self._pos, i, D[h], D[h + 1])
         return (i - stored) if self.complemented else stored
 
     def _access(self, i: int) -> int:
-        j = bisect_right(self._pos, i)
-        member = j > 0 and self._pos[j - 1] == i
+        D = self._D
+        h = i >> self._L
+        j = bisect_right(self._pos, i, D[h], D[h + 1])
+        member = j > D[h] and self._pos[j - 1] == i
         return int(member != self.complemented)
 
     def _select(self, i: int) -> int:

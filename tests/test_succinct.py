@@ -281,6 +281,84 @@ def test_id_payload_and_complement():
             assert comp.select(i) == ref.select(i), (bits, i)
 
 
+def _id_directory_cases():
+    """(m, stored) pairs with stored positions on every bucket edge: at
+    h * 2^L - 1, h * 2^L and h * 2^L + 1, as many as k allows, the rest
+    drawn at random; m = 0, k = 0 and k = m among them, and lengths that
+    end on a bucket boundary and just past one, so the last bucket is
+    sometimes a single position."""
+    rng = random.Random(23)
+    for m in (0, 1, 2, 9, 100, 1023, 1024, 1025, 4097):
+        for k in sorted({0, 1, m // 50, m // 7, m // 2, m - 1, m}):
+            if not 0 <= k <= m:
+                continue
+            # the bucket width follows from m and k alone
+            L = IdVector._restore(m, range(1, k + 1), False)._L
+            edges = sorted({p for h in range(1, (m >> L) + 2)
+                            for p in ((h << L) - 1, h << L, (h << L) + 1)
+                            if 1 <= p <= m})
+            stored = set(edges[:k])
+            rest = [p for p in range(1, m + 1) if p not in stored]
+            stored.update(rng.sample(rest, k - len(stored)))
+            yield m, sorted(stored)
+
+
+def test_id_bucket_directory_against_prefix_sums():
+    """An ID vector bisects one bucket of its stored positions: every query
+    agrees with the referee, complemented or not, and the directory holds
+    at most k // 4 + 2 entries for k stored positions; the constructor
+    stores the same positions and a file round trip is byte-identical."""
+    for m, stored in _id_directory_cases():
+        k = len(stored)
+        for complemented in (False, True):
+            v = IdVector._restore(m, stored, complemented)
+            ones = (sorted(set(range(1, m + 1)) - set(stored))
+                    if complemented else stored)
+            _assert_matches_bits(v, _bits(m, ones))
+            assert list(v._pos) == stored and v.stored_items() == k
+            assert len(v._D) <= k // 4 + 2, (m, k)
+            assert v._D[0] == 0 and v._D[-1] == k
+            blob = serialize_bitvector(v)
+            assert serialize_bitvector(IdVector(m, ones, complemented)) == blob
+            back, used = deserialize_bitvector("id", m, blob)
+            assert used == len(blob) and serialize_bitvector(back) == blob
+            assert back._D == v._D
+
+
+def test_id_positions_at_64_bits():
+    """Positions sit in 4-byte items below m = 2^32 and 8-byte items from
+    there on, and rank holds up to m = 2^64 - 1, the largest length a
+    file can declare."""
+    assert IdVector._restore(2 ** 32 - 1, [2 ** 32 - 1], False
+                             )._pos.itemsize == 4
+    assert IdVector._restore(2 ** 32, [2 ** 32], False)._pos.itemsize == 8
+    m = 2 ** 64 - 1
+    v = IdVector._restore(m, [1, 2 ** 63, m], False)
+    assert [v.rank(i) for i in (0, 1, 2, 2 ** 63 - 1, 2 ** 63, m)] == [
+        0, 1, 1, 1, 2, 3]
+    assert [v.select(j) for j in (1, 2, 3)] == [1, 2 ** 63, m]
+    assert (v.access(2 ** 63 - 1), v.access(2 ** 63), v.access(m)) == (0, 1, 1)
+    blob = serialize_bitvector(v)
+    back, used = deserialize_bitvector("id", m, blob)
+    assert used == len(blob) and serialize_bitvector(back) == blob
+
+
+def test_constructors_accept_unsorted_duplicates():
+    """Every back-end takes its one-positions in any order and with
+    repeats, and answers as the referee over the distinct positions."""
+    rng = random.Random(31)
+    for m in (1, 7, 64, 300, 1025):
+        for density in (0.0, 0.1, 0.6, 1.0):
+            ones = _random_ones(rng, m, density)
+            messy = list(ones) + (rng.choices(ones, k=len(ones) // 2 + 1)
+                                  if ones else [])
+            rng.shuffle(messy)
+            built = backends(m, messy, heavy=True)
+            for v, tidy in zip(built, backends(m, ones, heavy=True)):
+                _assert_matches_bits(v, _bits(m, ones))
+                assert serialize_bitvector(v) == serialize_bitvector(tidy)
+
+
 def test_rrr_overhead_is_classes_and_superblock_ranks():
     rng = random.Random(5)
     for m in (1, 13, 64, 700, 5000):
@@ -747,8 +825,17 @@ def _random_ones(rng, m, density):
     return tuple(p for p in range(1, m + 1) if rng.random() < density)
 
 
+def _bits(m, ones):
+    """The 0/1 list of a vector of length m, bit i-1 holding position i."""
+    bits = [0] * m
+    for p in ones:
+        bits[p - 1] = 1
+    return bits
+
+
 def _assert_matches_bits(v, bits):
-    """rank/select/access of v against the 0/1 list bits (bit i-1 is i)."""
+    """rank/select/access/prank of v against the 0/1 list bits (bit i-1 is
+    i), a referee that shares no code with any back-end."""
     assert v.m == len(bits) and v.ones == sum(bits)
     rank = 0
     assert v.rank(0) == 0
@@ -756,6 +843,7 @@ def _assert_matches_bits(v, bits):
         rank += bit
         assert v.access(i) == bit
         assert v.rank(i) == rank
+        assert v.prank(i) == (rank if bit else -1)
         if bit:
             assert v.select(rank) == i
 
@@ -765,9 +853,7 @@ def test_round_trip_edge_lengths(m):
     rng = random.Random(m)
     for density in (0.0, 0.05, 0.5, 0.95, 1.0):
         ones = _random_ones(rng, m, density)
-        bits = [0] * m
-        for p in ones:
-            bits[p - 1] = 1
+        bits = _bits(m, ones)
         for v in backends(m, ones, heavy=True):
             blob = serialize_bitvector(v)
             back, used = deserialize_bitvector(v.kind, v.m, blob)
