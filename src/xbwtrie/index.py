@@ -31,7 +31,7 @@ from .trie import Alphabet, Trie, colex_order
 MODES = ("plain", "fid", "id", "fixedblock")
 
 MAGIC = b"XBWT"
-VERSION = 5
+VERSION = 6
 
 # A file's header can declare any n (a 39-byte ID file holds a path trie of
 # 2^40 nodes), so the operations that allocate n-entry lists refuse larger n.

@@ -5,20 +5,23 @@ Four interchangeable representations of a static bitvector:
 * ``PlainBitvector``   -- raw bits, one int per 512-bit superblock, plus
                           the rank before every superblock.
 * ``RrrVector``        -- per-block class/offset coding (the FID back-end):
-                          a file stores each u-bit block as its popcount plus
-                          the lexicographic rank of its pattern among
-                          same-weight words, in ceil(log C(u, class)) bits,
-                          and a rank per superblock of 8 blocks; in memory a
-                          superblock is one int of its 8u raw bits.
+                          u-bit blocks and a rank per superblock of 8
+                          blocks; in memory a superblock is one int of its
+                          8u raw bits.
 * ``IdVector``         -- explicit one-positions in one packed array,
                           supporting select directly and rank by binary
                           search in one bucket of a high-bits directory;
                           optionally stores the complement when ones
                           dominate.
 * ``FixedBlockVector`` -- fixed-size blocks, each kept as one int of its
-                          raw bits, plus a precomputed block-rank table; a
-                          file stores each block as its enumerative rank,
-                          in ceil(log C(b, k)) bits.
+                          raw bits, plus a precomputed block-rank table.
+
+A fid or fixed-block file stores a block of l bits holding k ones as k and
+the block's rank among the C(l, k) blocks of that count, in
+ceil(log2 C(l, k)) bits: the class/offset code of Raman, Raman and Rao, at
+u about (log2 m) / 2 for fid and b about (log2 m)^2 for fixed-block.  A
+fid body after its u byte is the fixed-block body at b = u after its b
+field, and one writer and one reader serve both.
 
 Plain, fid and fixed-block answer queries on one path, that of their
 common base ``_WordBlocks``: words of b raw bits (512 for plain, 8u for
@@ -28,10 +31,11 @@ public queries ``rank``, ``access``, ``select`` and ``prank`` check their
 argument once, in ``Bitvector``, and call the back-end's unchecked
 ``_rank``, ``_access`` and ``_select``, which callers that already hold
 the bound (the index's forward search) call directly.  ``select`` finds
-its superblock in a rank directory by ``bisect``.  All structures are immutable once built, with one exception
-that no answer can see: a fid or fixed-block vector read from a file keeps
-what the file stored for each word, checked at load, and fills in the word
-the first time a query reads it.
+its superblock in a rank directory by ``bisect``.  All structures are
+immutable once built, with one exception that no answer can see: a fid or
+fixed-block vector read from a file keeps what the file stored for each
+word, checked at load, and fills in the word the first time a query reads
+it.
 """
 from __future__ import annotations
 
@@ -153,42 +157,15 @@ def _block_words(m: int, ones: Iterable[int],
     return [0, *accumulate(map(int.bit_count, words))], words
 
 
-# ---------------------------------------------------------------------------
-# block codec of the FID back-end: a u-bit block is its class (popcount) and
-# its offset, the lexicographic rank of its bit string (position 1 first,
-# '0' < '1') among the strings of that class, both read off tables
-# ---------------------------------------------------------------------------
-
-_DECODE_TABLES: dict[int, list[list[int]]] = {}
-_TABLE_MAX_U = 14  # the largest u: every block length has its two tables
-
-
-def _decode_table(u: int) -> list[list[int]]:
-    """The u-bit patterns of every class, in offset order."""
-    tables = _DECODE_TABLES.get(u)
-    if tables is None:
-        tables = [[] for _ in range(u + 1)]
-        order = sorted(range(1 << u),
-                       key=lambda w: tuple((w >> p) & 1 for p in range(u)))
-        for w in order:
-            tables[w.bit_count()].append(w)
-        _DECODE_TABLES[u] = tables
-    return tables
-
-
-_ENCODE_TABLES: dict[int, list[int]] = {}
-
-
-def _encode_table(u: int) -> list[int]:
-    """Offset of every u-bit pattern, the inverse of :func:`_decode_table`."""
-    table = _ENCODE_TABLES.get(u)
-    if table is None:
-        table = [0] * (1 << u)
-        for row in _decode_table(u):
-            for offset, w in enumerate(row):
-                table[w] = offset
-        _ENCODE_TABLES[u] = table
-    return table
+def _split_words(words, m: int, size: int, g: int) -> list[int]:
+    """The size-bit blocks covering m bits, cut from the words of g blocks
+    each that cover them, read by index; the padding blocks past m in the
+    last word are dropped."""
+    mask = (1 << size) - 1
+    shifts = range(0, g * size, size)
+    nwords = -(-m // (g * size))
+    return [(w >> s) & mask for w in map(words.__getitem__, range(nwords))
+            for s in shifts][:-(-m // size)]
 
 
 # small ints only: a row of big C(blen, k) for every fixed-block length up
@@ -205,14 +182,6 @@ def _width_row(blen: int) -> tuple[int, ...]:
     return row
 
 
-def _block_lens(m: int, u: int) -> list[int]:
-    """Lengths of the u-bit blocks covering m bits; only the last is short."""
-    lens = [u] * (m // u)
-    if m % u:
-        lens.append(m % u)
-    return lens
-
-
 def _class_widths(m: int, size: int, counts: Sequence[int]) -> list[int]:
     """ceil(log2 C(blen, k)) for every size-bit block covering m bits,
     of length blen and holding k ones: the width of a fid offset or of a
@@ -224,12 +193,15 @@ def _class_widths(m: int, size: int, counts: Sequence[int]) -> list[int]:
     return widths
 
 
+_FID_MAX_U = 14  # the largest fid block length; a file's u byte lies in 1..14
+
+
 def fid_block_size(m: int, u: int | None = None) -> int:
     """The u of an ``RrrVector`` of length m: the given u, by default
-    floor(floor(log2 m) / 2), held to 1.._TABLE_MAX_U."""
+    floor(floor(log2 m) / 2), held to 1.._FID_MAX_U."""
     if u is None:
         u = (max(m, 1).bit_length() - 1) // 2
-    return max(1, min(_TABLE_MAX_U, u))
+    return max(1, min(_FID_MAX_U, u))
 
 
 def block_counts(m: int, size: int, positions: Sequence[int]) -> list[int]:
@@ -451,15 +423,15 @@ class PlainBitvector(_WordBlocks):
 
 class RrrVector(_WordBlocks):
     """FID back-end: u-bit blocks, each coded as its class (one count) and
-    its offset among the blocks of that class, with a rank before every
-    superblock of ``SB_BLOCKS`` blocks.
+    its offset, the block's enumerative rank among the blocks of that
+    class, with a rank before every superblock of ``SB_BLOCKS`` blocks.
 
     ``classes`` holds every block's class, one byte each.  In memory a
     superblock is one word of its 8u raw bits and ``_R`` the superblock
     ranks, so fid queries run on the fixed-block path at b = 8u.  A built
-    vector holds no offsets: the serializer looks each one up from its
-    block's bits.  A loaded one keeps the file's offsets to decode its
-    words from."""
+    vector holds no offsets: the serializer ranks each block from its
+    bits.  A loaded one keeps the file's offsets to unrank its words
+    from."""
 
     kind = "fid"
     SB_BLOCKS = 8
@@ -471,11 +443,8 @@ class RrrVector(_WordBlocks):
             raise ValueError("length must be nonnegative")
         u = fid_block_size(m, u)
         R, words = _block_words(m, ones, self.SB_BLOCKS * u)
-        mask = (1 << u) - 1
-        shifts = range(0, self.SB_BLOCKS * u, u)
-        # the padding blocks past m in the last word are cut off
-        classes = bytes([((w >> s) & mask).bit_count()
-                         for w in words for s in shifts][:(m + u - 1) // u])
+        classes = bytes(map(int.bit_count,
+                            _split_words(words, m, u, self.SB_BLOCKS)))
         self._init(m, u, classes, R, words)
 
     def _init(self, m, u, classes, R, children):
@@ -484,44 +453,6 @@ class RrrVector(_WordBlocks):
         self.classes = classes
         self.entropy_block_size = u
         self.entropy_block_count = len(classes)
-
-    @classmethod
-    def _from_blocks(cls, m: int, u: int, classes: Sequence[int],
-                     offsets: Sequence[int]) -> "RrrVector":
-        """A vector from its blocks' classes and offsets, as a file stores
-        them, each checked: a class lies in 0..blen and an offset in
-        0..C(blen, class) - 1.  A superblock's word is decoded on its first
-        read."""
-        nblocks = (m + u - 1) // u
-        full = m // u
-        rows = _decode_table(u)  # row k lists the C(u, k) blocks of class k
-        # the full blocks are checked in C-level passes, the short last
-        # block on its own
-        if len(classes) != nblocks or len(offsets) != nblocks:
-            raise ValueError("invalid block encoding")
-        if nblocks and (min(classes) < 0 or max(classes) > u
-                        or min(offsets) < 0):
-            raise ValueError("invalid block encoding")
-        if not all(map(lt, islice(offsets, full),
-                       map(len, map(rows.__getitem__,
-                                    islice(classes, full))))):
-            raise ValueError("invalid block encoding")
-        if m % u and not (classes[-1] <= m % u and offsets[-1] < len(
-                _decode_table(m % u)[classes[-1]])):
-            raise ValueError("invalid block encoding")
-        classes = bytes(classes)
-        sb = cls.SB_BLOCKS
-        R = [0, *islice(accumulate(classes), sb - 1, None, sb)]
-        if nblocks % sb:
-            R.append(sum(classes))
-
-        def decode(s: int) -> int:
-            word = 0
-            for j in range(s * sb, min(s * sb + sb, nblocks)):
-                table = rows if j < full else _decode_table(m % u)
-                word |= table[classes[j]][offsets[j]] << ((j - s * sb) * u)
-            return word
-        return cls._restore(m, u, classes, R, _LazyWords(decode))
 
     def payload_bits(self) -> BitCost:
         return fid_cost(self.m, self.u, self.classes)
@@ -716,11 +647,12 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> list[int]:
     return out
 
 
-# A fixed-block body is the rank of the block's ones, or of its zeros when
-# ones are the majority, in the combinatorial number system: the j-set
-# {c_1 < ... < c_j} of 0-based in-block positions has rank sum C(c_i, i),
-# which lies in 0..C(l, j) - 1 and takes ceil(log2 C(l, j)) bits.  A file's
-# b lies in 1..MAX_FILE_BLOCK = default_block_size(index.MAX_NODES), so the
+# The body of a fid or fixed-block block is the rank of the block's ones,
+# or of its zeros when ones are the majority, in the combinatorial number
+# system: the j-set {c_1 < ... < c_j} of 0-based in-block positions has
+# rank sum C(c_i, i), which lies in 0..C(l, j) - 1 and takes
+# ceil(log2 C(l, j)) bits.  A file's block size lies in 1..MAX_FILE_BLOCK =
+# default_block_size(index.MAX_NODES) (fid's u in 1.._FID_MAX_U), so the
 # Pascal columns that rank and unrank its blocks hold at most 255 x 511
 # entries, whatever a header declares.
 MAX_FILE_BLOCK = 510
@@ -777,10 +709,10 @@ def _unrank(cols: list[list[int]], r: int, j: int, blen: int) -> int:
 
 
 class _LazyWords(dict):
-    """The words of a loaded vector's blocks, by block index.  A word is
-    decoded by ``decode`` from what the file stored for its block, checked
-    at load, the first time it is read, and then kept, so a read that finds
-    it stays in the dict's own lookup."""
+    """The words of a loaded vector, by index.  A word is decoded by
+    ``decode`` from what the file stored for its blocks, checked at load,
+    the first time it is read, and then kept, so a read that finds it
+    stays in the dict's own lookup."""
 
     __slots__ = ("decode",)
 
@@ -793,6 +725,29 @@ class _LazyWords(dict):
         return word
 
 
+def _pack_blocks(v: _WordBlocks, size: int) -> bytes:
+    """The body of a fid (size u) or fixed-block (size b) vector after its
+    size field: the one counts of the size-bit blocks at
+    ``size.bit_length()`` bits, then each block's rank at ceil(log2 C(l, k))
+    bits."""
+    blocks = _split_words(v.children, v.m, size, v.b // size)
+    counts = list(map(int.bit_count, blocks))
+    cols = _pascal(size)
+
+    def rank(word: int, blen: int) -> int:
+        if 2 * word.bit_count() > blen:  # the zeros are ranked
+            word ^= (1 << blen) - 1
+        return _rank_word(cols, word)
+    # a full block's rank follows from its bits alone, so each distinct one
+    # is ranked once: at fid's u, at most 2^u of them
+    ranks = list(map({w: rank(w, size) for w in set(blocks)}.__getitem__,
+                     blocks))
+    if v.m % size:  # the short last block
+        ranks[-1] = rank(blocks[-1], v.m % size)
+    return (_pack_bitstream(counts, [size.bit_length()] * len(counts))
+            + _pack_bitstream(ranks, _class_widths(v.m, size, counts)))
+
+
 def serialize_bitvector(v: Bitvector) -> bytes:
     """The stored body of v, without its kind or length."""
     if isinstance(v, PlainBitvector):
@@ -800,19 +755,7 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         return b"".join(w.to_bytes(size, "little")
                         for w in v.children)[:(v.m + 7) // 8]
     if isinstance(v, RrrVector):
-        # each block's offset is looked up from its bits, those of the
-        # short last block in the table of its own length
-        u, nblocks = v.u, len(v.classes)
-        mask = (1 << u) - 1
-        shifts = range(0, v.b, u)
-        patterns = [(v.children[s] >> at) & mask
-                    for s in range(len(v._R) - 1) for at in shifts][:nblocks]
-        offsets = list(map(_encode_table(u).__getitem__, patterns))
-        if v.m % u:
-            offsets[-1] = _encode_table(v.m % u)[patterns[-1]]
-        return (bytes((u,))
-                + _pack_bitstream(v.classes, [u.bit_length()] * nblocks)
-                + _pack_bitstream(offsets, _class_widths(v.m, u, v.classes)))
+        return bytes((v.u,)) + _pack_blocks(v, v.u)
     if isinstance(v, IdVector):
         k = len(v._pos)
         return (struct.pack("<BQ", int(v.complemented), k)
@@ -820,22 +763,12 @@ def serialize_bitvector(v: Bitvector) -> bytes:
     if isinstance(v, FixedBlockVector):
         if not 1 <= v.b <= MAX_FILE_BLOCK:
             raise ValueError(f"bad fixed block size {v.b}")
-        cols = _pascal(v.b)
-        counts = v._counts()
-        ranks = []
-        for bi, (blen, k) in enumerate(zip(_block_lens(v.m, v.b), counts)):
-            word = v.children[bi]
-            if 2 * k > blen:  # the zeros are ranked
-                word ^= (1 << blen) - 1
-            ranks.append(_rank_word(cols, word))
-        return (struct.pack("<Q", v.b)
-                + _pack_bitstream(counts, [v.b.bit_length()] * len(counts))
-                + _pack_bitstream(ranks, _class_widths(v.m, v.b, counts)))
+        return struct.pack("<Q", v.b) + _pack_blocks(v, v.b)
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-# fixed-block counts read between two checks of the summed body size; a
-# multiple of 8, so that every full chunk is a whole number of bytes
+# block counts read between two checks of the summed body size; a multiple
+# of 8, so that every full chunk is a whole number of bytes
 _COUNT_CHUNK = 1 << 12
 
 
@@ -844,6 +777,73 @@ def _take(buf: bytes, off: int, size: int) -> tuple[bytes, int]:
     if off + size > len(buf):
         raise ValueError("truncated")
     return buf[off:off + size], off + size
+
+
+def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
+    """Read what :func:`_pack_blocks` writes for the size-bit blocks
+    covering m bits from buf at off, checked: every count lies in 0..l and
+    every rank below C(l, k).  Returns the counts, ``_R`` over words of g
+    blocks each (1 for fixed-block, ``RrrVector.SB_BLOCKS`` for fid), the
+    words as a :class:`_LazyWords` that unranks a word's blocks on its
+    first read, and the offset just past the body."""
+    nblocks = (m + size - 1) // size
+    bw = size.bit_length()
+    view = memoryview(buf)
+    stream, off = _take(view, off, (nblocks * bw + 7) // 8)
+    cols = _pascal(size)
+    last = m - (nblocks - 1) * size
+    rows = {blen: _binomials(cols, blen) for blen in {size, last}}
+    # each block's body width follows from its count; the widths are summed
+    # as the counts are read, a chunk of _COUNT_CHUNK at a time, and a sum
+    # past the buffer is refused before the next chunk.  A count past its
+    # block length takes a width past any room, so the first block that
+    # overruns the room is the first bad one, and the error names what is
+    # wrong with it
+    room = 8 * (len(buf) - off)
+    past = [room + 1] * (1 << bw)
+    row_widths = {blen: ([(c - 1).bit_length() for c in row] + past)[:1 << bw]
+                  for blen, row in rows.items()}
+    # a count, and a width ceil(log2 C(l, k)), is at most the block size:
+    # one byte each when that is below 256, as at every fid u
+    counts, widths = (bytearray(), bytearray()) if size < 256 else ([], [])
+    for first in range(0, nblocks, _COUNT_CHUNK):
+        chunk = stream[first * bw // 8:][:_COUNT_CHUNK * bw // 8]
+        ks = _unpack_uniform(chunk, bw, min(_COUNT_CHUNK, nblocks - first))
+        ws = list(map(row_widths[size].__getitem__, ks))
+        if first + len(ks) == nblocks:  # the last block may be short
+            ws[-1] = row_widths[last][ks[-1]]
+        spent = sum(ws)
+        if spent > room:
+            i = bisect_right(list(accumulate(ws)), room)
+            blen = last if first + i == nblocks - 1 else size
+            raise ValueError("more stored positions than bits"
+                             if ks[i] > blen else "truncated")
+        room -= spent
+        counts.extend(ks)
+        widths.extend(ws)
+    stream, off = _take(view, off, (sum(widths) + 7) // 8)
+    ranks = _unpack_bitstream(stream, widths)
+    # every rank lies below C(l, k); the last block, maybe short, apart
+    if not (all(map(lt, ranks, map(rows[size].__getitem__, counts[:-1])))
+            and (not nblocks or ranks[-1] < rows[last][counts[-1]])):
+        raise ValueError("block rank out of range")
+    R = [0, *islice(accumulate(counts), g - 1, None, g)]
+    if nblocks % g:  # the last word holds fewer than g blocks
+        R.append(sum(counts))
+
+    def unrank(s: int) -> int:
+        word = at = 0
+        for bi in range(s * g, min(s * g + g, nblocks)):
+            blen = last if bi == nblocks - 1 else size
+            k = counts[bi]
+            if 2 * k > blen:  # the zeros were ranked
+                word |= (_unrank(cols, ranks[bi], blen - k, blen)
+                         ^ ((1 << blen) - 1)) << at
+            else:
+                word |= _unrank(cols, ranks[bi], k, blen) << at
+            at += size
+        return word
+    return counts, R, _LazyWords(unrank), off
 
 
 def deserialize_bitvector(kind: str, m: int, buf: bytes,
@@ -859,18 +859,11 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         return PlainBitvector._restore(m, raw), off
     if kind == "fid":
         (u,), off = _take(buf, off, 1)
-        if not 1 <= u <= _TABLE_MAX_U:
+        if not 1 <= u <= _FID_MAX_U:
             raise ValueError(f"bad rrr block size {u}")
-        nblocks = (m + u - 1) // u
-        stream, off = _take(buf, off, (nblocks * u.bit_length() + 7) // 8)
-        classes = bytes(_unpack_uniform(stream, u.bit_length(), nblocks))
-        if classes and (max(classes) > u
-                        or classes[-1] > m - (nblocks - 1) * u):
-            raise ValueError("rrr class exceeds its block length")
-        widths = _class_widths(m, u, classes)
-        stream, off = _take(buf, off, (sum(widths) + 7) // 8)
-        return RrrVector._from_blocks(m, u, classes,
-                                      _unpack_bitstream(stream, widths)), off
+        classes, R, words, off = _read_blocks(buf, off, m, u,
+                                              RrrVector.SB_BLOCKS)
+        return RrrVector._restore(m, u, bytes(classes), R, words), off
     if kind == "id":
         head, off = _take(buf, off, 9)
         flags, k = struct.unpack("<BQ", head)
@@ -887,58 +880,6 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         (b,) = struct.unpack("<Q", head)
         if not 1 <= b <= MAX_FILE_BLOCK:
             raise ValueError(f"bad fixed block size {b}")
-        nblocks = (m + b - 1) // b
-        bw = b.bit_length()
-        view = memoryview(buf)
-        stream, off = _take(view, off, (nblocks * bw + 7) // 8)
-        cols = _pascal(b)
-        last = m - (nblocks - 1) * b
-        rows = {blen: _binomials(cols, blen) for blen in {b, last}}
-        # each block's body width follows from its count; the widths are
-        # summed as the counts are read, a chunk of _COUNT_CHUNK at a time,
-        # and a sum past the buffer is refused before the next chunk.  A
-        # count past its block length takes a width past any room, so the
-        # first block that overruns the room is the first bad one, and the
-        # error names what is wrong with it
-        room = 8 * (len(buf) - off)
-        past = [room + 1] * (1 << bw)
-        row_widths = {blen: ([(c - 1).bit_length() for c in row]
-                             + past)[:1 << bw]
-                      for blen, row in rows.items()}
-        counts: list[int] = []
-        widths: list[int] = []
-        for first in range(0, nblocks, _COUNT_CHUNK):
-            chunk = stream[first * bw // 8:][:_COUNT_CHUNK * bw // 8]
-            ks = _unpack_uniform(chunk, bw, min(_COUNT_CHUNK, nblocks - first))
-            ws = list(map(row_widths[b].__getitem__, ks))
-            if first + len(ks) == nblocks:  # the last block may be short
-                ws[-1] = row_widths[last][ks[-1]]
-            spent = sum(ws)
-            if spent > room:
-                i = bisect_right(list(accumulate(ws)), room)
-                blen = last if first + i == nblocks - 1 else b
-                raise ValueError("more stored positions than bits"
-                                 if ks[i] > blen else "truncated")
-            room -= spent
-            counts += ks
-            widths += ws
-        stream, off = _take(view, off, (sum(widths) + 7) // 8)
-        ranks = _unpack_bitstream(stream, widths)
-        # every rank lies below C(l, k); a block is unranked on its first
-        # read
-        bounds = list(map(rows[b].__getitem__, counts))
-        if nblocks:
-            bounds[-1] = rows[last][counts[-1]]
-        if not all(map(lt, ranks, bounds)):
-            raise ValueError("fixed block rank out of range")
-        R = [0, *accumulate(counts)]
-
-        def unrank(bi: int) -> int:
-            blen = min(b, m - bi * b)
-            k = R[bi + 1] - R[bi]
-            if 2 * k > blen:  # the zeros were ranked
-                return (_unrank(cols, ranks[bi], blen - k, blen)
-                        ^ ((1 << blen) - 1))
-            return _unrank(cols, ranks[bi], k, blen)
-        return FixedBlockVector._restore(m, b, R, _LazyWords(unrank)), off
+        _, R, words, off = _read_blocks(buf, off, m, b, 1)
+        return FixedBlockVector._restore(m, b, R, words), off
     raise ValueError(f"unknown back-end {kind!r}")

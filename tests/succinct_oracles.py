@@ -1,10 +1,21 @@
-"""Reference versions of the bitvector block codec, and a bit-string helper.
+"""The fid block codec of file versions 3 to 5, and two small helpers.
 
-The FID back-end codes every block through lookup tables; these loops
-compute the same (class, offset) pairs one bit at a time, and the tests
-require the tables to agree with them.
+Those versions stored a fid block's offset as the lexicographic rank of its
+bit string among the strings of its class; version 6 stores the
+combinatorial rank of the fixed-block body, at the same width.  These
+loops compute the lexicographic (class, offset) pairs one bit at a time,
+and the pinned-history tests re-code version-6 fid bodies through them to
+compare against the hashes the older versions recorded.
 """
 import math
+
+
+def block_lens(m: int, u: int) -> list[int]:
+    """Lengths of the u-bit blocks covering m bits; only the last is short."""
+    lens = [u] * (m // u)
+    if m % u:
+        lens.append(m % u)
+    return lens
 
 
 def parse_bits(s: str) -> tuple[int, tuple[int, ...]]:

@@ -306,6 +306,10 @@ def _replace_first_vector(idx, blob: bytes) -> bytes:
 @pytest.mark.parametrize("mode, patch, match", [
     ("fid", lambda body: b"\x00" + body[1:], "rrr block size 0"),
     ("fid", lambda body: b"\x0f" + body[1:], "rrr block size 15"),
+    # u set to 4: a 4-bit block, then a 3-bit one whose class, at 3 bits,
+    # claims 4 positions
+    ("fid", lambda body: b"\x04\x20" + body[2:],
+     "more stored positions than bits"),
     ("id", lambda body: b"\x02" + body[1:], "id flags 2"),
     ("id", lambda body: body[:1] + struct.pack("<Q", 8) + body[9:],
      "more stored positions than bits"),
@@ -313,8 +317,8 @@ def _replace_first_vector(idx, blob: bytes) -> bytes:
     # b set to 27: one 7-bit block, its count at 5 bits claiming 8 positions
     ("fixedblock", lambda body: struct.pack("<Q", 27) + b"\x08" + body[9:],
      "more stored positions than bits"),
-], ids=["rrr-u-0", "rrr-u-15", "id-flags-2", "id-count-8-of-7",
-        "fixedblock-b-0", "fixedblock-count-8-of-7"])
+], ids=["rrr-u-0", "rrr-u-15", "fid-class-past-block", "id-flags-2",
+        "id-count-8-of-7", "fixedblock-b-0", "fixedblock-count-8-of-7"])
 def test_count_rejects_bad_header_section(tmp_path, capsys, mode, patch,
                                           match):
     # the fixed-size fields at the head of the first vector's body
@@ -432,6 +436,19 @@ def test_count_rejects_version_4_file(tmp_path, capsys):
     path.write_bytes(V4_FIXEDBLOCK_FILE)
     assert main(["count", str(path), "b"]) == 1
     assert capsys.readouterr().err == "error: version mismatch: 4\n"
+
+
+# the fixed-block index of the same strings as version 5 wrote it
+V5_FIXEDBLOCK_FILE = bytes.fromhex(
+    "584257540500030003000000000000000300006162020000000000000001000200"
+    "0000000000000100d71b9c91")
+
+
+def test_count_rejects_version_5_file(tmp_path, capsys):
+    path = tmp_path / "v5.xbwt"
+    path.write_bytes(V5_FIXEDBLOCK_FILE)
+    assert main(["count", str(path), "b"]) == 1
+    assert capsys.readouterr().err == "error: version mismatch: 5\n"
 
 
 def test_stats_refuses_index_too_large(tmp_path, capsys):

@@ -10,10 +10,12 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
                      serialize)
 from xbwtrie.index import (_head_table, column_cost, crc32c, file_length,
                            index_bits, xbwt_columns)
-from xbwtrie.succinct import IdVector, serialize_bitvector
+from xbwtrie.succinct import (IdVector, _pack_bitstream, ceil_log2_comb,
+                              deserialize_bitvector, serialize_bitvector)
 
 from conftest import complete_binary, word_corpus, zero_weight_symbol_file
 from construction_oracles import per_node_columns
+from succinct_oracles import block_lens, encode_block
 
 MODES = ("plain", "fid", "id", "fixedblock")
 
@@ -391,15 +393,14 @@ def test_xbwt_columns_match_per_node_loop(small_tries):
 
 # sha256 of the index files of word_corpus(2024, 2000) (n = 8,962), recorded
 # before the trie and XBWT construction were rewritten and re-recorded for
-# file versions 3, 4 and 5; test_version_4_moved_only_fixed_block_bodies and
-# test_version_5_moved_only_fixed_block_bodies show that the plain, fid and
-# id bodies are those of versions 3 and 4
+# file versions 3 to 6; the test_version_*_moved_only_* tests below show
+# which bodies each version changed
 GOLDEN_FILES = {
-    "plain": "3c4e20d4e4a4bad6263bb2a6e457568c7ce6c7bf7d2bcd67933e1e8eb50a9714",
-    "fid": "4d5807bad7b626c6cc13fc2892647d6f78601b2ca1d2cd2fac005639fae8dc2f",
-    "id": "1d0c35d07fbbbbbefd75f7526774951820dae65d524f1a64bde06fff0e386482",
+    "plain": "8e33d50cc2760952841586df4185f3d57682f4248f4b066ece48885f943eb8a5",
+    "fid": "60c8cf5420431af3c12dbc0d25b8a565aa8891b4a5ddb07edf3ba08c97576e44",
+    "id": "fe569e9a6fe00606f95b78601f9386d43a00669c502595e0e9f2b3bdb394ba0e",
     "fixedblock":
-        "8feb58d0cd55267e16ce8ca88d1deaf743460c4e4273934bf0fcb8ae20153ca9",
+        "5143b7fad8c827b56320c0d8f9ad826fa90f1885e334870f1b71aa486f1c5259",
 }
 
 
@@ -696,7 +697,7 @@ def test_index_file_header_layout(fig_trie):
     blob = serialize(idx)
     assert blob[:4] == b"XBWT"
     version, mode = struct.unpack_from("<HH", blob, 4)
-    assert version == 5 and mode == 1  # the position of "fid" in MODES
+    assert version == 6 and mode == 1  # the position of "fid" in MODES
     n, sigma = struct.unpack_from("<QH", blob, 8)
     assert (n, sigma) == (7, 4)  # sentinel included
     assert blob[18:22] == b"\x00abc"  # sentinel first, symbols ascending
@@ -709,11 +710,11 @@ def test_index_file_header_layout(fig_trie):
 # SHA-256 of the index file of each mode for the seeded 2,000-word corpus
 # of test_file_bytes_pinned: any change to the bytes a file holds fails here
 FILE_SHA256 = {
-    "plain": "1dd5f30ac8f25fdef4ee079d277c4209bd473eba2c8c349892afc86924189f1d",
-    "fid": "577625cbfce98ddfdadfc51fcac01e7086d6fd80af97e826963ca7dfc8ba0802",
-    "id": "fa27e85dc00391d5ef942034274ad84b84628bf547108fb25d5ec2c7ce7d6308",
+    "plain": "be8935019680584891e04945652b266c6e9b7d53a78ef47996b59fd5cd1289e8",
+    "fid": "b7a7b7d8aadf9e4e92455871607f0091367cf3bf8f0e3875ec0cd652c17809da",
+    "id": "8baed9f7069e7b040daa232839e0d3ec697084ec8c98b3922dfffeb4251afbfc",
     "fixedblock":
-        "4e56cd852542e323fff6799dbddd4cae9aca34990532379cf455d8a9d158255e",
+        "00957a29ef2109eb328be94990083f08dec053dd74fdb9685b80c1ad6a392999",
 }
 
 
@@ -728,6 +729,40 @@ def test_file_bytes_pinned(mode):
     data = serialize(build_index(build_from_strings(_pinned_words()), mode))
     assert hashlib.sha256(data).hexdigest() == FILE_SHA256[mode]
     assert serialize(deserialize(data)) == data
+
+
+def _lexicographic_fid_body(body: bytes, m: int) -> bytes:
+    """A fid body with each block offset re-coded from the block's
+    combinatorial rank, as version 6 stores it, to the lexicographic rank
+    of ``succinct_oracles.encode_block``, as versions 3 to 5 stored it, at
+    the same width."""
+    v, used = deserialize_bitvector("fid", m, body)
+    assert used == len(body)
+    lens = block_lens(m, v.u)
+    head = 1 + (len(lens) * v.u.bit_length() + 7) // 8
+    value = sum(1 << (p - 1) for p in v.one_positions())
+    codes = [encode_block((value >> (b * v.u)) & ((1 << blen) - 1), blen)
+             for b, blen in enumerate(lens)]
+    assert bytes(cls for cls, _ in codes) == v.classes
+    widths = [ceil_log2_comb(blen, cls) for blen, (cls, _) in zip(lens, codes)]
+    assert len(body) - head == (sum(widths) + 7) // 8
+    return body[:head] + _pack_bitstream([off for _, off in codes], widths)
+
+
+def _as_version(data: bytes, version: int) -> bytes:
+    """A version-6 index file as an earlier version wrote it: its version
+    field set back, each fid body re-coded by
+    :func:`_lexicographic_fid_body`, and its CRC recomputed."""
+    import struct
+    mode, n, sigma = struct.unpack_from("<HQH", data, 6)
+    off = 18 + sigma
+    parts = [data[:4], struct.pack("<H", version), data[6:off]]
+    while MODES[mode] == "fid" and off < len(data) - 4:
+        _, end = deserialize_bitvector("fid", n, data, off)
+        parts.append(_lexicographic_fid_body(data[off:end], n))
+        off = end
+    body = b"".join(parts) + data[off:-4]
+    return body + struct.pack("<I", crc32c(body))
 
 
 # FILE_SHA256 and GOLDEN_FILES as file version 3 recorded them
@@ -745,15 +780,13 @@ V3_GOLDEN_FILES = {
 
 @pytest.mark.parametrize("mode", ["plain", "fid", "id"])
 def test_version_4_moved_only_fixed_block_bodies(mode):
-    """A plain, fid or id file of version 4, its version field set back to
-    3 and its CRC recomputed, is the version 3 file byte for byte."""
-    import struct
+    """A plain, fid or id file, set back to version 3 (its fid offsets
+    re-coded to the lexicographic code), is the version 3 file byte for
+    byte."""
     for words, v3 in ((_pinned_words(), V3_FILE_SHA256),
                       (word_corpus(2024, 2000), V3_GOLDEN_FILES)):
         data = serialize(build_index(build_from_strings(words), mode))
-        body = data[:4] + struct.pack("<H", 3) + data[6:-4]
-        old = body + struct.pack("<I", crc32c(body))
-        assert hashlib.sha256(old).hexdigest() == v3[mode]
+        assert hashlib.sha256(_as_version(data, 3)).hexdigest() == v3[mode]
 
 
 # FILE_SHA256 and GOLDEN_FILES as file version 4 recorded them
@@ -771,15 +804,42 @@ V4_GOLDEN_FILES = {
 
 @pytest.mark.parametrize("mode", ["plain", "fid", "id"])
 def test_version_5_moved_only_fixed_block_bodies(mode):
-    """A plain, fid or id file of version 5, its version field set back to
-    4 and its CRC recomputed, is the version 4 file byte for byte."""
-    import struct
+    """A plain, fid or id file, set back to version 4 (its fid offsets
+    re-coded to the lexicographic code), is the version 4 file byte for
+    byte."""
     for words, v4 in ((_pinned_words(), V4_FILE_SHA256),
                       (word_corpus(2024, 2000), V4_GOLDEN_FILES)):
         data = serialize(build_index(build_from_strings(words), mode))
-        body = data[:4] + struct.pack("<H", 4) + data[6:-4]
-        old = body + struct.pack("<I", crc32c(body))
-        assert hashlib.sha256(old).hexdigest() == v4[mode]
+        assert hashlib.sha256(_as_version(data, 4)).hexdigest() == v4[mode]
+
+
+# FILE_SHA256 and GOLDEN_FILES as file version 5 recorded them
+V5_FILE_SHA256 = {
+    "plain": "1dd5f30ac8f25fdef4ee079d277c4209bd473eba2c8c349892afc86924189f1d",
+    "fid": "577625cbfce98ddfdadfc51fcac01e7086d6fd80af97e826963ca7dfc8ba0802",
+    "id": "fa27e85dc00391d5ef942034274ad84b84628bf547108fb25d5ec2c7ce7d6308",
+    "fixedblock":
+        "4e56cd852542e323fff6799dbddd4cae9aca34990532379cf455d8a9d158255e",
+}
+V5_GOLDEN_FILES = {
+    "plain": "3c4e20d4e4a4bad6263bb2a6e457568c7ce6c7bf7d2bcd67933e1e8eb50a9714",
+    "fid": "4d5807bad7b626c6cc13fc2892647d6f78601b2ca1d2cd2fac005639fae8dc2f",
+    "id": "1d0c35d07fbbbbbefd75f7526774951820dae65d524f1a64bde06fff0e386482",
+    "fixedblock":
+        "8feb58d0cd55267e16ce8ca88d1deaf743460c4e4273934bf0fcb8ae20153ca9",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_version_6_moved_only_fid_bodies(mode):
+    """A file of any mode, set back to version 5, is the version 5 file
+    byte for byte once each fid offset is re-coded from its combinatorial
+    rank to the lexicographic code: version 6 changed the fid offsets
+    alone, and not their widths."""
+    for words, v5 in ((_pinned_words(), V5_FILE_SHA256),
+                      (word_corpus(2024, 2000), V5_GOLDEN_FILES)):
+        data = serialize(build_index(build_from_strings(words), mode))
+        assert hashlib.sha256(_as_version(data, 5)).hexdigest() == v5[mode]
 
 
 # The bits a vector body holds beyond what it accounts, all fixed-size: up

@@ -6,13 +6,13 @@ from itertools import accumulate
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (Bitvector, _block_lens, _decode_table,
-                              _encode_table, _pack_bitstream,
-                              _select_in_word, _unpack_bitstream,
-                              _unpack_uniform, ceil_log2_comb,
-                              deserialize_bitvector, serialize_bitvector)
+from xbwtrie.succinct import (Bitvector, _pack_bitstream, _select_in_word,
+                              _unpack_bitstream, _unpack_uniform,
+                              ceil_log2_comb, deserialize_bitvector,
+                              serialize_bitvector)
 
-from succinct_oracles import decode_block, encode_block, parse_bits
+from succinct_oracles import (block_lens, decode_block, encode_block,
+                              parse_bits)
 
 B_B = "1010010"   # out-edge vector of the middle symbol in the figure index
 B_A = "0000100"
@@ -66,25 +66,45 @@ def test_id_restore_checks_stored_positions():
             IdVector._restore(10, stored, True)
 
 
+def _fid_body(u, classes, offsets, widths):
+    """u, then the fixed-block body at b = u after its u64 b."""
+    return bytes((u,)) + _fixed_block_body(u, classes, offsets, widths)[8:]
+
+
 def test_rrr_restore_checks_every_block():
     """Each block's class lies in 0..blen and its offset below C(blen,
     class), in every full block and in the short last block, as the loader
-    reads them."""
-    # m = 8, u = 4: two full blocks; m = 7: a full block and a 3-bit one
-    assert RrrVector._from_blocks(8, 4, [2, 1], [5, 3]).ones == 3
-    assert RrrVector._from_blocks(7, 4, [2, 1], [5, 2]).ones == 3
-    for m, classes, offsets in (
-            (8, [2, 1], [6, 0]),   # C(4, 2) = 6 in a full block
-            (8, [1, 2], [0, 6]),   # ... in the last full block
-            (7, [2, 1], [0, 3]),   # C(3, 1) = 3 in the short last block
-            (7, [2, 0], [0, 1]),   # C(3, 0) = 1 in the short last block
-            (8, [5, 1], [0, 0]),   # class 5 in a 4-bit block
-            (7, [2, 4], [0, 0]),   # class 4 in the 3-bit last block
-            (7, [-1, 1], [0, 0]),
-            (7, [2, 1], [-1, 0]),
-            (7, [2], [0])):        # one block short
-        with pytest.raises(ValueError, match="^invalid block encoding$"):
-            RrrVector._from_blocks(m, 4, classes, offsets)
+    reads them from a packed body, with the messages of the fixed-block
+    body."""
+    # m = 8, u = 4: two full blocks; m = 7: a full block and a 3-bit one.
+    # The classes take 3 bits, an offset ceil(log2 C(blen, class)) bits
+    for m, offsets in ((8, [5, 3]), (7, [5, 2])):
+        body = _fid_body(4, [2, 1], offsets, [3, 2])
+        v, used = deserialize_bitvector("fid", m, body)
+        assert v.ones == 3 and used == len(body)
+    for m, classes, offsets, widths, message in (
+            # C(4, 2) = 6 in a full block
+            (8, [2, 1], [6, 0], [3, 2], "block rank out of range"),
+            # ... in the last full block
+            (8, [1, 2], [0, 6], [2, 3], "block rank out of range"),
+            # C(3, 1) = 3 in the short last block
+            (7, [2, 1], [0, 3], [3, 2], "block rank out of range"),
+            # C(3, 0) = 1 in the short last block: a class-0 offset takes no
+            # bit, so offset 1 is a set bit past the stream
+            (7, [2, 0], [0, 1], [3, 1], "bitstream has padding bits set"),
+            # class 5 in a 4-bit block
+            (8, [5, 1], [0, 0], [0, 2], "more stored positions than bits"),
+            # class 4 in the 3-bit last block
+            (7, [2, 4], [0, 0], [3, 0], "more stored positions than bits"),
+            # class -1, all ones at 3 bits
+            (7, [7, 1], [0, 0], [0, 2], "more stored positions than bits"),
+            # offset -1, all ones at 3 bits
+            (7, [2, 1], [7, 0], [3, 2], "block rank out of range"),
+            # the streams stop a block short: the offsets are missing
+            (7, [2, 1], [], [], "truncated")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            deserialize_bitvector("fid", m,
+                                  _fid_body(4, classes, offsets, widths))
 
 
 def test_rrr_loader_checks_every_class():
@@ -94,7 +114,7 @@ def test_rrr_loader_checks_every_class():
     for classes in ([5, 1], [2, 4]):
         body = b"\x04" + _pack_bitstream(classes, [3, 3]) + bytes(2)
         with pytest.raises(ValueError,
-                           match="^rrr class exceeds its block length$"):
+                           match="^more stored positions than bits$"):
             deserialize_bitvector("fid", 7, body)
 
 
@@ -149,18 +169,15 @@ def test_select_in_word_every_t():
 # --- block codec -----------------------------------------------------------
 
 def test_codec_bijection_exhaustive():
-    """The reference codec is a bijection, and the decode and encode tables
-    of every block length up to 14 agree with it."""
+    """The lexicographic reference codec, which re-codes fid bodies into
+    their version-5 form, is a bijection at every block length up to 14."""
     for u in range(1, 15):
         seen = {}
-        enc, dec = _encode_table(u), _decode_table(u)
         for word in range(1 << u):
             cls, off = encode_block(word, u)
             assert cls == bin(word).count("1")
             assert 0 <= off < math.comb(u, cls)
             assert decode_block(cls, off, u) == word
-            assert enc[word] == off
-            assert dec[cls][off] == word
             seen.setdefault(cls, set()).add(off)
         for cls, offs in seen.items():
             assert offs == set(range(math.comb(u, cls)))
@@ -210,7 +227,7 @@ def _fid_blocks(v):
     offset at ceil(log2 C(length, class)) bits."""
     body = serialize_bitvector(v)
     u = body[0]
-    lens = _block_lens(v.m, u)
+    lens = block_lens(v.m, u)
     head = 1 + (len(lens) * u.bit_length() + 7) // 8
     classes = _unpack_uniform(body[1:head], u.bit_length(), len(lens))
     offsets = _unpack_bitstream(body[head:], list(map(ceil_log2_comb, lens,
@@ -510,9 +527,11 @@ def test_serialized_framing():
     # bits themselves and no offset takes a bit (C(1, c) = 1)
     assert serialize_bitvector(RrrVector(m, ones)) == b"\x01\x25"
     # u = 4: blocks 1010 (class 2) and 010 (class 1) at 3 bits, 2 | 1 << 3;
-    # offsets 4 of C(4, 2) = 6 (3 bits) and 1 of C(3, 1) = 3 (2 bits)
+    # offsets, the ranks of the fixed-block body below: the ones {0, 2}
+    # rank C(0, 1) + C(2, 2) = 1 of C(4, 2) = 6 (3 bits), the one {1}
+    # C(1, 1) = 1 of C(3, 1) = 3 (2 bits)
     assert serialize_bitvector(RrrVector(m, ones, u=4)) == \
-        b"\x04" + bytes((2 | 1 << 3, 4 | 1 << 3))
+        b"\x04" + bytes((2 | 1 << 3, 1 | 1 << 3))
     # id: flags, u64 count, positions LSB-first at (m + 1).bit_length() = 4
     # bits: 1 | 3 << 4 | 6 << 8 = 0x631; complemented, the zeros 2, 4, 5, 7
     assert serialize_bitvector(IdVector(m, ones)) == \
@@ -664,7 +683,7 @@ def test_fixed_block_rank_checked():
             assert serialize_bitvector(v) == body
         else:
             with pytest.raises(ValueError,
-                               match="^fixed block rank out of range$"):
+                               match="^block rank out of range$"):
                 deserialize_bitvector("fixedblock", 14, body)
     # the last block: zero {3} has rank C(3, 1) = 3, the largest below 4;
     # its ones are 1, 2 and 3 of the block, 11 to 13 of the vector
@@ -679,7 +698,7 @@ def test_fixed_block_rank_checked_at_load_in_last_block(unrank_calls):
     calls = unrank_calls
     # a 10-bit block of 3 ones, then a 3-bit block of one one, whose rank
     # takes 2 bits and must lie below C(3, 1) = 3
-    with pytest.raises(ValueError, match="^fixed block rank out of range$"):
+    with pytest.raises(ValueError, match="^block rank out of range$"):
         deserialize_bitvector("fixedblock", 13,
                               _fixed_block_body(10, [3, 1], [0, 3], [7, 2]))
     v, _ = deserialize_bitvector("fixedblock", 13,
@@ -893,7 +912,7 @@ def test_plain_words_are_raw_superblocks():
 
 @pytest.mark.parametrize("u", range(1, 25))
 def test_rrr_blocks_every_u(u):
-    """u is clamped to 14, the largest block length with decode tables."""
+    """u is clamped to 14, the largest u a file's u byte may hold."""
     rng = random.Random(u)
     for m in (u - 1, u, u + 1, 3 * u + 2, 5 * u):
         for density in (0.1, 0.5, 0.9):
@@ -903,20 +922,47 @@ def test_rrr_blocks_every_u(u):
                 bits[p - 1] = 1
             v = RrrVector(m, ones, u=u)
             assert v.u == min(u, 14)
-            # every block, the short last one included, is encode_block of
-            # its own bits at its own length
+            # every block, the short last one included, is stored as its
+            # class and the rank of its ones (of its zeros when 2k > l) at
+            # its own length
             blocks = _fid_blocks(v)
             for b, (blen, cls, offset) in enumerate(blocks):
-                pat = sum(bit << k for k, bit in
-                          enumerate(bits[b * v.u:b * v.u + blen]))
-                assert (cls, offset) == encode_block(pat, blen)
-                assert v.classes[b] == cls
+                block = bits[b * v.u:b * v.u + blen]
+                ranked = 1 if 2 * cls <= blen else 0
+                assert cls == sum(block) == v.classes[b]
+                assert offset == _combination_rank(
+                    [c for c in range(blen) if block[c] == ranked])
+                assert offset < math.comb(blen, cls)
             assert sum(blen for blen, _, _ in blocks) == m
             _assert_matches_bits(v, bits)
             blob = serialize_bitvector(v)
             back, _ = deserialize_bitvector(v.kind, v.m, blob)
             assert serialize_bitvector(back) == blob
             _assert_matches_bits(back, bits)
+
+
+@pytest.mark.parametrize("u", range(1, 15))
+def test_fid_body_is_fixed_block_body_at_u(u):
+    """A fid body after its u byte is byte for byte the fixed-block body at
+    b = u after its u64 b, and a loaded fid vector answers as the built
+    one."""
+    rng = random.Random(u)
+    for m in EDGE_LENGTHS:
+        for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+            ones = _random_ones(rng, m, density)
+            v = RrrVector(m, ones, u)
+            body = serialize_bitvector(v)
+            assert body[:1] == bytes((u,))
+            assert body[1:] == \
+                serialize_bitvector(FixedBlockVector(m, ones, u))[8:]
+            back, used = deserialize_bitvector("fid", m, body)
+            assert used == len(body)
+            assert back.classes == v.classes and back._R == v._R
+            assert [back.rank(i) for i in range(m + 1)] == \
+                [v.rank(i) for i in range(m + 1)]
+            assert back.one_positions() == v.one_positions()
+            assert [back.children[s] for s in range(len(v.children))] == \
+                list(v.children)
 
 
 def _reference_pack(values, widths):
