@@ -4,15 +4,18 @@ A trie with n nodes where symbol c_i labels n_i edges maps injectively to a
 sigma x n binary matrix whose j-th column is the out-label indicator of the
 j-th pre-order node.  The matrices in the image are exactly those whose
 column prefix sums form a Lukasiewicz path, and every matrix with the right
-row weights has exactly one column rotation in the image.  Counting both
-sides gives |tries| = (1/n) * prod C(n, n_i), evaluated here exactly and
-cross-checked by two independent enumerators.
+row weights has exactly one column rotation in the image (the cycle lemma
+of Dvoretzky and Motzkin, 1947).  Counting both sides gives
+|tries| = (1/n) * prod C(n, n_i), evaluated here exactly and cross-checked
+by two independent enumerators.  The sweep checks each rotation class
+once, through its member in the image: that member tests all n rotations,
+and the image must hold exactly matrices / n members.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
 from typing import Iterator, Sequence
 
 from .trie import Alphabet, SymbolDistribution, Trie
@@ -77,9 +80,9 @@ def trie_to_matrix(trie: Trie) -> DegreeMatrix:
         return DegreeMatrix(1, trie.n, (0,), _default_symbols(1))
     index = {c: i for i, c in enumerate(symbols)}
     rows = [0] * len(symbols)
-    for v in range(trie.n):
-        for c in trie.out_labels(v):
-            rows[index[c]] |= 1 << v
+    # node v's edge labelled c sets bit parent[v] of row c
+    for p, c in zip(islice(trie.parent, 1, None), islice(trie.label, 1, None)):
+        rows[index[c]] |= 1 << p
     return DegreeMatrix(len(symbols), trie.n, tuple(rows), symbols)
 
 
@@ -189,11 +192,11 @@ def enumerate_matrices(dist: SymbolDistribution,
     n, sigma = dist.n, dist.sigma
     symbols = _default_symbols(sigma)
     counts = tuple(dist.counts)
-    per_row = [combinations(range(n), c) for c in counts]
+    per_row = [[sum(1 << p for p in positions)
+                for positions in combinations(range(n), c)] for c in counts]
     # row i has counts[i] distinct bits below n, and the counts of a
     # distribution sum to n - 1: what the public constructor checks
-    for choice in product(*per_row):
-        rows = tuple(sum(1 << p for p in positions) for positions in choice)
+    for rows in product(*per_row):
         yield DegreeMatrix._trusted(sigma, n, rows, symbols, counts)
 
 
@@ -219,13 +222,14 @@ def enumerate_tries(dist: SymbolDistribution,
     outsets: list[tuple[int, ...]] = [()] * n
     rem = list(dist.counts)
 
-    def rec(i: int, avail: int) -> Iterator[Trie]:
+    def rec(i: int, avail: int, spent: int) -> Iterator[Trie]:
+        # bit k of ``spent`` is set exactly when rem[k] == 0, so a mask
+        # that meets it would use a symbol with no edge left
         if i == n:
             yield Trie.from_outsets(outsets)
             return
         for m in masks:
-            rows = mask_rows[m]
-            if any(rem[k] == 0 for k in rows):
+            if m & spent:
                 continue
             size = mask_sizes[m]
             nxt = avail - (1 if i > 0 else 0) + size
@@ -235,15 +239,19 @@ def enumerate_tries(dist: SymbolDistribution,
                 continue
             if i == n - 1 and nxt != 0:
                 continue
+            rows = mask_rows[m]
+            now_spent = spent
             for k in rows:
                 rem[k] -= 1
+                if not rem[k]:
+                    now_spent |= 1 << k
             outsets[i] = mask_syms[m]
-            yield from rec(i + 1, nxt)
+            yield from rec(i + 1, nxt, now_spent)
             for k in rows:
                 rem[k] += 1
         outsets[i] = ()
 
-    yield from rec(0, 0)
+    yield from rec(0, 0, sum(1 << k for k, c in enumerate(rem) if not c))
 
 
 def count_tries_formula(dist: SymbolDistribution) -> int:
@@ -269,7 +277,13 @@ def count_all_tries(n: int, sigma: int) -> int:
 
 @dataclass(frozen=True)
 class DistributionCheck:
-    """Cross-check of one distribution: both enumerators against the formula."""
+    """Cross-check of one distribution: both enumerators against the formula.
+
+    ``rotations_ok`` holds when every rotation class has n distinct members
+    and exactly one of them in the image, checked once per class through
+    that member together with (image members) x n == ``matrices``;
+    ``roundtrip_ok`` when every enumerated trie comes back from its matrix.
+    """
 
     dist: SymbolDistribution
     formula: int
@@ -307,14 +321,33 @@ def check_rotations(matrix: DegreeMatrix) -> bool:
 
 def verify_distribution(dist: SymbolDistribution,
                         cap: int = DEFAULT_ENUMERATION_CAP) -> DistributionCheck:
-    """Run the full counting cross-check for one distribution."""
+    """Run the full counting cross-check for one distribution.
+
+    Rotation classes are checked through their members in the image: a
+    matrix whose own L sequence is Lukasiewicz runs ``check_rotations``,
+    and no other matrix does.  ``rotations_ok`` then asks that every such
+    check pass and that (matrices in the image) x n == matrices.
+
+    This passes exactly when ``check_rotations`` would pass on every
+    matrix.  If that per-matrix check passes, every class has n distinct
+    members and one image member, so the image holds matrices / n matrices.
+    Conversely, if every image member passes, each class holding one has
+    exactly n members and no other image member; those classes then cover
+    (image members) x n = matrices matrices, which is all of them, and
+    leaves no room for a class with no member in the image.  No set of
+    matrices is kept, so memory does not grow with the enumeration.
+    """
     formula = count_tries_formula(dist)
     matrices = 0
+    in_image = 0
     rot_ok = True
     for m in enumerate_matrices(dist, cap):
         matrices += 1
-        if not check_rotations(m):
-            rot_ok = False
+        if is_lukasiewicz(l_sequence(m)):
+            in_image += 1
+            if not check_rotations(m):
+                rot_ok = False
+    rot_ok = rot_ok and in_image * dist.n == matrices
     tries = 0
     rt_ok = True
     for t in enumerate_tries(dist, cap):

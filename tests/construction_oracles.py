@@ -3,7 +3,10 @@
 These are the straightforward forms the library replaced with faster ones;
 the tests require the library to agree with them.
 """
-from xbwtrie import colex_order
+from itertools import combinations, product
+
+import xbwtrie.combinatorics as comb
+from xbwtrie import Trie, colex_order
 
 
 def dict_trie(strings):
@@ -101,3 +104,93 @@ def context_table_by_paths(trie, k):
             per = out_counts.setdefault(w, {})
             per[c] = per.get(c, 0) + 1
     return node_counts, out_counts
+
+
+def enumerate_matrices_by_positions(dist):
+    """Every matrix with the distribution's row weights, each row packed
+    from its chosen column positions as the matrix is made, through the
+    public constructor and its checks."""
+    n, sigma = dist.n, dist.sigma
+    symbols = comb._default_symbols(sigma)
+    per_row = [combinations(range(n), c) for c in dist.counts]
+    for choice in product(*per_row):
+        rows = tuple(sum(1 << p for p in positions) for positions in choice)
+        yield comb.DegreeMatrix(sigma, n, rows, symbols)
+
+
+def enumerate_tries_by_counts(dist):
+    """Every trie with the distribution, out-sets chosen per pre-order node
+    as subset masks in increasing order; a mask is refused when any of its
+    symbols has no edge left, read from the remaining counts."""
+    n, sigma = dist.n, dist.sigma
+    symbols = comb._default_symbols(sigma)
+    masks = list(range(1 << sigma))
+    mask_rows = [tuple(i for i in range(sigma) if (m >> i) & 1) for m in masks]
+    mask_syms = [tuple(symbols[i] for i in rows) for rows in mask_rows]
+    mask_sizes = [m.bit_count() for m in masks]
+    outsets = [()] * n
+    rem = list(dist.counts)
+
+    def rec(i, avail):
+        if i == n:
+            yield Trie.from_outsets(outsets)
+            return
+        for m in masks:
+            rows = mask_rows[m]
+            if any(rem[k] == 0 for k in rows):
+                continue
+            size = mask_sizes[m]
+            nxt = avail - (1 if i > 0 else 0) + size
+            if i < n - 1 and nxt < 1:
+                continue
+            if nxt > n - 1 - i:
+                continue
+            if i == n - 1 and nxt != 0:
+                continue
+            for k in rows:
+                rem[k] -= 1
+            outsets[i] = mask_syms[m]
+            yield from rec(i + 1, nxt)
+            for k in rows:
+                rem[k] += 1
+        outsets[i] = ()
+
+    yield from rec(0, 0)
+
+
+def trie_to_matrix_by_out_labels(trie):
+    """Out-label indicator matrix, read node by node from ``out_labels``."""
+    symbols = trie.alphabet.symbols
+    if not symbols:
+        return comb.DegreeMatrix(1, trie.n, (0,), comb._default_symbols(1))
+    index = {c: i for i, c in enumerate(symbols)}
+    rows = [0] * len(symbols)
+    for v in range(trie.n):
+        for c in trie.out_labels(v):
+            rows[index[c]] |= 1 << v
+    return comb.DegreeMatrix(len(symbols), trie.n, tuple(rows), symbols)
+
+
+def verify_distribution_per_matrix(dist):
+    """``DistributionCheck`` with every matrix running ``check_rotations``,
+    so each rotation class is checked once per member, from the reference
+    enumerators and trie-to-matrix function above."""
+    formula = comb.count_tries_formula(dist)
+    matrices = 0
+    rot_ok = True
+    for m in enumerate_matrices_by_positions(dist):
+        matrices += 1
+        if not comb.check_rotations(m):
+            rot_ok = False
+    tries = 0
+    rt_ok = True
+    for t in enumerate_tries_by_counts(dist):
+        tries += 1
+        try:
+            back = comb.matrix_to_trie(trie_to_matrix_by_out_labels(t))
+        except ValueError:
+            back = None
+        if back != t:
+            rt_ok = False
+    return comb.DistributionCheck(dist, formula, matrices, tries, rot_ok,
+                                  rt_ok)

@@ -13,6 +13,10 @@ from xbwtrie.combinatorics import (check_rotations, feasible_distributions,
                                    verify_distribution)
 
 from conftest import FIG_STRINGS
+from construction_oracles import (enumerate_matrices_by_positions,
+                                  enumerate_tries_by_counts,
+                                  trie_to_matrix_by_out_labels,
+                                  verify_distribution_per_matrix)
 
 ABC = (97, 98, 99)
 
@@ -310,6 +314,66 @@ def test_check_rotations_can_fail(monkeypatch, verdict):
                         lambda values: verdict)
     assert not check_rotations(mat(TOP))
     assert not verify_distribution(SymbolDistribution(7, (1, 3, 2))).ok
+
+
+def test_verify_distribution_matches_per_matrix_reference():
+    """Checking each rotation class once, through its member in the image,
+    reports what checking every rotation of every matrix reports."""
+    for dist in feasible_distributions(6, 3):
+        assert verify_distribution(dist) == verify_distribution_per_matrix(dist)
+
+
+@pytest.mark.parametrize("accepted", [None, [-1, 0, 1, 0, -1]],
+                         ids=["class-emptied", "class-doubled"])
+def test_rotation_class_fault_fails_both_forms(monkeypatch, accepted):
+    """A fault in one rotation class fails both forms of the check.
+
+    In (5, (2, 2)) a matrix with two equal rows is the only one with its
+    L sequence.  Refusing [1, 0, 1, 0, -1] (rows 10100) leaves that class
+    with no member in the image: every image member left passes
+    ``check_rotations``, and only the count identity sees it.  Accepting
+    [-1, 0, 1, 0, -1] as well (rows 01100, a rotation of the image member
+    11000) gives another class two image members instead: the count holds,
+    and only ``check_rotations`` sees it."""
+    dist = SymbolDistribution(5, (2, 2))
+    dropped = [1, 0, 1, 0, -1]
+    seqs = [l_sequence(m) for m in enumerate_matrices(dist)]
+    assert seqs.count(dropped) == 1
+    assert accepted is None or seqs.count(accepted) == 1
+    real = xbwtrie.combinatorics.is_lukasiewicz
+    monkeypatch.setattr(xbwtrie.combinatorics, "is_lukasiewicz",
+                        lambda values: list(values) == accepted
+                        or list(values) != dropped and real(values))
+    image = [m for m in enumerate_matrices(dist)
+             if xbwtrie.combinatorics.is_lukasiewicz(l_sequence(m))]
+    counted = len(image) * dist.n == len(seqs)
+    each_passes = all(check_rotations(m) for m in image)
+    assert (counted, each_passes) == ((False, True) if accepted is None
+                                      else (True, False))
+    for res in (verify_distribution(dist),
+                verify_distribution_per_matrix(dist)):
+        assert not res.rotations_ok and not res.ok
+
+
+def _pinned_distributions():
+    yield from feasible_distributions(6, 3)
+    yield SymbolDistribution(7, (1, 3, 2))
+
+
+def test_enumerators_keep_reference_order():
+    for dist in _pinned_distributions():
+        assert (list(enumerate_matrices(dist))
+                == list(enumerate_matrices_by_positions(dist)))
+        assert (list(enumerate_tries(dist))
+                == list(enumerate_tries_by_counts(dist)))
+
+
+def test_trie_to_matrix_matches_out_label_reference(small_tries):
+    tries = list(small_tries)
+    for dist in _pinned_distributions():
+        tries.extend(enumerate_tries(dist))
+    for t in tries:
+        assert trie_to_matrix(t) == trie_to_matrix_by_out_labels(t)
 
 
 def test_feasible_distributions_count():
