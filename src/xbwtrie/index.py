@@ -500,12 +500,13 @@ def deserialize(data: bytes) -> XbwtIndex:
     version, code = struct.unpack_from("<HH", data, 4)
     if version != VERSION:
         raise ValueError(f"version mismatch: {version}")
-    if crc32c(data[:-4]) != struct.unpack_from("<I", data, len(data) - 4)[0]:
+    # a view: a copy would add the file's size to the load's peak
+    body = memoryview(data)[:-4]
+    if crc32c(body) != struct.unpack_from("<I", data, len(data) - 4)[0]:
         raise ValueError("checksum failure")
     if code >= len(MODES):
         raise ValueError(f"unknown mode {code}")
     mode = MODES[code]
-    body = data[:-4]
     off = 8
     n, sigma_full = struct.unpack_from("<QH", body, off)
     off += 10

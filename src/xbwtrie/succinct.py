@@ -36,16 +36,25 @@ immutable once built, with one exception that no answer can see: a fid or
 fixed-block vector read from a file keeps what the file stored for each
 word, checked at load, and fills in the word the first time a query reads
 it.
+
+The loader takes no Python step per value of a stream of one width (fid
+classes, fixed-block counts, id positions): eight w-bit values fill w
+bytes, so each of the 8 value slots is cut for all groups at once, from
+strided slices shifted and masked as one int, and the id positions land
+in the vector's array as read.  An empty or a full block stores no rank,
+so only the other blocks' ranks are read, checked and kept (fid's as
+2-byte items), and such a block is filled in without an unrank.
 """
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
-from operator import lt, sub
+from itertools import accumulate, compress, islice, repeat
+from operator import lshift, lt, or_, sub
 from typing import Iterable, Sequence
 
 
@@ -430,8 +439,8 @@ class RrrVector(_WordBlocks):
     superblock is one word of its 8u raw bits and ``_R`` the superblock
     ranks, so fid queries run on the fixed-block path at b = 8u.  A built
     vector holds no offsets: the serializer ranks each block from its
-    bits.  A loaded one keeps the file's offsets to unrank its words
-    from."""
+    bits.  A loaded one keeps the file's offsets of the blocks that are
+    neither empty nor full, 2 bytes each, to unrank its words from."""
 
     kind = "fid"
     SB_BLOCKS = 8
@@ -465,7 +474,9 @@ class IdVector(Bitvector):
     """ID back-end: stored one-positions (or zero-positions when complemented).
 
     The stored positions sit in one ``array`` of 4-byte items when m < 2^32
-    and of 8-byte items otherwise.  ``_D`` is a bucket directory over them
+    and of 8-byte items otherwise; a loaded vector keeps the array the file
+    was read into, whose items fit the stored width (one byte below
+    m = 255).  ``_D`` is a bucket directory over them
     (the high-bits bucketing of Elias-Fano rank): ``_D[h]`` counts the
     stored positions below h * 2^L, with 2^L about 8 to 16 times the mean
     gap, so a bucket holds one or two cache lines of the array and the
@@ -499,7 +510,9 @@ class IdVector(Bitvector):
             raise ValueError("positions must be strictly increasing")
         k = len(stored)
         self.m = m
-        self._pos = array(_POS32 if m >> 32 == 0 else "Q", stored)
+        # the loader's positions come as an array already, and are kept
+        self._pos = (stored if isinstance(stored, array)
+                     else array(_POS32 if m >> 32 == 0 else "Q", stored))
         self._L = L = (m // max(k, 1)).bit_length() + 3
         self._D = tuple(map(bisect_left, repeat(stored),
                             range(0, ((m >> L) + 2) << L, 1 << L)))
@@ -620,30 +633,77 @@ def _unpack_bitstream(data: bytes, widths: Sequence[int]) -> list[int]:
     return out
 
 
-def _unpack_uniform(data: bytes, w: int, k: int) -> list[int]:
+_BIG_ENDIAN = sys.byteorder == "big"
+
+# the array typecode of each lane size the uniform reader cuts a column in
+_LANE_TYPE = {1: "B", 2: "H", 4: _POS32, 8: "Q"}
+
+
+def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     """``_unpack_bitstream(data, [w] * k)`` for one width w >= 1, with the
-    same checks.  Eight w-bit values fill exactly w bytes, so the stream
-    is read a group at a time: one ``int.from_bytes`` and eight
-    shift-and-masks per group, and the tail group's padding checked."""
+    same checks, as an ``array`` of items wide enough for w bits: one byte
+    up to w = 8, four up to 32, eight up to 64 (a list past 64).
+
+    Eight w-bit values fill exactly w bytes, so value j of every full
+    group lies at the same bit offset j * w of its group.  Each of the 8
+    slots is read in C for all groups at once: the bytes it spans are
+    gathered from strided slices into one lane of L bytes per group, the
+    lanes are shifted and masked as one int, and the column is written
+    into every eighth item.  Only the tail group, of fewer than 8 values,
+    is read value by value, and its padding checked."""
     total = w * k
     if total > len(data) * 8:
         raise ValueError("truncated")
     if len(data) != (total + 7) // 8:
         raise ValueError("bad bitstream length")
     mask = (1 << w) - 1
-    shifts = range(0, 8 * w, w)
-    full = (k >> 3) * w  # the bytes of the full groups
-    frm = int.from_bytes
-    out = [(g >> s) & mask
-           for g in [frm(data[at:at + w], "little")
-                     for at in range(0, full, w)]
-           for s in shifts]
+    groups = k >> 3
+    full = groups * w  # the bytes of the full groups
+    if w > 64:
+        out = [0] * k
+    else:
+        out = array("B" if w <= 8 else _POS32 if w <= 32 else "Q", [0]) * k
+    if groups:
+        view = memoryview(data)
+        # a slot starting at bit s of a byte spans s + w bits, so the
+        # widest slot takes nb bytes and a lane the power of two past nb - 1
+        nb = (max(((j * w) & 7) + w for j in range(8)) + 7) >> 3
+        lane = 1 << (nb - 1).bit_length()
+        lanes = bytearray(groups * lane)
+        every = int.from_bytes(mask.to_bytes(lane, "little") * groups,
+                               "little")
+        for j in range(8):
+            at = (j * w) >> 3
+            shift = (j * w) & 7
+            # bytes past the slot's span hold an earlier slot's bytes; the
+            # mask clears them, and what the shift brings in from the next
+            # lane, since s + w bits fit the lane
+            for i in range((shift + w + 7) >> 3):
+                lanes[i::lane] = view[at + i:full:w]
+            cut = ((int.from_bytes(lanes, "little") >> shift) & every
+                   ).to_bytes(groups * lane, "little")
+            if lane <= 8:
+                col = array(_LANE_TYPE[lane], cut)
+                if _BIG_ENDIAN:
+                    col.byteswap()
+                if col.typecode != out.typecode:
+                    col = array(out.typecode, col)
+            else:  # 16-byte lanes, read as a low and a high half
+                halves = array("Q", cut)
+                if _BIG_ENDIAN:
+                    halves.byteswap()
+                col = halves[0::2]
+                if w > 64:
+                    col = list(map(or_, col, map(lshift, halves[1::2],
+                                                 repeat(64))))
+            out[j:8 * groups:8] = col
     tail = k & 7
     if tail:
-        g = frm(data[full:], "little")
+        g = int.from_bytes(data[full:], "little")
         if g >> (tail * w):
             raise ValueError("bitstream has padding bits set")
-        out += [(g >> s) & mask for s in shifts[:tail]]
+        for i in range(tail):
+            out[8 * groups + i] = (g >> (i * w)) & mask
     return out
 
 
@@ -779,13 +839,51 @@ def _take(buf: bytes, off: int, size: int) -> tuple[bytes, int]:
     return buf[off:off + size], off + size
 
 
+_NONZERO = b"\0" + b"\1" * 255  # a bytes.translate table: 1 where nonzero
+
+
+def _byte_sums(data: bytes) -> map:
+    """The sums of each 8 bytes of data, the last 8 padded with zeros,
+    where each sum is below 255.  The 8 bytes are read as one int x, which
+    is their sum mod 255, since 256 is 1 mod 255."""
+    if len(data) % 8:
+        data = bytes(data) + bytes(-len(data) % 8)
+    return map((255).__rmod__, memoryview(data).cast("Q"))
+
+
+def _below_row(ranks: array, counts: bytes, row: list[int]) -> bool:
+    """Whether every ranks[i] < row[counts[i]], for ranks an ``array("H")``,
+    counts at least as long and every row entry at most 2^16.  The ranks,
+    and each bound - 1 + 2^16, take a 4-byte lane each of two ints, and
+    their difference keeps bit 16 of every lane set exactly when each rank
+    is below its bound, since no lane borrows from the next."""
+    n = len(ranks)
+    if _BIG_ENDIAN:  # the lanes are little-endian
+        ranks = array("H", ranks)
+        ranks.byteswap()
+    raw = ranks.tobytes()
+    top = [c - 1 for c in row]
+    low, high = bytearray(4 * n), bytearray(4 * n)
+    low[0::4], low[1::4] = raw[0::2], raw[1::2]
+    for at, byte in enumerate((bytes(c & 255 for c in top),
+                               bytes(c >> 8 for c in top))):
+        high[at::4] = counts[:n].translate(byte.ljust(256, b"\0"))
+    high[2::4] = b"\1" * n
+    guard = int.from_bytes(b"\0\0\1\0" * n, "little")
+    return (int.from_bytes(high, "little") - int.from_bytes(low, "little")
+            ) & guard == guard
+
+
 def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
     """Read what :func:`_pack_blocks` writes for the size-bit blocks
     covering m bits from buf at off, checked: every count lies in 0..l and
     every rank below C(l, k).  Returns the counts, ``_R`` over words of g
     blocks each (1 for fixed-block, ``RrrVector.SB_BLOCKS`` for fid), the
     words as a :class:`_LazyWords` that unranks a word's blocks on its
-    first read, and the offset just past the body."""
+    first read, and the offset just past the body.
+
+    An empty or a full block (k = 0 or l) stores no rank, so only the
+    ranks of the other blocks are read, checked and kept."""
     nblocks = (m + size - 1) // size
     bw = size.bit_length()
     view = memoryview(buf)
@@ -793,54 +891,107 @@ def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
     cols = _pascal(size)
     last = m - (nblocks - 1) * size
     rows = {blen: _binomials(cols, blen) for blen in {size, last}}
+    width_of = {blen: [(c - 1).bit_length() for c in row]
+                for blen, row in rows.items()}
+    # a count, and a width ceil(log2 C(l, k)), is at most the block size:
+    # below 256, as at every fid u, both take one byte each, a chunk's
+    # widths are its counts translated, and a count past the block size is
+    # found by deleting the ones that fit
+    small = size < 256
+    if small:
+        table = bytes(width_of[size]).ljust(256, b"\0")
+        fits = bytes(range(size + 1))
+        counts, widths = bytearray(), bytearray()
+    else:
+        table = width_of[size] + [0] * ((1 << bw) - size - 1)
+        counts, widths = array(_POS32), []
     # each block's body width follows from its count; the widths are summed
     # as the counts are read, a chunk of _COUNT_CHUNK at a time, and a sum
-    # past the buffer is refused before the next chunk.  A count past its
-    # block length takes a width past any room, so the first block that
-    # overruns the room is the first bad one, and the error names what is
-    # wrong with it
+    # past the buffer is refused before the next chunk.  Of a count past its
+    # block length and a sum past the room, the error names the first block
+    # in order that has either fault
     room = 8 * (len(buf) - off)
-    past = [room + 1] * (1 << bw)
-    row_widths = {blen: ([(c - 1).bit_length() for c in row] + past)[:1 << bw]
-                  for blen, row in rows.items()}
-    # a count, and a width ceil(log2 C(l, k)), is at most the block size:
-    # one byte each when that is below 256, as at every fid u
-    counts, widths = (bytearray(), bytearray()) if size < 256 else ([], [])
+    spent = 0
     for first in range(0, nblocks, _COUNT_CHUNK):
         chunk = stream[first * bw // 8:][:_COUNT_CHUNK * bw // 8]
         ks = _unpack_uniform(chunk, bw, min(_COUNT_CHUNK, nblocks - first))
-        ws = list(map(row_widths[size].__getitem__, ks))
-        if first + len(ks) == nblocks:  # the last block may be short
-            ws[-1] = row_widths[last][ks[-1]]
-        spent = sum(ws)
-        if spent > room:
-            i = bisect_right(list(accumulate(ws)), room)
-            blen = last if first + i == nblocks - 1 else size
-            raise ValueError("more stored positions than bits"
-                             if ks[i] > blen else "truncated")
-        room -= spent
+        if small:
+            ks = ks.tobytes()
+            ws = ks.translate(table)
+            past = bool(ks.translate(None, fits))
+        else:
+            ws = list(map(table.__getitem__, ks))
+            past = max(ks) > size
+        add = sum(ws)
+        end = first + len(ks) == nblocks
+        if end:  # the last block may be short
+            tail = width_of[last][ks[-1]] if ks[-1] <= last else 0
+            add += tail - ws[-1]
+        if add > room - spent or past or (end and ks[-1] > last):
+            for i, k in enumerate(ks, first):
+                blen = last if i == nblocks - 1 else size
+                if k > blen:
+                    raise ValueError("more stored positions than bits")
+                spent += width_of[blen][k]
+                if spent > room:
+                    raise ValueError("truncated")
+        spent += add
         counts.extend(ks)
         widths.extend(ws)
-    stream, off = _take(view, off, (sum(widths) + 7) // 8)
-    ranks = _unpack_bitstream(stream, widths)
-    # every rank lies below C(l, k); the last block, maybe short, apart
-    if not (all(map(lt, ranks, map(rows[size].__getitem__, counts[:-1])))
-            and (not nblocks or ranks[-1] < rows[last][counts[-1]])):
+    if nblocks:
+        widths[-1] = tail
+    stream, off = _take(view, off, (spent + 7) // 8)
+    ranks = _unpack_bitstream(stream, widths.replace(b"\0", b"") if small
+                              else list(filter(None, widths)))
+    # every stored rank lies below C(l, k), the short last block's below
+    # its own row
+    short = last < size and widths[-1] > 0
+    if max(width_of[size]) <= 16:  # at every fid u: C(14, 7) < 2^12
+        ranks = array("H", ranks)
+        # deleting the empty and full counts keeps those of the blocks that
+        # store a rank, and at most one more at the end, the short last
+        # block's, whatever it holds
+        below = _below_row(ranks[:len(ranks) - short],
+                           counts.translate(None, bytes((0, size))),
+                           rows[size])
+    else:
+        below = all(map(lt, islice(ranks, len(ranks) - short),
+                        map(rows[size].__getitem__,
+                            compress(counts, widths))))
+    if not below or short and ranks[-1] >= rows[last][counts[-1]]:
         raise ValueError("block rank out of range")
-    R = [0, *islice(accumulate(counts), g - 1, None, g)]
-    if nblocks % g:  # the last word holds fewer than g blocks
-        R.append(sum(counts))
+    # the index in ranks of each word's first stored rank, and R, are the
+    # prefix sums of each word's blocks that store a rank and of its counts;
+    # a fid word's 8 blocks, with counts of at most 14, are summed as one
+    # 8-byte int
+    stores = (widths.translate(_NONZERO) if small
+              else bytes(map(bool, widths)))
+    del widths
+    if small:
+        counts = bytes(counts)
+    if len(ranks) == nblocks:  # every block stores one, as is usual at b
+        firsts = range(0, nblocks + g, g)
+    else:
+        firsts = array(_POS32 if nblocks >> 32 == 0 else "Q", [0])
+        firsts.extend(accumulate(stores if g == 1 else _byte_sums(stores)))
+    del stores
+    R = [0, *accumulate(counts if g == 1 else _byte_sums(counts))]
 
     def unrank(s: int) -> int:
         word = at = 0
+        r = firsts[s]
         for bi in range(s * g, min(s * g + g, nblocks)):
             blen = last if bi == nblocks - 1 else size
             k = counts[bi]
-            if 2 * k > blen:  # the zeros were ranked
-                word |= (_unrank(cols, ranks[bi], blen - k, blen)
-                         ^ ((1 << blen) - 1)) << at
-            else:
-                word |= _unrank(cols, ranks[bi], k, blen) << at
+            if k == blen:  # a full block stores no rank
+                word |= ((1 << blen) - 1) << at
+            elif k:
+                if 2 * k > blen:  # the zeros were ranked
+                    word |= (_unrank(cols, ranks[r], blen - k, blen)
+                             ^ ((1 << blen) - 1)) << at
+                else:
+                    word |= _unrank(cols, ranks[r], k, blen) << at
+                r += 1
             at += size
         return word
     return counts, R, _LazyWords(unrank), off
@@ -863,7 +1014,7 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
             raise ValueError(f"bad rrr block size {u}")
         classes, R, words, off = _read_blocks(buf, off, m, u,
                                               RrrVector.SB_BLOCKS)
-        return RrrVector._restore(m, u, bytes(classes), R, words), off
+        return RrrVector._restore(m, u, classes, R, words), off
     if kind == "id":
         head, off = _take(buf, off, 9)
         flags, k = struct.unpack("<BQ", head)

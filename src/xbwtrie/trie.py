@@ -159,10 +159,13 @@ class Trie:
 
         Node i+1 in pre-order attaches to the deepest pending edge on the
         left, i.e. the most recent node that still has unused out-labels.
+        The walk gives pre-order ids and each node's labels in ascending
+        order, so only their distinctness is left to check.
         """
         n = len(outsets)
         parent = [0] * n
         label = [0] * n
+        repeated = False
         # stack of (node, sorted out labels, next label index)
         stack: list[list] = []
         for v in range(n):
@@ -179,10 +182,15 @@ class Trie:
                     stack.pop()
             out = sorted(outsets[v])
             if out:
+                repeated = repeated or len(set(out)) < len(out)
                 stack.append([v, out, 0])
         if stack:
             raise ValueError("pending edges left over")
-        return cls(parent, label)
+        if not n:
+            raise ValueError("parent and label must be nonempty and equal length")
+        if repeated:
+            raise ValueError("outgoing labels must be distinct")
+        return cls._trusted(parent, label)
 
     @property
     def children(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -59,10 +59,18 @@ def small_tries() -> list[Trie]:
     return [random_trie(rng, 60, 6) for _ in range(300)]
 
 
+def ranked_blocks(v, blocks) -> int:
+    """How many of the given blocks of the fixed-block vector v store a
+    rank: those neither empty nor full, the only ones a load unranks."""
+    return sum(0 < v._R[bi + 1] - v._R[bi] < min(v.b, v.m - bi * v.b)
+               for bi in blocks)
+
+
 @pytest.fixture
 def unrank_calls(monkeypatch) -> list[tuple]:
     """A list that gets the arguments of every ``succinct._unrank`` call
-    from now on: a fixed block's word is unranked on its first read."""
+    from now on: a fixed block's word is unranked on its first read, and
+    an empty or a full block is filled in without a call."""
     from xbwtrie import succinct
     calls = []
     real = succinct._unrank

@@ -11,6 +11,7 @@ from xbwtrie.succinct import (Bitvector, _pack_bitstream, _select_in_word,
                               ceil_log2_comb, deserialize_bitvector,
                               serialize_bitvector)
 
+from conftest import ranked_blocks
 from succinct_oracles import (block_lens, decode_block, encode_block,
                               parse_bits)
 
@@ -105,6 +106,28 @@ def test_rrr_restore_checks_every_block():
         with pytest.raises(ValueError, match=f"^{message}$"):
             deserialize_bitvector("fid", m,
                                   _fid_body(4, classes, offsets, widths))
+
+
+def test_rrr_offset_checked_at_every_class():
+    """At every u and class k in 1..u-1, offsets of C(u, k) - 1 load, and
+    an offset of C(u, k) (when it fits its width) is refused in any of
+    three blocks, the others holding their largest offsets."""
+    for u in range(2, 15):
+        for k in range(1, u):
+            c, w = math.comb(u, k), ceil_log2_comb(u, k)
+            offsets = [c - 1] * 3
+            v, _ = deserialize_bitvector(
+                "fid", 3 * u, _fid_body(u, [k] * 3, offsets, [w] * 3))
+            assert v.ones == 3 * k
+            if c == 2 ** w:
+                continue
+            for bad in range(3):
+                offsets = [c - 1] * 3
+                offsets[bad] = c
+                with pytest.raises(ValueError,
+                                   match="^block rank out of range$"):
+                    deserialize_bitvector(
+                        "fid", 3 * u, _fid_body(u, [k] * 3, offsets, [w] * 3))
 
 
 def test_rrr_loader_checks_every_class():
@@ -749,8 +772,10 @@ def test_fixed_blocks_loaded_lazily_agree_with_built(m, unrank_calls):
                 [v.select(j) for j in range(1, v.ones + 1)]
             assert positions.one_positions() == v.one_positions()
             assert serialize_bitvector(body) == blob
-            # each loaded vector unranked each block it read once
-            assert len(calls) == sum(len(u.children) for u in loaded)
+            # each loaded vector unranked each block it read once, if the
+            # block stores a rank
+            assert len(calls) == sum(ranked_blocks(v, u.children)
+                                     for u in loaded)
             assert all(set(u.children) <= set(range(len(v.children)))
                        for u in loaded)
 
@@ -785,6 +810,44 @@ def test_fid_loaded_lazily_agree_with_built(u):
                 assert set(w.children) <= set(range(len(v.children)))
                 assert all(w.children[s] == v.children[s]
                            for s in list(w.children))
+
+
+def test_fid_empty_and_full_blocks_hold_no_rank(monkeypatch, unrank_calls):
+    """Empty and full blocks store no rank, so a fid body of only such
+    blocks reads no rank and keeps none: its words are filled in without
+    an unrank, and a body of 2^16 empty blocks holds under 4 bytes a block
+    (its classes, R and each word's first rank index)."""
+    import tracemalloc
+    from xbwtrie import succinct
+    read = []
+    real = succinct._unpack_bitstream
+
+    def recorded(data, widths):
+        read.append(len(widths))
+        return real(data, widths)
+    monkeypatch.setattr(succinct, "_unpack_bitstream", recorded)
+    rng = random.Random(31)
+    for u in (1, 3, 8, 14):
+        m = 19 * u + u // 2  # a short last block when u > 1
+        ones = [p for at in range(0, m, u) if rng.random() < 0.5
+                for p in range(at + 1, min(at + u, m) + 1)]
+        v = RrrVector(m, ones, u=u)
+        loaded, _ = deserialize_bitvector("fid", m, serialize_bitvector(v))
+        assert read.pop() == 0
+        assert [loaded.rank(i) for i in range(m + 1)] == \
+            [v.rank(i) for i in range(m + 1)]
+        assert loaded.one_positions() == v.one_positions()
+    assert unrank_calls == []
+    u, blocks = 14, 1 << 16
+    body = bytes([u]) + bytes(blocks // 2)
+    tracemalloc.start()
+    try:
+        loaded, _ = deserialize_bitvector("fid", u * blocks, body)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert read == [0] and loaded.ones == 0
+    assert held <= 4 * blocks
 
 
 def test_fid_words_are_raw_superblocks():
@@ -979,12 +1042,15 @@ UNIFORM_COUNTS = (0, 1, 7, 8, 9, 15, 16, 17, 100)
 
 def test_bitstream_round_trip():
     rng = random.Random(13)
-    for w in range(1, 65):  # the grouped reader of one width
+    # the lane reader of one width, at every width a file holds: up to 65,
+    # an id position's width at n = 2^64 - 1
+    for w in range(1, 66):
         for count in UNIFORM_COUNTS:
             values = [rng.getrandbits(w) for _ in range(count)]
             data = _pack_bitstream(values, [w] * count)
-            assert _unpack_uniform(data, w, count) == values
-            assert _unpack_uniform(memoryview(data), w, count) == values
+            assert _unpack_bitstream(data, [w] * count) == values
+            assert list(_unpack_uniform(data, w, count)) == values
+            assert list(_unpack_uniform(memoryview(data), w, count)) == values
     for w in range(25):
         for count in (0, 1, 7, 8, 9, 100):
             widths = [w] * count
@@ -1001,9 +1067,10 @@ def test_bitstream_round_trip():
 
 
 def _unpacked(unpack, *args):
-    """What unpack returns, or the message of the ValueError it raises."""
+    """The values unpack returns, as a list, or the message of the
+    ValueError it raises."""
     try:
-        return unpack(*args)
+        return list(unpack(*args))
     except ValueError as exc:
         return str(exc)
 
@@ -1023,7 +1090,7 @@ def test_bitstream_rejects_bad_streams():
     with pytest.raises(ValueError, match="padding"):
         _unpack_bitstream(data[:1] + bytes((data[1] | 0x80,)), widths)
     rng = random.Random(15)
-    for w in range(1, 65):
+    for w in range(1, 66):
         for count in UNIFORM_COUNTS:
             data = _pack_bitstream([rng.getrandbits(w) for _ in range(count)],
                                    [w] * count)
@@ -1036,11 +1103,13 @@ def test_bitstream_rejects_bad_streams():
             if w * count % 8:
                 bad["bitstream has padding bits set"] = [top]
             elif data:
-                assert _unpack_uniform(top, w, count) == \
+                assert list(_unpack_uniform(top, w, count)) == \
                     _unpack_bitstream(top, [w] * count)
             for message, streams in bad.items():
                 for stream in streams:
                     assert _unpacked(_unpack_uniform, stream, w, count) == \
+                        _unpacked(_unpack_uniform, memoryview(stream), w,
+                                  count) == \
                         _unpacked(_unpack_bitstream, stream, [w] * count) == \
                         message
 

@@ -259,6 +259,26 @@ def test_build_from_strings_passes_the_checked_constructor():
     assert len(t.alphabet.symbols) == 255 and t.alphabet.sentinel == missing
 
 
+def test_from_outsets_passes_the_checked_constructor(small_tries):
+    """from_outsets skips the walk of Trie(...): each trie's out-sets, in
+    any order within a set, rebuild it, and what they build passes the
+    walk.  Only a repeated label is left to refuse, and a fault of the
+    out-degree sequence is named first."""
+    rng = random.Random(29)
+    for t in small_tries[:60]:
+        outsets = [rng.sample(labs, len(labs))
+                   for labs in map(t.out_labels, range(t.n))]
+        back = Trie.from_outsets(outsets)
+        assert back == t == Trie(back.parent, back.label)
+        assert back.alphabet == t.alphabet
+    with pytest.raises(ValueError, match="^outgoing labels must be distinct$"):
+        Trie.from_outsets([[97, 98, 97], [], [], []])
+    with pytest.raises(ValueError, match="^pending edges left over$"):
+        Trie.from_outsets([[97, 97], []])
+    with pytest.raises(ValueError, match="^parent and label must be"):
+        Trie.from_outsets([])
+
+
 def test_build_from_strings_rejects_ints():
     # bytes(3) would be three zero bytes; an int is not a string
     with pytest.raises(TypeError):
