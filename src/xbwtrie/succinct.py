@@ -842,35 +842,23 @@ def _take(buf: bytes, off: int, size: int) -> tuple[bytes, int]:
 _NONZERO = b"\0" + b"\1" * 255  # a bytes.translate table: 1 where nonzero
 
 
-def _byte_sums(data: bytes) -> map:
-    """The sums of each 8 bytes of data, the last 8 padded with zeros,
-    where each sum is below 255.  The 8 bytes are read as one int x, which
-    is their sum mod 255, since 256 is 1 mod 255."""
-    if len(data) % 8:
-        data = bytes(data) + bytes(-len(data) % 8)
-    return map((255).__rmod__, memoryview(data).cast("Q"))
-
-
 def _below_row(ranks: array, counts: bytes, row: list[int]) -> bool:
-    """Whether every ranks[i] < row[counts[i]], for ranks an ``array("H")``,
-    counts at least as long and every row entry at most 2^16.  The ranks,
-    and each bound - 1 + 2^16, take a 4-byte lane each of two ints, and
-    their difference keeps bit 16 of every lane set exactly when each rank
-    is below its bound, since no lane borrows from the next."""
-    n = len(ranks)
+    """Whether every ranks[i] < row[counts[i]], for ranks an ``array("H")``
+    of values below 2^15, counts at least as long and every row entry at
+    most 2^15.  Each rank, and each bound - 1 + 2^15, fills a 2-byte lane
+    of one of two ints; no lane of their difference borrows from the next,
+    and each keeps its bit 15 exactly when its rank is below its bound."""
     if _BIG_ENDIAN:  # the lanes are little-endian
         ranks = array("H", ranks)
         ranks.byteswap()
-    raw = ranks.tobytes()
-    top = [c - 1 for c in row]
-    low, high = bytearray(4 * n), bytearray(4 * n)
-    low[0::4], low[1::4] = raw[0::2], raw[1::2]
-    for at, byte in enumerate((bytes(c & 255 for c in top),
-                               bytes(c >> 8 for c in top))):
-        high[at::4] = counts[:n].translate(byte.ljust(256, b"\0"))
-    high[2::4] = b"\1" * n
-    guard = int.from_bytes(b"\0\0\1\0" * n, "little")
-    return (int.from_bytes(high, "little") - int.from_bytes(low, "little")
+    n = len(ranks)
+    top = [c - 1 + (1 << 15) for c in row]
+    bounds = bytearray(2 * n)
+    for at in (0, 1):
+        byte = bytes(c >> 8 * at & 255 for c in top)
+        bounds[at::2] = counts[:n].translate(byte.ljust(256, b"\0"))
+    guard = int.from_bytes(b"\0\x80" * n, "little")
+    return (int.from_bytes(bounds, "little") - int.from_bytes(ranks, "little")
             ) & guard == guard
 
 
@@ -946,7 +934,7 @@ def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
     # every stored rank lies below C(l, k), the short last block's below
     # its own row
     short = last < size and widths[-1] > 0
-    if max(width_of[size]) <= 16:  # at every fid u: C(14, 7) < 2^12
+    if max(width_of[size]) <= 15:  # at every fid u: C(14, 7) < 2^12
         ranks = array("H", ranks)
         # deleting the empty and full counts keeps those of the blocks that
         # store a rank, and at most one more at the end, the short last
@@ -960,22 +948,30 @@ def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
                             compress(counts, widths))))
     if not below or short and ranks[-1] >= rows[last][counts[-1]]:
         raise ValueError("block rank out of range")
-    # the index in ranks of each word's first stored rank, and R, are the
-    # prefix sums of each word's blocks that store a rank and of its counts;
-    # a fid word's 8 blocks, with counts of at most 14, are summed as one
-    # 8-byte int
+
+    def word_sums(sums, xs: Sequence[int], total: int):
+        # sums, which holds 0, extended by the sums of xs up to the end of
+        # every word of g blocks and of the last
+        if g == 8 and 8 * size < 255:  # at every fid u: 8 x 14 < 255
+            # a whole word's 8 bytes, each at most size, read as one int
+            # are their sum mod 255 (256 is 1 mod 255), and it is below 255
+            whole = memoryview(xs)[:nblocks - nblocks % 8].cast("Q")
+            sums.extend(accumulate(map((255).__rmod__, whole)))
+        else:
+            sums.extend(islice(accumulate(xs), g - 1, None, g))
+        if nblocks % g:  # the last word holds fewer than g blocks
+            sums.append(total)
+        return sums
+    # the index in ranks of each word's first stored rank, and R
     stores = (widths.translate(_NONZERO) if small
               else bytes(map(bool, widths)))
     del widths
+    firsts = word_sums(array(_POS32 if len(ranks) >> 32 == 0 else "Q", [0]),
+                       stores, len(ranks))
+    del stores
     if small:
         counts = bytes(counts)
-    if len(ranks) == nblocks:  # every block stores one, as is usual at b
-        firsts = range(0, nblocks + g, g)
-    else:
-        firsts = array(_POS32 if nblocks >> 32 == 0 else "Q", [0])
-        firsts.extend(accumulate(stores if g == 1 else _byte_sums(stores)))
-    del stores
-    R = [0, *accumulate(counts if g == 1 else _byte_sums(counts))]
+    R = word_sums([0], counts, sum(counts))
 
     def unrank(s: int) -> int:
         word = at = 0
