@@ -172,6 +172,10 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_n < 1 or args.max_sigma < 1:
         raise ValueError("max_n and max_sigma must be positive")
+    # the sweep reaches sigma = 17 at n = 1, where enumerate_tries refuses,
+    # so refuse before listing the distributions
+    if args.max_sigma > comb.MAX_ENUMERATION_SIGMA:
+        raise ValueError("enumeration too large")
     dists = list(comb.feasible_distributions(args.max_n, args.max_sigma))
     results = [comb.verify_distribution(d, args.cap) for d in dists]
 
@@ -200,7 +204,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    trie = build_from_strings(_load_strings(args.input))
+    trie = _load_trie(args.input)
     matrix = comb.trie_to_matrix(trie)
     print(comb.format_matrix(matrix))
     order = colex_order(trie)

@@ -22,6 +22,9 @@ from .trie import Alphabet, SymbolDistribution, Trie
 
 DEFAULT_ENUMERATION_CAP = 10**8
 
+# enumerate_tries chooses out-sets as subset masks of the sigma symbols
+MAX_ENUMERATION_SIGMA = 16
+
 _DEFAULT_SYMBOLS = tuple(range(97, 97 + 26))  # 'a', 'b', ...
 
 
@@ -211,7 +214,7 @@ def enumerate_tries(dist: SymbolDistribution,
     """
     _check_cap(dist, cap)
     n, sigma = dist.n, dist.sigma
-    if sigma > 16:  # out-set choices are enumerated as subset masks
+    if sigma > MAX_ENUMERATION_SIGMA:
         raise ValueError("enumeration too large")
     symbols = _default_symbols(sigma)
     masks = list(range(1 << sigma))

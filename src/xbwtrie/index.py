@@ -450,33 +450,125 @@ def invert(index: XbwtIndex) -> Trie:
 # file format
 # ---------------------------------------------------------------------------
 
+_CRC_POLY = 0x82F63B78  # Castagnoli, reflected
+
+# _CRC_TABLE[b]: the register after byte b from register 0
 _CRC_TABLE = []
 for _b in range(256):
     _c = _b
     for _ in range(8):
-        _c = (_c >> 1) ^ 0x82F63B78 if _c & 1 else _c >> 1
+        _c = (_c >> 1) ^ _CRC_POLY if _c & 1 else _c >> 1
     _CRC_TABLE.append(_c)
 
-# slicing-by-8: _CRC_TABLES[k][b] is the CRC register after byte b followed
-# by k zero bytes, so eight lookups advance the register by 8 bytes
-_CRC_TABLES = [_CRC_TABLE]
-for _ in range(7):
-    _CRC_TABLES.append([(t >> 8) ^ _CRC_TABLE[t & 0xFF]
-                        for t in _CRC_TABLES[-1]])
+# byte k of every _CRC_TABLE entry, as a ``bytes.translate`` table
+_CRC_PLANES = tuple(bytes(t >> 8 * k & 0xFF for t in _CRC_TABLE)
+                    for k in range(4))
+
+# the lane pass takes at most this many lanes at a time, so the copy it
+# reads its columns from holds at most 1 MiB at every lane length
+_CRC_LANES = 2048
+
+# the shift tables built so far: s is 4, 8 or a lane length 16..512
+_CRC_SHIFTS: dict[int, tuple[list[int], ...]] = {}
+
+
+def _crc_shift(s: int) -> tuple[list[int], ...]:
+    """The 4 x 256 table of a register shifted by s zero bytes: entry b of
+    row k is the shift of register b << 8k, so four lookups shift any
+    register.  Built once per s from the 32 single-bit registers, and
+    cached.
+
+    A zero bit multiplies the register by x, bit 31 holding x^0; so the
+    shift of bit 31 - m is the shift of bit 31 followed by m zero bits.
+    """
+    rows = _CRC_SHIFTS.get(s)
+    if rows is None:
+        c = 1 << 31
+        for _ in range(s):
+            c = (c >> 8) ^ _CRC_TABLE[c & 0xFF]
+        bits = [c]
+        for _ in range(31):
+            c = (c >> 1) ^ _CRC_POLY if c & 1 else c >> 1
+            bits.append(c)
+        bits.reverse()  # bits[i]: the shift of register 1 << i
+        tables = []
+        for k in range(4):
+            row = [0]
+            for v in bits[8 * k:8 * k + 8]:
+                row += [x ^ v for x in row]
+            tables.append(row)
+        rows = _CRC_SHIFTS[s] = tuple(tables)
+    return rows
+
+
+# the 8-byte step's tables: a word shifted by 8 and by 4 zero bytes
+_CRC_WORDS = _crc_shift(8) + _crc_shift(4)
+
+
+def _crc_lanes(view: memoryview, s: int, c: int) -> tuple[int, memoryview]:
+    """The CRC register after the whole s-byte blocks of view, from
+    register c, and the view of the fewer than s bytes past them.
+
+    The blocks go up to ``_CRC_LANES`` at a time.  Their registers run in
+    lockstep, each from register 0, one in-block byte column a step: the
+    column, a strided slice, is XORed into the lanes' low register bytes
+    as one int, and those bytes go through the byte table as four
+    ``bytes.translate`` calls, one per register byte.  By linearity the
+    register after a block from c is c shifted by s zero bytes XOR the
+    block's own register, so the lanes then fold into c in order by
+    Horner's rule.
+    """
+    t0, t1, t2, t3 = _CRC_PLANES
+    s0, s1, s2, s3 = _crc_shift(s)
+    unpack = int.from_bytes
+    body = len(view) - len(view) % s
+    step = _CRC_LANES * s
+    for at in range(0, body, step):
+        lanes = view[at:min(at + step, body)].tobytes()
+        m = len(lanes) // s
+        r0 = r1 = r2 = r3 = 0  # byte k of every lane's register
+        for j in range(s):
+            x = (r0 ^ unpack(lanes[j::s], "little")).to_bytes(m, "little")
+            r0 = r1 ^ unpack(x.translate(t0), "little")
+            r1 = r2 ^ unpack(x.translate(t1), "little")
+            r2 = r3 ^ unpack(x.translate(t2), "little")
+            r3 = unpack(x.translate(t3), "little")
+        regs = bytearray(4 * m)
+        for k, r in enumerate((r0, r1, r2, r3)):
+            regs[k::4] = r.to_bytes(m, "little")
+        for r, in struct.iter_unpack("<I", regs):
+            c = (s0[c & 0xFF] ^ s1[c >> 8 & 0xFF] ^ s2[c >> 16 & 0xFF]
+                 ^ s3[c >> 24] ^ r)
+    return c, view[body:]
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C (Castagnoli) of data, continuing from a previous ``crc``."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
+    """CRC-32C (Castagnoli) of data, continuing from a previous ``crc``:
+    the reflected polynomial 0x82F63B78, init and xorout 0xFFFFFFFF, so
+    ``crc32c(b"123456789") == 0xE3069283``.
+
+    Whole blocks of s bytes go through :func:`_crc_lanes`, s being the
+    largest power of two with s^2 <= len(data), held to 16..512: an input
+    under 256 bytes has no lanes.  The rest goes 8 bytes a step, the
+    register XOR the low word shifted by 8 zero bytes, XOR the high word
+    shifted by 4, and its last 0-7 bytes through the byte table.
+    """
+    view = memoryview(data)
     c = crc ^ 0xFFFFFFFF
-    body = len(data) & ~7
-    for lo, hi in struct.iter_unpack("<II", memoryview(data)[:body]):
-        c ^= lo
-        c = (t7[c & 0xFF] ^ t6[(c >> 8) & 0xFF] ^ t5[(c >> 16) & 0xFF]
-             ^ t4[c >> 24] ^ t3[hi & 0xFF] ^ t2[(hi >> 8) & 0xFF]
-             ^ t1[(hi >> 16) & 0xFF] ^ t0[hi >> 24])
-    for byte in data[body:]:
-        c = (c >> 8) ^ t0[(c ^ byte) & 0xFF]
+    log = (len(view).bit_length() - 1) >> 1
+    if log >= 4:
+        c, view = _crc_lanes(view, 1 << min(log, 9), c)
+    words = len(view) & ~7
+    if words:
+        a0, a1, a2, a3, b0, b1, b2, b3 = _CRC_WORDS
+        for lo, hi in struct.iter_unpack("<II", view[:words]):
+            c ^= lo
+            c = (a0[c & 0xFF] ^ a1[c >> 8 & 0xFF] ^ a2[c >> 16 & 0xFF]
+                 ^ a3[c >> 24] ^ b0[hi & 0xFF] ^ b1[hi >> 8 & 0xFF]
+                 ^ b2[hi >> 16 & 0xFF] ^ b3[hi >> 24])
+    table = _CRC_TABLE
+    for byte in view[words:]:
+        c = (c >> 8) ^ table[(c ^ byte) & 0xFF]
     return c ^ 0xFFFFFFFF
 
 

@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+import xbwtrie.combinatorics
 import xbwtrie.entropy
 import xbwtrie.index
 from xbwtrie import build_from_strings, build_index, deserialize, serialize
@@ -293,6 +294,25 @@ def test_verify_rejects_empty_sweep(capsys, caps):
     assert captured.out == ""
 
 
+def test_verify_refuses_sigma_past_enumeration_limit(capsys, monkeypatch):
+    """Tries are enumerated for at most 16 symbols: a larger max_sigma is
+    refused before any distribution is listed, with the error the sweep
+    would reach at sigma = 17."""
+    assert main(["verify", "1", "16"]) == 0
+    assert "sweep[n=1,sigma=16]" in capsys.readouterr().out
+
+    def listed(max_n, max_sigma):
+        raise AssertionError("distributions listed")
+
+    monkeypatch.setattr(xbwtrie.combinatorics, "feasible_distributions",
+                        listed)
+    for caps in (("3", "300"), ("1", "17")):
+        assert main(["verify", *caps]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: enumeration too large\n"
+        assert captured.out == ""
+
+
 def _replace_first_vector(idx, blob: bytes) -> bytes:
     """The index file of idx with its first vector's blob swapped for blob,
     the CRC recomputed so that only the vector's own checks can object."""
@@ -471,6 +491,20 @@ def test_stats_refuses_index_too_large(tmp_path, capsys):
 def test_dump_golden(fig_file, capsys):
     assert main(["dump", fig_file]) == 0
     assert capsys.readouterr().out == DUMP_GOLDEN
+
+
+@pytest.mark.parametrize("mode", ["plain", "fid", "id", "fixedblock"])
+def test_dump_index_dumps_its_trie(tmp_path, capsys, mode):
+    """An index file dumps the trie it indexes, as its string set does."""
+    src = tmp_path / "words.txt"
+    src.write_bytes(b"bcbc\nb\n\nbb\nbcba\nb\n")
+    out = str(tmp_path / f"words-{mode}.xbwt")
+    assert main(["build", str(src), "--output", out, "--mode", mode]) == 0
+    capsys.readouterr()
+    assert main(["dump", str(src)]) == 0
+    want = capsys.readouterr().out
+    assert main(["dump", out]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_dump_single_node(tmp_path, capsys):

@@ -8,8 +8,9 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
                      check_bounds, count, deserialize, forward_step, invert,
                      leaf_run_count, naive_count, random_trie, run_count,
                      serialize)
-from xbwtrie.index import (_head_table, column_cost, crc32c, file_length,
-                           index_bits, xbwt_columns)
+from xbwtrie.index import (_crc_lanes, _crc_shift, _head_table,
+                           column_cost, crc32c, file_length, index_bits,
+                           xbwt_columns)
 from xbwtrie.succinct import (IdVector, _pack_bitstream, ceil_log2_comb,
                               deserialize_bitvector, serialize_bitvector)
 
@@ -673,6 +674,117 @@ def test_crc32c_matches_bitwise_reference():
         cut = rng.randint(0, length)
         assert crc32c(data[cut:], crc32c(data[:cut])) == crc32c(data)
     assert crc32c(bytearray(b"123456789")) == 0xE3069283
+
+
+LANE_LENGTHS = (16, 32, 64, 128, 256, 512)
+
+
+def _crc32c_at(data, s, crc=0):
+    """crc32c with lanes of length s over the whole s-byte blocks (none
+    when s is 0), continued over the rest by crc32c."""
+    if not s:  # under 256 bytes at a time, crc32c runs no lanes
+        for at in range(0, len(data), 255):
+            crc = crc32c(data[at:at + 255], crc)
+        return crc
+    c, rest = _crc_lanes(memoryview(data), s, crc ^ 0xFFFFFFFF)
+    return crc32c(rest, c ^ 0xFFFFFFFF)
+
+
+def test_crc32c_every_lane_length_matches_bitwise_reference():
+    """Each lane length at one block less, one block, one block more and
+    k blocks plus a tail, up to twice the largest lane length and past
+    it; from register 0 and from a start register."""
+    rng = random.Random(33)
+    for s in LANE_LENGTHS:
+        lengths = {s - 1, s, s + 1, 2 * s + 1, 3 * s + s // 2, 5 * s - 1,
+                   2 * 512 + 3, 3 * 512 - 1}
+        for length in sorted(lengths):
+            data = rng.randbytes(length)
+            start = rng.getrandbits(32)
+            assert _crc32c_at(data, s) == _crc32c_bitwise(data)
+            assert _crc32c_at(data, s, start) == _crc32c_bitwise(data, start)
+    # under 256 bytes no lanes run: 8-byte steps, then the last 0-7 bytes
+    for length in (*range(20), 100, 255):
+        data = rng.randbytes(length)
+        assert crc32c(data) == _crc32c_bitwise(data)
+
+
+def test_crc32c_lane_rule_boundaries_and_lane_batches():
+    """crc32c picks the lane length from the input's size; at each
+    length where it changes, and across the lanes' 1 MB batches, it
+    agrees with the pass that runs no lanes."""
+    rng = random.Random(34)
+    data = rng.randbytes(512 * 512 + 1)
+    view = memoryview(data)
+    for s in LANE_LENGTHS:
+        first = s * s  # the shortest input that takes lane length s
+        for length in (first - 1, first, first + 1):
+            assert crc32c(view[:length]) == _crc32c_at(view[:length], 0)
+    # lanes go 2048 at a time: two batches and a part of a third
+    length = 2 * 2048 * 16 + 5 * 16 + 7
+    assert _crc32c_at(view[:length], 16) == _crc32c_at(view[:length], 0)
+
+
+def test_crc32c_takes_bytes_bytearray_and_views():
+    """The loader passes a view of the file without its CRC; a view that
+    starts past its buffer's first byte reads from where it starts."""
+    rng = random.Random(35)
+    for length in (0, 100, 3000, 40000):
+        data = rng.randbytes(length + 9)
+        want = _crc32c_at(data[5:-4], 0)
+        assert crc32c(data[5:-4]) == want
+        assert crc32c(bytearray(data[5:-4])) == want
+        assert crc32c(memoryview(data)[5:-4]) == want
+        assert crc32c(memoryview(bytearray(data))[5:-4]) == want
+
+
+def test_crc32c_split_at_every_point():
+    """A CRC continued from the CRC of a prefix is the CRC of the whole,
+    whichever lane lengths the two parts take."""
+    rng = random.Random(36)
+    data = rng.randbytes(1300)
+    whole = crc32c(data)
+    assert whole == _crc32c_bitwise(data)
+    for cut in range(len(data) + 1):
+        assert crc32c(data[cut:], crc32c(data[:cut])) == whole
+    start = rng.getrandbits(32)
+    assert crc32c(data, start) == _crc32c_bitwise(data, start)
+    big = rng.randbytes(300000)
+    whole = crc32c(big)
+    for cut in (1, 511, 2048, 131071, 150000, 299999):
+        assert crc32c(big[cut:], crc32c(big[:cut])) == whole
+
+
+def test_crc32c_bit_flip_in_every_lane_column_changes_it():
+    """A 40 KB buffer (lane length 128): one bit flipped at each of the
+    512 in-block positions of some block, so in every lane column of
+    every lane length, changes the CRC."""
+    rng = random.Random(37)
+    data = bytearray(rng.randbytes(40 * 1024))
+    base = crc32c(data)
+    assert base == _crc32c_bitwise(data)
+    blocks = len(data) // 512
+    for j in range(512):
+        at = (j * 7 % blocks) * 512 + j
+        data[at] ^= 1 << (j & 7)
+        assert crc32c(data) != base
+        data[at] ^= 1 << (j & 7)
+    assert crc32c(data) == base
+
+
+def test_crc32c_shift_tables():
+    """The cached table for s zero bytes shifts a register as 8s zero
+    bits do."""
+    rng = random.Random(38)
+    for s in (4, 8, *LANE_LENGTHS):
+        s0, s1, s2, s3 = _crc_shift(s)
+        for c in [0, 1, 1 << 31, 0xFFFFFFFF] + [rng.getrandbits(32)
+                                                for _ in range(8)]:
+            want = c
+            for _ in range(8 * s):  # one zero bit at a time
+                want = (want >> 1) ^ 0x82F63B78 if want & 1 else want >> 1
+            assert (s0[c & 0xFF] ^ s1[c >> 8 & 0xFF] ^ s2[c >> 16 & 0xFF]
+                    ^ s3[c >> 24]) == want
 
 
 def test_loader_fuzz():
