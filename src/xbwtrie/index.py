@@ -18,17 +18,19 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .succinct import (BitCost, Bitvector, FixedBlockVector, IdVector,
                        PlainBitvector, RrrVector, block_counts,
-                       deserialize_bitvector, fid_block_size, fid_cost,
-                       fixedblock_cost, id_cost, plain_cost,
+                       deserialize_bitvector, id_cost, plain_cost,
                        serialize_bitvector)
 from .trie import Alphabet, Trie, colex_order
 
 # a file stores a mode by position; every vector's kind is its index's mode
 MODES = ("plain", "fid", "id", "fixedblock")
+_VECTORS = dict(zip(MODES, (PlainBitvector, RrrVector, IdVector,
+                            FixedBlockVector)))
 
 MAGIC = b"XBWT"
 VERSION = 6
@@ -199,10 +201,9 @@ def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
 
 def _setting(mode: str, n: int, ones: Sequence[int]):
     """What the mode's vector over a column fixes beyond n and the ones:
-    fid's block size u, id's complement flag (set when the ones are the
-    majority), fixed-block's b; plain fixes nothing."""
-    if mode == "fid":
-        return fid_block_size(n)
+    id's complement flag (set when the ones are the majority) and
+    fixed-block's b.  Plain fixes nothing, and fid's u follows from n in
+    ``RrrVector.block_size``."""
     if mode == "id":
         return len(ones) > n / 2
     if mode == "fixedblock":
@@ -226,11 +227,10 @@ def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
         raise ValueError(f"unknown mode {mode!r}")
     n = trie.n
     columns = xbwt_columns(trie)
+    make = _VECTORS[mode]
     if mode == "plain":
-        vectors = [PlainBitvector(n, ones) for ones in columns]
+        vectors = [make(n, ones) for ones in columns]
     else:
-        make = {"fid": RrrVector, "id": IdVector,
-                "fixedblock": FixedBlockVector}[mode]
         vectors = [make(n, ones, _setting(mode, n, ones)) for ones in columns]
     return XbwtIndex(n, trie.alphabet, mode, tuple(vectors))
 
@@ -254,16 +254,17 @@ def _vector_costs(trie: Trie, mode: str):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     n = trie.n
+    cls = _VECTORS[mode]
     for ones in xbwt_columns(trie):
         setting = _setting(mode, n, ones)
         if mode == "plain":
             yield None, 0, plain_cost(n)
         elif mode == "id":  # one block, the whole column
             yield n, 1, id_cost(n, len(ones), setting)
-        else:
-            counts = block_counts(n, setting, ones)
-            cost = fid_cost if mode == "fid" else fixedblock_cost
-            yield setting, len(counts), cost(n, setting, counts)
+        else:  # fid and fixed-block: one coded-block cost at its block size
+            size = cls.block_size(n, setting)
+            counts = block_counts(n, size, ones)
+            yield size, len(counts), cls.cost(n, size, counts)
 
 
 def column_cost(trie: Trie, mode: str) -> IndexCost:
@@ -284,8 +285,8 @@ def file_length(trie: Trie, mode: str) -> int:
     The header, the alphabet and the CRC take 22 + sigma bytes.  A plain
     body is the n bits; an id body is a flags byte, a u64 count and the
     stored positions (the accounted total); a fid or fixed-block body is
-    its u byte or u64 b, the per-block counts at bit_length(u or b) bits
-    and the payload, each stream padded to whole bytes.
+    its block size field, the per-block counts at the block size's
+    bit_length and the payload, each stream padded to whole bytes.
     """
     size = 22 + trie.alphabet.sigma + 1
     for block_size, nblocks, cost in _vector_costs(trie, mode):
@@ -294,7 +295,7 @@ def file_length(trie: Trie, mode: str) -> int:
         elif mode == "id":
             size += 9 + (cost.total + 7) // 8
         else:
-            size += ((1 if mode == "fid" else 8)
+            size += (_VECTORS[mode].SIZE_FIELD.size
                      + (nblocks * block_size.bit_length() + 7) // 8
                      + (cost.payload + 7) // 8)
     return size
@@ -468,10 +469,8 @@ _CRC_PLANES = tuple(bytes(t >> 8 * k & 0xFF for t in _CRC_TABLE)
 # reads its columns from holds at most 1 MiB at every lane length
 _CRC_LANES = 2048
 
-# the shift tables built so far: s is 4, 8 or a lane length 16..512
-_CRC_SHIFTS: dict[int, tuple[list[int], ...]] = {}
 
-
+@cache
 def _crc_shift(s: int) -> tuple[list[int], ...]:
     """The 4 x 256 table of a register shifted by s zero bytes: entry b of
     row k is the shift of register b << 8k, so four lookups shift any
@@ -481,28 +480,21 @@ def _crc_shift(s: int) -> tuple[list[int], ...]:
     A zero bit multiplies the register by x, bit 31 holding x^0; so the
     shift of bit 31 - m is the shift of bit 31 followed by m zero bits.
     """
-    rows = _CRC_SHIFTS.get(s)
-    if rows is None:
-        c = 1 << 31
-        for _ in range(s):
-            c = (c >> 8) ^ _CRC_TABLE[c & 0xFF]
-        bits = [c]
-        for _ in range(31):
-            c = (c >> 1) ^ _CRC_POLY if c & 1 else c >> 1
-            bits.append(c)
-        bits.reverse()  # bits[i]: the shift of register 1 << i
-        tables = []
-        for k in range(4):
-            row = [0]
-            for v in bits[8 * k:8 * k + 8]:
-                row += [x ^ v for x in row]
-            tables.append(row)
-        rows = _CRC_SHIFTS[s] = tuple(tables)
-    return rows
-
-
-# the 8-byte step's tables: a word shifted by 8 and by 4 zero bytes
-_CRC_WORDS = _crc_shift(8) + _crc_shift(4)
+    c = 1 << 31
+    for _ in range(s):
+        c = (c >> 8) ^ _CRC_TABLE[c & 0xFF]
+    bits = [c]
+    for _ in range(31):
+        c = (c >> 1) ^ _CRC_POLY if c & 1 else c >> 1
+        bits.append(c)
+    bits.reverse()  # bits[i]: the shift of register 1 << i
+    tables = []
+    for k in range(4):
+        row = [0]
+        for v in bits[8 * k:8 * k + 8]:
+            row += [x ^ v for x in row]
+        tables.append(row)
+    return tuple(tables)
 
 
 def _crc_lanes(view: memoryview, s: int, c: int) -> tuple[int, memoryview]:
@@ -549,26 +541,16 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
     Whole blocks of s bytes go through :func:`_crc_lanes`, s being the
     largest power of two with s^2 <= len(data), held to 16..512: an input
-    under 256 bytes has no lanes.  The rest goes 8 bytes a step, the
-    register XOR the low word shifted by 8 zero bytes, XOR the high word
-    shifted by 4, and its last 0-7 bytes through the byte table.
+    under 256 bytes has no lanes.  The fewer than s bytes left go through
+    the byte table.
     """
     view = memoryview(data)
     c = crc ^ 0xFFFFFFFF
     log = (len(view).bit_length() - 1) >> 1
     if log >= 4:
         c, view = _crc_lanes(view, 1 << min(log, 9), c)
-    words = len(view) & ~7
-    if words:
-        a0, a1, a2, a3, b0, b1, b2, b3 = _CRC_WORDS
-        for lo, hi in struct.iter_unpack("<II", view[:words]):
-            c ^= lo
-            c = (a0[c & 0xFF] ^ a1[c >> 8 & 0xFF] ^ a2[c >> 16 & 0xFF]
-                 ^ a3[c >> 24] ^ b0[hi & 0xFF] ^ b1[hi >> 8 & 0xFF]
-                 ^ b2[hi >> 16 & 0xFF] ^ b3[hi >> 24])
-    table = _CRC_TABLE
-    for byte in view[words:]:
-        c = (c >> 8) ^ table[(c ^ byte) & 0xFF]
+    for byte in view:
+        c = (c >> 8) ^ _CRC_TABLE[(c ^ byte) & 0xFF]
     return c ^ 0xFFFFFFFF
 
 

@@ -4,24 +4,24 @@ Four interchangeable representations of a static bitvector:
 
 * ``PlainBitvector``   -- raw bits, one int per 512-bit superblock, plus
                           the rank before every superblock.
-* ``RrrVector``        -- per-block class/offset coding (the FID back-end):
-                          u-bit blocks and a rank per superblock of 8
-                          blocks; in memory a superblock is one int of its
-                          8u raw bits.
+* ``RrrVector``        -- the FID back-end: u-bit blocks (u about
+                          (log2 m) / 2) read 8 to a word, so a word is one
+                          int of a superblock's 8u raw bits, plus the rank
+                          before every superblock.
 * ``IdVector``         -- explicit one-positions in one packed array,
                           supporting select directly and rank by binary
                           search in one bucket of a high-bits directory;
                           optionally stores the complement when ones
                           dominate.
-* ``FixedBlockVector`` -- fixed-size blocks, each kept as one int of its
-                          raw bits, plus a precomputed block-rank table.
+* ``FixedBlockVector`` -- b-bit blocks (b about (log2 m)^2) read one to a
+                          word, plus the rank before every block.
 
-A fid or fixed-block file stores a block of l bits holding k ones as k and
-the block's rank among the C(l, k) blocks of that count, in
-ceil(log2 C(l, k)) bits: the class/offset code of Raman, Raman and Rao, at
-u about (log2 m) / 2 for fid and b about (log2 m)^2 for fixed-block.  A
-fid body after its u byte is the fixed-block body at b = u after its b
-field, and one writer and one reader serve both.
+Fid and fixed-block are one coded-block vector, ``_CodedBlocks``, at two
+settings of its block size and of g, the blocks to a word.  A file stores
+a block of l bits holding k ones as k and the block's rank among the
+C(l, k) blocks of that count, in ceil(log2 C(l, k)) bits: the class/offset
+code of Raman, Raman and Rao.  A fid body after its u byte is the
+fixed-block body at b = u after its b field.
 
 Plain, fid and fixed-block answer queries on one path, that of their
 common base ``_WordBlocks``: words of b raw bits (512 for plain, 8u for
@@ -37,13 +37,13 @@ fixed-block vector read from a file keeps what the file stored for each
 word, checked at load, and fills in the word the first time a query reads
 it.
 
-The loader takes no Python step per value of a stream of one width (fid
-classes, fixed-block counts, id positions): eight w-bit values fill w
-bytes, so each of the 8 value slots is cut for all groups at once, from
-strided slices shifted and masked as one int, and the id positions land
-in the vector's array as read.  An empty or a full block stores no rank,
-so only the other blocks' ranks are read, checked and kept (fid's as
-2-byte items), and such a block is filled in without an unrank.
+The loader takes no Python step per value of a stream of one width (block
+counts, id positions): eight w-bit values fill w bytes, so each of the 8
+value slots is cut for all groups at once, from strided slices shifted and
+masked as one int, and the id positions land in the vector's array as
+read.  An empty or a full block stores no rank, so only the other blocks'
+ranks are read, checked and kept (fid's as 2-byte items), and such a block
+is filled in without an unrank.
 """
 from __future__ import annotations
 
@@ -53,8 +53,9 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, compress, islice, repeat
-from operator import lshift, lt, or_, sub
+from operator import lt
 from typing import Iterable, Sequence
 
 
@@ -170,7 +171,7 @@ def _split_words(words, m: int, size: int, g: int) -> list[int]:
     """The size-bit blocks covering m bits, cut from the words of g blocks
     each that cover them, read by index; the padding blocks past m in the
     last word are dropped."""
-    mask = (1 << size) - 1
+    mask = (1 << min(size, m)) - 1  # no block holds more than m bits
     shifts = range(0, g * size, size)
     nwords = -(-m // (g * size))
     return [(w >> s) & mask for w in map(words.__getitem__, range(nwords))
@@ -179,16 +180,10 @@ def _split_words(words, m: int, size: int, g: int) -> list[int]:
 
 # small ints only: a row of big C(blen, k) for every fixed-block length up
 # to 510 would hold megabytes
-_WIDTH_ROWS: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def _width_row(blen: int) -> tuple[int, ...]:
-    """ceil(log2 C(blen, k)) for k in 0..blen."""
-    row = _WIDTH_ROWS.get(blen)
-    if row is None:
-        row = _WIDTH_ROWS[blen] = tuple(ceil_log2_comb(blen, k)
-                                        for k in range(blen + 1))
-    return row
+    """ceil(log2 C(blen, k)) for k in 0..blen, kept once built."""
+    return tuple(ceil_log2_comb(blen, k) for k in range(blen + 1))
 
 
 def _class_widths(m: int, size: int, counts: Sequence[int]) -> list[int]:
@@ -202,15 +197,9 @@ def _class_widths(m: int, size: int, counts: Sequence[int]) -> list[int]:
     return widths
 
 
-_FID_MAX_U = 14  # the largest fid block length; a file's u byte lies in 1..14
-
-
-def fid_block_size(m: int, u: int | None = None) -> int:
-    """The u of an ``RrrVector`` of length m: the given u, by default
-    floor(floor(log2 m) / 2), held to 1.._FID_MAX_U."""
-    if u is None:
-        u = (max(m, 1).bit_length() - 1) // 2
-    return max(1, min(_FID_MAX_U, u))
+# the largest fixed-block b a file may hold, default_block_size(MAX_NODES)
+# in ``index``; the largest fid u is 14
+MAX_FILE_BLOCK = 510
 
 
 def block_counts(m: int, size: int, positions: Sequence[int]) -> list[int]:
@@ -224,7 +213,8 @@ def block_counts(m: int, size: int, positions: Sequence[int]) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # accounting: each back-end's payload and overhead as a function of what
-# fixes its size, so a cost is known without building the vector
+# fixes its size, so a cost is known without building the vector (for fid
+# and fixed-block, ``_CodedBlocks.cost``)
 # ---------------------------------------------------------------------------
 
 def plain_cost(m: int) -> BitCost:
@@ -241,32 +231,12 @@ def plain_cost(m: int) -> BitCost:
     return BitCost(m, sb * width_abs + (nwords + 1) * width_rel)
 
 
-def fid_cost(m: int, u: int, classes: Sequence[int]) -> BitCost:
-    """Each u-bit block's offset at ceil(log2 C(blen, class)) bits; the
-    overhead is a class per block and a rank per ``RrrVector.SB_BLOCKS``
-    blocks, with one more rank at the end."""
-    nblocks = len(classes)
-    nsb = max(1, (nblocks + RrrVector.SB_BLOCKS - 1) // RrrVector.SB_BLOCKS)
-    payload = sum(_class_widths(m, u, classes))
-    return BitCost(payload, nblocks * max(1, u.bit_length())
-                   + (nsb + 1) * max(1, m.bit_length()))
-
-
 def id_cost(m: int, ones: int, complemented: bool) -> BitCost:
     """ceil(log2 C(m, ones)) payload; the stored positions, of the zeros
     when complemented, take the rest of their width."""
     payload = ceil_log2_comb(m, ones)
     stored = m - ones if complemented else ones
     return BitCost(payload, stored * _position_width(m) - payload)
-
-
-def fixedblock_cost(m: int, b: int, counts: Sequence[int]) -> BitCost:
-    """Each block's body is the rank of its ones among the C(l, k)
-    placements, which a file stores at ceil(log2 C(l, k)) bits; the
-    overhead is the directory of ranks before every block and after the
-    last."""
-    payload = sum(_class_widths(m, b, counts))
-    return BitCost(payload, (len(counts) + 1) * (m + 1).bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +326,7 @@ class _WordBlocks(Bitvector):
     plain one, holds a tuple of the words; a loaded fid or fixed-block one
     a :class:`_LazyWords` that decodes a block's word on its first read."""
 
-    __slots__ = ("m", "ones", "b", "children", "_R",
-                 "entropy_block_size", "entropy_block_count")
+    __slots__ = ("m", "ones", "b", "children", "_R")
 
     def _init(self, m, b, R, children):
         self.m = m
@@ -365,8 +334,6 @@ class _WordBlocks(Bitvector):
         self.children = children
         self._R = R
         self.ones = R[-1]
-        self.entropy_block_size = b
-        self.entropy_block_count = len(R) - 1
 
     def _rank(self, i: int) -> int:
         # a block ending at i is counted by _R alone
@@ -420,8 +387,6 @@ class PlainBitvector(_WordBlocks):
                       for at in range(0, len(raw), step))
         super()._init(m, 8 * step, [0, *accumulate(map(int.bit_count, words))],
                       words)
-        self.entropy_block_size = None
-        self.entropy_block_count = 0
 
     def payload_bits(self) -> BitCost:
         return plain_cost(self.m)
@@ -430,44 +395,115 @@ class PlainBitvector(_WordBlocks):
         return (self.m + self.WORD - 1) // self.WORD
 
 
-class RrrVector(_WordBlocks):
-    """FID back-end: u-bit blocks, each coded as its class (one count) and
-    its offset, the block's enumerative rank among the blocks of that
-    class, with a rank before every superblock of ``SB_BLOCKS`` blocks.
+class _CodedBlocks(_WordBlocks):
+    """Fid and fixed-block: ``size``-bit blocks read g to a word, and
+    ``counts``, every block's one count (bytes below a size of 256).  A
+    file codes a block as its count and its rank among the C(l, k) blocks
+    of that count (:func:`_pack_blocks`); a loaded vector keeps the ranks
+    of the blocks neither empty nor full, to unrank a word from on its
+    first read.  A subclass names its kind, g, its file's size field
+    ``SIZE_FIELD`` (holding 1..``max_size``), the size's name in a size
+    error and its ``_overhead``."""
 
-    ``classes`` holds every block's class, one byte each.  In memory a
-    superblock is one word of its 8u raw bits and ``_R`` the superblock
-    ranks, so fid queries run on the fixed-block path at b = 8u.  A built
-    vector holds no offsets: the serializer ranks each block from its
-    bits.  A loaded one keeps the file's offsets of the blocks that are
-    neither empty nor full, 2 bytes each, to unrank its words from."""
+    __slots__ = ("size", "counts", "entropy_block_size",
+                 "entropy_block_count")
 
-    kind = "fid"
-    SB_BLOCKS = 8
-
-    __slots__ = ("u", "classes")
-
-    def __init__(self, m: int, ones: Iterable[int], u: int | None = None):
+    def __init__(self, m: int, ones: Iterable[int], size: int | None):
         if m < 0:
             raise ValueError("length must be nonnegative")
-        u = fid_block_size(m, u)
-        R, words = _block_words(m, ones, self.SB_BLOCKS * u)
-        classes = bytes(map(int.bit_count,
-                            _split_words(words, m, u, self.SB_BLOCKS)))
-        self._init(m, u, classes, R, words)
+        size = self.block_size(m, size)
+        R, words = _block_words(m, ones, self.g * size)
+        counts = map(int.bit_count, _split_words(words, m, size, self.g))
+        self._init(m, size,
+                   bytes(counts) if size < 256 else array(_POS32, counts),
+                   R, words)
 
-    def _init(self, m, u, classes, R, children):
-        super()._init(m, self.SB_BLOCKS * u, R, children)
-        self.u = u
-        self.classes = classes
-        self.entropy_block_size = u
-        self.entropy_block_count = len(classes)
+    def _init(self, m, size, counts, R, children):
+        super()._init(m, self.g * size, R, children)
+        self.size = size
+        self.counts = counts
+        self.entropy_block_size = size
+        self.entropy_block_count = len(counts)
+
+    @classmethod
+    def block_size(cls, m: int, size: int) -> int:
+        """The block size of a vector of length m built with ``size``."""
+        if size < 1:
+            raise ValueError("block size must be positive")
+        return size
+
+    @classmethod
+    def cost(cls, m: int, size: int, counts: Sequence[int]) -> BitCost:
+        """Each block's rank at ceil(log2 C(l, k)) bits, for a block of l
+        bits holding k ones; the overhead is the kind's ``_overhead``."""
+        return BitCost(sum(_class_widths(m, size, counts)),
+                       cls._overhead(m, size, len(counts)))
 
     def payload_bits(self) -> BitCost:
-        return fid_cost(self.m, self.u, self.classes)
+        return self.cost(self.m, self.size, self.counts)
+
+
+class RrrVector(_CodedBlocks):
+    """FID back-end: u-bit blocks, u = ``size``, each coded as its class
+    (its count) and its offset (its rank).  A word is a superblock of 8
+    blocks, so queries run on the word path at b = 8u with ``_R`` the
+    superblock ranks; a loaded vector keeps its offsets as 2-byte items."""
+
+    kind = "fid"
+    g = 8
+    SIZE_FIELD = struct.Struct("<B")
+    max_size = 14
+    _size_name = "rrr"
+
+    __slots__ = ()
+
+    def __init__(self, m: int, ones: Iterable[int], u: int | None = None):
+        super().__init__(m, ones, u)
+
+    @classmethod
+    def block_size(cls, m: int, u: int | None) -> int:
+        """The given u, by default floor(floor(log2 m) / 2), held to
+        1..``max_size``."""
+        if u is None:
+            u = (max(m, 1).bit_length() - 1) // 2
+        return max(1, min(cls.max_size, u))
+
+    @classmethod
+    def _overhead(cls, m: int, u: int, nblocks: int) -> int:
+        """A class per block and a rank per superblock, with one more rank
+        at the end."""
+        nsb = max(1, -(-nblocks // cls.g))
+        return (nblocks * max(1, u.bit_length())
+                + (nsb + 1) * max(1, m.bit_length()))
 
     def stored_items(self) -> int:
-        return len(self.classes)
+        return len(self.counts)
+
+
+class FixedBlockVector(_CodedBlocks):
+    """Fixed-block back-end: b-bit blocks, b = ``size``, one to a word, so
+    ``_R`` is the rank before every block."""
+
+    kind = "fixedblock"
+    g = 1
+    SIZE_FIELD = struct.Struct("<Q")
+    max_size = MAX_FILE_BLOCK
+    _size_name = "fixed"
+
+    __slots__ = ()
+
+    def __init__(self, m: int, ones: Iterable[int], b: int):
+        super().__init__(m, ones, b)
+
+    @staticmethod
+    def _overhead(m: int, b: int, nblocks: int) -> int:
+        """The directory of ranks before every block and after the last."""
+        return (nblocks + 1) * (m + 1).bit_length()
+
+    def stored_items(self) -> int:
+        full, tail = divmod(self.m, self.b)
+        return (len(self.counts) + full * ((self.b + 63) >> 6)
+                + ((tail + 63) >> 6))
 
 
 class IdVector(Bitvector):
@@ -491,6 +527,8 @@ class IdVector(Bitvector):
                  "entropy_block_size", "entropy_block_count")
 
     def __init__(self, m: int, ones: Iterable[int], complemented: bool = False):
+        if m < 0:
+            raise ValueError("length must be nonnegative")
         positions = sorted(ones)
         if not all(map(lt, positions, islice(positions, 1, None))):
             positions = sorted(set(positions))
@@ -559,33 +597,6 @@ class IdVector(Bitvector):
         return len(self._pos)
 
 
-class FixedBlockVector(_WordBlocks):
-    """Fixed-size blocks, each kept as one int of its raw bits, with a
-    precomputed table of ranks preceding every block; a file stores each
-    block as its enumerative rank."""
-
-    kind = "fixedblock"
-
-    __slots__ = ()
-
-    def __init__(self, m: int, ones: Iterable[int], b: int):
-        if b < 1:
-            raise ValueError("block size must be positive")
-        self._init(m, b, *_block_words(m, ones, b))
-
-    def _counts(self) -> list[int]:
-        """The one count of every block."""
-        return list(map(sub, islice(self._R, 1, None), self._R))
-
-    def payload_bits(self) -> BitCost:
-        return fixedblock_cost(self.m, self.b, self._counts())
-
-    def stored_items(self) -> int:
-        full, tail = divmod(self.m, self.b)
-        return (self.entropy_block_count + full * ((self.b + 63) >> 6)
-                + ((tail + 63) >> 6))
-
-
 # ---------------------------------------------------------------------------
 # serialization: a vector's body alone; its kind and length come from the
 # caller, and every size inside the body follows from them
@@ -642,7 +653,9 @@ _LANE_TYPE = {1: "B", 2: "H", 4: _POS32, 8: "Q"}
 def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     """``_unpack_bitstream(data, [w] * k)`` for one width w >= 1, with the
     same checks, as an ``array`` of items wide enough for w bits: one byte
-    up to w = 8, four up to 32, eight up to 64 (a list past 64).
+    up to w = 8, four up to 32, eight up to 57.  Past 57 bits, which only
+    an id vector of length 2^57 or more stores, a value may span 9 bytes,
+    and the stream is read by :func:`_unpack_bitstream`.
 
     Eight w-bit values fill exactly w bytes, so value j of every full
     group lies at the same bit offset j * w of its group.  Each of the 8
@@ -651,6 +664,8 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     lanes are shifted and masked as one int, and the column is written
     into every eighth item.  Only the tail group, of fewer than 8 values,
     is read value by value, and its padding checked."""
+    if w > 57:
+        return _unpack_bitstream(data, [w] * k)
     total = w * k
     if total > len(data) * 8:
         raise ValueError("truncated")
@@ -659,13 +674,10 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     mask = (1 << w) - 1
     groups = k >> 3
     full = groups * w  # the bytes of the full groups
-    if w > 64:
-        out = [0] * k
-    else:
-        out = array("B" if w <= 8 else _POS32 if w <= 32 else "Q", [0]) * k
+    out = array("B" if w <= 8 else _POS32 if w <= 32 else "Q", [0]) * k
     if groups:
         view = memoryview(data)
-        # a slot starting at bit s of a byte spans s + w bits, so the
+        # a slot starting at bit s of a byte spans s + w <= 64 bits, so the
         # widest slot takes nb bytes and a lane the power of two past nb - 1
         nb = (max(((j * w) & 7) + w for j in range(8)) + 7) >> 3
         lane = 1 << (nb - 1).bit_length()
@@ -682,20 +694,11 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
                 lanes[i::lane] = view[at + i:full:w]
             cut = ((int.from_bytes(lanes, "little") >> shift) & every
                    ).to_bytes(groups * lane, "little")
-            if lane <= 8:
-                col = array(_LANE_TYPE[lane], cut)
-                if _BIG_ENDIAN:
-                    col.byteswap()
-                if col.typecode != out.typecode:
-                    col = array(out.typecode, col)
-            else:  # 16-byte lanes, read as a low and a high half
-                halves = array("Q", cut)
-                if _BIG_ENDIAN:
-                    halves.byteswap()
-                col = halves[0::2]
-                if w > 64:
-                    col = list(map(or_, col, map(lshift, halves[1::2],
-                                                 repeat(64))))
+            col = array(_LANE_TYPE[lane], cut)
+            if _BIG_ENDIAN:
+                col.byteswap()
+            if col.typecode != out.typecode:
+                col = array(out.typecode, col)
             out[j:8 * groups:8] = col
     tail = k & 7
     if tail:
@@ -711,11 +714,9 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
 # or of its zeros when ones are the majority, in the combinatorial number
 # system: the j-set {c_1 < ... < c_j} of 0-based in-block positions has
 # rank sum C(c_i, i), which lies in 0..C(l, j) - 1 and takes
-# ceil(log2 C(l, j)) bits.  A file's block size lies in 1..MAX_FILE_BLOCK =
-# default_block_size(index.MAX_NODES) (fid's u in 1.._FID_MAX_U), so the
-# Pascal columns that rank and unrank its blocks hold at most 255 x 511
-# entries, whatever a header declares.
-MAX_FILE_BLOCK = 510
+# ceil(log2 C(l, j)) bits.  A file's block size lies in 1..MAX_FILE_BLOCK
+# (fid's u in 1..14), so the Pascal columns that rank and unrank its blocks
+# hold at most 255 x 511 entries, whatever a header declares.
 
 _PASCAL: list[list[int]] = [[]]  # _PASCAL[j][p] = C(p, j) for j >= 1
 
@@ -785,13 +786,12 @@ class _LazyWords(dict):
         return word
 
 
-def _pack_blocks(v: _WordBlocks, size: int) -> bytes:
-    """The body of a fid (size u) or fixed-block (size b) vector after its
-    size field: the one counts of the size-bit blocks at
-    ``size.bit_length()`` bits, then each block's rank at ceil(log2 C(l, k))
-    bits."""
-    blocks = _split_words(v.children, v.m, size, v.b // size)
-    counts = list(map(int.bit_count, blocks))
+def _pack_blocks(v: _CodedBlocks) -> bytes:
+    """The body of a coded-block vector after its size field: the one
+    counts of its blocks at ``size.bit_length()`` bits, then each block's
+    rank at ceil(log2 C(l, k)) bits."""
+    size, counts = v.size, v.counts
+    blocks = _split_words(v.children, v.m, size, v.g)
     cols = _pascal(size)
 
     def rank(word: int, blen: int) -> int:
@@ -814,16 +814,14 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         size = v.b // 8
         return b"".join(w.to_bytes(size, "little")
                         for w in v.children)[:(v.m + 7) // 8]
-    if isinstance(v, RrrVector):
-        return bytes((v.u,)) + _pack_blocks(v, v.u)
     if isinstance(v, IdVector):
         k = len(v._pos)
         return (struct.pack("<BQ", int(v.complemented), k)
                 + _pack_bitstream(v._pos, [_position_width(v.m)] * k))
-    if isinstance(v, FixedBlockVector):
-        if not 1 <= v.b <= MAX_FILE_BLOCK:
-            raise ValueError(f"bad fixed block size {v.b}")
-        return struct.pack("<Q", v.b) + _pack_blocks(v, v.b)
+    if isinstance(v, _CodedBlocks):
+        if not 1 <= v.size <= v.max_size:
+            raise ValueError(f"bad {v._size_name} block size {v.size}")
+        return v.SIZE_FIELD.pack(v.size) + _pack_blocks(v)
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
@@ -866,9 +864,9 @@ def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
     """Read what :func:`_pack_blocks` writes for the size-bit blocks
     covering m bits from buf at off, checked: every count lies in 0..l and
     every rank below C(l, k).  Returns the counts, ``_R`` over words of g
-    blocks each (1 for fixed-block, ``RrrVector.SB_BLOCKS`` for fid), the
-    words as a :class:`_LazyWords` that unranks a word's blocks on its
-    first read, and the offset just past the body.
+    blocks each (``_CodedBlocks.g``), the words as a :class:`_LazyWords`
+    that unranks a word's blocks on its first read, and the offset just
+    past the body.
 
     An empty or a full block (k = 0 or l) stores no rank, so only the
     ranks of the other blocks are read, checked and kept."""
@@ -1004,13 +1002,6 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
     if kind == "plain":
         raw, off = _take(buf, off, (m + 7) // 8)
         return PlainBitvector._restore(m, raw), off
-    if kind == "fid":
-        (u,), off = _take(buf, off, 1)
-        if not 1 <= u <= _FID_MAX_U:
-            raise ValueError(f"bad rrr block size {u}")
-        classes, R, words, off = _read_blocks(buf, off, m, u,
-                                              RrrVector.SB_BLOCKS)
-        return RrrVector._restore(m, u, classes, R, words), off
     if kind == "id":
         head, off = _take(buf, off, 9)
         flags, k = struct.unpack("<BQ", head)
@@ -1022,11 +1013,12 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         stream, off = _take(buf, off, (k * width + 7) // 8)
         pos = _unpack_uniform(stream, width, k)
         return IdVector._restore(m, pos, bool(flags)), off
-    if kind == "fixedblock":
-        head, off = _take(buf, off, 8)
-        (b,) = struct.unpack("<Q", head)
-        if not 1 <= b <= MAX_FILE_BLOCK:
-            raise ValueError(f"bad fixed block size {b}")
-        _, R, words, off = _read_blocks(buf, off, m, b, 1)
-        return FixedBlockVector._restore(m, b, R, words), off
-    raise ValueError(f"unknown back-end {kind!r}")
+    cls = {"fid": RrrVector, "fixedblock": FixedBlockVector}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown back-end {kind!r}")
+    head, off = _take(buf, off, cls.SIZE_FIELD.size)
+    (size,) = cls.SIZE_FIELD.unpack(head)
+    if not 1 <= size <= cls.max_size:
+        raise ValueError(f"bad {cls._size_name} block size {size}")
+    *state, off = _read_blocks(buf, off, m, size, cls.g)
+    return cls._restore(m, size, *state), off

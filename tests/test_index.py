@@ -508,7 +508,7 @@ def test_column_cost_matches_built_index(small_tries):
             assert acc.block_count == sum(v.entropy_block_count
                                           for v in idx.vectors), (t, mode)
             for v in idx.vectors:
-                if mode == "fid" and v.m % v.u:
+                if mode == "fid" and v.m % v.size:
                     seen.add("short fid block")
                 if mode == "fixedblock" and v.m % v.b:
                     seen.add("short fixed block")
@@ -703,7 +703,7 @@ def test_crc32c_every_lane_length_matches_bitwise_reference():
             start = rng.getrandbits(32)
             assert _crc32c_at(data, s) == _crc32c_bitwise(data)
             assert _crc32c_at(data, s, start) == _crc32c_bitwise(data, start)
-    # under 256 bytes no lanes run: 8-byte steps, then the last 0-7 bytes
+    # under 256 bytes no lanes run: every byte goes through the byte table
     for length in (*range(20), 100, 255):
         data = rng.randbytes(length)
         assert crc32c(data) == _crc32c_bitwise(data)
@@ -870,12 +870,12 @@ def _lexicographic_fid_body(body: bytes, m: int) -> bytes:
     the same width."""
     v, used = deserialize_bitvector("fid", m, body)
     assert used == len(body)
-    lens = block_lens(m, v.u)
-    head = 1 + (len(lens) * v.u.bit_length() + 7) // 8
+    lens = block_lens(m, v.size)
+    head = 1 + (len(lens) * v.size.bit_length() + 7) // 8
     value = sum(1 << (p - 1) for p in v.one_positions())
-    codes = [encode_block((value >> (b * v.u)) & ((1 << blen) - 1), blen)
+    codes = [encode_block((value >> (b * v.size)) & ((1 << blen) - 1), blen)
              for b, blen in enumerate(lens)]
-    assert bytes(cls for cls, _ in codes) == v.classes
+    assert bytes(cls for cls, _ in codes) == v.counts
     widths = [ceil_log2_comb(blen, cls) for blen, (cls, _) in zip(lens, codes)]
     assert len(body) - head == (sum(widths) + 7) // 8
     return body[:head] + _pack_bitstream([off for _, off in codes], widths)

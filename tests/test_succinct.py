@@ -399,15 +399,22 @@ def test_constructors_accept_unsorted_duplicates():
                 assert serialize_bitvector(v) == serialize_bitvector(tidy)
 
 
+def test_negative_length_refused_by_every_constructor():
+    for make in (PlainBitvector, RrrVector, IdVector,
+                 lambda m, ones: FixedBlockVector(m, ones, 4)):
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            make(-1, [])
+
+
 def test_rrr_overhead_is_classes_and_superblock_ranks():
     rng = random.Random(5)
     for m in (1, 13, 64, 700, 5000):
         for density in (0.0, 0.3, 0.9):
             for u in (None, 3, 14):
                 v = RrrVector(m, _random_ones(rng, m, density), u=u)
-                nblocks = len(v.classes)
+                nblocks = len(v.counts)
                 assert v.payload_bits().overhead == (
-                    nblocks * v.u.bit_length()
+                    nblocks * v.size.bit_length()
                     + len(v._R) * m.bit_length()), (m, density, u)
 
 
@@ -755,7 +762,8 @@ def test_fixed_blocks_loaded_lazily_agree_with_built(m, unrank_calls):
     rng = random.Random(m)
     for density in (0.0, 0.05, 0.5, 0.95, 1.0):
         ones = tuple(p for p in range(1, m + 1) if rng.random() < density)
-        for b in (5, 64, 254):
+        # from b = 256 on, the loader keeps counts in an array, not bytes
+        for b in (5, 64, 254, 300, 510):
             v = FixedBlockVector(m, ones, b)
             blob = serialize_bitvector(v)
             del calls[:]
@@ -806,7 +814,7 @@ def test_fid_loaded_lazily_agree_with_built(u):
             assert serialize_bitvector(body) == blob
             # every superblock read was decoded to the built word
             for w in loaded:
-                assert w.classes == v.classes and w._R == v._R
+                assert w.counts == v.counts and w._R == v._R
                 assert set(w.children) <= set(range(len(v.children)))
                 assert all(w.children[s] == v.children[s]
                            for s in list(w.children))
@@ -867,8 +875,8 @@ def test_fid_words_are_raw_superblocks():
             assert len(v.children) == -(-m // sb)
             assert v._R == [sum(1 for p in ones if p <= at)
                             for at in range(0, m, sb)] + [len(ones)]
-            assert v.stored_items() == len(v.classes) == -(-m // u)
-            assert v.classes == bytes(
+            assert v.stored_items() == len(v.counts) == -(-m // u)
+            assert v.counts == bytes(
                 sum(1 for p in ones if at < p <= at + u)
                 for at in range(0, m, u))
 
@@ -984,15 +992,15 @@ def test_rrr_blocks_every_u(u):
             for p in ones:
                 bits[p - 1] = 1
             v = RrrVector(m, ones, u=u)
-            assert v.u == min(u, 14)
+            assert v.size == min(u, 14)
             # every block, the short last one included, is stored as its
             # class and the rank of its ones (of its zeros when 2k > l) at
             # its own length
             blocks = _fid_blocks(v)
             for b, (blen, cls, offset) in enumerate(blocks):
-                block = bits[b * v.u:b * v.u + blen]
+                block = bits[b * v.size:b * v.size + blen]
                 ranked = 1 if 2 * cls <= blen else 0
-                assert cls == sum(block) == v.classes[b]
+                assert cls == sum(block) == v.counts[b]
                 assert offset == _combination_rank(
                     [c for c in range(blen) if block[c] == ranked])
                 assert offset < math.comb(blen, cls)
@@ -1020,7 +1028,7 @@ def test_fid_body_is_fixed_block_body_at_u(u):
                 serialize_bitvector(FixedBlockVector(m, ones, u))[8:]
             back, used = deserialize_bitvector("fid", m, body)
             assert used == len(body)
-            assert back.classes == v.classes and back._R == v._R
+            assert back.counts == v.counts and back._R == v._R
             assert [back.rank(i) for i in range(m + 1)] == \
                 [v.rank(i) for i in range(m + 1)]
             assert back.one_positions() == v.one_positions()
