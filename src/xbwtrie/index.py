@@ -5,9 +5,9 @@ one bitvector per symbol marks which sorted nodes have an outgoing edge with
 that symbol, and the C array, a prefix sum of the vector weights, locates
 each symbol's block of incoming edges.
 The sort and the per-symbol columns are derived once per trie
-(:func:`xbwt_columns`) and shared by every back-end and every report; the
-reports account each back-end's bits from them (:func:`column_cost`)
-without building its vectors.
+(:func:`xbwt_columns`) and shared by every back-end and every report.  The
+mode's vector class builds and accounts each column (:mod:`.succinct`), so
+this module names no back-end past ``MODES``.
 A pattern is matched by forward search: one rank-pair per symbol maps the
 interval of nodes reached by p to the interval reached by p plus one symbol.
 The intervals of all patterns of length at most k are precomputed on the
@@ -22,8 +22,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .succinct import (BitCost, Bitvector, FixedBlockVector, IdVector,
-                       PlainBitvector, RrrVector, block_counts,
-                       deserialize_bitvector, id_cost, plain_cost,
+                       PlainBitvector, RrrVector, deserialize_bitvector,
                        serialize_bitvector)
 from .trie import Alphabet, Trie, colex_order
 
@@ -155,20 +154,6 @@ def _head_table(index: XbwtIndex) -> dict[bytes, tuple[int, int]]:
     return head
 
 
-def default_block_size(n: int) -> int:
-    """The fixed-block b: the largest 2^j - 2 at most ceil(log2 n)^2, and
-    at least 2.
-
-    The rule dates from blocks that kept j-bit in-block positions, for
-    which 2^j - 2 was the longest length at j bits; no block keeps
-    positions now, and a file stores each block's enumerative rank.  The
-    rule is kept unchanged so that files stay byte-identical; a file's b
-    must lie in 1..``default_block_size(MAX_NODES)`` = 510.
-    """
-    logn = max(1, (n - 1).bit_length())  # ceil(log2 n), at least 1
-    return max(2, (1 << (logn * logn + 2).bit_length() - 1) - 2)
-
-
 def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
     """The XBWT of the trie, computed once and kept on it.
 
@@ -199,40 +184,25 @@ def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
     return trie._xbwt
 
 
-def _setting(mode: str, n: int, ones: Sequence[int]):
-    """What the mode's vector over a column fixes beyond n and the ones:
-    id's complement flag (set when the ones are the majority) and
-    fixed-block's b.  Plain fixes nothing, and fid's u follows from n in
-    ``RrrVector.block_size``."""
-    if mode == "id":
-        return len(ones) > n / 2
-    if mode == "fixedblock":
-        return default_block_size(n)
-    return None
+def _vector_class(mode: str) -> type[Bitvector]:
+    """The mode's vector class; 'auto' names no class and is refused."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _VECTORS[mode]
 
 
 def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
-    """Index the trie with the selected bitvector back-end.
+    """Index the trie with the selected bitvector back-end, each column's
+    vector at the back-end's own setting (``Bitvector.over_column``).
 
     'auto' builds the one back-end with the smallest file
     (:func:`file_length`), the first in ``MODES`` on a tie.
-    In ID mode a symbol occurring on more than half the nodes is stored as
-    its complement, which changes the measured size but no query answer.
-    Fixed-block vectors cut their columns into ``default_block_size(n)``-bit
-    blocks.
     """
     if mode == "auto":
         mode = min(MODES, key=lambda m: file_length(trie, m))
-    elif mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    n = trie.n
-    columns = xbwt_columns(trie)
-    make = _VECTORS[mode]
-    if mode == "plain":
-        vectors = [make(n, ones) for ones in columns]
-    else:
-        vectors = [make(n, ones, _setting(mode, n, ones)) for ones in columns]
-    return XbwtIndex(n, trie.alphabet, mode, tuple(vectors))
+    make = _vector_class(mode).over_column
+    return XbwtIndex(trie.n, trie.alphabet, mode,
+                     tuple(make(trie.n, ones) for ones in xbwt_columns(trie)))
 
 
 @dataclass(frozen=True)
@@ -247,58 +217,27 @@ class IndexCost:
 
 
 def _vector_costs(trie: Trie, mode: str):
-    """(block size, block count, bits) of the mode's vector over each
-    column, accounted without building it: each back-end's size follows
-    from n, its setting and the per-block one counts of a column.  The
-    block size is None for plain, which codes no blocks."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    n = trie.n
-    cls = _VECTORS[mode]
-    for ones in xbwt_columns(trie):
-        setting = _setting(mode, n, ones)
-        if mode == "plain":
-            yield None, 0, plain_cost(n)
-        elif mode == "id":  # one block, the whole column
-            yield n, 1, id_cost(n, len(ones), setting)
-        else:  # fid and fixed-block: one coded-block cost at its block size
-            size = cls.block_size(n, setting)
-            counts = block_counts(n, size, ones)
-            yield size, len(counts), cls.cost(n, size, counts)
+    """(block size, block count, bits, body bytes) of the mode's vector over
+    each column, accounted by its class without building it."""
+    cost = _vector_class(mode).column_cost
+    return [cost(trie.n, ones) for ones in xbwt_columns(trie)]
 
 
 def column_cost(trie: Trie, mode: str) -> IndexCost:
     """The cost of ``build_index(trie, mode)``, accounted from the XBWT
     columns without building a vector."""
-    bits = BitCost(0, 0)
-    size = None
-    blocks = 0
-    for size, nblocks, cost in _vector_costs(trie, mode):
-        bits += cost
-        blocks += nblocks
-    return IndexCost(bits, size, blocks)
+    costs = _vector_costs(trie, mode)
+    return IndexCost(sum((bits for _, _, bits, _ in costs), BitCost(0, 0)),
+                     costs[-1][0] if costs else None,
+                     sum(blocks for _, blocks, _, _ in costs))
 
 
 def file_length(trie: Trie, mode: str) -> int:
-    """``len(serialize(build_index(trie, mode)))``, from the XBWT columns.
-
-    The header, the alphabet and the CRC take 22 + sigma bytes.  A plain
-    body is the n bits; an id body is a flags byte, a u64 count and the
-    stored positions (the accounted total); a fid or fixed-block body is
-    its block size field, the per-block counts at the block size's
-    bit_length and the payload, each stream padded to whole bytes.
-    """
-    size = 22 + trie.alphabet.sigma + 1
-    for block_size, nblocks, cost in _vector_costs(trie, mode):
-        if mode == "plain":
-            size += (cost.payload + 7) // 8
-        elif mode == "id":
-            size += 9 + (cost.total + 7) // 8
-        else:
-            size += (_VECTORS[mode].SIZE_FIELD.size
-                     + (nblocks * block_size.bit_length() + 7) // 8
-                     + (cost.payload + 7) // 8)
-    return size
+    """``len(serialize(build_index(trie, mode)))``, from the XBWT columns:
+    the header, the alphabet and the CRC take 22 + sigma bytes, and each
+    vector's class gives its body's length."""
+    return 22 + trie.alphabet.sigma + 1 + sum(
+        body for *_, body in _vector_costs(trie, mode))
 
 
 def index_bits(index: XbwtIndex) -> BitCost:
@@ -314,6 +253,8 @@ def forward_step(index: XbwtIndex, iv: NodeInterval, c: int) -> NodeInterval:
         raise ValueError("pattern contains sentinel")
     ent = index._sym.get(c)
     if ent is None:
+        if not isinstance(c, int):
+            raise TypeError(f"pattern symbol {c!r} is not a byte value")
         return NodeInterval(1, 0)
     base, rank = ent
     return NodeInterval(base + rank(iv.lo - 1) + 1, base + rank(iv.hi))
@@ -321,7 +262,8 @@ def forward_step(index: XbwtIndex, iv: NodeInterval, c: int) -> NodeInterval:
 
 def count(index: XbwtIndex, pattern: bytes) -> int:
     """Number of trie nodes whose incoming path ends with ``pattern``, a
-    sequence of byte values.
+    sequence of byte values; a symbol that is not an int (a character of a
+    ``str`` pattern) raises ``TypeError``.
 
     The search starts from the tabled interval of ``pattern[:k]``; a prefix
     missing from the table (it holds a sentinel, a foreign byte or an empty
@@ -348,6 +290,8 @@ def count(index: XbwtIndex, pattern: bytes) -> int:
             raise ValueError("pattern contains sentinel")
         ent = sym.get(c)
         if ent is None:
+            if not isinstance(c, int):  # a str pattern, say
+                raise TypeError(f"pattern symbol {c!r} is not a byte value")
             return 0
         base, rank = ent
         lo, hi = base + rank(lo - 1) + 1, base + rank(hi)

@@ -16,6 +16,10 @@ Four interchangeable representations of a static bitvector:
 * ``FixedBlockVector`` -- b-bit blocks (b about (log2 m)^2) read one to a
                           word, plus the rank before every block.
 
+Each class makes every choice an index makes of its back-end: the setting
+of a column's vector (``over_column``: fid's u, fixed-block's b, id's
+complement flag) and the column's bits and body bytes (``column_cost``).
+
 Fid and fixed-block are one coded-block vector, ``_CodedBlocks``, at two
 settings of its block size and of g, the blocks to a word.  A file stores
 a block of l bits holding k ones as k and the block's rank among the
@@ -191,52 +195,16 @@ def _class_widths(m: int, size: int, counts: Sequence[int]) -> list[int]:
     of length blen and holding k ones: the width of a fid offset or of a
     fixed-block body."""
     full = m // size
-    widths = list(map(_width_row(size).__getitem__, counts[:full]))
+    # a size past m has no full block, and m is its short block's length
+    widths = list(map(_width_row(min(size, m)).__getitem__, counts[:full]))
     if m % size:
         widths.append(_width_row(m % size)[counts[full]])
     return widths
 
 
-# the largest fixed-block b a file may hold, default_block_size(MAX_NODES)
-# in ``index``; the largest fid u is 14
+# the largest b a file may hold, the default ``FixedBlockVector.block_size``
+# at ``index.MAX_NODES``; the largest fid u is 14
 MAX_FILE_BLOCK = 510
-
-
-def block_counts(m: int, size: int, positions: Sequence[int]) -> list[int]:
-    """The one count of every size-bit block covering m bits, from the
-    1-based one-positions, each in 1..m; the last block may be short."""
-    counts = [0] * ((m + size - 1) // size)
-    for p in positions:
-        counts[(p - 1) // size] += 1
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# accounting: each back-end's payload and overhead as a function of what
-# fixes its size, so a cost is known without building the vector (for fid
-# and fixed-block, ``_CodedBlocks.cost``)
-# ---------------------------------------------------------------------------
-
-def plain_cost(m: int) -> BitCost:
-    """m raw bits; the overhead is the word-RAM two-level directory: an
-    absolute count of ceil(log2 (m+1)) bits per ``PlainBitvector.SB_WORDS``
-    words and a relative count per word, each directory with one more
-    entry at its end.  Memory holds one int per superblock plus ``_R``,
-    the absolute level alone."""
-    nwords = (m + PlainBitvector.WORD - 1) // PlainBitvector.WORD
-    sb = nwords // PlainBitvector.SB_WORDS + 1
-    width_abs = max(1, m.bit_length())
-    width_rel = max(1, (PlainBitvector.SB_WORDS * PlainBitvector.WORD
-                        ).bit_length())
-    return BitCost(m, sb * width_abs + (nwords + 1) * width_rel)
-
-
-def id_cost(m: int, ones: int, complemented: bool) -> BitCost:
-    """ceil(log2 C(m, ones)) payload; the stored positions, of the zeros
-    when complemented, take the rest of their width."""
-    payload = ceil_log2_comb(m, ones)
-    stored = m - ones if complemented else ones
-    return BitCost(payload, stored * _position_width(m) - payload)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +267,20 @@ class Bitvector:
         raise NotImplementedError
 
     def payload_bits(self) -> BitCost:
+        raise NotImplementedError
+
+    @classmethod
+    def over_column(cls, m: int, ones: Sequence[int]) -> Bitvector:
+        """The vector an index builds over a column of length m with the
+        given ascending one-positions, at the back-end's own setting."""
+        return cls(m, ones)
+
+    @classmethod
+    def column_cost(cls, m: int, ones: Sequence[int]
+                    ) -> tuple[int | None, int, BitCost, int]:
+        """(block size, block count, bits, body bytes) of
+        ``over_column(m, ones)``, accounted without building it; the block
+        size is None for a back-end that codes no blocks."""
         raise NotImplementedError
 
     def stored_items(self) -> int:
@@ -388,8 +370,26 @@ class PlainBitvector(_WordBlocks):
         super()._init(m, 8 * step, [0, *accumulate(map(int.bit_count, words))],
                       words)
 
+    @classmethod
+    def cost(cls, m: int) -> BitCost:
+        """m raw bits; the overhead is the word-RAM two-level directory: an
+        absolute count of ceil(log2 (m+1)) bits per ``SB_WORDS`` words and a
+        relative count per word, each directory with one more entry at its
+        end.  Memory holds one int per superblock plus ``_R``, the absolute
+        level alone."""
+        nwords = (m + cls.WORD - 1) // cls.WORD
+        sb = nwords // cls.SB_WORDS + 1
+        width_abs = max(1, m.bit_length())
+        width_rel = max(1, (cls.SB_WORDS * cls.WORD).bit_length())
+        return BitCost(m, sb * width_abs + (nwords + 1) * width_rel)
+
+    @classmethod
+    def column_cost(cls, m, ones):
+        # the body is the m bits, padded to whole bytes
+        return None, 0, cls.cost(m), (m + 7) // 8
+
     def payload_bits(self) -> BitCost:
-        return plain_cost(self.m)
+        return self.cost(self.m)
 
     def stored_items(self) -> int:
         return (self.m + self.WORD - 1) // self.WORD
@@ -403,7 +403,7 @@ class _CodedBlocks(_WordBlocks):
     of the blocks neither empty nor full, to unrank a word from on its
     first read.  A subclass names its kind, g, its file's size field
     ``SIZE_FIELD`` (holding 1..``max_size``), the size's name in a size
-    error and its ``_overhead``."""
+    error, its ``block_size`` rule and its ``_overhead``."""
 
     __slots__ = ("size", "counts", "entropy_block_size",
                  "entropy_block_count")
@@ -426,18 +426,24 @@ class _CodedBlocks(_WordBlocks):
         self.entropy_block_count = len(counts)
 
     @classmethod
-    def block_size(cls, m: int, size: int) -> int:
-        """The block size of a vector of length m built with ``size``."""
-        if size < 1:
-            raise ValueError("block size must be positive")
-        return size
-
-    @classmethod
     def cost(cls, m: int, size: int, counts: Sequence[int]) -> BitCost:
         """Each block's rank at ceil(log2 C(l, k)) bits, for a block of l
         bits holding k ones; the overhead is the kind's ``_overhead``."""
         return BitCost(sum(_class_widths(m, size, counts)),
                        cls._overhead(m, size, len(counts)))
+
+    @classmethod
+    def column_cost(cls, m, ones):
+        size = cls.block_size(m, None)
+        counts = [0] * -(-m // size)  # the last block may be short
+        for p in ones:
+            counts[(p - 1) // size] += 1
+        cost = cls.cost(m, size, counts)
+        # the body (:func:`_pack_blocks`): the size field, then the counts at
+        # the size's bit_length and the ranks, each padded to whole bytes
+        return size, len(counts), cost, (
+            cls.SIZE_FIELD.size + (len(counts) * size.bit_length() + 7) // 8
+            + (cost.payload + 7) // 8)
 
     def payload_bits(self) -> BitCost:
         return self.cost(self.m, self.size, self.counts)
@@ -492,8 +498,21 @@ class FixedBlockVector(_CodedBlocks):
 
     __slots__ = ()
 
-    def __init__(self, m: int, ones: Iterable[int], b: int):
+    def __init__(self, m: int, ones: Iterable[int], b: int | None = None):
         super().__init__(m, ones, b)
+
+    @classmethod
+    def block_size(cls, m: int, b: int | None) -> int:
+        """The given b, which must be positive, by default the largest
+        2^j - 2 at most ceil(log2 m)^2, and at least 2: a rule from blocks
+        that kept j-bit in-block positions, kept so that files stay
+        byte-identical."""
+        if b is None:
+            logm = max(1, (m - 1).bit_length())  # ceil(log2 m), at least 1
+            return max(2, (1 << (logm * logm + 2).bit_length() - 1) - 2)
+        if b < 1:
+            raise ValueError("block size must be positive")
+        return b
 
     @staticmethod
     def _overhead(m: int, b: int, nblocks: int) -> int:
@@ -590,8 +609,32 @@ class IdVector(Bitvector):
             prev = p
         return out
 
+    @staticmethod
+    def cost(m: int, ones: int, complemented: bool) -> BitCost:
+        """ceil(log2 C(m, ones)) payload; the stored positions, of the zeros
+        when complemented, take the rest of their width."""
+        payload = ceil_log2_comb(m, ones)
+        stored = m - ones if complemented else ones
+        return BitCost(payload, stored * _position_width(m) - payload)
+
+    @staticmethod
+    def _majority(m: int, ones: Sequence[int]) -> bool:
+        """An index's complement flag: whether the ones are the majority."""
+        return len(ones) > m / 2
+
+    @classmethod
+    def over_column(cls, m, ones):
+        return cls(m, ones, cls._majority(m, ones))
+
+    @classmethod
+    def column_cost(cls, m, ones):
+        cost = cls.cost(m, len(ones), cls._majority(m, ones))
+        # the body: the flags byte, the u64 count and the stored positions,
+        # the accounted total, padded to whole bytes
+        return m, 1, cost, 9 + (cost.total + 7) // 8
+
     def payload_bits(self) -> BitCost:
-        return id_cost(self.m, self.ones, self.complemented)
+        return self.cost(self.m, self.ones, self.complemented)
 
     def stored_items(self) -> int:
         return len(self._pos)

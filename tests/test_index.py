@@ -604,6 +604,21 @@ def test_file_length_is_serialized_length(small_tries):
             min(lengths))]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_str_pattern_refused(fig_trie, mode):
+    """A str pattern is not a sequence of byte values: count and
+    forward_step refuse it rather than count 0, while a byte value outside
+    the alphabet still counts 0."""
+    idx = build_index(fig_trie, mode)
+    assert count(idx, b"cb") == 1
+    with pytest.raises(TypeError):
+        count(idx, "cb")
+    with pytest.raises(TypeError):
+        forward_step(idx, NodeInterval(1, idx.n), "a")
+    assert count(idx, b"cz") == 0
+    assert forward_step(idx, NodeInterval(1, idx.n), ord("z")).empty
+
+
 def test_id_complement_auto():
     t = build_from_strings([b"a" * 30])  # one symbol on 30 of 31 nodes
     idx = build_index(t, "id")

@@ -593,9 +593,9 @@ def _blocks_of(v, bits):
 
 def _block_vectors():
     """Fixed-block vectors whose blocks are empty, full, sparse, dense,
-    half full and random, at block lengths of the 2^j - 2 form that
-    ``default_block_size`` picks and around one 64-bit word, with a short
-    last block or none."""
+    half full and random, at block lengths of the 2^j - 2 form of the
+    default ``FixedBlockVector.block_size`` and around one 64-bit word, with
+    a short last block or none."""
     rng = random.Random(14)
     for b in (1, 2, 5, 6, 14, 62, 63, 64, 126):
         for tail in (0, 1, b // 2 + 1, b - 1):
@@ -881,14 +881,43 @@ def test_fid_words_are_raw_superblocks():
                 for at in range(0, m, u))
 
 
+def test_fixed_block_default_b():
+    """The default b is the largest 2^j - 2 at most ceil(log2 n)^2, and at
+    least 2, read off by brute force at every n where ceil(log2 n) changes
+    up to 2^20, and at MAX_NODES."""
+    from xbwtrie.index import MAX_NODES
+
+    def brute(n):
+        logn = 0
+        while 2 ** logn < n:
+            logn += 1
+        return max(2, max(2 ** j - 2 for j in range(1, 64)
+                          if 2 ** j - 2 <= logn * logn))
+    ns = {1, MAX_NODES, *(n for j in range(21) for n in (2 ** j, 2 ** j + 1))}
+    for n in sorted(ns):
+        assert FixedBlockVector.block_size(n, None) == brute(n), n
+    assert [FixedBlockVector.block_size(n, None)
+            for n in (20_997, 72_772, MAX_NODES)] == [126, 254, 510]
+    assert FixedBlockVector(72_772, [1, 5]).b == 254
+
+
+def test_fixed_block_cost_builds_no_row_past_m():
+    """With b past m no block is full, so accounting builds only the row of
+    the short block's length, not one of b + 1 widths."""
+    from xbwtrie.succinct import _width_row
+    _width_row.cache_clear()
+    FixedBlockVector(1200, range(1, 1200, 3), 2 ** 16).payload_bits()
+    assert _width_row.cache_info().currsize == 1
+
+
 def test_fixed_block_file_size_bounded():
-    """b outside 1..510 (default_block_size(MAX_NODES)) is refused on write
+    """b outside 1..510 (the default b at MAX_NODES) is refused on write
     and on load, and every legal b keeps the Pascal table at 255 x 511
     entries or fewer."""
     from xbwtrie import index
     from xbwtrie import succinct
     assert succinct.MAX_FILE_BLOCK == \
-        index.default_block_size(index.MAX_NODES) == 510
+        FixedBlockVector.block_size(index.MAX_NODES, None) == 510
     ones = range(1, 1200, 3)
     for b in (511, 585, 2 ** 40):
         with pytest.raises(ValueError, match=f"^bad fixed block size {b}$"):
