@@ -277,6 +277,10 @@ def count(index: XbwtIndex, pattern: bytes) -> int:
     except TypeError:  # unhashable
         head = None
     if head is None:
+        # no str is a table key, so only a miss can be a str pattern, the
+        # empty one included
+        if isinstance(pattern, str):
+            raise TypeError("pattern is a str, not a sequence of byte values")
         lo, hi = 1, index.n
     else:
         lo, hi = head

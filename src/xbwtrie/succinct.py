@@ -8,11 +8,10 @@ Four interchangeable representations of a static bitvector:
                           (log2 m) / 2) read 8 to a word, so a word is one
                           int of a superblock's 8u raw bits, plus the rank
                           before every superblock.
-* ``IdVector``         -- explicit one-positions in one packed array,
-                          supporting select directly and rank by binary
-                          search in one bucket of a high-bits directory;
-                          optionally stores the complement when ones
-                          dominate.
+* ``IdVector``         -- explicit one-positions in one packed array, ranked
+                          by binary search in one bucket of a high-bits
+                          directory; optionally stores the complement when
+                          ones dominate.
 * ``FixedBlockVector`` -- b-bit blocks (b about (log2 m)^2) read one to a
                           word, plus the rank before every block.
 
@@ -27,15 +26,17 @@ C(l, k) blocks of that count, in ceil(log2 C(l, k)) bits: the class/offset
 code of Raman, Raman and Rao.  A fid body after its u byte is the
 fixed-block body at b = u after its b field.
 
-Plain, fid and fixed-block answer queries on one path, that of their
-common base ``_WordBlocks``: words of b raw bits (512 for plain, 8u for
-fid) and the rank before every word.  Positions are 1-based; ``rank(i)``
-counts ones in positions 1..i inclusive and ``rank(0) == 0``.  The four
-public queries ``rank``, ``access``, ``select`` and ``prank`` check their
-argument once, in ``Bitvector``, and call the back-end's unchecked
-``_rank``, ``_access`` and ``_select``, which callers that already hold
-the bound (the index's forward search) call directly.  ``select`` finds
-its superblock in a rank directory by ``bisect``.  All structures are
+Positions are 1-based; ``rank(i)`` counts ones in positions 1..i
+inclusive and ``rank(0) == 0``.  A back-end supplies one query, the
+unchecked ``_rank``, which callers that already hold the bound (the
+index's forward search) call directly, and one bulk read,
+``one_positions``.  ``Bitvector`` derives the rest from ``_rank``:
+``access(i)`` is ``rank(i) - rank(i - 1)`` and ``select(i)`` the first
+position whose rank reaches i, found by binary search in O(log m) ranks;
+the four public queries ``rank``, ``access``, ``select`` and ``prank``
+check their argument once, there.  Plain, fid and fixed-block rank on one
+path, that of their common base ``_WordBlocks``: words of b raw bits (512
+for plain, 8u for fid) and the rank before every word.  All structures are
 immutable once built, with one exception that no answer can see: a fid or
 fixed-block vector read from a file keeps what the file stored for each
 word, checked at load, and fills in the word the first time a query reads
@@ -132,29 +133,6 @@ def _extend_set_bits(out: list[int], word: int, base: int) -> None:
         low = word & -word
         out.append(base + low.bit_length() - 1)
         word ^= low
-
-
-def _select_in_word(word: int, t: int) -> int:
-    """0-based position of the t-th (1-based) set bit of ``word``.
-
-    While more than 8 lowest set bits would have to be cleared, the word
-    is halved by the one count of its low half, so a 512-bit word takes a
-    few halvings and at most 7 clears, not up to 511 clears.  The halving
-    ends, since a word of t > 8 ones is at least 9 bits wide."""
-    at = 0
-    while t > 8:
-        half = word.bit_length() >> 1
-        low = word & ((1 << half) - 1)
-        c = low.bit_count()
-        if t > c:
-            t -= c
-            word >>= half
-            at += half
-        else:
-            word = low
-    for _ in range(t - 1):
-        word &= word - 1  # clear the lowest set bit
-    return at + (word & -word).bit_length() - 1
 
 
 def _block_words(m: int, ones: Iterable[int],
@@ -255,16 +233,25 @@ class Bitvector:
         return self._rank(i) if self.access(i) else -1
 
     def _rank(self, i: int) -> int:
-        """rank(i) without the argument check: i must lie in 0..m."""
+        """rank(i) without the argument check: i must lie in 0..m.  The one
+        query a back-end supplies; access and select derive from it."""
         raise NotImplementedError
 
     def _access(self, i: int) -> int:
         """access(i) without the argument check: i must lie in 1..m."""
-        raise NotImplementedError
+        return self._rank(i) - self._rank(i - 1)
 
     def _select(self, i: int) -> int:
-        """select(i) without the argument check: i must lie in 1..ones."""
-        raise NotImplementedError
+        """select(i) without the argument check: i must lie in 1..ones.  The
+        first position whose rank reaches i, by binary search over 1..m."""
+        lo, hi = 1, self.m
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if self._rank(mid) < i:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     def payload_bits(self) -> BitCost:
         raise NotImplementedError
@@ -298,7 +285,7 @@ class Bitvector:
 
 
 class _WordBlocks(Bitvector):
-    """The query path of the plain, fid and fixed-block back-ends: the bits
+    """The rank path of the plain, fid and fixed-block back-ends: the bits
     cut into b-bit blocks (a plain superblock, a fid superblock, a fixed
     block), each read as one int whose bit j holds in-block position j + 1,
     and ``_R``, the ranks before every block and after the last.  A cut
@@ -324,15 +311,6 @@ class _WordBlocks(Bitvector):
         if not r:
             return self._R[bi]
         return self._R[bi + 1] - (self.children[bi] >> r).bit_count()
-
-    def _access(self, i: int) -> int:
-        bi = (i - 1) // self.b
-        return (self.children[bi] >> (i - 1 - bi * self.b)) & 1
-
-    def _select(self, i: int) -> int:
-        j = bisect_left(self._R, i) - 1
-        return j * self.b + _select_in_word(self.children[j],
-                                            i - self._R[j]) + 1
 
     def one_positions(self) -> list[int]:
         out: list[int] = []
@@ -535,9 +513,8 @@ class IdVector(Bitvector):
     (the high-bits bucketing of Elias-Fano rank): ``_D[h]`` counts the
     stored positions below h * 2^L, with 2^L about 8 to 16 times the mean
     gap, so a bucket holds one or two cache lines of the array and the
-    directory at most k // 4 + 2 entries for k stored positions.  Rank and
-    access bisect one bucket; select reads the array directly
-    (complemented, it bisects the zeros).
+    directory at most k // 4 + 2 entries for k stored positions.  Rank
+    bisects one bucket.
     """
 
     kind = "id"
@@ -583,21 +560,6 @@ class IdVector(Bitvector):
         h = i >> self._L
         stored = bisect_right(self._pos, i, D[h], D[h + 1])
         return (i - stored) if self.complemented else stored
-
-    def _access(self, i: int) -> int:
-        D = self._D
-        h = i >> self._L
-        j = bisect_right(self._pos, i, D[h], D[h + 1])
-        member = j > D[h] and self._pos[j - 1] == i
-        return int(member != self.complemented)
-
-    def _select(self, i: int) -> int:
-        pos = self._pos
-        if not self.complemented:
-            return pos[i - 1]
-        # pos[j] - j - 1 ones precede the (j+1)-th zero; the i-th one has
-        # every zero that fewer than i ones precede before it
-        return i + bisect_left(range(len(pos)), i, key=lambda j: pos[j] - j - 1)
 
     def one_positions(self) -> list[int]:
         if not self.complemented:

@@ -611,8 +611,9 @@ def test_str_pattern_refused(fig_trie, mode):
     the alphabet still counts 0."""
     idx = build_index(fig_trie, mode)
     assert count(idx, b"cb") == 1
-    with pytest.raises(TypeError):
-        count(idx, "cb")
+    for pattern in ("cb", ""):
+        with pytest.raises(TypeError):
+            count(idx, pattern)
     with pytest.raises(TypeError):
         forward_step(idx, NodeInterval(1, idx.n), "a")
     assert count(idx, b"cz") == 0

@@ -6,10 +6,9 @@ from itertools import accumulate
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (Bitvector, _pack_bitstream, _select_in_word,
-                              _unpack_bitstream, _unpack_uniform,
-                              ceil_log2_comb, deserialize_bitvector,
-                              serialize_bitvector)
+from xbwtrie.succinct import (Bitvector, _pack_bitstream, _unpack_bitstream,
+                              _unpack_uniform, ceil_log2_comb,
+                              deserialize_bitvector, serialize_bitvector)
 
 from conftest import ranked_blocks
 from succinct_oracles import (block_lens, decode_block, encode_block,
@@ -169,24 +168,6 @@ def test_prank(backend):
 def test_access(backend):
     v = backend(B_B)
     assert [v.access(i) for i in range(1, 8)] == [1, 0, 1, 0, 0, 1, 0]
-
-
-def test_select_in_word_every_t():
-    """The halving select equals clearing the lowest set bit t - 1 times,
-    for every t, on random, sparse and full words of every width up to
-    520 bits: every halving depth, both sides of a half, and the widths
-    around a 64-bit word and a 512-bit superblock."""
-    rng = random.Random(16)
-    for width in range(1, 521):
-        top = 1 << (width - 1)
-        for word in (rng.getrandbits(width) | top, (1 << width) - 1,
-                     top | 1 << rng.randrange(width)):
-            cleared, expect = word, []
-            while cleared:
-                expect.append((cleared & -cleared).bit_length() - 1)
-                cleared &= cleared - 1
-            assert [_select_in_word(word, t)
-                    for t in range(1, len(expect) + 1)] == expect, width
 
 
 # --- block codec -----------------------------------------------------------
@@ -419,8 +400,9 @@ def test_rrr_overhead_is_classes_and_superblock_ranks():
 
 
 def test_queries_checked_once_in_base_class():
-    """Back-ends supply only the unchecked _rank/_access/_select; plain,
-    fid and fixed-block share one word-block query path."""
+    """Back-ends supply only the unchecked _rank, from which Bitvector
+    derives _access and _select; plain, fid and fixed-block share one
+    word-block rank and one bulk read."""
     leaves, todo = set(), [Bitvector]
     while todo:
         cls = todo.pop()
@@ -434,9 +416,10 @@ def test_queries_checked_once_in_base_class():
         for base in cls.__mro__[:cls.__mro__.index(Bitvector)]:
             assert not set(vars(base)) & {"rank", "access", "select",
                                           "prank"}, base
-        for name in ("_rank", "_access", "_select"):
-            assert getattr(cls, name) is not getattr(Bitvector, name), cls
-    for name in ("_rank", "_access", "_select", "one_positions"):
+        assert cls._rank is not Bitvector._rank, cls
+        for name in ("_access", "_select"):
+            assert getattr(cls, name) is getattr(Bitvector, name), cls
+    for name in ("_rank", "one_positions"):
         assert getattr(PlainBitvector, name) is getattr(RrrVector, name) \
             is getattr(FixedBlockVector, name)
 
@@ -818,6 +801,30 @@ def test_fid_loaded_lazily_agree_with_built(u):
                 assert set(w.children) <= set(range(len(v.children)))
                 assert all(w.children[s] == v.children[s]
                            for s in list(w.children))
+
+
+@pytest.mark.parametrize("cls", (RrrVector, FixedBlockVector))
+def test_derived_queries_decode_few_words(cls):
+    """select is a binary search over _rank and access the difference of
+    two ranks, so on a fresh load one select decodes at most
+    ceil(log2 m) + 1 words and one access at most one, at the default
+    block size and at a small one that makes many words."""
+    rng = random.Random(30)
+    for m in (1, 9, 511, 4097, 20_997):
+        bound = (m - 1).bit_length() + 1
+        for density in (0.05, 0.5, 0.95):
+            ones = _random_ones(rng, m, density) or (m,)
+            for size in (None, 2):
+                v = cls(m, ones, size)
+                blob = serialize_bitvector(v)
+                for j in rng.sample(range(1, v.ones + 1), min(v.ones, 12)):
+                    u = deserialize_bitvector(v.kind, m, blob)[0]
+                    assert u.select(j) == v.select(j) == ones[j - 1]
+                    assert len(u.children) <= bound, (m, density, size, j)
+                for i in rng.sample(range(1, m + 1), min(m, 12)):
+                    u = deserialize_bitvector(v.kind, m, blob)[0]
+                    assert u.access(i) == v.access(i)
+                    assert len(u.children) <= 1, (m, density, size, i)
 
 
 def test_fid_empty_and_full_blocks_hold_no_rank(monkeypatch, unrank_calls):
