@@ -102,8 +102,11 @@ def _load_trie(path: str) -> Trie:
 
 def cmd_build(args) -> int:
     trie = build_from_strings(_load_strings(args.input))
-    # one index is built; 'auto' picks the smallest file from the columns
-    index = xidx.build_index(trie, args.mode)
+    # every mode is accounted once, from the columns, for 'auto' and the
+    # rows; one index is built
+    costs = {mode: xidx.column_cost(trie, mode) for mode in xidx.MODES}
+    index = xidx.build_index(trie, xidx.smallest_file(costs)
+                             if args.mode == "auto" else args.mode)
     data = xidx.serialize(index)
     with open(args.output, "wb") as fh:
         fh.write(data)
@@ -113,10 +116,10 @@ def cmd_build(args) -> int:
             ("metric", "r", "-", str(xidx.count_runs(
                 trie.alphabet.symbols, xidx.xbwt_columns(trie)).total)),
             ("metric", "bytes", "-", str(len(data)))]
-    for mode in xidx.MODES:  # accounted from the columns, nothing built
-        cost = xidx.column_cost(trie, mode).bits
-        rows.append(("metric", f"payload[{mode}]", "-", str(cost.payload)))
-        rows.append(("metric", f"overhead[{mode}]", "-", str(cost.overhead)))
+    for mode, acc in costs.items():
+        rows.append(("metric", f"payload[{mode}]", "-", str(acc.bits.payload)))
+        rows.append(("metric", f"overhead[{mode}]", "-",
+                     str(acc.bits.overhead)))
     _emit(rows, args.format, sys.stdout)
     return 0
 

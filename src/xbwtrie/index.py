@@ -196,10 +196,10 @@ def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
     vector at the back-end's own setting (``Bitvector.over_column``).
 
     'auto' builds the one back-end with the smallest file
-    (:func:`file_length`), the first in ``MODES`` on a tie.
+    (:func:`smallest_file`).
     """
     if mode == "auto":
-        mode = min(MODES, key=lambda m: file_length(trie, m))
+        mode = smallest_file({m: column_cost(trie, m) for m in MODES})
     make = _vector_class(mode).over_column
     return XbwtIndex(trie.n, trie.alphabet, mode,
                      tuple(make(trie.n, ones) for ones in xbwt_columns(trie)))
@@ -209,35 +209,34 @@ def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
 class IndexCost:
     """What ``index_bits`` and the vectors' entropy-block fields report of
     an index: its measured bits, the largest entropy block (None when no
-    vector codes blocks: plain, or no symbols) and the number of blocks."""
+    vector codes blocks: plain, or no symbols) and the number of blocks;
+    and ``len(serialize(index))``."""
 
     bits: BitCost
     block_size: int | None
     block_count: int
-
-
-def _vector_costs(trie: Trie, mode: str):
-    """(block size, block count, bits, body bytes) of the mode's vector over
-    each column, accounted by its class without building it."""
-    cost = _vector_class(mode).column_cost
-    return [cost(trie.n, ones) for ones in xbwt_columns(trie)]
+    file_length: int
 
 
 def column_cost(trie: Trie, mode: str) -> IndexCost:
     """The cost of ``build_index(trie, mode)``, accounted from the XBWT
-    columns without building a vector."""
-    costs = _vector_costs(trie, mode)
+    columns without building a vector: each column's (block size, block
+    count, bits, body bytes) from the mode's class.  The file adds 23 +
+    sigma bytes to the bodies: the header, the alphabet with its sentinel
+    and the CRC."""
+    cost = _vector_class(mode).column_cost
+    costs = [cost(trie.n, ones) for ones in xbwt_columns(trie)]
     return IndexCost(sum((bits for _, _, bits, _ in costs), BitCost(0, 0)),
                      costs[-1][0] if costs else None,
-                     sum(blocks for _, blocks, _, _ in costs))
+                     sum(blocks for _, blocks, _, _ in costs),
+                     22 + trie.alphabet.sigma + 1 + sum(
+                         body for *_, body in costs))
 
 
-def file_length(trie: Trie, mode: str) -> int:
-    """``len(serialize(build_index(trie, mode)))``, from the XBWT columns:
-    the header, the alphabet and the CRC take 22 + sigma bytes, and each
-    vector's class gives its body's length."""
-    return 22 + trie.alphabet.sigma + 1 + sum(
-        body for *_, body in _vector_costs(trie, mode))
+def smallest_file(costs: dict[str, IndexCost]) -> str:
+    """The mode of the shortest file among the accounted ``costs`` of every
+    mode, the first in ``MODES`` on a tie."""
+    return min(MODES, key=lambda m: costs[m].file_length)
 
 
 def index_bits(index: XbwtIndex) -> BitCost:

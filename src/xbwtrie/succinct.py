@@ -49,6 +49,15 @@ masked as one int, and the id positions land in the vector's array as
 read.  An empty or a full block stores no rank, so only the other blocks'
 ranks are read, checked and kept (fid's as 2-byte items), and such a block
 is filled in without an unrank.
+
+The writer mirrors the loader.  A column's one-positions set bytes of a
+flag array in one C-level ``map``, and its m-bit bitmap is gathered from
+every eighth flag; the fid and fixed-block constructors cut their blocks
+from it with the lane reader and count their ones with one popcount
+``bytes.translate``.  The lane writer ``_pack_uniform``, the exact inverse
+of the lane reader, writes the block counts and the id positions; the
+block ranks are one bit string per distinct block, joined once and read as
+one int.
 """
 from __future__ import annotations
 
@@ -60,7 +69,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, compress, islice, repeat
-from operator import lt
+from operator import lt, sub
 from typing import Iterable, Sequence
 
 
@@ -105,16 +114,25 @@ def ceil_log2_comb(n: int, k: int) -> int:
     return (math.comb(n, k) - 1).bit_length()
 
 
-def _pack_positions(m: int, ones: Iterable[int]) -> bytearray:
+def _pack_positions(m: int, ones: Iterable[int]) -> bytes:
     """Pack 1-based positions into ceil(m/8) little-endian bytes, bit i-1
-    holding position i; the padding bits past m stay zero."""
-    raw = bytearray((m + 7) >> 3)
-    for p in ones:
-        if not 1 <= p <= m:
+    holding position i; the padding bits past m stay zero.
+
+    No Python step is taken per one: the positions set their bytes of a
+    flag array in one C-level ``map``, and bit j of every packed byte is
+    read from every eighth flag as one int."""
+    if not isinstance(ones, (list, tuple, range, array)):
+        ones = list(ones)
+    nbytes = (m + 7) >> 3
+    flags = bytearray(8 * nbytes + 1)  # flags[p] is 1 when p is a one
+    if ones:
+        if min(ones) < 1 or max(ones) > m:
             raise ValueError("one-position out of range")
-        p -= 1
-        raw[p >> 3] |= 1 << (p & 7)
-    return raw
+        any(map(flags.__setitem__, ones, repeat(1)))  # each call gives None
+    bits = 0
+    for j in range(8):
+        bits |= int.from_bytes(flags[j + 1::8], "little") << j
+    return bits.to_bytes(nbytes, "little")
 
 
 # the 4-byte array typecode of ID positions below 2^32; C fixes only a
@@ -135,29 +153,31 @@ def _extend_set_bits(out: list[int], word: int, base: int) -> None:
         word ^= low
 
 
-def _block_words(m: int, ones: Iterable[int],
-                 b: int) -> tuple[list[int], tuple[int, ...]]:
-    """The b-bit words covering m bits, bit j of a word holding position
-    j + 1 of its block, and the ranks before every word and after the
-    last."""
-    raw = _pack_positions(m, ones)
-    # the padding bits past m are zero, so the last word has blen bits
-    mask = (1 << min(b, m)) - 1
-    words = tuple((int.from_bytes(raw[at >> 3:((at + b) >> 3) + 1],
-                                  "little") >> (at & 7)) & mask
-                  for at in range(0, m, b))
-    return [0, *accumulate(map(int.bit_count, words))], words
+def _cut_blocks(raw: bytes, m: int, size: int) -> array | list[int]:
+    """The size-bit blocks covering m bits of raw, bit i - 1 of which holds
+    position i and whose bits past m are zero, as :func:`_unpack_uniform`
+    reads them: raw is cut or padded with zeros to the blocks' bytes."""
+    width = min(size, m) or 1  # no block holds more than m bits
+    nblocks = -(-m // width)
+    nbytes = (nblocks * width + 7) >> 3
+    return _unpack_uniform(raw[:nbytes].ljust(nbytes, b"\0"), width, nblocks)
 
 
-def _split_words(words, m: int, size: int, g: int) -> list[int]:
-    """The size-bit blocks covering m bits, cut from the words of g blocks
-    each that cover them, read by index; the padding blocks past m in the
-    last word are dropped."""
-    mask = (1 << min(size, m)) - 1  # no block holds more than m bits
-    shifts = range(0, g * size, size)
-    nwords = -(-m // (g * size))
-    return [(w >> s) & mask for w in map(words.__getitem__, range(nwords))
-            for s in shifts][:-(-m // size)]
+_POPCOUNT = bytes(map(int.bit_count, range(256)))  # a translate table
+
+
+def _block_counts(blocks) -> Sequence[int]:
+    """The one count of every block: one ``bytes.translate`` of an array's
+    bytes, whose per-byte counts, at most 8 each, are summed over the item's
+    bytes as one int a byte lane, or ``int.bit_count`` over a list."""
+    if not isinstance(blocks, array):
+        return list(map(int.bit_count, blocks))
+    per = blocks.tobytes().translate(_POPCOUNT)
+    size = blocks.itemsize
+    if size == 1:
+        return per
+    return sum(int.from_bytes(per[i::size], "little")
+               for i in range(size)).to_bytes(len(blocks), "little")
 
 
 # small ints only: a row of big C(blen, k) for every fixed-block length up
@@ -168,16 +188,20 @@ def _width_row(blen: int) -> tuple[int, ...]:
     return tuple(ceil_log2_comb(blen, k) for k in range(blen + 1))
 
 
-def _class_widths(m: int, size: int, counts: Sequence[int]) -> list[int]:
-    """ceil(log2 C(blen, k)) for every size-bit block covering m bits,
-    of length blen and holding k ones: the width of a fid offset or of a
-    fixed-block body."""
+def _class_bits(m: int, size: int, counts: Sequence[int]) -> int:
+    """The sum of ceil(log2 C(blen, k)) over the size-bit blocks covering
+    m bits, each of length blen and holding k ones: the bits of the fid
+    offsets or of the fixed-block bodies."""
     full = m // size
     # a size past m has no full block, and m is its short block's length
-    widths = list(map(_width_row(min(size, m)).__getitem__, counts[:full]))
+    row = _width_row(min(size, m))
+    if size < 256:  # a count and its width, at most the size, fit a byte
+        bits = sum(bytes(counts[:full]).translate(bytes(row).ljust(256, b"\0")))
+    else:
+        bits = sum(map(row.__getitem__, counts[:full]))
     if m % size:
-        widths.append(_width_row(m % size)[counts[full]])
-    return widths
+        bits += _width_row(m % size)[counts[full]]
+    return bits
 
 
 # the largest b a file may hold, the default ``FixedBlockVector.block_size``
@@ -390,11 +414,18 @@ class _CodedBlocks(_WordBlocks):
         if m < 0:
             raise ValueError("length must be nonnegative")
         size = self.block_size(m, size)
-        R, words = _block_words(m, ones, self.g * size)
-        counts = map(int.bit_count, _split_words(words, m, size, self.g))
+        raw = _pack_positions(m, ones)
+        blocks = _cut_blocks(raw, m, size)
+        counts = _block_counts(blocks)
+        if self.g == 1:
+            words = tuple(blocks)
+        else:  # a word of g = 8 blocks is ``size`` whole bytes
+            words = tuple(int.from_bytes(raw[at:at + size], "little")
+                          for at in range(0, len(raw), size))
         self._init(m, size,
-                   bytes(counts) if size < 256 else array(_POS32, counts),
-                   R, words)
+                   bytes(counts) if size < 256
+                   else array(_POS32, list(counts)),
+                   [0, *accumulate(map(int.bit_count, words))], words)
 
     def _init(self, m, size, counts, R, children):
         super()._init(m, self.g * size, R, children)
@@ -407,21 +438,29 @@ class _CodedBlocks(_WordBlocks):
     def cost(cls, m: int, size: int, counts: Sequence[int]) -> BitCost:
         """Each block's rank at ceil(log2 C(l, k)) bits, for a block of l
         bits holding k ones; the overhead is the kind's ``_overhead``."""
-        return BitCost(sum(_class_widths(m, size, counts)),
+        return BitCost(_class_bits(m, size, counts),
                        cls._overhead(m, size, len(counts)))
 
     @classmethod
     def column_cost(cls, m, ones):
         size = cls.block_size(m, None)
-        counts = [0] * -(-m // size)  # the last block may be short
-        for p in ones:
-            counts[(p - 1) // size] += 1
+        counts = cls._column_counts(m, size, ones)
         cost = cls.cost(m, size, counts)
         # the body (:func:`_pack_blocks`): the size field, then the counts at
         # the size's bit_length and the ranks, each padded to whole bytes
         return size, len(counts), cost, (
             cls.SIZE_FIELD.size + (len(counts) * size.bit_length() + 7) // 8
             + (cost.payload + 7) // 8)
+
+    @staticmethod
+    def _column_counts(m: int, size: int, ones: Sequence[int]) -> list[int]:
+        """The one count of every size-bit block covering m bits, from the
+        ascending one-positions: one step per one, as fid's blocks hold
+        about as many ones as there are blocks."""
+        counts = [0] * -(-m // size)  # the last block may be short
+        for p in ones:
+            counts[(p - 1) // size] += 1
+        return counts
 
     def payload_bits(self) -> BitCost:
         return self.cost(self.m, self.size, self.counts)
@@ -491,6 +530,13 @@ class FixedBlockVector(_CodedBlocks):
         if b < 1:
             raise ValueError("block size must be positive")
         return b
+
+    @staticmethod
+    def _column_counts(m, b, ones):
+        # a block holds many ones, so each block's count is the difference
+        # of the bisections at its end and at the one before, in C
+        ends = list(map(bisect_right, repeat(ones), range(b, m + b, b)))
+        return list(map(sub, ends, [0, *ends]))
 
     @staticmethod
     def _overhead(m: int, b: int, nblocks: int) -> int:
@@ -659,8 +705,9 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     """``_unpack_bitstream(data, [w] * k)`` for one width w >= 1, with the
     same checks, as an ``array`` of items wide enough for w bits: one byte
     up to w = 8, four up to 32, eight up to 57.  Past 57 bits, which only
-    an id vector of length 2^57 or more stores, a value may span 9 bytes,
-    and the stream is read by :func:`_unpack_bitstream`.
+    an id vector of length 2^57 or more stores, or a fixed block that a
+    constructor cuts, a value may span 9 bytes, and the stream is read by
+    :func:`_unpack_bitstream`.
 
     Eight w-bit values fill exactly w bytes, so value j of every full
     group lies at the same bit offset j * w of its group.  Each of the 8
@@ -713,6 +760,45 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
         for i in range(tail):
             out[8 * groups + i] = (g >> (i * w)) & mask
     return out
+
+
+def _pack_uniform(values: Sequence[int], w: int) -> bytes:
+    """``_pack_bitstream(values, [w] * len(values))`` for one width w >= 1
+    and values below 2^w, given as ``bytes``, an ``array`` of unsigned
+    items or a list: the inverse of :func:`_unpack_uniform`.  Past 57 bits
+    the stream is written by :func:`_pack_bitstream`.
+
+    Value j of every full group of 8 lies at bit j * w of the group's w
+    bytes, so each of the 8 slots is written in C for all groups at once:
+    the slot's items, every eighth, are spread as bytes into one w-byte lane
+    per group by strided slices, read as one int and shifted by j * w, which
+    keeps each value inside its lane, and the 8 slots are ORed together.
+    Only the tail group, of fewer than 8 values, is written value by
+    value."""
+    k = len(values)
+    if w > 57:
+        return _pack_bitstream(values, [w] * k)
+    if not isinstance(values, (bytes, bytearray, array)):
+        values = array("B" if w <= 8 else _POS32 if w <= 32 else "Q", values)
+    item = values.itemsize if isinstance(values, array) else 1
+    groups = k >> 3
+    lanes = bytearray(groups * w)
+    acc = 0
+    for j in range(8):
+        col = values[j:8 * groups:8]
+        if isinstance(col, array):
+            if _BIG_ENDIAN:  # the lanes are little-endian
+                col.byteswap()
+            col = col.tobytes()
+        # a value's bytes past the first ceil(w / 8) are zero
+        for i in range(min(item, (w + 7) >> 3)):
+            lanes[i::w] = col[i::item]
+        acc |= int.from_bytes(lanes, "little") << j * w
+    tail = 0
+    for i, value in enumerate(values[8 * groups:]):
+        tail |= value << i * w
+    return (acc.to_bytes(groups * w, "little")
+            + tail.to_bytes(((k & 7) * w + 7) >> 3, "little"))
 
 
 # The body of a fid or fixed-block block is the rank of the block's ones,
@@ -794,23 +880,39 @@ class _LazyWords(dict):
 def _pack_blocks(v: _CodedBlocks) -> bytes:
     """The body of a coded-block vector after its size field: the one
     counts of its blocks at ``size.bit_length()`` bits, then each block's
-    rank at ceil(log2 C(l, k)) bits."""
-    size, counts = v.size, v.counts
-    blocks = _split_words(v.children, v.m, size, v.g)
-    cols = _pascal(size)
+    rank at ceil(log2 C(l, k)) bits.
 
-    def rank(word: int, blen: int) -> int:
-        if 2 * word.bit_count() > blen:  # the zeros are ranked
+    The words are read by index, as a loaded vector's are, and cut into
+    blocks as the constructor cuts them.  Each distinct full block is
+    ranked once, to a bit string of its width (at fid's u, at most 2^u of
+    them), and the ranks are one int: the blocks' strings, the last block's
+    first, joined and parsed as one binary numeral."""
+    size, m, counts = v.size, v.m, v.counts
+    children = v.children
+    words = [children[i] for i in range(len(v._R) - 1)]
+    if v.g == 1:
+        blocks = words
+    else:  # a word of g = 8 blocks is ``size`` whole bytes
+        blocks = _cut_blocks(b"".join(map(int.to_bytes, words, repeat(size),
+                                          repeat("little"))), m, size)
+    cols = _pascal(size)
+    row = _width_row(size)
+
+    def bits(word: int, blen: int) -> str:
+        k = word.bit_count()
+        width = row[k] if blen == size else ceil_log2_comb(blen, k)
+        if 2 * k > blen:  # the zeros are ranked
             word ^= (1 << blen) - 1
-        return _rank_word(cols, word)
-    # a full block's rank follows from its bits alone, so each distinct one
-    # is ranked once: at fid's u, at most 2^u of them
-    ranks = list(map({w: rank(w, size) for w in set(blocks)}.__getitem__,
-                     blocks))
-    if v.m % size:  # the short last block
-        ranks[-1] = rank(blocks[-1], v.m % size)
-    return (_pack_bitstream(counts, [size.bit_length()] * len(counts))
-            + _pack_bitstream(ranks, _class_widths(v.m, size, counts)))
+        # the rank in exactly ceil(log2 C(blen, k)) binary digits: those
+        # past the leading 1 of 1 << width
+        return bin(_rank_word(cols, word) | 1 << width)[3:]
+    full = m // size
+    text = bits(blocks[full], m % size) if m % size else ""  # a short block
+    blocks = blocks[:full]
+    ranks = {word: bits(word, size) for word in set(blocks)}
+    text += "".join(map(ranks.__getitem__, reversed(blocks)))
+    return (_pack_uniform(counts, size.bit_length())
+            + int(text or "0", 2).to_bytes((len(text) + 7) >> 3, "little"))
 
 
 def serialize_bitvector(v: Bitvector) -> bytes:
@@ -822,7 +924,7 @@ def serialize_bitvector(v: Bitvector) -> bytes:
     if isinstance(v, IdVector):
         k = len(v._pos)
         return (struct.pack("<BQ", int(v.complemented), k)
-                + _pack_bitstream(v._pos, [_position_width(v.m)] * k))
+                + _pack_uniform(v._pos, _position_width(v.m)))
     if isinstance(v, _CodedBlocks):
         if not 1 <= v.size <= v.max_size:
             raise ValueError(f"bad {v._size_name} block size {v.size}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import lt
 from typing import Iterable, Sequence
 
 
@@ -285,7 +284,8 @@ def colex_order(trie: Trie) -> list[int]:
     position in base B = max(2, sigma + 1) and 0 padding past the root; t
     is the largest window with B^t < 2^62.  Each key follows from its
     parent's in id order.  Two nodes can share a key only when both lie at
-    depth t or more, so on a trie shallower than t one sort is final.
+    depth t or more, so on a trie shallower than t, which the keys' lowest
+    digits show, one sort is final.
     Otherwise the ranks are refined by prefix doubling (Manber and Myers):
     the pair (rank of v, rank of its d-th ancestor, 0 if none) ranks v by
     its last 2d labels, and the ancestor pointers are then composed with
@@ -306,7 +306,9 @@ def colex_order(trie: Trie) -> list[int]:
                        islice(trie.label, 1, None)):
         key[v] = digit[c] + key[p] // base
     order = sorted(range(n), key=key.__getitem__)
-    if _distinct(order, key):
+    # a key's lowest digit is nonzero only at depth t or more, so a trie
+    # with no such node needs no set of its keys, which holds n entries
+    if not any(map(base.__rmod__, key)) or len(set(key)) == n:
         return order
     # anc[v]: the t-th ancestor of v, or n (whose rank stays 0) when v is
     # shallower than t; ``path`` holds the ancestors of v, root first
@@ -329,15 +331,10 @@ def colex_order(trie: Trie) -> list[int]:
             rank[v] = r
         key = [r * (n + 1) + rank[a] for r, a in zip(rank, anc)]
         order.sort(key=key.__getitem__)
-        if _distinct(order, key):
+        # key[n], that of the slot past the nodes, is 0 and below the rest
+        if len(set(key)) == n + 1:
             return order
         anc = [anc[a] for a in anc]
-
-
-def _distinct(order: list[int], key: list[int]) -> bool:
-    """Whether the keys, read in ``order`` (sorted by key), all differ."""
-    ks = map(key.__getitem__, order)
-    return all(map(lt, ks, map(key.__getitem__, islice(order, 1, None))))
 
 
 def context(trie: Trie, node: int, k: int) -> bytes:

@@ -1,4 +1,5 @@
-"""The fid block codec of file versions 3 to 5, and two small helpers.
+"""The fid block codec of file versions 3 to 5, the per-one cut of a
+vector into words and blocks, and two small helpers.
 
 Those versions stored a fid block's offset as the lexicographic rank of its
 bit string among the strings of its class; version 6 stores the
@@ -6,8 +7,13 @@ combinatorial rank of the fixed-block body, at the same width.  These
 loops compute the lexicographic (class, offset) pairs one bit at a time,
 and the pinned-history tests re-code version-6 fid bodies through them to
 compare against the hashes the older versions recorded.
+
+The cut sets one bit per one-position and reads each word and block as a
+shift of the packed bytes: the referee of the constructors, which pack the
+positions through a flag array and cut the blocks in lanes.
 """
 import math
+from itertools import accumulate
 
 
 def block_lens(m: int, u: int) -> list[int]:
@@ -50,3 +56,39 @@ def decode_block(cls: int, offset: int, u: int) -> int:
     if k or offset:
         raise ValueError("offset out of range for class")
     return pattern
+
+
+def pack_positions(m: int, ones) -> bytearray:
+    """Pack 1-based positions into ceil(m/8) little-endian bytes, bit i-1
+    holding position i; the padding bits past m stay zero."""
+    raw = bytearray((m + 7) >> 3)
+    for p in ones:
+        if not 1 <= p <= m:
+            raise ValueError("one-position out of range")
+        p -= 1
+        raw[p >> 3] |= 1 << (p & 7)
+    return raw
+
+
+def block_words(m: int, ones, b: int) -> tuple[list[int], tuple[int, ...]]:
+    """The b-bit words covering m bits, bit j of a word holding position
+    j + 1 of its block, and the ranks before every word and after the
+    last."""
+    raw = pack_positions(m, ones)
+    # the padding bits past m are zero, so the last word has blen bits
+    mask = (1 << min(b, m)) - 1
+    words = tuple((int.from_bytes(raw[at >> 3:((at + b) >> 3) + 1],
+                                  "little") >> (at & 7)) & mask
+                  for at in range(0, m, b))
+    return [0, *accumulate(map(int.bit_count, words))], words
+
+
+def split_words(words, m: int, size: int, g: int) -> list[int]:
+    """The size-bit blocks covering m bits, cut from the words of g blocks
+    each that cover them, read by index; the padding blocks past m in the
+    last word are dropped."""
+    mask = (1 << min(size, m)) - 1  # no block holds more than m bits
+    shifts = range(0, g * size, size)
+    nwords = -(-m // (g * size))
+    return [(w >> s) & mask for w in map(words.__getitem__, range(nwords))
+            for s in shifts][:-(-m // size)]

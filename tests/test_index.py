@@ -9,7 +9,7 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
                      leaf_run_count, naive_count, random_trie, run_count,
                      serialize)
 from xbwtrie.index import (_crc_lanes, _crc_shift, _head_table,
-                           column_cost, crc32c, file_length, index_bits,
+                           column_cost, crc32c, index_bits,
                            xbwt_columns)
 from xbwtrie.succinct import (IdVector, _pack_bitstream, ceil_log2_comb,
                               deserialize_bitvector, serialize_bitvector)
@@ -520,9 +520,8 @@ def test_column_cost_matches_built_index(small_tries):
 
 @pytest.mark.parametrize("mode", ["auto", "bogus"])
 def test_column_cost_refuses_unknown_mode(fig_trie, mode):
-    for accounting in (column_cost, file_length):
-        with pytest.raises(ValueError, match="unknown mode"):
-            accounting(fig_trie, mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        column_cost(fig_trie, mode)
 
 
 def test_check_bounds_sorts_once_per_trie(monkeypatch):
@@ -597,7 +596,7 @@ def test_file_length_is_serialized_length(small_tries):
              *(build_from_strings([b"a" * length]) for length in range(1, 71)),
              build_from_strings(word_corpus(1, 5000))]
     for t in tries:
-        lengths = [file_length(t, mode) for mode in MODES]
+        lengths = [column_cost(t, mode).file_length for mode in MODES]
         for mode, length in zip(MODES, lengths):
             assert length == len(serialize(build_index(t, mode))), (t, mode)
         assert build_index(t, "auto").mode == MODES[lengths.index(
@@ -876,6 +875,24 @@ def _pinned_words():
 def test_file_bytes_pinned(mode):
     data = serialize(build_index(build_from_strings(_pinned_words()), mode))
     assert hashlib.sha256(data).hexdigest() == FILE_SHA256[mode]
+    assert serialize(deserialize(data)) == data
+
+
+@pytest.fixture(scope="module")
+def words_20k():
+    """The trie of the seed-1 20k-word corpus, n = 72,772."""
+    trie = build_from_strings(word_corpus(1, 20_000))
+    assert trie.n == 72_772
+    return trie
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_loaded_index_reserializes(words_20k, mode):
+    """A loaded index writes the bytes it was read from, on a trie past the
+    2,000 words of test_file_bytes_pinned.  A loaded fid or fixed-block
+    vector's words are a dict filled in on first read, whose iteration
+    yields keys, so the writer reads them by index."""
+    data = serialize(build_index(words_20k, mode))
     assert serialize(deserialize(data)) == data
 
 

@@ -1,18 +1,21 @@
 import math
 import random
 import struct
+from array import array
 from itertools import accumulate
 
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (Bitvector, _pack_bitstream, _unpack_bitstream,
+from xbwtrie.succinct import (Bitvector, _pack_bitstream, _pack_positions,
+                              _pack_uniform, _unpack_bitstream,
                               _unpack_uniform, ceil_log2_comb,
                               deserialize_bitvector, serialize_bitvector)
 
 from conftest import ranked_blocks
-from succinct_oracles import (block_lens, decode_block, encode_block,
-                              parse_bits)
+from succinct_oracles import (block_lens, block_words, decode_block,
+                              encode_block, pack_positions, parse_bits,
+                              split_words)
 
 B_B = "1010010"   # out-edge vector of the middle symbol in the figure index
 B_A = "0000100"
@@ -1156,6 +1159,85 @@ def test_bitstream_rejects_bad_streams():
                                   count) == \
                         _unpacked(_unpack_bitstream, stream, [w] * count) == \
                         message
+
+
+# every count up to two full groups and a tail, and 1,000 full groups with
+# every tail length
+LANE_COUNTS = (*range(18), *range(8000, 8008))
+
+
+def test_pack_uniform_is_the_lane_inverse():
+    """The lane writer writes, byte for byte, what the per-value writer
+    writes, and the lane reader reads it back: at every width a file holds,
+    1..65 (past 57 through the per-value writer), at every count of
+    ``LANE_COUNTS``, from a list, from arrays of the narrowest item and of
+    8-byte items, and from bytes."""
+    rng = random.Random(33)
+    for w in range(1, 66):
+        narrowest = next((t for t in "BHIQ" if 8 * array(t).itemsize >= w),
+                         None)
+        for k in LANE_COUNTS:
+            values = [rng.getrandbits(w) for _ in range(k)]
+            data = _pack_bitstream(values, [w] * k)
+            inputs = [values]
+            if narrowest:
+                inputs += [array(narrowest, values), array("Q", values)]
+            for given in inputs:
+                assert _pack_uniform(given, w) == data, (w, k, type(given))
+            assert list(_unpack_uniform(data, w, k)) == values
+            small = [v & 255 for v in values]  # values a bytes object holds
+            assert _pack_uniform(bytes(small), w) == \
+                _pack_bitstream(small, [w] * k), (w, k)
+
+
+def test_pack_positions_contract():
+    """Positions pack as the per-one referee packs them, whether sorted,
+    shuffled with every position twice, or from a generator; no positions,
+    and m = 0, pack to zero bytes; the bits past m stay zero; and a
+    position outside 1..m is refused, alone or among valid ones."""
+    rng = random.Random(35)
+    for m in (*range(20), 63, 64, 65, 1000, 1001):
+        for density in (0, 0.1, 0.5, 1):
+            ones = [p for p in range(1, m + 1) if rng.random() < density]
+            want = pack_positions(m, ones)
+            twice = ones * 2
+            rng.shuffle(twice)
+            for given in (ones, twice, iter(twice), (p for p in twice),
+                          tuple(twice), array("Q", twice)):
+                assert _pack_positions(m, given) == want, (m, density)
+        assert _pack_positions(m, []) == _pack_positions(m, iter(())) == \
+            bytes((m + 7) // 8)
+        # every position a one: the last byte holds m % 8 ones, then zeros
+        assert _pack_positions(m, range(1, m + 1)) == \
+            ((1 << m) - 1).to_bytes((m + 7) // 8, "little")
+        for bad in (0, m + 1, -1):
+            for given in ([bad], [*range(1, m + 1), bad], iter([bad, 1])):
+                with pytest.raises(ValueError,
+                                   match="one-position out of range"):
+                    _pack_positions(m, given)
+
+
+def test_built_blocks_match_the_per_one_cut():
+    """A built fid or fixed-block vector holds, as a tuple, the words that
+    the referee's per-one cut gives, and its R and block counts: at every
+    fid u, whose blocks are read in lanes of 1- and 4-byte items, and at
+    fixed-block sizes below and past 57 bits, past 255 (counts held in an
+    array) and past m, with and without a short last block."""
+    rng = random.Random(37)
+    for m in (0, 1, 7, 64, 100, 999, 4096, 5003):
+        for density in (0.05, 0.5, 0.95):
+            ones = [p for p in range(1, m + 1) if rng.random() < density]
+            vectors = [RrrVector(m, ones), FixedBlockVector(m, ones),
+                       *(RrrVector(m, ones, u) for u in range(1, 15)),
+                       *(FixedBlockVector(m, ones, b) for b in
+                         (1, 5, 8, 33, 57, 58, 254, 300, 510, 2 ** 16))]
+            for v in vectors:
+                R, words = block_words(m, ones, v.g * v.size)
+                blocks = split_words(words, m, v.size, v.g)
+                assert type(v.children) is tuple
+                assert (v.children, v._R, list(v.counts)) == \
+                    (words, R, list(map(int.bit_count, blocks))), \
+                    (m, v.kind, v.size)
 
 
 def test_plain_rejects_padding_bits():

@@ -94,10 +94,13 @@ def test_colex_matches_reversed_path_sort(small_tries):
     [b"a" * 300],
     [b"ab" * 150, b"ba" * 150, b"a" * 200],
     [b"ab" * 40, b"b" * 90, b"aab" * 30, b"bab" * 25],
+    [bytes(range(1, 256)), bytes(range(1, 200, 2))],
 ])
 def test_colex_deeper_than_window(strings):
     # Deeper than the window (61 labels at sigma 1, 39 at sigma 2) with
-    # repeating labels, so equal window keys leave prefix-doubling rounds.
+    # repeating labels, so equal window keys leave prefix-doubling rounds;
+    # or deeper (7 labels at sigma 255) with every window distinct, so the
+    # first sort is final.
     t = build_from_strings(strings)
     assert colex_order(t) == colex_order_by_paths(t)
 
