@@ -2,8 +2,9 @@
 Measured bits per back-end
 ==========================
 
-Each bitvector back-end reports its size split into entropy payload and
-directory overhead.  Highlights: the class/offset coding pays just
+Each bitvector back-end reports its file body's bits, split into the
+entropy payload and the overhead, everything else the body stores: size
+fields, block counts, id's flags and count, and padding.  Highlights: the class/offset coding pays just
 ceil(log C(u, class)) bits per u-bit block; the position-list back-end
 switches to storing the complement when a symbol occurs on more than half
 the nodes; complete binary tries keep r = (n+1)/2 runs, so run-based

@@ -80,12 +80,12 @@ def _emit(rows: list[tuple[str, ...]], fmt: str, out) -> None:
                   file=out)
 
 
-def _load_strings(path: str) -> list[bytes]:
-    with open(path, "rb") as fh:
-        strings = strings_from_bytes(fh.read())
+def _string_trie(data: bytes, path: str) -> Trie:
+    """The trie of the string set read from path, which must hold one."""
+    strings = strings_from_bytes(data)
     if not strings:
         raise ValueError(f"empty input: {path}")
-    return strings
+    return build_from_strings(strings)
 
 
 def _load_trie(path: str) -> Trie:
@@ -94,14 +94,12 @@ def _load_trie(path: str) -> Trie:
         data = fh.read()
     if data[:4] == xidx.MAGIC:
         return xidx.invert(xidx.deserialize(data))
-    strings = strings_from_bytes(data)
-    if not strings:
-        raise ValueError(f"empty input: {path}")
-    return build_from_strings(strings)
+    return _string_trie(data, path)
 
 
 def cmd_build(args) -> int:
-    trie = build_from_strings(_load_strings(args.input))
+    with open(args.input, "rb") as fh:
+        trie = _string_trie(fh.read(), args.input)
     # every mode is accounted once, from the columns, for 'auto' and the
     # rows; one index is built
     costs = {mode: xidx.column_cost(trie, mode) for mode in xidx.MODES}

@@ -207,7 +207,7 @@ class EntropyReport:
     context_counts: tuple[int, ...]  # realized contexts per k
     r: int
     r_by_symbol: dict[int, int]
-    payloads: tuple[tuple[str, BitCost], ...]  # (mode, measured bits)
+    payloads: tuple[tuple[str, BitCost], ...]  # (mode, body bits)
     checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
 
     @property
@@ -222,7 +222,7 @@ def check_bounds(trie: Trie, max_order: int = 2,
     Checks: the worst-case-vs-H0 sandwich, monotonicity of H_k, the run
     bound r <= n H_k + sigma^(k+1) (sigma counting the sentinel), and for
     every entropy-coded back-end the block payload bound
-    total <= n H_k + sigma_eff * (l - 1) * blocksize + #blocks.  The symbol
+    payload <= n H_k + sigma_eff * (l - 1) * blocksize + #blocks.  The symbol
     distribution, H_k and l_k (:func:`entropy_profile`), the runs and the
     payloads of ``modes``, each one of ``index.MODES``, all come from the
     XBWT columns; no index or context table is built.

@@ -34,6 +34,10 @@ _VECTORS = dict(zip(MODES, (PlainBitvector, RrrVector, IdVector,
 MAGIC = b"XBWT"
 VERSION = 6
 
+# magic, version, mode, n and sigma (the sentinel counted); the alphabet,
+# the vector bodies and a CRC-32C follow
+_HEADER = struct.Struct("<4sHHQH")
+
 # A file's header can declare any n (a 39-byte ID file holds a path trie of
 # 2^40 nodes), so the operations that allocate n-entry lists refuse larger n.
 MAX_NODES = 10 ** 8
@@ -221,16 +225,16 @@ class IndexCost:
 def column_cost(trie: Trie, mode: str) -> IndexCost:
     """The cost of ``build_index(trie, mode)``, accounted from the XBWT
     columns without building a vector: each column's (block size, block
-    count, bits, body bytes) from the mode's class.  The file adds 23 +
-    sigma bytes to the bodies: the header, the alphabet with its sentinel
-    and the CRC."""
+    count, bits) from the mode's class.  The bits are the bodies, to which
+    the file adds its header, the alphabet with its sentinel and the
+    CRC."""
     cost = _vector_class(mode).column_cost
     costs = [cost(trie.n, ones) for ones in xbwt_columns(trie)]
-    return IndexCost(sum((bits for _, _, bits, _ in costs), BitCost(0, 0)),
-                     costs[-1][0] if costs else None,
-                     sum(blocks for _, blocks, _, _ in costs),
-                     22 + trie.alphabet.sigma + 1 + sum(
-                         body for *_, body in costs))
+    bits = sum((column for *_, column in costs), BitCost(0, 0))
+    return IndexCost(bits, costs[-1][0] if costs else None,
+                     sum(blocks for _, blocks, _ in costs),
+                     _HEADER.size + trie.alphabet.sigma + 1 + 4
+                     + bits.total // 8)
 
 
 def smallest_file(costs: dict[str, IndexCost]) -> str:
@@ -240,7 +244,7 @@ def smallest_file(costs: dict[str, IndexCost]) -> str:
 
 
 def index_bits(index: XbwtIndex) -> BitCost:
-    """The measured payload and overhead bits of all the index's vectors."""
+    """The payload and overhead bits of all the index's vector bodies."""
     return sum((vec.payload_bits() for vec in index.vectors), BitCost(0, 0))
 
 
@@ -504,21 +508,19 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 def serialize(index: XbwtIndex) -> bytes:
     """Magic, version, mode, n, sigma, the alphabet (sentinel first), each
     symbol's vector body, and a CRC-32C of everything before it."""
-    sigma_full = index.sigma
-    body = b"".join([MAGIC,
-                     struct.pack("<HHQH", VERSION, MODES.index(index.mode),
-                                 index.n, sigma_full),
+    body = b"".join([_HEADER.pack(MAGIC, VERSION, MODES.index(index.mode),
+                                  index.n, index.sigma),
                      bytes(index.alphabet.full()),
                      *map(serialize_bitvector, index.vectors)])
     return body + struct.pack("<I", crc32c(body))
 
 
 def deserialize(data: bytes) -> XbwtIndex:
-    if len(data) < len(MAGIC) + 4 + 10 + 4:
+    if len(data) < _HEADER.size + 4:
         raise ValueError("truncated")
-    if data[:4] != MAGIC:
+    magic, version, code, n, sigma_full = _HEADER.unpack_from(data)
+    if magic != MAGIC:
         raise ValueError("bad magic")
-    version, code = struct.unpack_from("<HH", data, 4)
     if version != VERSION:
         raise ValueError(f"version mismatch: {version}")
     # a view: a copy would add the file's size to the load's peak
@@ -528,9 +530,7 @@ def deserialize(data: bytes) -> XbwtIndex:
     if code >= len(MODES):
         raise ValueError(f"unknown mode {code}")
     mode = MODES[code]
-    off = 8
-    n, sigma_full = struct.unpack_from("<QH", body, off)
-    off += 10
+    off = _HEADER.size
     if sigma_full < 1 or off + sigma_full > len(body):
         raise ValueError("truncated")
     chars = body[off:off + sigma_full]

@@ -17,7 +17,10 @@ Four interchangeable representations of a static bitvector:
 
 Each class makes every choice an index makes of its back-end: the setting
 of a column's vector (``over_column``: fid's u, fixed-block's b, id's
-complement flag) and the column's bits and body bytes (``column_cost``).
+complement flag) and the column's bits (``column_cost``).  The bits are
+the file body's: ``payload_bits().total`` is 8 times the length of
+``serialize_bitvector``, and the rank directories that memory rebuilds at
+load (``_R``, ``_D``) are in no file and not accounted.
 
 Fid and fixed-block are one coded-block vector, ``_CodedBlocks``, at two
 settings of its block size and of g, the blocks to a word.  A file stores
@@ -78,7 +81,9 @@ _LN2 = math.log(2)
 
 @dataclass(frozen=True)
 class BitCost:
-    """Measured size split into entropy payload and directory overhead."""
+    """The bits of a vector body: the entropy payload, and the overhead,
+    everything else the body stores (size fields, counts, id's flags and
+    count, position-width slack and each stream's padding)."""
 
     payload: int
     overhead: int
@@ -138,6 +143,8 @@ def _pack_positions(m: int, ones: Iterable[int]) -> bytes:
 # the 4-byte array typecode of ID positions below 2^32; C fixes only a
 # lower bound on each item size, so it is chosen by itemsize
 _POS32 = next((t for t in "IL" if array(t).itemsize == 4), "Q")
+# an ID body's head: the complement flag and the stored-position count
+_ID_HEAD = struct.Struct("<BQ")
 
 
 def _position_width(m: int) -> int:
@@ -288,10 +295,10 @@ class Bitvector:
 
     @classmethod
     def column_cost(cls, m: int, ones: Sequence[int]
-                    ) -> tuple[int | None, int, BitCost, int]:
-        """(block size, block count, bits, body bytes) of
-        ``over_column(m, ones)``, accounted without building it; the block
-        size is None for a back-end that codes no blocks."""
+                    ) -> tuple[int | None, int, BitCost]:
+        """(block size, block count, bits) of ``over_column(m, ones)``,
+        accounted without building it; the block size is None for a
+        back-end that codes no blocks."""
         raise NotImplementedError
 
     def stored_items(self) -> int:
@@ -372,23 +379,14 @@ class PlainBitvector(_WordBlocks):
         super()._init(m, 8 * step, [0, *accumulate(map(int.bit_count, words))],
                       words)
 
-    @classmethod
-    def cost(cls, m: int) -> BitCost:
-        """m raw bits; the overhead is the word-RAM two-level directory: an
-        absolute count of ceil(log2 (m+1)) bits per ``SB_WORDS`` words and a
-        relative count per word, each directory with one more entry at its
-        end.  Memory holds one int per superblock plus ``_R``, the absolute
-        level alone."""
-        nwords = (m + cls.WORD - 1) // cls.WORD
-        sb = nwords // cls.SB_WORDS + 1
-        width_abs = max(1, m.bit_length())
-        width_rel = max(1, (cls.SB_WORDS * cls.WORD).bit_length())
-        return BitCost(m, sb * width_abs + (nwords + 1) * width_rel)
+    @staticmethod
+    def cost(m: int) -> BitCost:
+        """The body: m raw bits, padded to whole bytes."""
+        return BitCost(m, -m % 8)
 
     @classmethod
     def column_cost(cls, m, ones):
-        # the body is the m bits, padded to whole bytes
-        return None, 0, cls.cost(m), (m + 7) // 8
+        return None, 0, cls.cost(m)
 
     def payload_bits(self) -> BitCost:
         return self.cost(self.m)
@@ -405,7 +403,7 @@ class _CodedBlocks(_WordBlocks):
     of the blocks neither empty nor full, to unrank a word from on its
     first read.  A subclass names its kind, g, its file's size field
     ``SIZE_FIELD`` (holding 1..``max_size``), the size's name in a size
-    error, its ``block_size`` rule and its ``_overhead``."""
+    error and its ``block_size`` rule."""
 
     __slots__ = ("size", "counts", "entropy_block_size",
                  "entropy_block_count")
@@ -436,21 +434,20 @@ class _CodedBlocks(_WordBlocks):
 
     @classmethod
     def cost(cls, m: int, size: int, counts: Sequence[int]) -> BitCost:
-        """Each block's rank at ceil(log2 C(l, k)) bits, for a block of l
-        bits holding k ones; the overhead is the kind's ``_overhead``."""
-        return BitCost(_class_bits(m, size, counts),
-                       cls._overhead(m, size, len(counts)))
+        """The body (:func:`_pack_blocks`): the payload is each block's rank
+        at ceil(log2 C(l, k)) bits, for a block of l bits holding k ones;
+        the overhead the size field and the counts at the size's
+        bit_length, each stream padded to whole bytes."""
+        payload = _class_bits(m, size, counts)
+        counts_bytes = (len(counts) * size.bit_length() + 7) // 8
+        nbytes = cls.SIZE_FIELD.size + counts_bytes + (payload + 7) // 8
+        return BitCost(payload, 8 * nbytes - payload)
 
     @classmethod
     def column_cost(cls, m, ones):
         size = cls.block_size(m, None)
         counts = cls._column_counts(m, size, ones)
-        cost = cls.cost(m, size, counts)
-        # the body (:func:`_pack_blocks`): the size field, then the counts at
-        # the size's bit_length and the ranks, each padded to whole bytes
-        return size, len(counts), cost, (
-            cls.SIZE_FIELD.size + (len(counts) * size.bit_length() + 7) // 8
-            + (cost.payload + 7) // 8)
+        return size, len(counts), cls.cost(m, size, counts)
 
     @staticmethod
     def _column_counts(m: int, size: int, ones: Sequence[int]) -> list[int]:
@@ -491,14 +488,6 @@ class RrrVector(_CodedBlocks):
             u = (max(m, 1).bit_length() - 1) // 2
         return max(1, min(cls.max_size, u))
 
-    @classmethod
-    def _overhead(cls, m: int, u: int, nblocks: int) -> int:
-        """A class per block and a rank per superblock, with one more rank
-        at the end."""
-        nsb = max(1, -(-nblocks // cls.g))
-        return (nblocks * max(1, u.bit_length())
-                + (nsb + 1) * max(1, m.bit_length()))
-
     def stored_items(self) -> int:
         return len(self.counts)
 
@@ -537,11 +526,6 @@ class FixedBlockVector(_CodedBlocks):
         # of the bisections at its end and at the one before, in C
         ends = list(map(bisect_right, repeat(ones), range(b, m + b, b)))
         return list(map(sub, ends, [0, *ends]))
-
-    @staticmethod
-    def _overhead(m: int, b: int, nblocks: int) -> int:
-        """The directory of ranks before every block and after the last."""
-        return (nblocks + 1) * (m + 1).bit_length()
 
     def stored_items(self) -> int:
         full, tail = divmod(self.m, self.b)
@@ -619,11 +603,13 @@ class IdVector(Bitvector):
 
     @staticmethod
     def cost(m: int, ones: int, complemented: bool) -> BitCost:
-        """ceil(log2 C(m, ones)) payload; the stored positions, of the zeros
-        when complemented, take the rest of their width."""
+        """The body: the payload is ceil(log2 C(m, ones)); the overhead the
+        flags byte, the count and the stored positions' (the zeros' when
+        complemented) bits past the payload, padded to whole bytes."""
         payload = ceil_log2_comb(m, ones)
         stored = m - ones if complemented else ones
-        return BitCost(payload, stored * _position_width(m) - payload)
+        nbytes = _ID_HEAD.size + (stored * _position_width(m) + 7) // 8
+        return BitCost(payload, 8 * nbytes - payload)
 
     @staticmethod
     def _majority(m: int, ones: Sequence[int]) -> bool:
@@ -636,10 +622,7 @@ class IdVector(Bitvector):
 
     @classmethod
     def column_cost(cls, m, ones):
-        cost = cls.cost(m, len(ones), cls._majority(m, ones))
-        # the body: the flags byte, the u64 count and the stored positions,
-        # the accounted total, padded to whole bytes
-        return m, 1, cost, 9 + (cost.total + 7) // 8
+        return m, 1, cls.cost(m, len(ones), cls._majority(m, ones))
 
     def payload_bits(self) -> BitCost:
         return self.cost(self.m, self.ones, self.complemented)
@@ -923,7 +906,7 @@ def serialize_bitvector(v: Bitvector) -> bytes:
                         for w in v.children)[:(v.m + 7) // 8]
     if isinstance(v, IdVector):
         k = len(v._pos)
-        return (struct.pack("<BQ", int(v.complemented), k)
+        return (_ID_HEAD.pack(int(v.complemented), k)
                 + _pack_uniform(v._pos, _position_width(v.m)))
     if isinstance(v, _CodedBlocks):
         if not 1 <= v.size <= v.max_size:
@@ -984,8 +967,7 @@ def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
     cols = _pascal(size)
     last = m - (nblocks - 1) * size
     rows = {blen: _binomials(cols, blen) for blen in {size, last}}
-    width_of = {blen: [(c - 1).bit_length() for c in row]
-                for blen, row in rows.items()}
+    width_of = {blen: _width_row(blen) for blen in rows}
     # a count, and a width ceil(log2 C(l, k)), is at most the block size:
     # below 256, as at every fid u, both take one byte each, a chunk's
     # widths are its counts translated, and a count past the block size is
@@ -996,7 +978,7 @@ def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
         fits = bytes(range(size + 1))
         counts, widths = bytearray(), bytearray()
     else:
-        table = width_of[size] + [0] * ((1 << bw) - size - 1)
+        table = width_of[size] + (0,) * ((1 << bw) - size - 1)
         counts, widths = array(_POS32), []
     # each block's body width follows from its count; the widths are summed
     # as the counts are read, a chunk of _COUNT_CHUNK at a time, and a sum
@@ -1110,8 +1092,8 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         raw, off = _take(buf, off, (m + 7) // 8)
         return PlainBitvector._restore(m, raw), off
     if kind == "id":
-        head, off = _take(buf, off, 9)
-        flags, k = struct.unpack("<BQ", head)
+        head, off = _take(buf, off, _ID_HEAD.size)
+        flags, k = _ID_HEAD.unpack(head)
         if flags > 1:
             raise ValueError(f"bad id flags {flags}")
         if k > m:

@@ -125,7 +125,9 @@ def _words(seed, count):
                          ids=["figure", "a-b", "single", "words-5k"])
 def test_build_auto_writes_smallest_file(tmp_path, capsys, text):
     """`build` without --mode writes the smallest of the four files, the
-    first mode on a tie, and reports that mode and its size."""
+    first mode on a tie, and reports that mode and its size: 23 + sigma
+    bytes of header, alphabet and CRC, and the bodies, whose bits are the
+    mode's payload and overhead rows."""
     src = tmp_path / "in.txt"
     src.write_bytes(text)
     sizes = {}
@@ -137,6 +139,9 @@ def test_build_auto_writes_smallest_file(tmp_path, capsys, text):
                     for line in capsys.readouterr().out.splitlines())
         sizes[mode] = out.stat().st_size
         assert rows["bytes"] == str(sizes[mode])
+        kept = rows["mode"]
+        assert 8 * (sizes[mode] - 23 - int(rows["sigma"])) == \
+            int(rows[f"payload[{kept}]"]) + int(rows[f"overhead[{kept}]"])
     best = min(xbwtrie.index.MODES, key=sizes.get)
     assert rows["mode"] == best
     assert (tmp_path / "auto.xbwt").read_bytes() == \

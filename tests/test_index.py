@@ -1007,34 +1007,15 @@ def test_version_6_moved_only_fid_bodies(mode):
         assert hashlib.sha256(_as_version(data, 5)).hexdigest() == v5[mode]
 
 
-# The bits a vector body holds beyond what it accounts, all fixed-size: up
-# to 7 padding bits per packed stream (fid's classes and offsets, id's
-# positions, fixedblock's counts and block ranks), fid's u byte, id's flags
-# byte and u64 count, and fixedblock's u64 b.  A plain body's padding is
-# smaller than its accounted rank directory.  A fixed-block body holds
-# exactly its payload, each block's rank at ceil(log2 C(l, k)) bits, beside
-# its counts stream; its accounted overhead, _R, is in no file.
-FIXED_BITS = {"plain": 0, "fid": 8 + 7 + 7, "id": 8 + 64 + 7,
-              "fixedblock": 64 + 7 + 7}
-
-
-def _accounted_body_bits(vec):
-    cost = vec.payload_bits()
-    if vec.kind == "fixedblock":
-        return cost.payload + vec.entropy_block_count * vec.b.bit_length()
-    return cost.total
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_file_bits_within_accounting(fig_trie, small_tries, mode):
-    # a file is its header and CRC, 8 * (22 + sigma) bits, and the bodies
+    # a file is its header, alphabet and CRC, 8 * (22 + sigma) bits, and
+    # the bodies, whose bits are exactly the accounted payload and overhead
     corpus = build_from_strings(word_corpus(3, 2000))
     for t in [fig_trie, *small_tries, corpus]:
         idx = build_index(t, mode)
-        bound = 8 * (22 + idx.sigma) + sum(
-            _accounted_body_bits(vec) + FIXED_BITS[mode]
-            for vec in idx.vectors)
-        assert 8 * len(serialize(idx)) <= bound
+        assert 8 * len(serialize(idx)) == \
+            8 * (22 + idx.sigma) + index_bits(idx).total
 
 
 def test_backend_answers_identical(small_tries):

@@ -390,16 +390,23 @@ def test_negative_length_refused_by_every_constructor():
             make(-1, [])
 
 
-def test_rrr_overhead_is_classes_and_superblock_ranks():
+def test_accounted_bits_are_the_body():
+    """A vector's payload and overhead are its body's bits, built and
+    loaded: every ``backends`` variant, fid at every u and fixed-block at
+    b = 300 and 510, over lengths with a short last block and at densities
+    that store id's complement."""
     rng = random.Random(5)
-    for m in (1, 13, 64, 700, 5000):
-        for density in (0.0, 0.3, 0.9):
-            for u in (None, 3, 14):
-                v = RrrVector(m, _random_ones(rng, m, density), u=u)
-                nblocks = len(v.counts)
-                assert v.payload_bits().overhead == (
-                    nblocks * v.size.bit_length()
-                    + len(v._R) * m.bit_length()), (m, density, u)
+    for m in (0, 1, 7, 13, 64, 700, 5000):
+        for density in (0.0, 0.3, 0.9, 1.0):
+            ones = _random_ones(rng, m, density)
+            for v in [*backends(m, ones, heavy=True),
+                      *(RrrVector(m, ones, u) for u in range(1, 15)),
+                      *(FixedBlockVector(m, ones, b) for b in (300, 510))]:
+                body = serialize_bitvector(v)
+                back, _ = deserialize_bitvector(v.kind, m, body)
+                for w in (v, back):
+                    assert w.payload_bits().total == 8 * len(body), (
+                        v.kind, m, density, getattr(v, "size", None))
 
 
 def test_queries_checked_once_in_base_class():
@@ -635,16 +642,13 @@ def test_fixed_block_children_are_raw_words():
 
 def test_fixed_block_stored_bits():
     """A body holds b, the counts and each block's rank at exactly the
-    ceil(log2 C(l, k)) bits the payload charges, and the overhead is the
-    _R directory alone; a block counts as one stored item plus its 64-bit
-    words."""
+    ceil(log2 C(l, k)) bits the payload charges; a block counts as one
+    stored item plus its 64-bit words."""
     for v, bits in _block_vectors():
         blocks = list(_blocks_of(v, bits))
         payload = sum(ceil_log2_comb(blen, k) for blen, k, _ in blocks)
         items = sum(1 + (blen + 63) // 64 for blen, _, _ in blocks)
-        cost = v.payload_bits()
-        assert cost.payload == payload
-        assert cost.overhead == (len(blocks) + 1) * (v.m + 1).bit_length()
+        assert v.payload_bits().payload == payload
         body = serialize_bitvector(v)
         assert len(body) == (8 + (len(blocks) * v.b.bit_length() + 7) // 8
                              + (payload + 7) // 8)
