@@ -80,26 +80,21 @@ def _emit(rows: list[tuple[str, ...]], fmt: str, out) -> None:
                   file=out)
 
 
-def _string_trie(data: bytes, path: str) -> Trie:
-    """The trie of the string set read from path, which must hold one."""
+def _load_trie(path: str) -> Trie:
+    """The trie of a string set, which must hold one string, or of an index
+    file by inversion."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] == xidx.MAGIC:
+        return xidx.invert(xidx.deserialize(data))
     strings = strings_from_bytes(data)
     if not strings:
         raise ValueError(f"empty input: {path}")
     return build_from_strings(strings)
 
 
-def _load_trie(path: str) -> Trie:
-    """The trie of a string set, or of an index file by inversion."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] == xidx.MAGIC:
-        return xidx.invert(xidx.deserialize(data))
-    return _string_trie(data, path)
-
-
 def cmd_build(args) -> int:
-    with open(args.input, "rb") as fh:
-        trie = _string_trie(fh.read(), args.input)
+    trie = _load_trie(args.input)
     # every mode is accounted once, from the columns, for 'auto' and the
     # rows; one index is built
     costs = {mode: xidx.column_cost(trie, mode) for mode in xidx.MODES}
@@ -231,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("table", "tsv", "json-lines"),
                            default="table")
 
-    p = sub.add_parser("build", help="index a newline-delimited string set")
+    p = sub.add_parser("build", help="index a string set or re-index an index")
     p.add_argument("input")
     p.add_argument("--output", required=True)
     common(p)

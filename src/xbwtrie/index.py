@@ -7,7 +7,8 @@ each symbol's block of incoming edges.
 The sort and the per-symbol columns are derived once per trie
 (:func:`xbwt_columns`) and shared by every back-end and every report.  The
 mode's vector class builds and accounts each column (:mod:`.succinct`), so
-this module names no back-end past ``MODES``.
+this module names no back-end: ``MODES`` is the kinds of
+``succinct.VECTORS``.
 A pattern is matched by forward search: one rank-pair per symbol maps the
 interval of nodes reached by p to the interval reached by p plus one symbol.
 The intervals of all patterns of length at most k are precomputed on the
@@ -21,15 +22,12 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 
-from .succinct import (BitCost, Bitvector, FixedBlockVector, IdVector,
-                       PlainBitvector, RrrVector, deserialize_bitvector,
+from .succinct import (VECTORS, BitCost, Bitvector, deserialize_bitvector,
                        serialize_bitvector)
 from .trie import Alphabet, Trie, colex_order
 
 # a file stores a mode by position; every vector's kind is its index's mode
-MODES = ("plain", "fid", "id", "fixedblock")
-_VECTORS = dict(zip(MODES, (PlainBitvector, RrrVector, IdVector,
-                            FixedBlockVector)))
+MODES = tuple(VECTORS)
 
 MAGIC = b"XBWT"
 VERSION = 6
@@ -192,7 +190,7 @@ def _vector_class(mode: str) -> type[Bitvector]:
     """The mode's vector class; 'auto' names no class and is refused."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return _VECTORS[mode]
+    return VECTORS[mode]
 
 
 def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:

@@ -15,6 +15,7 @@ Four interchangeable representations of a static bitvector:
 * ``FixedBlockVector`` -- b-bit blocks (b about (log2 m)^2) read one to a
                           word, plus the rank before every block.
 
+``VECTORS`` lists them once, by kind, in the order a file numbers them.
 Each class makes every choice an index makes of its back-end: the setting
 of a column's vector (``over_column``: fid's u, fixed-block's b, id's
 complement flag) and the column's bits (``column_cost``).  The bits are
@@ -58,9 +59,9 @@ flag array in one C-level ``map``, and its m-bit bitmap is gathered from
 every eighth flag; the fid and fixed-block constructors cut their blocks
 from it with the lane reader and count their ones with one popcount
 ``bytes.translate``.  The lane writer ``_pack_uniform``, the exact inverse
-of the lane reader, writes the block counts and the id positions; the
-block ranks are one bit string per distinct block, joined once and read as
-one int.
+of the lane reader, writes every stream of one width, the block counts and
+the id positions at each width a file holds; the block ranks are one bit
+string per distinct block, joined once and read as one int.
 """
 from __future__ import annotations
 
@@ -251,13 +252,21 @@ class Bitvector:
     def access(self, i: int) -> int:
         if not 1 <= i <= self.m:
             raise ValueError("position out of range")
-        return self._access(i)
+        return self._rank(i) - self._rank(i - 1)
 
     def select(self, i: int) -> int:
-        """Position of the i-th one."""
+        """Position of the i-th one: the first position whose rank reaches
+        i, by binary search over 1..m."""
         if not 1 <= i <= self.ones:
             raise ValueError("select index out of range")
-        return self._select(i)
+        lo, hi = 1, self.m
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if self._rank(mid) < i:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     def prank(self, i: int) -> int:
         """rank(i) when position i holds a 1, else -1."""
@@ -267,22 +276,6 @@ class Bitvector:
         """rank(i) without the argument check: i must lie in 0..m.  The one
         query a back-end supplies; access and select derive from it."""
         raise NotImplementedError
-
-    def _access(self, i: int) -> int:
-        """access(i) without the argument check: i must lie in 1..m."""
-        return self._rank(i) - self._rank(i - 1)
-
-    def _select(self, i: int) -> int:
-        """select(i) without the argument check: i must lie in 1..ones.  The
-        first position whose rank reaches i, by binary search over 1..m."""
-        lo, hi = 1, self.m
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if self._rank(mid) < i:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
 
     def payload_bits(self) -> BitCost:
         raise NotImplementedError
@@ -631,30 +624,20 @@ class IdVector(Bitvector):
         return len(self._pos)
 
 
+# every back-end by its kind, in the order a file numbers the modes
+VECTORS: dict[str, type[Bitvector]] = {
+    cls.kind: cls
+    for cls in (PlainBitvector, RrrVector, IdVector, FixedBlockVector)}
+
+
 # ---------------------------------------------------------------------------
 # serialization: a vector's body alone; its kind and length come from the
 # caller, and every size inside the body follows from them
 # ---------------------------------------------------------------------------
 
-def _pack_bitstream(values: Sequence[int], widths: Sequence[int]) -> bytes:
-    """Values LSB-first at the given bit widths, in ceil(sum/8) bytes."""
-    out = bytearray()
-    acc = 0
-    at = 0  # bits pending in acc
-    for v, w in zip(values, widths):
-        acc |= v << at
-        at += w
-        while at >= 64:
-            out += (acc & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-            acc >>= 64
-            at -= 64
-    out += acc.to_bytes((at + 7) // 8, "little")
-    return bytes(out)
-
-
 def _unpack_bitstream(data: bytes, widths: Sequence[int]) -> list[int]:
-    """Inverse of :func:`_pack_bitstream`; the stream must be exactly
-    ceil(sum/8) bytes with zero padding bits."""
+    """The values LSB-first at the given bit widths, read one by one; the
+    stream must be exactly ceil(sum/8) bytes with zero padding bits."""
     total = sum(widths)
     if total > len(data) * 8:
         raise ValueError("truncated")
@@ -746,10 +729,12 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
 
 
 def _pack_uniform(values: Sequence[int], w: int) -> bytes:
-    """``_pack_bitstream(values, [w] * len(values))`` for one width w >= 1
-    and values below 2^w, given as ``bytes``, an ``array`` of unsigned
-    items or a list: the inverse of :func:`_unpack_uniform`.  Past 57 bits
-    the stream is written by :func:`_pack_bitstream`.
+    """The values LSB-first at one width w >= 1, padded with zero bits to a
+    whole byte: the inverse of :func:`_unpack_uniform`.  The values lie
+    below 2^min(w, 64) and come as ``bytes``, an ``array`` of unsigned
+    items or a list.  Every width a file holds, 1..65, is written here: the
+    widest is an id position's at m = 2^64 - 1, and the position is at most
+    m, so the values of every width fit 8-byte items.
 
     Value j of every full group of 8 lies at bit j * w of the group's w
     bytes, so each of the 8 slots is written in C for all groups at once:
@@ -759,8 +744,6 @@ def _pack_uniform(values: Sequence[int], w: int) -> bytes:
     Only the tail group, of fewer than 8 values, is written value by
     value."""
     k = len(values)
-    if w > 57:
-        return _pack_bitstream(values, [w] * k)
     if not isinstance(values, (bytes, bytearray, array)):
         values = array("B" if w <= 8 else _POS32 if w <= 32 else "Q", values)
     item = values.itemsize if isinstance(values, array) else 1
@@ -1088,10 +1071,13 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
     is allocated or looped over.  Returns the vector and the offset just
     past its body.
     """
-    if kind == "plain":
+    cls = VECTORS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown back-end {kind!r}")
+    if cls is PlainBitvector:
         raw, off = _take(buf, off, (m + 7) // 8)
-        return PlainBitvector._restore(m, raw), off
-    if kind == "id":
+        return cls._restore(m, raw), off
+    if cls is IdVector:
         head, off = _take(buf, off, _ID_HEAD.size)
         flags, k = _ID_HEAD.unpack(head)
         if flags > 1:
@@ -1101,10 +1087,7 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         width = _position_width(m)
         stream, off = _take(buf, off, (k * width + 7) // 8)
         pos = _unpack_uniform(stream, width, k)
-        return IdVector._restore(m, pos, bool(flags)), off
-    cls = {"fid": RrrVector, "fixedblock": FixedBlockVector}.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown back-end {kind!r}")
+        return cls._restore(m, pos, bool(flags)), off
     head, off = _take(buf, off, cls.SIZE_FIELD.size)
     (size,) = cls.SIZE_FIELD.unpack(head)
     if not 1 <= size <= cls.max_size:

@@ -1,5 +1,6 @@
 """The fid block codec of file versions 3 to 5, the per-one cut of a
-vector into words and blocks, and two small helpers.
+vector into words and blocks, the per-value stream writer, and two small
+helpers.
 
 Those versions stored a fid block's offset as the lexicographic rank of its
 bit string among the strings of its class; version 6 stores the
@@ -10,7 +11,9 @@ compare against the hashes the older versions recorded.
 
 The cut sets one bit per one-position and reads each word and block as a
 shift of the packed bytes: the referee of the constructors, which pack the
-positions through a flag array and cut the blocks in lanes.
+positions through a flag array and cut the blocks in lanes.  The stream
+writer packs one value at a time, at any mix of widths: the referee of the
+lane writer, and the tool of the tests that hand-build vector bodies.
 """
 import math
 from itertools import accumulate
@@ -92,3 +95,19 @@ def split_words(words, m: int, size: int, g: int) -> list[int]:
     nwords = -(-m // (g * size))
     return [(w >> s) & mask for w in map(words.__getitem__, range(nwords))
             for s in shifts][:-(-m // size)]
+
+
+def pack_bitstream(values, widths) -> bytes:
+    """Values LSB-first at the given bit widths, in ceil(sum/8) bytes."""
+    out = bytearray()
+    acc = 0
+    at = 0  # bits pending in acc
+    for v, w in zip(values, widths):
+        acc |= v << at
+        at += w
+        while at >= 64:
+            out += (acc & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+            acc >>= 64
+            at -= 64
+    out += acc.to_bytes((at + 7) // 8, "little")
+    return bytes(out)

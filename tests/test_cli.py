@@ -148,6 +148,43 @@ def test_build_auto_writes_smallest_file(tmp_path, capsys, text):
         (tmp_path / f"{best}.xbwt").read_bytes()
 
 
+def test_build_reindexes_an_index_file(tmp_path, capsys):
+    """`build` on an index file indexes the trie the file holds: each
+    mode's file re-indexed into each mode is, byte for byte, the file and
+    the rows the string set builds.  A file whose trie is too large to
+    invert, the 42-byte id file declaring n = 2^64 - 1, is refused with one
+    error line and no output file."""
+    from xbwtrie.succinct import IdVector
+    src = tmp_path / "words.txt"
+    src.write_bytes(_words(1, 2000))
+    built = {}
+    for mode in xbwtrie.index.MODES:
+        out = tmp_path / f"{mode}.xbwt"
+        assert main(["build", str(src), "--output", str(out), "--mode", mode,
+                     "--format", "tsv"]) == 0
+        built[mode] = out.read_bytes(), capsys.readouterr().out
+    for source in xbwtrie.index.MODES:
+        for mode, (data, rows) in built.items():
+            out = tmp_path / "again.xbwt"
+            assert main(["build", str(tmp_path / f"{source}.xbwt"), "--output",
+                         str(out), "--mode", mode, "--format", "tsv"]) == 0
+            assert (out.read_bytes(), capsys.readouterr().out) == \
+                (data, rows), (source, mode)
+    n = 2 ** 64 - 1
+    body = (xbwtrie.index.MAGIC
+            + struct.pack("<HHQH", xbwtrie.index.VERSION,
+                          xbwtrie.index.MODES.index("id"), n, 2)
+            + b"\x00a" + serialize_bitvector(IdVector._restore(n, [n], True)))
+    path = tmp_path / "max.xbwt"
+    path.write_bytes(_with_crc(body))
+    assert path.stat().st_size == 42
+    out = tmp_path / "max-again.xbwt"
+    assert main(["build", str(path), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: index too large\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_build_trailing_newline_only(tmp_path, capsys):
     src = tmp_path / "empty_string.txt"
     src.write_bytes(b"\n")

@@ -11,13 +11,13 @@ from xbwtrie import (NodeInterval, build_from_strings, build_index,
 from xbwtrie.index import (_crc_lanes, _crc_shift, _head_table,
                            column_cost, crc32c, index_bits,
                            xbwt_columns)
-from xbwtrie.succinct import (IdVector, _pack_bitstream, ceil_log2_comb,
+from xbwtrie.succinct import (VECTORS, Bitvector, IdVector, ceil_log2_comb,
                               deserialize_bitvector, serialize_bitvector)
 
 from conftest import (complete_binary, ranked_blocks, word_corpus,
                       zero_weight_symbol_file)
 from construction_oracles import per_node_columns
-from succinct_oracles import block_lens, encode_block
+from succinct_oracles import block_lens, encode_block, pack_bitstream
 
 MODES = ("plain", "fid", "id", "fixedblock")
 
@@ -565,6 +565,18 @@ def test_run_bound_on_random_tries(small_tries):
             assert r <= t.n * hk(t, k) + sigma_full ** (k + 1) + 1e-6
 
 
+def test_one_backend_table():
+    """The back-ends are listed once, in succinct.VECTORS by kind and in
+    file mode order: the index's MODES are its keys, and the index module
+    binds no vector class of its own."""
+    assert tuple(VECTORS) == xbwtrie.index.MODES == MODES
+    for kind, cls in VECTORS.items():
+        assert cls.kind == kind
+    assert not [name for name, value in vars(xbwtrie.index).items()
+                if isinstance(value, type) and issubclass(value, Bitvector)
+                and value is not Bitvector]
+
+
 def test_auto_mode_selection(fig_trie, small_tries):
     """'auto' is the mode with the smallest file, the first in MODES on a
     tie."""
@@ -911,7 +923,7 @@ def _lexicographic_fid_body(body: bytes, m: int) -> bytes:
     assert bytes(cls for cls, _ in codes) == v.counts
     widths = [ceil_log2_comb(blen, cls) for blen, (cls, _) in zip(lens, codes)]
     assert len(body) - head == (sum(widths) + 7) // 8
-    return body[:head] + _pack_bitstream([off for _, off in codes], widths)
+    return body[:head] + pack_bitstream([off for _, off in codes], widths)
 
 
 def _as_version(data: bytes, version: int) -> bytes:

@@ -7,15 +7,15 @@ from itertools import accumulate
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (Bitvector, _pack_bitstream, _pack_positions,
-                              _pack_uniform, _unpack_bitstream,
-                              _unpack_uniform, ceil_log2_comb,
-                              deserialize_bitvector, serialize_bitvector)
+from xbwtrie.succinct import (Bitvector, _pack_positions, _pack_uniform,
+                              _unpack_bitstream, _unpack_uniform,
+                              ceil_log2_comb, deserialize_bitvector,
+                              serialize_bitvector)
 
 from conftest import ranked_blocks
 from succinct_oracles import (block_lens, block_words, decode_block,
-                              encode_block, pack_positions, parse_bits,
-                              split_words)
+                              encode_block, pack_bitstream, pack_positions,
+                              parse_bits, split_words)
 
 B_B = "1010010"   # out-edge vector of the middle symbol in the figure index
 B_A = "0000100"
@@ -137,7 +137,7 @@ def test_rrr_loader_checks_every_class():
     is read, in a full block and in the short last block."""
     # m = 7, u = 4: classes at 3 bits, then the offsets
     for classes in ([5, 1], [2, 4]):
-        body = b"\x04" + _pack_bitstream(classes, [3, 3]) + bytes(2)
+        body = b"\x04" + pack_bitstream(classes, [3, 3]) + bytes(2)
         with pytest.raises(ValueError,
                            match="^more stored positions than bits$"):
             deserialize_bitvector("fid", 7, body)
@@ -410,9 +410,9 @@ def test_accounted_bits_are_the_body():
 
 
 def test_queries_checked_once_in_base_class():
-    """Back-ends supply only the unchecked _rank, from which Bitvector
-    derives _access and _select; plain, fid and fixed-block share one
-    word-block rank and one bulk read."""
+    """Back-ends supply only the unchecked _rank, from which Bitvector's
+    access and select derive, each one entry with no unchecked twin; plain,
+    fid and fixed-block share one word-block rank and one bulk read."""
     leaves, todo = set(), [Bitvector]
     while todo:
         cls = todo.pop()
@@ -427,8 +427,7 @@ def test_queries_checked_once_in_base_class():
             assert not set(vars(base)) & {"rank", "access", "select",
                                           "prank"}, base
         assert cls._rank is not Bitvector._rank, cls
-        for name in ("_access", "_select"):
-            assert getattr(cls, name) is getattr(Bitvector, name), cls
+        assert not hasattr(cls, "_access") and not hasattr(cls, "_select")
     for name in ("_rank", "one_positions"):
         assert getattr(PlainBitvector, name) is getattr(RrrVector, name) \
             is getattr(FixedBlockVector, name)
@@ -687,8 +686,8 @@ def test_fixed_block_body_is_combination_rank():
 def _fixed_block_body(b, counts, ranks, widths):
     import struct
     return (struct.pack("<Q", b)
-            + _pack_bitstream(counts, [b.bit_length()] * len(counts))
-            + _pack_bitstream(ranks, widths))
+            + pack_bitstream(counts, [b.bit_length()] * len(counts))
+            + pack_bitstream(ranks, widths))
 
 
 def test_fixed_block_rank_checked():
@@ -737,7 +736,7 @@ def test_fixed_block_counts_checked_in_block_order():
             ([3, 4], bytes(2), "more stored positions than bits"),
             ([3, 15], b"", "truncated"),
             ([3, 1], b"", "truncated")):
-        body = struct.pack("<Q", 10) + _pack_bitstream(counts, [4, 4]) + tail
+        body = struct.pack("<Q", 10) + pack_bitstream(counts, [4, 4]) + tail
         with pytest.raises(ValueError, match=f"^{message}$"):
             deserialize_bitvector("fixedblock", 13, body)
 
@@ -1098,7 +1097,7 @@ def test_bitstream_round_trip():
     for w in range(1, 66):
         for count in UNIFORM_COUNTS:
             values = [rng.getrandbits(w) for _ in range(count)]
-            data = _pack_bitstream(values, [w] * count)
+            data = pack_bitstream(values, [w] * count)
             assert _unpack_bitstream(data, [w] * count) == values
             assert list(_unpack_uniform(data, w, count)) == values
             assert list(_unpack_uniform(memoryview(data), w, count)) == values
@@ -1106,13 +1105,13 @@ def test_bitstream_round_trip():
         for count in (0, 1, 7, 8, 9, 100):
             widths = [w] * count
             values = [rng.getrandbits(w) for _ in widths]
-            data = _pack_bitstream(values, widths)
+            data = pack_bitstream(values, widths)
             assert data == _reference_pack(values, widths)
             assert _unpack_bitstream(data, widths) == values
     for _ in range(50):  # mixed widths, as in an RRR offset section
         widths = [rng.randint(0, 24) for _ in range(rng.randint(0, 200))]
         values = [rng.getrandbits(w) for w in widths]
-        data = _pack_bitstream(values, widths)
+        data = pack_bitstream(values, widths)
         assert data == _reference_pack(values, widths)
         assert _unpack_bitstream(data, widths) == values
 
@@ -1133,7 +1132,7 @@ def test_bitstream_rejects_bad_streams():
     or, when the values end on a byte, a bit in a byte past the last full
     group."""
     widths = [5, 5, 5]
-    data = _pack_bitstream([31, 0, 17], widths)  # 15 bits in 2 bytes
+    data = pack_bitstream([31, 0, 17], widths)  # 15 bits in 2 bytes
     with pytest.raises(ValueError, match="truncated"):
         _unpack_bitstream(data[:1], widths)
     with pytest.raises(ValueError, match="length"):
@@ -1143,8 +1142,8 @@ def test_bitstream_rejects_bad_streams():
     rng = random.Random(15)
     for w in range(1, 66):
         for count in UNIFORM_COUNTS:
-            data = _pack_bitstream([rng.getrandbits(w) for _ in range(count)],
-                                   [w] * count)
+            data = pack_bitstream([rng.getrandbits(w) for _ in range(count)],
+                                  [w] * count)
             bad = {"bad bitstream length": [data + b"\x00", data + b"\x80"]}
             if data:
                 bad["truncated"] = [data[:-1]]
@@ -1173,16 +1172,17 @@ LANE_COUNTS = (*range(18), *range(8000, 8008))
 def test_pack_uniform_is_the_lane_inverse():
     """The lane writer writes, byte for byte, what the per-value writer
     writes, and the lane reader reads it back: at every width a file holds,
-    1..65 (past 57 through the per-value writer), at every count of
-    ``LANE_COUNTS``, from a list, from arrays of the narrowest item and of
-    8-byte items, and from bytes."""
+    1..65, at every count of ``LANE_COUNTS``, from a list, from arrays of
+    the narrowest item and of 8-byte items, and from bytes.  At w = 65 the
+    values lie below 2^64, as the positions an id body at m = 2^64 - 1
+    holds do."""
     rng = random.Random(33)
     for w in range(1, 66):
         narrowest = next((t for t in "BHIQ" if 8 * array(t).itemsize >= w),
                          None)
         for k in LANE_COUNTS:
-            values = [rng.getrandbits(w) for _ in range(k)]
-            data = _pack_bitstream(values, [w] * k)
+            values = [rng.getrandbits(min(w, 64)) for _ in range(k)]
+            data = pack_bitstream(values, [w] * k)
             inputs = [values]
             if narrowest:
                 inputs += [array(narrowest, values), array("Q", values)]
@@ -1191,7 +1191,7 @@ def test_pack_uniform_is_the_lane_inverse():
             assert list(_unpack_uniform(data, w, k)) == values
             small = [v & 255 for v in values]  # values a bytes object holds
             assert _pack_uniform(bytes(small), w) == \
-                _pack_bitstream(small, [w] * k), (w, k)
+                pack_bitstream(small, [w] * k), (w, k)
 
 
 def test_pack_positions_contract():
@@ -1271,7 +1271,7 @@ def test_huge_header_length_checked_before_allocating():
     # with no list of 2^22 counts or widths
     import tracemalloc
     b = 510
-    counts = _pack_bitstream([1] * 8, [9] * 8) * (2 ** 19)  # 8 per 9 bytes
+    counts = pack_bitstream([1] * 8, [9] * 8) * (2 ** 19)  # 8 per 9 bytes
     data = struct.pack("<Q", b) + counts
     del counts
     tracemalloc.start()
