@@ -81,11 +81,11 @@ def _emit(rows: list[tuple[str, ...]], fmt: str, out) -> None:
 
 
 def _load_trie(path: str) -> Trie:
-    """The trie of a string set, which must hold one string, or of an index
-    file by inversion."""
+    """The trie of a string set, which must hold one string, or by inversion
+    of an index file: ``XBWT`` then 0, the version's high byte, at byte 6."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] == xidx.MAGIC:
+    if data[:4] == xidx.MAGIC and data[5:6] == b"\0":
         return xidx.invert(xidx.deserialize(data))
     strings = strings_from_bytes(data)
     if not strings:

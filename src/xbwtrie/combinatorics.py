@@ -236,11 +236,8 @@ def enumerate_tries(dist: SymbolDistribution,
                 continue
             size = mask_sizes[m]
             nxt = avail - (1 if i > 0 else 0) + size
+            # at most n - 1 edges are used, so nxt <= n - 1 - i, 0 at n - 1
             if i < n - 1 and nxt < 1:
-                continue
-            if nxt > n - 1 - i:
-                continue
-            if i == n - 1 and nxt != 0:
                 continue
             rows = mask_rows[m]
             now_spent = spent

@@ -17,6 +17,7 @@ first count, so a query starts its search k symbols in.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -157,7 +158,7 @@ def _head_table(index: XbwtIndex) -> dict[bytes, tuple[int, int]]:
 
 
 def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
-    """The XBWT of the trie, computed once and kept on it.
+    """The XBWT of the trie, derived once and kept on it, or set by invert.
 
     One tuple per symbol, in alphabet order, holding the ascending 1-based
     co-lex positions of the nodes with an out-edge labeled by that symbol:
@@ -345,7 +346,8 @@ def leaf_run_count(index: XbwtIndex) -> int:
 
 
 def invert(index: XbwtIndex) -> Trie:
-    """Rebuild the unique trie whose XBWT matches the stored vectors.
+    """Rebuild the unique trie whose XBWT matches the stored vectors; their
+    one-positions are kept on it as its :func:`xbwt_columns`.
 
     The children reached by symbol c occupy co-lex ranks C[c]+1 .. C[c]+n_c
     in order of their parents' ranks, so the parents are B_c's one-positions.
@@ -354,20 +356,21 @@ def invert(index: XbwtIndex) -> Trie:
     these first-child/next-sibling lists from rank 1 then numbers the nodes
     in pre-order.  Rank 1 is no node's child and every other rank is linked
     once, so the walk visits a node at most once, and it misses one exactly
-    when a cycle cuts it off from the root.
+    when a cycle cuts it off from the root.  The ranks are then the trie's
+    co-lex order (induction on depth), so the vectors are its XBWT.
     """
     _check_size(index)
     n = index.n
     # first[r], nxt[r], sym[r]: first child, next sibling and label of the
-    # rank-r node, 0 for none
-    first = [0] * (n + 1)
-    nxt = [0] * (n + 1)
-    sym = [0] * (n + 1)
+    # rank-r node, 0 for none; unboxed to save memory (n <= MAX_NODES < 2^31)
+    first = array("i", [0]) * (n + 1)
+    nxt = array("i", [0]) * (n + 1)
+    sym = bytearray(n + 1)
     symbols = index.alphabet.symbols
+    cols = tuple(tuple(vec.one_positions()) for vec in index.vectors)
     for i in reversed(range(len(symbols))):
         c = symbols[i]
-        for child, p in enumerate(index.vectors[i].one_positions(),
-                                  start=index.c_array[i + 1] + 1):
+        for child, p in enumerate(cols[i], start=index.c_array[i + 1] + 1):
             nxt[child] = first[p]
             first[p] = child
             sym[child] = c
@@ -390,10 +393,11 @@ def invert(index: XbwtIndex) -> Trie:
     del first, nxt, sym  # before Trie copies parent and label
     if len(parent) != n:
         raise ValueError("not a valid XBWT")
-    try:
-        return Trie(parent, label)
-    except ValueError as exc:
-        raise ValueError("not a valid XBWT") from exc
+    # pre-order ids, and children in label order with distinct labels (a
+    # column's one-positions strictly increase): all Trie() would check
+    trie = Trie._trusted(parent, label)
+    trie._xbwt = cols
+    return trie
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ class Trie:
         # filled in on first use by the children property and by paths
         self._children: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._paths: tuple[bytes, ...] | None = None
-        # XBWT columns, filled in once by index.xbwt_columns
+        # XBWT columns, filled in once by index.xbwt_columns or index.invert
         self._xbwt: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
@@ -157,7 +157,7 @@ class Trie:
         """Rebuild a trie from the out-label sets of its pre-order nodes.
 
         Node i+1 in pre-order attaches to the deepest pending edge on the
-        left, i.e. the most recent node that still has unused out-labels.
+        left: the stack's top, pushed with out-labels, popped at its last.
         The walk gives pre-order ids and each node's labels in ascending
         order, so only their distinctness is left to check.
         """
@@ -169,8 +169,6 @@ class Trie:
         stack: list[list] = []
         for v in range(n):
             if v > 0:
-                while stack and stack[-1][2] >= len(stack[-1][1]):
-                    stack.pop()
                 if not stack:
                     raise ValueError("out-degree sequence leaves node unattached")
                 top = stack[-1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -566,3 +567,57 @@ def test_dump_height_one_binary(tmp_path, capsys):
     assert main(["dump", str(src)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "100" and out[1] == "100"
+
+
+def test_non_byte_pattern_character():
+    with pytest.raises(ValueError, match="non-byte character 'Ā'"):
+        parse_pattern("Ā")
+
+
+def test_verify_reports_a_failing_distribution(capsys, monkeypatch):
+    """A distribution whose check fails gets a FAIL line on stderr, its
+    sweep row counts it, and the run exits 1."""
+    real = xbwtrie.combinatorics.verify_distribution
+    monkeypatch.setattr(
+        xbwtrie.combinatorics, "verify_distribution",
+        lambda dist, cap: dataclasses.replace(real(dist, cap),
+                                              rotations_ok=dist.n != 2))
+    assert main(["verify", "2", "1", "--format", "tsv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("FAIL n=2 counts=(1,) formula=1 matrices=2 "
+                            "tries=1\n")
+    assert captured.out.splitlines()[-2:] == [
+        "sweep[n=2,sigma=1]\t-\tdists=1 matrices=2 tries=1 failures=1",
+        "check\tverify\tfail\t0"]
+
+
+@pytest.mark.parametrize("data, n", [(b"XBWTa\nab\n", 8), (b"XBWT\n", 5),
+                                     (V5_FIXEDBLOCK_FILE, None)],
+                         ids=["prefixed-set", "one-line-set", "version-5"])
+def test_index_file_has_version_high_byte_zero(tmp_path, capsys, data, n):
+    """An input is an index file when it starts with XBWT and its sixth
+    byte, the high byte of the u16 version, is 0: a string set that starts
+    with XBWT is built, statted and dumped as one, and a version-5 file
+    is still refused by its version."""
+    source = tmp_path / "input"
+    source.write_bytes(data)
+    index_file = str(tmp_path / "input.xbwt")
+    commands = [["build", str(source), "--output", index_file, "--format",
+                 "tsv"], ["stats", str(source)], ["dump", str(source)]]
+    if n is None:
+        for argv in commands:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: version mismatch: 5\n"
+        return
+    assert main(commands[0]) == 0
+    assert f"n\t-\t{n}\n" in capsys.readouterr().out
+    first = data.split(b"\n")[0].decode()
+    assert main(["count", index_file, first]) == 0
+    assert capsys.readouterr().out == f"{first}\t1\n"
+    # the set and the index file it builds report and dump one trie
+    for command in ("stats", "dump"):
+        outputs = []
+        for path in (str(source), index_file):
+            assert main([command, path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

@@ -389,3 +389,31 @@ def test_format_matrix_figure():
                 "D: 0 1 -1 0 1 -1 -1\n"
                 "L: 0 1 0 0 1 0 -1")
     assert format_matrix(mat(BOTTOM)) == expected
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: DegreeMatrix(0, 1, (), ()),
+                 "sigma and n must be positive", id="sigma-0"),
+    pytest.param(lambda: DegreeMatrix(1, 2, (1, 1), (97,)),
+                 "need one row and one symbol per character", id="rows"),
+    pytest.param(lambda: DegreeMatrix(2, 2, (1, 0), (98, 97)),
+                 "symbols must be strictly increasing", id="unsorted"),
+    pytest.param(lambda: DegreeMatrix(1, 2, (0b100,), (97,)),
+                 "row bits exceed n columns", id="bit-at-n"),
+    pytest.param(lambda: DegreeMatrix(1, 2, (0b1000,), (97,)),
+                 "row bits exceed n columns", id="bit-past-n"),
+    pytest.param(lambda: DegreeMatrix(1, 3, (0b1,), (97,)),
+                 "total ones must be n - 1", id="weights"),
+    pytest.param(lambda: is_lukasiewicz([]), "sequence must be nonempty",
+                 id="lukasiewicz-empty"),
+    pytest.param(lambda: rotate(mat(BOTTOM), -1),
+                 "rotation must be nonnegative", id="rotate-negative"),
+    pytest.param(lambda: next(enumerate_tries(SymbolDistribution(1,
+                                                                 (0,) * 17))),
+                 "enumeration too large", id="sigma-17"),
+    pytest.param(lambda: count_all_tries(0, 1),
+                 "n and sigma must be positive", id="count-all-n-0"),
+])
+def test_argument_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -311,3 +311,16 @@ def test_report_rows_format(fig_trie):
     assert any(r[1] == "hwc" for r in rows)
     checks = [r for r in rows if r[0] == "check"]
     assert checks and all(r[2] in ("pass", "fail") for r in checks)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda t: ent.log2_comb(3, 4), "k out of range",
+                 id="log2-comb"),
+    pytest.param(lambda t: context_table(t, -1), "k must be nonnegative",
+                 id="context-table"),
+    pytest.param(lambda t: check_bounds(t, -1),
+                 "max order must be nonnegative", id="check-bounds"),
+])
+def test_argument_errors(fig_trie, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(fig_trie)

@@ -1,13 +1,14 @@
 import hashlib
 import random
+import struct
 
 import pytest
 
 import xbwtrie.index
-from xbwtrie import (NodeInterval, build_from_strings, build_index,
-                     check_bounds, count, deserialize, forward_step, invert,
-                     leaf_run_count, naive_count, random_trie, run_count,
-                     serialize)
+from xbwtrie import (NodeInterval, Trie, XbwtIndex, build_from_strings,
+                     build_index, check_bounds, count, deserialize,
+                     forward_step, invert, leaf_run_count, naive_count,
+                     random_trie, run_count, serialize)
 from xbwtrie.index import (_crc_lanes, _crc_shift, _head_table,
                            column_cost, crc32c, index_bits,
                            xbwt_columns)
@@ -143,6 +144,74 @@ def test_invert_rejects_malformed():
                       (PlainBitvector(3, (3,)), PlainBitvector(3, (2,))))
     with pytest.raises(ValueError, match="not a valid XBWT"):
         invert(cycle)
+
+
+def test_invert_keeps_the_file_columns(small_tries):
+    """invert builds its trie trusted and keeps the vectors' one-positions
+    as its columns: both equal what the checked constructor and a co-lex
+    sort give."""
+    for t in small_tries:
+        for mode in MODES:
+            got = invert(build_index(t, mode))
+            checked = Trie(t.parent, t.label)
+            assert checked == got
+            assert got._xbwt == xbwt_columns(checked)
+
+
+def _bit_flips(data: bytes):
+    """Every single-bit flip of the bytes before the CRC, the CRC
+    recomputed."""
+    body = bytearray(data[:-4])
+    for i in range(len(body)):
+        for bit in range(8):
+            body[i] ^= 1 << bit
+            yield bytes(body) + struct.pack("<I", crc32c(body))
+            body[i] ^= 1 << bit
+
+
+def test_inverted_mutants_pass_the_checked_constructor():
+    """Every single-bit mutant of 30 seeded tries' files, in every mode,
+    that loads and inverts is a trie the checked constructor accepts, and
+    the file's columns are that trie's XBWT: the trusted build accepts
+    nothing ``Trie(parent, label)`` would refuse."""
+    rng = random.Random(34)
+    inverted = 0
+    for _ in range(30):
+        t = random_trie(rng, 40, 5)
+        for mode in MODES:
+            for data in _bit_flips(serialize(build_index(t, mode))):
+                try:
+                    got = invert(deserialize(data))
+                except ValueError:
+                    continue
+                inverted += 1
+                checked = Trie(got.parent, got.label)
+                assert checked == got
+                assert got._xbwt == xbwt_columns(checked)
+    assert inverted > 2000
+
+
+@pytest.mark.parametrize("command", ["build", "stats"])
+def test_index_file_input_takes_no_colex_sort(tmp_path, monkeypatch, capsys,
+                                              command):
+    """`stats` and `build` read an index file's columns from the file; the
+    string set's columns take one co-lex sort."""
+    from xbwtrie.cli import main
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"".join(w + b"\n" for w in word_corpus(3, 300)))
+    index_file = str(tmp_path / "words.xbwt")
+    assert main(["build", str(words), "--output", index_file]) == 0
+    real = xbwtrie.index.colex_order
+    calls = []
+    monkeypatch.setattr(xbwtrie.index, "colex_order",
+                        lambda trie: calls.append(trie) or real(trie))
+    for source, sorts in ((index_file, 0), (str(words), 1)):
+        calls.clear()
+        argv = [command, source]
+        if command == "build":
+            argv += ["--output", str(tmp_path / "out.xbwt")]
+        assert main(argv) == 0
+        assert len(calls) == sorts, source
 
 
 def test_index_rejects_inconsistent_vectors(fig_trie):
@@ -1040,3 +1109,17 @@ def test_backend_answers_identical(small_tries):
         for p in pats:
             answers = {count(i, p) for i in idxs}
             assert len(answers) == 1
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda i: XbwtIndex(i.n, i.alphabet, "x", i.vectors),
+                 ValueError, "unknown mode 'x'", id="mode"),
+    pytest.param(lambda i: XbwtIndex(i.n, i.alphabet, i.mode, i.vectors[:-1]),
+                 ValueError, "need one bitvector per non-sentinel symbol",
+                 id="vector-too-few"),
+    pytest.param(lambda i: count(i, [98, "x"]), TypeError,
+                 "pattern symbol 'x' is not a byte value", id="count-str"),
+])
+def test_argument_errors(fig_trie, call, error, match):
+    with pytest.raises(error, match=match):
+        call(build_index(fig_trie, "plain"))

@@ -1287,3 +1287,16 @@ def test_huge_header_length_checked_before_allocating():
     # no stored positions and not complemented: a valid empty vector
     v, _ = deserialize_bitvector("id", m, struct.pack("<BQ", 0, 0))
     assert v.m == m and v.ones == 0
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: PlainBitvector._restore(9, b"\0"),
+                 "bad plain bitvector payload", id="plain-payload"),
+    pytest.param(lambda: FixedBlockVector(8, [], 0),
+                 "block size must be positive", id="fixedblock-b-0"),
+    pytest.param(lambda: IdVector(4, [5]), "one-position out of range",
+                 id="id-position"),
+])
+def test_argument_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -354,3 +354,22 @@ def test_trie_check_matches_whole_array_passes(small_tries):
     assert old_trie_check(parent, label) == (
         "node ids must be in pre-order (parent < child)", {"range"})
     assert _trie_check(parent, label) == old_trie_check(parent, label)[0]
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda t: context(t, 0, -1), "k must be nonnegative",
+                 id="context"),
+    pytest.param(lambda t: SymbolDistribution(0, (0,)), "n must be positive",
+                 id="distribution-n-0"),
+    pytest.param(lambda t: Trie([], []),
+                 "parent and label must be nonempty and equal length",
+                 id="empty"),
+    pytest.param(lambda t: Trie([1], [0]),
+                 "root must be node 0 and its own parent", id="root"),
+    pytest.param(lambda t: Trie.from_outsets([[], []]),
+                 "out-degree sequence leaves node unattached",
+                 id="outsets-unattached"),
+])
+def test_argument_errors(fig_trie, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(fig_trie)
