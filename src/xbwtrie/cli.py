@@ -82,10 +82,12 @@ def _emit(rows: list[tuple[str, ...]], fmt: str, out) -> None:
 
 def _load_trie(path: str) -> Trie:
     """The trie of a string set, which must hold one string, or by inversion
-    of an index file: ``XBWT`` then 0, the version's high byte, at byte 6."""
+    of an index file: ``XBWT``, then a u16 version whose high byte is 0 and
+    a u16 mode that names a back-end."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] == xidx.MAGIC and data[5:6] == b"\0":
+    if (len(data) >= 8 and data[:4] == xidx.MAGIC and data[5] == 0
+            and int.from_bytes(data[6:8], "little") < len(xidx.MODES)):
         return xidx.invert(xidx.deserialize(data))
     strings = strings_from_bytes(data)
     if not strings:

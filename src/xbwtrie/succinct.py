@@ -4,10 +4,9 @@ Four interchangeable representations of a static bitvector:
 
 * ``PlainBitvector``   -- raw bits, one int per 512-bit superblock, plus
                           the rank before every superblock.
-* ``RrrVector``        -- the FID back-end: u-bit blocks (u about
-                          (log2 m) / 2) read 8 to a word, so a word is one
-                          int of a superblock's 8u raw bits, plus the rank
-                          before every superblock.
+* ``RrrVector``        -- the FID back-end: u-bit blocks, u = 14, read 8
+                          to a word, so a word is one int of a superblock's
+                          8u raw bits, plus the rank before every superblock.
 * ``IdVector``         -- explicit one-positions in one packed array, ranked
                           by binary search in one bucket of a high-bits
                           directory; optionally stores the complement when
@@ -28,7 +27,10 @@ settings of its block size and of g, the blocks to a word.  A file stores
 a block of l bits holding k ones as k and the block's rank among the
 C(l, k) blocks of that count, in ceil(log2 C(l, k)) bits: the class/offset
 code of Raman, Raman and Rao.  A fid body after its u byte is the
-fixed-block body at b = u after its b field.
+fixed-block body at b = u after its b field.  A block of at most 14 bits,
+every fid block, is ranked and decoded through two tables of its 2^14
+words, built once; a longer block by the Pascal columns, one step per set
+bit.
 
 Positions are 1-based; ``rank(i)`` counts ones in positions 1..i
 inclusive and ``rank(0) == 0``.  A back-end supplies one query, the
@@ -71,9 +73,9 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, compress, islice, repeat
-from operator import lt, sub
+from operator import add, itemgetter, lt, or_, sub, xor
 from typing import Iterable, Sequence
 
 
@@ -213,8 +215,12 @@ def _class_bits(m: int, size: int, counts: Sequence[int]) -> int:
 
 
 # the largest b a file may hold, the default ``FixedBlockVector.block_size``
-# at ``index.MAX_NODES``; the largest fid u is 14
+# at ``index.MAX_NODES``
 MAX_FILE_BLOCK = 510
+# the largest fid u a file may hold, and fid's one u: blocks up to this
+# length are ranked and decoded by the tables of :func:`_rank_table` and
+# :func:`_inverse_table`
+_TABLE_BITS = 14
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +463,17 @@ class _CodedBlocks(_WordBlocks):
 
 
 class RrrVector(_CodedBlocks):
-    """FID back-end: u-bit blocks, u = ``size``, each coded as its class
-    (its count) and its offset (its rank).  A word is a superblock of 8
-    blocks, so queries run on the word path at b = 8u with ``_R`` the
-    superblock ranks; a loaded vector keeps its offsets as 2-byte items."""
+    """FID back-end: u-bit blocks, u = ``size``, 14 unless given, each
+    coded as its class (its count) and its offset (its rank).  A word is a
+    superblock of 8 blocks, so queries run on the word path at b = 8u with
+    ``_R`` the superblock ranks; a loaded vector keeps its offsets as
+    2-byte items and decodes a superblock's blocks through
+    :func:`_inverse_table`."""
 
     kind = "fid"
     g = 8
     SIZE_FIELD = struct.Struct("<B")
-    max_size = 14
+    max_size = _TABLE_BITS
     _size_name = "rrr"
 
     __slots__ = ()
@@ -475,11 +483,11 @@ class RrrVector(_CodedBlocks):
 
     @classmethod
     def block_size(cls, m: int, u: int | None) -> int:
-        """The given u, by default floor(floor(log2 m) / 2), held to
-        1..``max_size``."""
-        if u is None:
-            u = (max(m, 1).bit_length() - 1) // 2
-        return max(1, min(cls.max_size, u))
+        """The given u held to 1..``max_size``, by default ``max_size``
+        at every m: the longest block a file holds.  A longer block spends
+        fewer class bits per position (4 / u), and its offset, read through
+        :func:`_inverse_table`, costs no more to decode."""
+        return max(1, min(cls.max_size, cls.max_size if u is None else u))
 
     def stored_items(self) -> int:
         return len(self.counts)
@@ -526,6 +534,54 @@ class FixedBlockVector(_CodedBlocks):
                 + ((tail + 63) >> 6))
 
 
+# items compared by one subtraction in ``_increasing``: its ints stay a few
+# kilobytes, so that the check adds little to a load's peak
+_LANE_CHUNK = 1 << 10
+
+
+def _increasing(values: Sequence[int], w: int) -> bool:
+    """Whether the items of values, each below 2^w, strictly increase.
+
+    Each item is a lane with a spare top bit, the guard: the item itself
+    when w leaves its top bit spare, else a lane of twice its size.  A
+    chunk of lanes is tested by one subtraction of two ints, the later
+    items, each with its guard set and less 1, and the earlier ones: no
+    lane borrows from the next, and each keeps its guard exactly when its
+    later item exceeds the earlier (as :func:`_below_row` does).  Values
+    of 64 bits or more, which only a vector of length 2^63 - 1 or more
+    stores, are compared one pair at a time, and may come in any
+    sequence."""
+    n = len(values) - 1
+    if w >= 64:
+        return all(map(lt, values, islice(values, 1, None)))
+    if n < 1:
+        return True
+    size = values.itemsize
+    if _BIG_ENDIAN:  # the lanes are little-endian
+        values = array(values.typecode, values)
+        values.byteswap()
+    lanes = memoryview(values).cast("B")
+    if w >= 8 * size:  # no spare top bit, and at most 4 bytes an item
+        wide = bytearray(2 * size * (n + 1))
+        for i in range(size):
+            wide[i::2 * size] = lanes[i::size]
+        lanes, size = memoryview(wide), 2 * size
+    top = 1 << 8 * size - 1
+    step = size * _LANE_CHUNK
+    guards = top.to_bytes(size, "little") * min(n, _LANE_CHUNK)
+    lows = (top - 1).to_bytes(size, "little") * min(n, _LANE_CHUNK)
+    for at in range(0, size * n, step):
+        earlier = lanes[at:at + step]
+        later = lanes[at + size:at + size + step]
+        guard = int.from_bytes(guards[:len(later)], "little")
+        if (int.from_bytes(later, "little")
+                + int.from_bytes(lows[:len(later)], "little")
+                - int.from_bytes(earlier[:len(later)], "little")
+                ) & guard != guard:
+            return False
+    return True
+
+
 class IdVector(Bitvector):
     """ID back-end: stored one-positions (or zero-positions when complemented).
 
@@ -563,13 +619,17 @@ class IdVector(Bitvector):
     def _init(self, m, stored, complemented):
         if stored and not (1 <= stored[0] and stored[-1] <= m):
             raise ValueError("position out of range")
-        if not all(map(lt, stored, islice(stored, 1, None))):
+        # the loader's positions come as an array, which is kept; a list is
+        # packed first, but for 65-bit positions (m = 2^64 - 1), which may
+        # not fit 8 bytes until they are checked
+        width = _position_width(m)
+        if not isinstance(stored, array) and width <= 64:
+            stored = array(_POS32 if m >> 32 == 0 else "Q", stored)
+        if not _increasing(stored, width):
             raise ValueError("positions must be strictly increasing")
         k = len(stored)
         self.m = m
-        # the loader's positions come as an array already, and are kept
-        self._pos = (stored if isinstance(stored, array)
-                     else array(_POS32 if m >> 32 == 0 else "Q", stored))
+        self._pos = stored if isinstance(stored, array) else array("Q", stored)
         self._L = L = (m // max(k, 1)).bit_length() + 3
         self._D = tuple(map(bisect_left, repeat(stored),
                             range(0, ((m >> L) + 2) << L, 1 << L)))
@@ -826,6 +886,55 @@ def _unrank(cols: list[list[int]], r: int, j: int, blen: int) -> int:
     return word
 
 
+# A rank sum C(c_i, i) does not depend on the block length: a block of l
+# bits and the same bits in a longer block have one rank, the number of
+# smaller words of their count (co-lex order).  So one pair of tables over
+# the 2^14 words serves every block of up to 14 bits, short last blocks too.
+
+_INCREMENT = bytes(range(1, 256)) + b"\0"  # a translate table: c to c + 1
+
+
+@cache
+def _rank_table() -> array:
+    """``_rank_word`` of every word below 2^14, as 2-byte items: a rank is
+    below C(14, 7) < 2^12.  Built by doubling: word 2^j + w has one set bit
+    more than w, its last at j, so its rank is w's plus C(j, ones(w) + 1),
+    a step taken for the 2^j words w below 2^j at once in C."""
+    ranks, ones = array("H", [0]), b"\0"  # over the words below 2^j
+    for j in range(_TABLE_BITS):
+        row = [math.comb(j, c + 1) for c in range(j + 1)]
+        ranks += array("H", map(add, ranks, map(row.__getitem__, ones)))
+        ones += ones.translate(_INCREMENT)
+    return ranks
+
+
+@cache
+def _inverse_table() -> tuple[array, ...]:
+    """``_unrank`` below 2^14: row j, for j in 0..7, holds the words below
+    2^14 of j set bits, the word of rank r at r.  The words of one count
+    rise with their rank, so a row is those words in order, cut from one
+    stable sort of all words by their count; a block ranks its ones or its
+    zeros, whichever are fewer, so no row past 7 is read."""
+    ones = _block_counts(array("H", range(1 << _TABLE_BITS)))
+    order = array("H", sorted(range(1 << _TABLE_BITS), key=ones.__getitem__))
+    ends = list(accumulate(math.comb(_TABLE_BITS, j)
+                           for j in range(_TABLE_BITS // 2 + 1)))
+    return tuple(order[start:end] for start, end in zip([0, *ends], ends))
+
+
+def _decode_block(inv: tuple[array, ...] | None, r: int, k: int,
+                  blen: int) -> int:
+    """The word of a stored block of blen bits holding k ones, 0 < k < blen,
+    whose rank is r: the rank of its ones, or of its zeros when the ones
+    are the majority (:func:`_pack_blocks`).  It is read from inv, the
+    :func:`_inverse_table` that a vector of blocks of at most 14 bits
+    passes, or else unranked from the Pascal columns.  The one path that
+    decodes a block of a loaded vector."""
+    j = blen - k if 2 * k > blen else k
+    word = inv[j][r] if inv else _unrank(_pascal(blen), r, j, blen)
+    return word ^ ((1 << blen) - 1) if j < k else word
+
+
 class _LazyWords(dict):
     """The words of a loaded vector, by index.  A word is decoded by
     ``decode`` from what the file stored for its blocks, checked at load,
@@ -851,34 +960,45 @@ def _pack_blocks(v: _CodedBlocks) -> bytes:
     The words are read by index, as a loaded vector's are, and cut into
     blocks as the constructor cuts them.  Each distinct full block is
     ranked once, to a bit string of its width (at fid's u, at most 2^u of
-    them), and the ranks are one int: the blocks' strings, the last block's
-    first, joined and parsed as one binary numeral."""
+    them, each ranked by one read of :func:`_rank_table`, so that no
+    Python step is taken per block), and the ranks are one int: the
+    blocks' strings, the last block's first, joined and parsed as one
+    binary numeral."""
     size, m, counts = v.size, v.m, v.counts
-    children = v.children
-    words = [children[i] for i in range(len(v._R) - 1)]
+    words = list(map(v.children.__getitem__, range(len(v._R) - 1)))
     if v.g == 1:
         blocks = words
     else:  # a word of g = 8 blocks is ``size`` whole bytes
         blocks = _cut_blocks(b"".join(map(int.to_bytes, words, repeat(size),
                                           repeat("little"))), m, size)
-    cols = _pascal(size)
-    row = _width_row(size)
+    if size <= _TABLE_BITS:
+        rank = _rank_table().__getitem__
+    else:
+        rank = partial(_rank_word, _pascal(size))
 
-    def bits(word: int, blen: int) -> str:
-        k = word.bit_count()
-        width = row[k] if blen == size else ceil_log2_comb(blen, k)
-        if 2 * k > blen:  # the zeros are ranked
-            word ^= (1 << blen) - 1
-        # the rank in exactly ceil(log2 C(blen, k)) binary digits: those
-        # past the leading 1 of 1 << width
-        return bin(_rank_word(cols, word) | 1 << width)[3:]
-    full = m // size
-    text = bits(blocks[full], m % size) if m % size else ""  # a short block
+    def codes(words: Sequence[int], blen: int) -> Iterable[str]:
+        # each blen-bit word's rank, of its k ones or (2k > blen) of its
+        # zeros, in exactly ceil(log2 C(blen, k)) binary digits: those past
+        # the leading 1 of the rank ORed with 1 << width
+        flip = [(1 << blen) - 1 if 2 * k > blen else 0
+                for k in range(blen + 1)]
+        lead = [1 << width for width in _width_row(blen)]
+        ks = list(map(int.bit_count, words))
+        return map(_PAST_LEAD, map(bin, map(
+            or_, map(rank, map(xor, words, map(flip.__getitem__, ks))),
+            map(lead.__getitem__, ks))))
+    full, short = divmod(m, size)
+    text = "".join(codes(blocks[full:], short)) if short else ""
     blocks = blocks[:full]
-    ranks = {word: bits(word, size) for word in set(blocks)}
+    distinct = list(set(blocks))
+    ranks = dict(zip(distinct, codes(distinct, size)))
     text += "".join(map(ranks.__getitem__, reversed(blocks)))
     return (_pack_uniform(counts, size.bit_length())
             + int(text or "0", 2).to_bytes((len(text) + 7) >> 3, "little"))
+
+
+# the digits of bin(x) past "0b1": those below x's leading 1
+_PAST_LEAD = itemgetter(slice(3, None))
 
 
 def serialize_bitvector(v: Bitvector) -> bytes:
@@ -1043,22 +1163,23 @@ def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
         counts = bytes(counts)
     R = word_sums([0], counts, sum(counts))
 
+    inv = _inverse_table() if size <= _TABLE_BITS else None
+    # each block's bit offset in its word, and its length: size, but for
+    # the last block of the last word
+    shifts = range(0, g * size, size)
+    lens, tail = (size,) * g, (nblocks - 1) // g
+    tail_lens = (size,) * ((nblocks - 1) % g) + (last,)
+
     def unrank(s: int) -> int:
-        word = at = 0
+        word = 0
         r = firsts[s]
-        for bi in range(s * g, min(s * g + g, nblocks)):
-            blen = last if bi == nblocks - 1 else size
-            k = counts[bi]
+        for at, blen, k in zip(shifts, tail_lens if s == tail else lens,
+                               counts[s * g:s * g + g]):
             if k == blen:  # a full block stores no rank
                 word |= ((1 << blen) - 1) << at
             elif k:
-                if 2 * k > blen:  # the zeros were ranked
-                    word |= (_unrank(cols, ranks[r], blen - k, blen)
-                             ^ ((1 << blen) - 1)) << at
-                else:
-                    word |= _unrank(cols, ranks[r], k, blen) << at
+                word |= _decode_block(inv, ranks[r], k, blen) << at
                 r += 1
-            at += size
         return word
     return counts, R, _LazyWords(unrank), off
 

@@ -68,15 +68,17 @@ def ranked_blocks(v, blocks) -> int:
 
 @pytest.fixture
 def unrank_calls(monkeypatch) -> list[tuple]:
-    """A list that gets the arguments of every ``succinct._unrank`` call
-    from now on: a fixed block's word is unranked on its first read, and
-    an empty or a full block is filled in without a call."""
+    """A list that gets the arguments of every ``succinct._decode_block``
+    call from now on, the one path that decodes a block of a loaded fid or
+    fixed-block vector, by table or by unranking: a block that stores a
+    rank is decoded on its first read, and an empty or a full block is
+    filled in without a call."""
     from xbwtrie import succinct
     calls = []
-    real = succinct._unrank
+    real = succinct._decode_block
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(succinct, "_unrank", counted)
+    monkeypatch.setattr(succinct, "_decode_block", counted)
     return calls

@@ -591,14 +591,18 @@ def test_verify_reports_a_failing_distribution(capsys, monkeypatch):
         "check\tverify\tfail\t0"]
 
 
-@pytest.mark.parametrize("data, n", [(b"XBWTa\nab\n", 8), (b"XBWT\n", 5),
-                                     (V5_FIXEDBLOCK_FILE, None)],
-                         ids=["prefixed-set", "one-line-set", "version-5"])
+@pytest.mark.parametrize("data, n", [
+    (b"XBWTa\nab\n", 8), (b"XBWT\n", 5), (b"XBWTa\0b\n", 8),
+    (b"XBWT\x06\0\x04\0\n", 9), (b"XBWT\x06\0\x03\n", 8),
+    (V5_FIXEDBLOCK_FILE, None)],
+    ids=["prefixed-set", "one-line-set", "nul-at-sixth-byte", "mode-4",
+         "mode-past-line", "version-5"])
 def test_index_file_has_version_high_byte_zero(tmp_path, capsys, data, n):
-    """An input is an index file when it starts with XBWT and its sixth
-    byte, the high byte of the u16 version, is 0: a string set that starts
-    with XBWT is built, statted and dumped as one, and a version-5 file
-    is still refused by its version."""
+    """An input is an index file when it starts with XBWT, its sixth byte,
+    the high byte of the u16 version, is 0 and its u16 mode field names a
+    back-end (0 to 3): a string set that starts with XBWT, even one with a
+    NUL as its sixth byte, is built, statted and dumped as one, and a
+    version-5 file is still refused by its version."""
     source = tmp_path / "input"
     source.write_bytes(data)
     index_file = str(tmp_path / "input.xbwt")
@@ -611,7 +615,7 @@ def test_index_file_has_version_high_byte_zero(tmp_path, capsys, data, n):
         return
     assert main(commands[0]) == 0
     assert f"n\t-\t{n}\n" in capsys.readouterr().out
-    first = data.split(b"\n")[0].decode()
+    first = format_pattern(data.split(b"\n")[0])
     assert main(["count", index_file, first]) == 0
     assert capsys.readouterr().out == f"{first}\t1\n"
     # the set and the index file it builds report and dump one trie

@@ -12,8 +12,9 @@ from xbwtrie import (NodeInterval, Trie, XbwtIndex, build_from_strings,
 from xbwtrie.index import (_crc_lanes, _crc_shift, _head_table,
                            column_cost, crc32c, index_bits,
                            xbwt_columns)
-from xbwtrie.succinct import (VECTORS, Bitvector, IdVector, ceil_log2_comb,
-                              deserialize_bitvector, serialize_bitvector)
+from xbwtrie.succinct import (VECTORS, Bitvector, IdVector, RrrVector,
+                              ceil_log2_comb, deserialize_bitvector,
+                              serialize_bitvector)
 
 from conftest import (complete_binary, ranked_blocks, word_corpus,
                       zero_weight_symbol_file)
@@ -435,9 +436,9 @@ def test_head_table_capped_by_stored_items(data):
 def test_head_table_depth_pinned():
     """On the seed-1 20k-word corpus (n = 72,772) the head table reaches
     k = 2 in every mode; a fid vector counts one stored item per u-bit
-    block (u = 8), however its words are held, so its budget is pinned."""
+    block (u = 14), however its words are held, so its budget is pinned."""
     trie = build_from_strings(word_corpus(1, 20000))
-    stored = {"plain": 9104, "fid": 72776, "id": 72771, "fixedblock": 11464}
+    stored = {"plain": 9104, "fid": 41584, "id": 72771, "fixedblock": 11464}
     for mode in MODES:
         idx = build_index(trie, mode)
         _head_table(idx)
@@ -464,11 +465,12 @@ def test_xbwt_columns_match_per_node_loop(small_tries):
 
 # sha256 of the index files of word_corpus(2024, 2000) (n = 8,962), recorded
 # before the trie and XBWT construction were rewritten and re-recorded for
-# file versions 3 to 6; the test_version_*_moved_only_* tests below show
-# which bodies each version changed
+# file versions 3 to 6, and for fid at u = 14; the
+# test_version_*_moved_only_* tests below show which bodies each version
+# changed
 GOLDEN_FILES = {
     "plain": "8e33d50cc2760952841586df4185f3d57682f4248f4b066ece48885f943eb8a5",
-    "fid": "60c8cf5420431af3c12dbc0d25b8a565aa8891b4a5ddb07edf3ba08c97576e44",
+    "fid": "0cdca32e33235e27c56c2bc2e91ee43ddaff794e75babe983580c6febbc3ae9f",
     "id": "fe569e9a6fe00606f95b78601f9386d43a00669c502595e0e9f2b3bdb394ba0e",
     "fixedblock":
         "5143b7fad8c827b56320c0d8f9ad826fa90f1885e334870f1b71aa486f1c5259",
@@ -661,10 +663,11 @@ def test_auto_mode_selection(fig_trie, small_tries):
 def test_auto_writes_smallest_file():
     """On the seed-1 5k-word corpus the accounted totals put fixedblock
     first while fid's version-4 file was the smaller (15,911 against
-    18,937 bytes); 'auto' now compares the files themselves."""
+    18,937 bytes); 'auto' now compares the files themselves.  fid at
+    u = 14 writes 14,446 bytes, still more than fixedblock's."""
     trie = build_from_strings(word_corpus(1, 5000))
     sizes = {mode: len(serialize(build_index(trie, mode))) for mode in MODES}
-    assert sizes["fid"] == 15911
+    assert sizes["fid"] == 14446
     assert sizes["fixedblock"] == 12130
     assert len(serialize(build_index(trie, "auto"))) == min(sizes.values())
 
@@ -939,7 +942,7 @@ def test_index_file_header_layout(fig_trie):
 # of test_file_bytes_pinned: any change to the bytes a file holds fails here
 FILE_SHA256 = {
     "plain": "be8935019680584891e04945652b266c6e9b7d53a78ef47996b59fd5cd1289e8",
-    "fid": "b7a7b7d8aadf9e4e92455871607f0091367cf3bf8f0e3875ec0cd652c17809da",
+    "fid": "bbc87c5e82be8d4ac72ed797452a08a9c5ee59352c5ba58cb20ab908a532d8e5",
     "id": "8baed9f7069e7b040daa232839e0d3ec697084ec8c98b3922dfffeb4251afbfc",
     "fixedblock":
         "00957a29ef2109eb328be94990083f08dec053dd74fdb9685b80c1ad6a392999",
@@ -995,6 +998,19 @@ def _lexicographic_fid_body(body: bytes, m: int) -> bytes:
     return body[:head] + pack_bitstream([off for _, off in codes], widths)
 
 
+def _file_at_old_fid_u(words, mode: str) -> bytes:
+    """The version-6 index file of the string set, with each fid column at
+    the u that file versions 3 to 6 were written at, floor(floor(log2 n)
+    / 2), before fid's one u of 14: the files the version history below
+    recorded.  Other modes are built as they are."""
+    trie = build_from_strings(words)
+    if mode != "fid":
+        return serialize(build_index(trie, mode))
+    u = (trie.n.bit_length() - 1) // 2
+    return serialize(XbwtIndex(trie.n, trie.alphabet, mode, tuple(
+        RrrVector(trie.n, ones, u) for ones in xbwt_columns(trie))))
+
+
 def _as_version(data: bytes, version: int) -> bytes:
     """A version-6 index file as an earlier version wrote it: its version
     field set back, each fid body re-coded by
@@ -1031,7 +1047,7 @@ def test_version_4_moved_only_fixed_block_bodies(mode):
     byte."""
     for words, v3 in ((_pinned_words(), V3_FILE_SHA256),
                       (word_corpus(2024, 2000), V3_GOLDEN_FILES)):
-        data = serialize(build_index(build_from_strings(words), mode))
+        data = _file_at_old_fid_u(words, mode)
         assert hashlib.sha256(_as_version(data, 3)).hexdigest() == v3[mode]
 
 
@@ -1055,7 +1071,7 @@ def test_version_5_moved_only_fixed_block_bodies(mode):
     byte."""
     for words, v4 in ((_pinned_words(), V4_FILE_SHA256),
                       (word_corpus(2024, 2000), V4_GOLDEN_FILES)):
-        data = serialize(build_index(build_from_strings(words), mode))
+        data = _file_at_old_fid_u(words, mode)
         assert hashlib.sha256(_as_version(data, 4)).hexdigest() == v4[mode]
 
 
@@ -1084,7 +1100,7 @@ def test_version_6_moved_only_fid_bodies(mode):
     alone, and not their widths."""
     for words, v5 in ((_pinned_words(), V5_FILE_SHA256),
                       (word_corpus(2024, 2000), V5_GOLDEN_FILES)):
-        data = serialize(build_index(build_from_strings(words), mode))
+        data = _file_at_old_fid_u(words, mode)
         assert hashlib.sha256(_as_version(data, 5)).hexdigest() == v5[mode]
 
 

@@ -7,8 +7,10 @@ from itertools import accumulate
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (Bitvector, _pack_positions, _pack_uniform,
-                              _unpack_bitstream, _unpack_uniform,
+from xbwtrie.succinct import (_ID_HEAD, Bitvector, _decode_block,
+                              _inverse_table, _pack_positions, _pack_uniform,
+                              _pascal, _rank_table, _rank_word, _unpack_bitstream,
+                              _unpack_uniform, _unrank, _width_row,
                               ceil_log2_comb, deserialize_bitvector,
                               serialize_bitvector)
 
@@ -349,6 +351,35 @@ def test_id_bucket_directory_against_prefix_sums():
             assert back._D == v._D
 
 
+@pytest.mark.parametrize("m, k", [
+    (100, 60), (200, 150), (70_000, 3000), (2 ** 32 - 2, 3000),
+    (2 ** 40, 3000), (2 ** 62, 3000), (2 ** 64 - 1, 40)],
+    ids=["1-byte-spare", "1-byte-wide", "4-byte-spare", "4-byte-wide",
+         "8-byte-spare", "8-byte-63", "65-bit"])
+def test_id_load_refuses_any_non_increasing_pair(m, k):
+    """A loaded id body whose positions repeat or descend once, in the
+    first, a middle or the last pair, or across a chunk of the lane test,
+    is refused; the sorted body loads.  The lengths cover each item size
+    the loader reads into, with the top bit spare and in use."""
+    rng = random.Random(k)
+    # the positions lie near m, so they use the top bits of their items
+    pos = sorted(rng.sample(range(max(1, m - 10 * k), m + 1), k))
+    back, _ = deserialize_bitvector("id", m, _id_body(m, pos))
+    assert back.one_positions() == pos
+    for i in {0, 1, k // 2, 1022, 1023, 1024, k - 2} & set(range(k - 1)):
+        for bad in ([*pos[:i + 1], pos[i], *pos[i + 2:]],
+                    [*pos[:i], pos[i + 1], pos[i], *pos[i + 2:]]):
+            with pytest.raises(ValueError,
+                               match="^positions must be strictly increasing$"):
+                deserialize_bitvector("id", m, _id_body(m, bad))
+
+
+def _id_body(m, stored):
+    """An id body of the given stored positions, uncomplemented."""
+    return _ID_HEAD.pack(0, len(stored)) + pack_bitstream(
+        stored, [(m + 1).bit_length()] * len(stored))
+
+
 def test_id_positions_at_64_bits():
     """Positions sit in 4-byte items below m = 2^32 and 8-byte items from
     there on, and rank holds up to m = 2^64 - 1, the largest length a
@@ -547,7 +578,11 @@ def test_serialized_framing():
     # rrr: u, then the classes at u.bit_length() bits, then the offsets at
     # ceil(log2 C(block length, class)) bits.  u = 1: the classes are the
     # bits themselves and no offset takes a bit (C(1, c) = 1)
-    assert serialize_bitvector(RrrVector(m, ones)) == b"\x01\x25"
+    assert serialize_bitvector(RrrVector(m, ones, u=1)) == b"\x01\x25"
+    # the default u = 14: one short block 1010010 of class 3 at 4 bits;
+    # its ones {0, 2, 5} rank C(0, 1) + C(2, 2) + C(5, 3) = 11 of
+    # C(7, 3) = 35 (6 bits)
+    assert serialize_bitvector(RrrVector(m, ones)) == b"\x0e\x03\x0b"
     # u = 4: blocks 1010 (class 2) and 010 (class 1) at 3 bits, 2 | 1 << 3;
     # offsets, the ranks of the fixed-block body below: the ones {0, 2}
     # rank C(0, 1) + C(2, 2) = 1 of C(4, 2) = 6 (3 bits), the one {1}
@@ -1076,6 +1111,88 @@ def test_fid_body_is_fixed_block_body_at_u(u):
             assert back.one_positions() == v.one_positions()
             assert [back.children[s] for s in range(len(v.children))] == \
                 list(v.children)
+
+
+def test_rank_table_is_rank_word():
+    """Every word that a block of u <= 14 bits ranks, its ones or (2k > u)
+    its zeros, has ``_rank_word``'s rank in the one table of 2^14 words:
+    a word's rank does not depend on its block length."""
+    table = _rank_table()
+    assert len(table) == 1 << 14 and table.itemsize == 2
+    for u in range(1, 15):
+        cols = _pascal(u)
+        for word in range(1 << u):
+            if 2 * word.bit_count() <= u:
+                assert table[word] == _rank_word(cols, word), (u, word)
+
+
+def test_inverse_table_is_unrank():
+    """Row j of the inverse table holds at r the word ``_unrank`` gives for
+    rank r of j ones in a block of u bits, for every u <= 14 and j <= u/2,
+    and no more: rows 0..7, of C(14, j) words, the rank table's inverse."""
+    inv, ranks = _inverse_table(), _rank_table()
+    assert [len(row) for row in inv] == [math.comb(14, j) for j in range(8)]
+    for u in range(1, 15):
+        cols = _pascal(u)
+        for j in range(u // 2 + 1):
+            for r in range(math.comb(u, j)):
+                word = inv[j][r]
+                assert word == _unrank(cols, r, j, u), (u, j, r)
+                assert word.bit_count() == j and ranks[word] == r
+
+
+def test_decode_block_by_table_and_by_unrank():
+    """The one decode path reads the inverse table when given one and
+    unranks from the Pascal columns otherwise, with one answer, for every
+    block of up to 10 bits neither empty nor full."""
+    inv, ranks = _inverse_table(), _rank_table()
+    for blen in range(2, 11):
+        for word in range(1, (1 << blen) - 1):
+            k = word.bit_count()
+            r = ranks[word ^ (1 << blen) - 1 if 2 * k > blen else word]
+            assert _decode_block(inv, r, k, blen) == word
+            assert _decode_block(None, r, k, blen) == word
+
+
+@pytest.mark.parametrize("m", range(61))
+def test_default_fid_agrees_with_plain(m):
+    """A fid vector at the default u = 14, built and loaded, answers rank,
+    access, select and one_positions as a plain vector does, and the loaded
+    one writes the bytes it was read from."""
+    rng = random.Random(m)
+    for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+        ones = _random_ones(rng, m, density)
+        plain = PlainBitvector(m, ones)
+        v = RrrVector(m, ones)
+        assert v.size == 14
+        blob = serialize_bitvector(v)
+        back, used = deserialize_bitvector("fid", m, blob)
+        assert used == len(blob) and serialize_bitvector(back) == blob
+        for w in (v, back):
+            assert [w.rank(i) for i in range(m + 1)] == \
+                [plain.rank(i) for i in range(m + 1)]
+            assert [w.access(i) for i in range(1, m + 1)] == \
+                [plain.access(i) for i in range(1, m + 1)]
+            assert [w.select(j) for j in range(1, plain.ones + 1)] == \
+                [plain.select(j) for j in range(1, plain.ones + 1)]
+            assert w.one_positions() == plain.one_positions()
+            assert serialize_bitvector(PlainBitvector(m, w.one_positions())) \
+                == serialize_bitvector(plain)
+
+
+def test_fid_block_limit_keeps_the_lane_paths():
+    """fid codes every column at its largest u, whatever m, and that u
+    keeps the loader's lane paths: a rank below C(u, u/2) fits
+    ``_below_row``'s 15-bit lanes, and a word's 8 counts sum below 255,
+    as ``word_sums``' mod-255 shortcut needs."""
+    u = RrrVector.max_size
+    assert u == 14
+    assert {RrrVector.block_size(m, None)
+            for m in (0, 1, 2, 13, 14, 255, 2 ** 16, 2 ** 40)} == {u}
+    assert RrrVector.block_size(100, 3) == 3
+    assert RrrVector.block_size(100, 99) == u
+    assert max(_width_row(u)) <= 15
+    assert 8 * u < 255
 
 
 def _reference_pack(values, widths):
