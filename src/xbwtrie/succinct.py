@@ -75,7 +75,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, compress, islice, repeat
-from operator import add, itemgetter, lt, or_, sub, xor
+from operator import itemgetter, lt, or_, sub, xor
 from typing import Iterable, Sequence
 
 
@@ -218,7 +218,7 @@ def _class_bits(m: int, size: int, counts: Sequence[int]) -> int:
 # at ``index.MAX_NODES``
 MAX_FILE_BLOCK = 510
 # the largest fid u a file may hold, and fid's one u: blocks up to this
-# length are ranked and decoded by the tables of :func:`_rank_table` and
+# length are coded and decoded by the tables of :func:`_code_table` and
 # :func:`_inverse_table`
 _TABLE_BITS = 14
 
@@ -542,17 +542,17 @@ _LANE_CHUNK = 1 << 10
 def _increasing(values: Sequence[int], w: int) -> bool:
     """Whether the items of values, each below 2^w, strictly increase.
 
-    Each item is a lane with a spare top bit, the guard: the item itself
-    when w leaves its top bit spare, else a lane of twice its size.  A
-    chunk of lanes is tested by one subtraction of two ints, the later
-    items, each with its guard set and less 1, and the earlier ones: no
-    lane borrows from the next, and each keeps its guard exactly when its
-    later item exceeds the earlier (as :func:`_below_row` does).  Values
-    of 64 bits or more, which only a vector of length 2^63 - 1 or more
-    stores, are compared one pair at a time, and may come in any
-    sequence."""
+    When w leaves the items' top bit spare, that bit is each item's guard:
+    a chunk of items, as lanes, is tested by one subtraction of two ints,
+    the later items, each with its guard set and less 1, and the earlier
+    ones.  No lane borrows from the next, and each keeps its guard exactly
+    when its later item exceeds the earlier (as :func:`_below_row` does).
+    Items with no spare bit (1-byte items at m = 127..254, 4-byte ones at
+    m = 2^31 - 1..2^32 - 1) and values of 64 bits or more, which only a
+    vector of length 2^63 - 1 or more stores and which may come in any
+    sequence, are compared one pair at a time."""
     n = len(values) - 1
-    if w >= 64:
+    if w >= 64 or w >= 8 * values.itemsize:
         return all(map(lt, values, islice(values, 1, None)))
     if n < 1:
         return True
@@ -561,11 +561,6 @@ def _increasing(values: Sequence[int], w: int) -> bool:
         values = array(values.typecode, values)
         values.byteswap()
     lanes = memoryview(values).cast("B")
-    if w >= 8 * size:  # no spare top bit, and at most 4 bytes an item
-        wide = bytearray(2 * size * (n + 1))
-        for i in range(size):
-            wide[i::2 * size] = lanes[i::size]
-        lanes, size = memoryview(wide), 2 * size
     top = 1 << 8 * size - 1
     step = size * _LANE_CHUNK
     guards = top.to_bytes(size, "little") * min(n, _LANE_CHUNK)
@@ -888,50 +883,88 @@ def _unrank(cols: list[list[int]], r: int, j: int, blen: int) -> int:
 
 # A rank sum C(c_i, i) does not depend on the block length: a block of l
 # bits and the same bits in a longer block have one rank, the number of
-# smaller words of their count (co-lex order).  So one pair of tables over
-# the 2^14 words serves every block of up to 14 bits, short last blocks too.
-
-_INCREMENT = bytes(range(1, 256)) + b"\0"  # a translate table: c to c + 1
+# smaller words of their count (co-lex order).  So one table of the words
+# below 2^14 by rank serves every block of up to 14 bits, short blocks too.
 
 
-@cache
-def _rank_table() -> array:
-    """``_rank_word`` of every word below 2^14, as 2-byte items: a rank is
-    below C(14, 7) < 2^12.  Built by doubling: word 2^j + w has one set bit
-    more than w, its last at j, so its rank is w's plus C(j, ones(w) + 1),
-    a step taken for the 2^j words w below 2^j at once in C."""
-    ranks, ones = array("H", [0]), b"\0"  # over the words below 2^j
-    for j in range(_TABLE_BITS):
-        row = [math.comb(j, c + 1) for c in range(j + 1)]
-        ranks += array("H", map(add, ranks, map(row.__getitem__, ones)))
-        ones += ones.translate(_INCREMENT)
-    return ranks
+# bytes.translate tables, one per bit b: each byte c to c | 1 << b
+_SET_BIT = [bytes(c | 1 << b for c in range(256)) for b in range(8)]
 
 
 @cache
 def _inverse_table() -> tuple[array, ...]:
     """``_unrank`` below 2^14: row j, for j in 0..7, holds the words below
-    2^14 of j set bits, the word of rank r at r.  The words of one count
-    rise with their rank, so a row is those words in order, cut from one
-    stable sort of all words by their count; a block ranks its ones or its
-    zeros, whichever are fewer, so no row past 7 is read."""
-    ones = _block_counts(array("H", range(1 << _TABLE_BITS)))
-    order = array("H", sorted(range(1 << _TABLE_BITS), key=ones.__getitem__))
-    ends = list(accumulate(math.comb(_TABLE_BITS, j)
-                           for j in range(_TABLE_BITS // 2 + 1)))
-    return tuple(order[start:end] for start, end in zip([0, *ends], ends))
+    2^14 of j set bits, the word of rank r at r.  In co-lex order the words
+    below 2^(i+1) of j ones are those below 2^i, then each word below 2^i
+    of j - 1 ones with bit i set, so the rows are built by doubling, a bit
+    set by one ``bytes.translate`` of the items' bytes that hold it; a
+    block ranks its ones or its zeros, whichever are fewer, so no row past
+    7 is read."""
+    rows = (array("H", [0]),) + (array("H"),) * (_TABLE_BITS // 2)
+    for i in range(_TABLE_BITS):
+        at = (i >> 3) ^ _BIG_ENDIAN  # the byte of each item that holds bit i
+        raised = []
+        for fewer in rows[:-1]:
+            items = bytearray(fewer.tobytes())
+            items[at::2] = items[at::2].translate(_SET_BIT[i & 7])
+            raised.append(array("H", items))
+        rows = (rows[0], *(row + more
+                           for row, more in zip(rows[1:], raised)))
+    return rows
 
 
-def _decode_block(inv: tuple[array, ...] | None, r: int, k: int,
-                  blen: int) -> int:
+@cache
+def _code_table(blen: int) -> list[str]:
+    """What :func:`_pack_blocks` stores for each word of blen <= 14 bits,
+    by word: the rank of its k ones, or (2k > blen) of its zeros, in
+    exactly ceil(log2 C(blen, k)) binary digits.  The words of rank r are
+    row k's, or row blen - k's complemented, at r < C(blen, k), and they
+    share the numeral of r; the numerals of w digits are built by
+    doubling, those of w - 1 digits after a 0 and after a 1."""
+    code = [""] * (1 << blen)  # an empty or a full word stores no digit
+    mask = (1 << blen) - 1
+    widths = _width_row(blen)
+    numerals = [""]  # the numerals of widths[j] digits, in order
+    for j in range(1, blen // 2 + 1):
+        for _ in range(widths[j] - widths[j - 1]):
+            numerals = [*map("0".__add__, numerals),
+                        *map("1".__add__, numerals)]
+        words = _inverse_table()[j][:math.comb(blen, j)]
+        any(map(code.__setitem__, words, numerals))  # each call gives None
+        if 2 * j < blen:
+            any(map(code.__setitem__, map(xor, words, repeat(mask)),
+                    numerals))
+    return code
+
+
+# the digits of bin(x) past "0b1": those below x's leading 1
+_PAST_LEAD = itemgetter(slice(3, None))
+
+
+def _codes(words: Iterable[int], blen: int) -> dict[int, str]:
+    """What :func:`_pack_blocks` stores for each of the blen-bit words,
+    by word, as :func:`_code_table` holds it, each ranked by
+    :func:`_rank_word`: the digits of rank | 1 << width past its lead."""
+    words = list(set(words))
+    rank = partial(_rank_word, _pascal(blen))
+    flip = [(1 << blen) - 1 if 2 * k > blen else 0 for k in range(blen + 1)]
+    lead = [1 << width for width in _width_row(blen)]
+    ks = list(map(int.bit_count, words))
+    return dict(zip(words, map(_PAST_LEAD, map(bin, map(
+        or_, map(rank, map(xor, words, map(flip.__getitem__, ks))),
+        map(lead.__getitem__, ks))))))
+
+
+def _decode_block(r: int, k: int, blen: int) -> int:
     """The word of a stored block of blen bits holding k ones, 0 < k < blen,
     whose rank is r: the rank of its ones, or of its zeros when the ones
-    are the majority (:func:`_pack_blocks`).  It is read from inv, the
-    :func:`_inverse_table` that a vector of blocks of at most 14 bits
-    passes, or else unranked from the Pascal columns.  The one path that
+    are the majority (:func:`_pack_blocks`).  It is read from
+    :func:`_inverse_table` when blen <= 14, the table built on the first
+    such read, or else unranked from the Pascal columns.  The one path that
     decodes a block of a loaded vector."""
     j = blen - k if 2 * k > blen else k
-    word = inv[j][r] if inv else _unrank(_pascal(blen), r, j, blen)
+    word = (_inverse_table()[j][r] if blen <= _TABLE_BITS
+            else _unrank(_pascal(blen), r, j, blen))
     return word ^ ((1 << blen) - 1) if j < k else word
 
 
@@ -958,12 +991,11 @@ def _pack_blocks(v: _CodedBlocks) -> bytes:
     rank at ceil(log2 C(l, k)) bits.
 
     The words are read by index, as a loaded vector's are, and cut into
-    blocks as the constructor cuts them.  Each distinct full block is
-    ranked once, to a bit string of its width (at fid's u, at most 2^u of
-    them, each ranked by one read of :func:`_rank_table`, so that no
-    Python step is taken per block), and the ranks are one int: the
-    blocks' strings, the last block's first, joined and parsed as one
-    binary numeral."""
+    blocks as the constructor cuts them.  Each block's code is one read of
+    :func:`_code_table` at fid's u, or of :func:`_codes` over the distinct
+    blocks for longer ones, so that no Python step is taken per block, and
+    the codes are one int: the blocks' strings, the last block's first,
+    joined and parsed as one binary numeral."""
     size, m, counts = v.size, v.m, v.counts
     words = list(map(v.children.__getitem__, range(len(v._R) - 1)))
     if v.g == 1:
@@ -971,34 +1003,13 @@ def _pack_blocks(v: _CodedBlocks) -> bytes:
     else:  # a word of g = 8 blocks is ``size`` whole bytes
         blocks = _cut_blocks(b"".join(map(int.to_bytes, words, repeat(size),
                                           repeat("little"))), m, size)
-    if size <= _TABLE_BITS:
-        rank = _rank_table().__getitem__
-    else:
-        rank = partial(_rank_word, _pascal(size))
-
-    def codes(words: Sequence[int], blen: int) -> Iterable[str]:
-        # each blen-bit word's rank, of its k ones or (2k > blen) of its
-        # zeros, in exactly ceil(log2 C(blen, k)) binary digits: those past
-        # the leading 1 of the rank ORed with 1 << width
-        flip = [(1 << blen) - 1 if 2 * k > blen else 0
-                for k in range(blen + 1)]
-        lead = [1 << width for width in _width_row(blen)]
-        ks = list(map(int.bit_count, words))
-        return map(_PAST_LEAD, map(bin, map(
-            or_, map(rank, map(xor, words, map(flip.__getitem__, ks))),
-            map(lead.__getitem__, ks))))
     full, short = divmod(m, size)
-    text = "".join(codes(blocks[full:], short)) if short else ""
+    text = _codes(blocks[full:], short)[blocks[full]] if short else ""
     blocks = blocks[:full]
-    distinct = list(set(blocks))
-    ranks = dict(zip(distinct, codes(distinct, size)))
-    text += "".join(map(ranks.__getitem__, reversed(blocks)))
+    code = _code_table(size) if size <= _TABLE_BITS else _codes(blocks, size)
+    text += "".join(map(code.__getitem__, reversed(blocks)))
     return (_pack_uniform(counts, size.bit_length())
             + int(text or "0", 2).to_bytes((len(text) + 7) >> 3, "little"))
-
-
-# the digits of bin(x) past "0b1": those below x's leading 1
-_PAST_LEAD = itemgetter(slice(3, None))
 
 
 def serialize_bitvector(v: Bitvector) -> bytes:
@@ -1163,7 +1174,6 @@ def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
         counts = bytes(counts)
     R = word_sums([0], counts, sum(counts))
 
-    inv = _inverse_table() if size <= _TABLE_BITS else None
     # each block's bit offset in its word, and its length: size, but for
     # the last block of the last word
     shifts = range(0, g * size, size)
@@ -1178,7 +1188,7 @@ def _read_blocks(buf: bytes, off: int, m: int, size: int, g: int):
             if k == blen:  # a full block stores no rank
                 word |= ((1 << blen) - 1) << at
             elif k:
-                word |= _decode_block(inv, ranks[r], k, blen) << at
+                word |= _decode_block(ranks[r], k, blen) << at
                 r += 1
         return word
     return counts, R, _LazyWords(unrank), off

@@ -7,10 +7,11 @@ from itertools import accumulate
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (_ID_HEAD, Bitvector, _decode_block,
-                              _inverse_table, _pack_positions, _pack_uniform,
-                              _pascal, _rank_table, _rank_word, _unpack_bitstream,
-                              _unpack_uniform, _unrank, _width_row,
+from xbwtrie.succinct import (_ID_HEAD, Bitvector, _code_table, _codes,
+                              _decode_block, _inverse_table, _pack_positions,
+                              _pack_uniform, _pascal, _rank_word,
+                              _unpack_bitstream, _unpack_uniform, _unrank,
+                              _width_row,
                               ceil_log2_comb, deserialize_bitvector,
                               serialize_bitvector)
 
@@ -366,6 +367,11 @@ def test_id_load_refuses_any_non_increasing_pair(m, k):
     pos = sorted(rng.sample(range(max(1, m - 10 * k), m + 1), k))
     back, _ = deserialize_bitvector("id", m, _id_body(m, pos))
     assert back.one_positions() == pos
+    # neighbours more than half an item apart load too: a lane whose top
+    # bit is in use would carry into the next
+    far = [1, 2, m]
+    assert deserialize_bitvector("id", m, _id_body(m, far))[0
+                                 ].one_positions() == far
     for i in {0, 1, k // 2, 1022, 1023, 1024, k - 2} & set(range(k - 1)):
         for bad in ([*pos[:i + 1], pos[i], *pos[i + 2:]],
                     [*pos[:i], pos[i + 1], pos[i], *pos[i + 2:]]):
@@ -1113,24 +1119,35 @@ def test_fid_body_is_fixed_block_body_at_u(u):
                 list(v.children)
 
 
-def test_rank_table_is_rank_word():
-    """Every word that a block of u <= 14 bits ranks, its ones or (2k > u)
-    its zeros, has ``_rank_word``'s rank in the one table of 2^14 words:
-    a word's rank does not depend on its block length."""
-    table = _rank_table()
-    assert len(table) == 1 << 14 and table.itemsize == 2
+def _stored_rank(word: int, blen: int) -> int:
+    """``_rank_word``'s rank of what a blen-bit block stores: its ones, or
+    its zeros when the ones are the majority."""
+    k = word.bit_count()
+    return _rank_word(_pascal(blen),
+                      word ^ (1 << blen) - 1 if 2 * k > blen else word)
+
+
+def test_code_table_is_rank_word():
+    """Every word of u <= 14 bits has in the code table of u its
+    ``_rank_word`` rank, of its ones or (2k > u) of its zeros, in exactly
+    ceil(log2 C(u, k)) digits, as ``_codes`` gives it: a word's rank does
+    not depend on its block length."""
     for u in range(1, 15):
-        cols = _pascal(u)
+        table, widths = _code_table(u), _width_row(u)
+        assert len(table) == 1 << u
+        assert _codes(range(1 << u), u) == dict(enumerate(table))
         for word in range(1 << u):
-            if 2 * word.bit_count() <= u:
-                assert table[word] == _rank_word(cols, word), (u, word)
+            width = widths[word.bit_count()]
+            rank = _stored_rank(word, u)
+            digits = format(rank, f"0{width}b") if width else ""
+            assert table[word] == digits, (u, word)
 
 
 def test_inverse_table_is_unrank():
     """Row j of the inverse table holds at r the word ``_unrank`` gives for
     rank r of j ones in a block of u bits, for every u <= 14 and j <= u/2,
-    and no more: rows 0..7, of C(14, j) words, the rank table's inverse."""
-    inv, ranks = _inverse_table(), _rank_table()
+    and no more: rows 0..7, of C(14, j) words."""
+    inv = _inverse_table()
     assert [len(row) for row in inv] == [math.comb(14, j) for j in range(8)]
     for u in range(1, 15):
         cols = _pascal(u)
@@ -1138,20 +1155,21 @@ def test_inverse_table_is_unrank():
             for r in range(math.comb(u, j)):
                 word = inv[j][r]
                 assert word == _unrank(cols, r, j, u), (u, j, r)
-                assert word.bit_count() == j and ranks[word] == r
+                assert word.bit_count() == j and _rank_word(cols, word) == r
 
 
 def test_decode_block_by_table_and_by_unrank():
-    """The one decode path reads the inverse table when given one and
-    unranks from the Pascal columns otherwise, with one answer, for every
-    block of up to 10 bits neither empty nor full."""
-    inv, ranks = _inverse_table(), _rank_table()
-    for blen in range(2, 11):
-        for word in range(1, (1 << blen) - 1):
-            k = word.bit_count()
-            r = ranks[word ^ (1 << blen) - 1 if 2 * k > blen else word]
-            assert _decode_block(inv, r, k, blen) == word
-            assert _decode_block(None, r, k, blen) == word
+    """The one decode path reads the inverse table for blocks of up to 14
+    bits and unranks from the Pascal columns for longer ones: every block
+    of up to 10 bits neither empty nor full, and a sample of 15 to 20 bits,
+    decodes to the word whose rank it stores."""
+    rng = random.Random(15)
+    for blen in [*range(2, 11), *range(15, 21)]:
+        words = (range(1, (1 << blen) - 1) if blen <= 10 else
+                 [rng.randrange(1, (1 << blen) - 1) for _ in range(300)])
+        for word in words:
+            assert _decode_block(_stored_rank(word, blen), word.bit_count(),
+                                 blen) == word
 
 
 @pytest.mark.parametrize("m", range(61))
