@@ -31,7 +31,7 @@ from .trie import Alphabet, Trie, colex_order
 MODES = tuple(VECTORS)
 
 MAGIC = b"XBWT"
-VERSION = 6
+VERSION = 7
 
 # magic, version, mode, n and sigma (the sentinel counted); the alphabet,
 # the vector bodies and a CRC-32C follow

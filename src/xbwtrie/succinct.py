@@ -7,10 +7,11 @@ Four interchangeable representations of a static bitvector:
 * ``RrrVector``        -- the FID back-end: u-bit blocks, u = 14, read 8
                           to a word, so a word is one int of a superblock's
                           8u raw bits, plus the rank before every superblock.
-* ``IdVector``         -- explicit one-positions in one packed array, ranked
-                          by binary search in one bucket of a high-bits
-                          directory; optionally stores the complement when
-                          ones dominate.
+* ``IdVector``         -- explicit one-positions, stored as Elias-Fano and
+                          held as in-bucket offsets of one byte each (at
+                          m / k < 32), ranked by binary search in one
+                          bucket of a high-bits directory; optionally
+                          stores the complement when ones dominate.
 * ``FixedBlockVector`` -- b-bit blocks (b about (log2 m)^2) read one to a
                           word, plus the rank before every block.
 
@@ -49,12 +50,13 @@ word, checked at load, and fills in the word the first time a query reads
 it.
 
 The loader takes no Python step per value of a stream of one width (block
-counts, id positions): eight w-bit values fill w bytes, so each of the 8
+counts, id low parts): eight w-bit values fill w bytes, so each of the 8
 value slots is cut for all groups at once, from strided slices shifted and
-masked as one int, and the id positions land in the vector's array as
-read.  An empty or a full block stores no rank, so only the other blocks'
-ranks are read, checked and kept (fid's as 2-byte items), and such a block
-is filled in without an unrank.
+masked as one int.  An id body's unary high parts are read in lanes too,
+about a thousand positions at a time, from the bitmap's bits spread to
+bytes (:func:`_read_id`).  An empty or a full block stores no rank, so
+only the other blocks' ranks are read, checked and kept (fid's as 2-byte
+items), and such a block is filled in without an unrank.
 
 The writer mirrors the loader.  A column's one-positions set bytes of a
 flag array in one C-level ``map``, and its m-bit bitmap is gathered from
@@ -62,8 +64,9 @@ every eighth flag; the fid and fixed-block constructors cut their blocks
 from it with the lane reader and count their ones with one popcount
 ``bytes.translate``.  The lane writer ``_pack_uniform``, the exact inverse
 of the lane reader, writes every stream of one width, the block counts and
-the id positions at each width a file holds; the block ranks are one bit
-string per distinct block, joined once and read as one int.
+the id low parts at each width a file holds; an id body's unary bitmap is
+packed as a column's is, and the block ranks are one bit string per
+distinct block, joined once and read as one int.
 """
 from __future__ import annotations
 
@@ -74,8 +77,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import accumulate, compress, islice, repeat
-from operator import itemgetter, lt, or_, sub, xor
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, itemgetter, lt, or_, sub, xor
 from typing import Iterable, Sequence
 
 
@@ -131,12 +134,16 @@ def _pack_positions(m: int, ones: Iterable[int]) -> bytes:
     read from every eighth flag as one int."""
     if not isinstance(ones, (list, tuple, range, array)):
         ones = list(ones)
+    if ones and (min(ones) < 1 or max(ones) > m):
+        raise ValueError("one-position out of range")
+    return _bitmap(m, ones)
+
+
+def _bitmap(m: int, ones: Sequence[int]) -> bytes:
+    """:func:`_pack_positions` of positions known to lie in 1..m."""
     nbytes = (m + 7) >> 3
     flags = bytearray(8 * nbytes + 1)  # flags[p] is 1 when p is a one
-    if ones:
-        if min(ones) < 1 or max(ones) > m:
-            raise ValueError("one-position out of range")
-        any(map(flags.__setitem__, ones, repeat(1)))  # each call gives None
+    any(map(flags.__setitem__, ones, repeat(1)))  # each call gives None
     bits = 0
     for j in range(8):
         bits |= int.from_bytes(flags[j + 1::8], "little") << j
@@ -148,11 +155,6 @@ def _pack_positions(m: int, ones: Iterable[int]) -> bytes:
 _POS32 = next((t for t in "IL" if array(t).itemsize == 4), "Q")
 # an ID body's head: the complement flag and the stored-position count
 _ID_HEAD = struct.Struct("<BQ")
-
-
-def _position_width(m: int) -> int:
-    """Bits per stored ID position, which ranges over 1..m."""
-    return max(1, (m + 1).bit_length())
 
 
 def _extend_set_bits(out: list[int], word: int, base: int) -> None:
@@ -543,13 +545,13 @@ def _increasing(values: Sequence[int], w: int) -> bool:
     """Whether the items of values, each below 2^w, strictly increase.
 
     When w leaves the items' top bit spare, that bit is each item's guard:
-    a chunk of items, as lanes, is tested by one subtraction of two ints,
-    the later items, each with its guard set and less 1, and the earlier
+    a chunk of items, as lanes of one int, is tested by one subtraction,
+    the later items, each with its guard set and less 1, less the earlier
     ones.  No lane borrows from the next, and each keeps its guard exactly
     when its later item exceeds the earlier (as :func:`_below_row` does).
-    Items with no spare bit (1-byte items at m = 127..254, 4-byte ones at
-    m = 2^31 - 1..2^32 - 1) and values of 64 bits or more, which only a
-    vector of length 2^63 - 1 or more stores and which may come in any
+    Items with no spare bit (the positions of a vector of length 2^31 to
+    2^32 - 1 in 4-byte items) and values of 64 bits or more, which only a
+    vector of length 2^63 or more stores and which may come in any
     sequence, are compared one pair at a time."""
     n = len(values) - 1
     if w >= 64 or w >= 8 * values.itemsize:
@@ -560,103 +562,198 @@ def _increasing(values: Sequence[int], w: int) -> bool:
     if _BIG_ENDIAN:  # the lanes are little-endian
         values = array(values.typecode, values)
         values.byteswap()
-    lanes = memoryview(values).cast("B")
-    top = 1 << 8 * size - 1
-    step = size * _LANE_CHUNK
-    guards = top.to_bytes(size, "little") * min(n, _LANE_CHUNK)
-    lows = (top - 1).to_bytes(size, "little") * min(n, _LANE_CHUNK)
-    for at in range(0, size * n, step):
-        earlier = lanes[at:at + step]
-        later = lanes[at + size:at + size + step]
-        guard = int.from_bytes(guards[:len(later)], "little")
-        if (int.from_bytes(later, "little")
-                + int.from_bytes(lows[:len(later)], "little")
-                - int.from_bytes(earlier[:len(later)], "little")
-                ) & guard != guard:
-            return False
-    return True
+    raw = memoryview(values).cast("B")
+    bits = 8 * size
+    guard, less = _guards(size, min(n, _LANE_CHUNK))
+    # each chunk's items and the next chunk's first
+    return all(_lanes_increase(int.from_bytes(
+        raw[size * at:size * (at + _LANE_CHUNK + 1)], "little"),
+        min(_LANE_CHUNK, n - at) + 1, bits, guard, less)
+        for at in range(0, n, _LANE_CHUNK))
+
+
+def _guards(size: int, n: int) -> tuple[int, int]:
+    """The constants of :func:`_lanes_increase` over n size-byte lanes:
+    each lane's top bit, and that less 1."""
+    guard = _repeated(1 << 8 * size - 1, size, n)
+    return guard, guard - _repeated(1, size, n)
+
+
+def _lanes_increase(lanes: int, n: int, bits: int, guard: int, less: int
+                    ) -> bool:
+    """Whether the n values in the bits-wide lanes of lanes, each with its
+    top bit clear, strictly increase; guard and less are
+    :func:`_guards` over at least n - 1 lanes."""
+    cut = (1 << bits * (n - 1)) - 1
+    guard &= cut
+    return ((lanes >> bits) + (less & cut) - (lanes & cut)) & guard == guard
+
+
+# bytes.translate tables, one per r in 1..7 and at 0 for 8: each byte c to
+# its low r bits
+_KEEP_LOW = [None, *(bytes(c & (1 << r) - 1 for c in range(256))
+                     for r in range(1, 8))]
+
+# an id vector's directory bucket spans 2^_BUCKET_SHIFT high parts, each of
+# which holds 1/2 to 1 stored position on average
+_BUCKET_SHIFT = 4
+
+
+def _low_width(m: int, k: int) -> int:
+    """L, the width of an id body's low parts for k stored positions of a
+    length-m vector: floor(log2(m / k)), so that the high parts, the
+    positions shifted right by L, run up to m >> L < 2k; for k = 0,
+    floor(log2 m), and 0 at m = 0."""
+    return max(0, (m // max(k, 1)).bit_length() - 1)
+
+
+def _id_rank(low: array, D: array, L: int, complemented: bool):
+    """An id vector's ``_rank``: bisect bucket i >> L of the offsets for
+    i's low L bits.  A closure over the fields, which a rank reads as cell
+    variables rather than as attributes, since rank is the one query a
+    count makes, twice per symbol."""
+    mask = (1 << L) - 1
+    if complemented:
+        def rank(i: int) -> int:
+            h = i >> L
+            return i - bisect_right(low, i & mask, D[h], D[h + 1])
+    else:
+        def rank(i: int) -> int:
+            h = i >> L
+            return bisect_right(low, i & mask, D[h], D[h + 1])
+    return rank
 
 
 class IdVector(Bitvector):
     """ID back-end: stored one-positions (or zero-positions when complemented).
 
-    The stored positions sit in one ``array`` of 4-byte items when m < 2^32
-    and of 8-byte items otherwise; a loaded vector keeps the array the file
-    was read into, whose items fit the stored width (one byte below
-    m = 255).  ``_D`` is a bucket directory over them
-    (the high-bits bucketing of Elias-Fano rank): ``_D[h]`` counts the
-    stored positions below h * 2^L, with 2^L about 8 to 16 times the mean
-    gap, so a bucket holds one or two cache lines of the array and the
-    directory at most k // 4 + 2 entries for k stored positions.  Rank
-    bisects one bucket.
+    A file stores the k positions as Elias-Fano (Elias, JACM 1974; Fano,
+    MIT Project MAC Memo 61, 1971): the low L = floor(log2(m / k)) bits of
+    each, and the high parts, the rest, in unary (:func:`_pack_id`).
+    Memory keeps them in the form that rank reads.  ``_D`` is a bucket
+    directory, an ``array``: ``_D[h]`` counts the stored positions below
+    h * 2^_L, with _L = L + 4, so a bucket spans 16 high parts and holds 8
+    to 16 positions on average, and the directory has at most k // 8 + 2
+    entries.  ``_low`` holds each position's low _L bits, its offset in its
+    bucket, in the narrowest items that hold _L bits: one byte while
+    m / k < 32, as at every column of an index over eight letters or more.
+    Rank bisects one bucket of ``_low`` (:func:`_id_rank`).
     """
 
     kind = "id"
 
-    __slots__ = ("m", "ones", "complemented", "_pos", "_L", "_D",
+    __slots__ = ("m", "ones", "complemented", "_low", "_L", "_D", "_rank",
                  "entropy_block_size", "entropy_block_count")
 
     def __init__(self, m: int, ones: Iterable[int], complemented: bool = False):
         if m < 0:
             raise ValueError("length must be nonnegative")
-        positions = sorted(ones)
-        if not all(map(lt, positions, islice(positions, 1, None))):
-            positions = sorted(set(positions))
-        if positions and not (1 <= positions[0] and positions[-1] <= m):
+        if not isinstance(ones, (list, tuple, range, array)):
+            ones = list(ones)
+        if ones and (min(ones) < 1 or max(ones) > m):
             raise ValueError("one-position out of range")
+        typ = _POS32 if m >> 32 == 0 else "Q"
+        stored = (ones if isinstance(ones, array) and ones.typecode == typ
+                  else array(typ, ones))
+        # an index's columns come strictly increasing: sorted only if not
+        if not _increasing(stored, m.bit_length()):
+            stored = array(typ, sorted(set(stored)))
         if complemented:
-            present = set(positions)
-            stored = [p for p in range(1, m + 1) if p not in present]
-        else:
-            stored = positions
-        self._init(m, stored, complemented)
+            zeros = bytearray(b"\1") * (m + 1)  # zeros[p] is 1 when p is a zero
+            zeros[0] = 0
+            any(map(zeros.__setitem__, stored, repeat(0)))  # each gives None
+            stored = array(typ, compress(range(m + 1), zeros))
+        self._fill(m, len(stored), (stored,) if stored else (), complemented)
 
     def _init(self, m, stored, complemented):
+        # a list is checked at its ends before it is packed: a position past
+        # m may not fit the array's items
         if stored and not (1 <= stored[0] and stored[-1] <= m):
             raise ValueError("position out of range")
-        # the loader's positions come as an array, which is kept; a list is
-        # packed first, but for 65-bit positions (m = 2^64 - 1), which may
-        # not fit 8 bytes until they are checked
-        width = _position_width(m)
-        if not isinstance(stored, array) and width <= 64:
+        if not isinstance(stored, array):
             stored = array(_POS32 if m >> 32 == 0 else "Q", stored)
-        if not _increasing(stored, width):
+        if not _increasing(stored, m.bit_length()):
             raise ValueError("positions must be strictly increasing")
-        k = len(stored)
+        self._fill(m, len(stored), (stored,) if stored else (), complemented)
+
+    def _fill(self, m, k, chunks, complemented):
+        """Keep the k stored positions that chunks, arrays of consecutive
+        positions, hold, known to increase strictly within 1..m: the low _L
+        bits of each, cut from the chunk's bytes, in ``_low``, and the
+        directory entries of the buckets that end in a chunk, found by
+        bisecting it."""
+        self._L = L = min(_low_width(m, k) + _BUCKET_SHIFT, m.bit_length())
+        # the narrowest items that hold L bits
+        low = array(_LANE_TYPE[1 << max(0, (L - 1) >> 3).bit_length()],
+                    [0]) * k
+        size = low.itemsize
+        lanes = memoryview(low).cast("B")
+        nb = (L + 7) >> 3  # the bytes of an offset; the last keeps L % 8 bits
+        D = array(_POS32 if k >> 32 == 0 else "Q")
+        at = due = 0  # due: the first bucket whose entry is not known
+        for chunk in chunks:
+            end = (chunk[-1] >> L) + 1
+            D.extend(map(add, repeat(at), map(
+                bisect_left, repeat(chunk), range(due << L, end << L, 1 << L))))
+            due = end
+            if _BIG_ENDIAN:  # the lanes are little-endian
+                chunk = array(chunk.typecode, chunk)
+                chunk.byteswap()
+            raw = chunk.tobytes()
+            for j in range(nb):
+                lanes[size * at + j:size * (at + len(chunk)):size] = \
+                    raw[j::chunk.itemsize].translate(
+                        _KEEP_LOW[L & 7] if j == nb - 1 else None)
+            at += len(chunk)
+        lanes.release()
+        if _BIG_ENDIAN:
+            low.byteswap()
+        D.extend(repeat(k, (m >> L) + 2 - len(D)))
         self.m = m
-        self._pos = stored if isinstance(stored, array) else array("Q", stored)
-        self._L = L = (m // max(k, 1)).bit_length() + 3
-        self._D = tuple(map(bisect_left, repeat(stored),
-                            range(0, ((m >> L) + 2) << L, 1 << L)))
+        self._low = low
+        self._D = D
+        self._rank = _id_rank(low, D, L, complemented)
         self.complemented = complemented
         self.ones = (m - k) if complemented else k
         self.entropy_block_size = m
         self.entropy_block_count = 1
 
-    def _rank(self, i: int) -> int:
-        D = self._D
-        h = i >> self._L
-        stored = bisect_right(self._pos, i, D[h], D[h + 1])
-        return (i - stored) if self.complemented else stored
+    def _stored(self) -> array:
+        """The stored positions, ascending: each offset plus the first
+        position of its bucket, added as lanes."""
+        low, D, L = self._low, self._D, self._L
+        stored = array(_POS32 if self.m >> 32 == 0 else "Q")
+        size = stored.itemsize
+        # each bucket's first position, once for each of its positions
+        firsts = b"".join(map(bytes.__mul__, map(
+            int.to_bytes, range(0, len(D) - 1 << L, 1 << L), repeat(size),
+            repeat("little")), map(sub, D[1:], D[:-1])))
+        stored.frombytes((int.from_bytes(firsts, "little")
+                          + _lane_int(low, size)).to_bytes(len(firsts),
+                                                           "little"))
+        if _BIG_ENDIAN:
+            stored.byteswap()
+        return stored
 
     def one_positions(self) -> list[int]:
         if not self.complemented:
-            return list(self._pos)
-        out: list[int] = []
-        prev = 0
-        for p in (*self._pos, self.m + 1):
-            out.extend(range(prev + 1, p))
-            prev = p
-        return out
+            return list(self._stored())
+        ones = bytearray(b"\1") * (self.m + 1)  # ones[p] is 1 when p is a one
+        ones[0] = 0
+        any(map(ones.__setitem__, self._stored(), repeat(0)))  # each gives None
+        return list(compress(range(self.m + 1), ones))
 
     @staticmethod
     def cost(m: int, ones: int, complemented: bool) -> BitCost:
-        """The body: the payload is ceil(log2 C(m, ones)); the overhead the
-        flags byte, the count and the stored positions' (the zeros' when
-        complemented) bits past the payload, padded to whole bytes."""
+        """The body (:func:`_pack_id`): the payload is ceil(log2 C(m, ones));
+        the overhead the flags byte, the count and the Elias-Fano bits of
+        the stored positions (the zeros when complemented) past the
+        payload, each stream padded to whole bytes."""
         payload = ceil_log2_comb(m, ones)
-        stored = m - ones if complemented else ones
-        nbytes = _ID_HEAD.size + (stored * _position_width(m) + 7) // 8
+        k = m - ones if complemented else ones
+        L = _low_width(m, k)
+        nbytes = (_ID_HEAD.size + (k * L + 7) // 8
+                  + (k + (m >> L) + 1 + 7) // 8)
         return BitCost(payload, 8 * nbytes - payload)
 
     @staticmethod
@@ -676,7 +773,7 @@ class IdVector(Bitvector):
         return self.cost(self.m, self.ones, self.complemented)
 
     def stored_items(self) -> int:
-        return len(self._pos)
+        return len(self._low)
 
 
 # every back-end by its kind, in the order a file numbers the modes
@@ -722,13 +819,55 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _LANE_TYPE = {1: "B", 2: "H", 4: _POS32, 8: "Q"}
 
 
+def _relane(raw: bytes, size: int, wide: int) -> bytes:
+    """The little-endian items of raw, each of size bytes, as items of wide
+    bytes: each item's bytes past wide are dropped (they must be zero), and
+    the missing ones are zero."""
+    out = bytearray(len(raw) // size * wide)
+    for b in range(min(size, wide)):
+        out[b::wide] = raw[b::size]
+    return out
+
+
+def _repeated(value: int, size: int, n: int) -> int:
+    """value in each of n size-byte lanes."""
+    return int.from_bytes(value.to_bytes(size, "little") * n, "little")
+
+
+def _masked(values: array, w: int) -> array:
+    """A copy of values with each item held to its low w bits, one AND of
+    lanes; w is at most the items' bits."""
+    size = values.itemsize
+    out = array(values.typecode)
+    out.frombytes((_lane_int(values, size) & _repeated((1 << w) - 1, size,
+                                                       len(values))
+                   ).to_bytes(size * len(values), "little"))
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return out
+
+
+def _lane_int(values, size: int) -> int:
+    """values, an array or a list of values below 2^(8 * size), as one int
+    of size-byte little-endian lanes, one a value."""
+    if not isinstance(values, array):  # a list of values past 57 bits
+        values = array("Q", values)
+    if _BIG_ENDIAN:
+        values = array(values.typecode, values)
+        values.byteswap()
+    raw = values.tobytes()
+    if values.itemsize != size:
+        raw = _relane(raw, values.itemsize, size)
+    return int.from_bytes(raw, "little")
+
+
 def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     """``_unpack_bitstream(data, [w] * k)`` for one width w >= 1, with the
     same checks, as an ``array`` of items wide enough for w bits: one byte
     up to w = 8, four up to 32, eight up to 57.  Past 57 bits, which only
-    an id vector of length 2^57 or more stores, or a fixed block that a
-    constructor cuts, a value may span 9 bytes, and the stream is read by
-    :func:`_unpack_bitstream`.
+    the low parts of an id body with m / k of 2^58 or more hold, or a fixed
+    block that a constructor cuts, a value may span 9 bytes, and the stream
+    is read by :func:`_unpack_bitstream`.
 
     Eight w-bit values fill exactly w bytes, so value j of every full
     group lies at the same bit offset j * w of its group.  Each of the 8
@@ -749,7 +888,9 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     full = groups * w  # the bytes of the full groups
     out = array("B" if w <= 8 else _POS32 if w <= 32 else "Q", [0]) * k
     if groups:
-        view = memoryview(data)
+        # strided slices of bytes are cut in one C loop, those of a view
+        # item by item
+        view = bytes(data)
         # a slot starting at bit s of a byte spans s + w <= 64 bits, so the
         # widest slot takes nb bytes and a lane the power of two past nb - 1
         nb = (max(((j * w) & 7) + w for j in range(8)) + 7) >> 3
@@ -767,11 +908,11 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
                 lanes[i::lane] = view[at + i:full:w]
             cut = ((int.from_bytes(lanes, "little") >> shift) & every
                    ).to_bytes(groups * lane, "little")
-            col = array(_LANE_TYPE[lane], cut)
+            if lane != out.itemsize:  # the values' bytes into the items'
+                cut = _relane(cut, lane, out.itemsize)
+            col = array(out.typecode, cut)
             if _BIG_ENDIAN:
                 col.byteswap()
-            if col.typecode != out.typecode:
-                col = array(out.typecode, col)
             out[j:8 * groups:8] = col
     tail = k & 7
     if tail:
@@ -787,9 +928,9 @@ def _pack_uniform(values: Sequence[int], w: int) -> bytes:
     """The values LSB-first at one width w >= 1, padded with zero bits to a
     whole byte: the inverse of :func:`_unpack_uniform`.  The values lie
     below 2^min(w, 64) and come as ``bytes``, an ``array`` of unsigned
-    items or a list.  Every width a file holds, 1..65, is written here: the
-    widest is an id position's at m = 2^64 - 1, and the position is at most
-    m, so the values of every width fit 8-byte items.
+    items or a list, and fit 8-byte items.  Every width a file holds is
+    written here: the widest, 63 bits, is an id low part of one stored
+    position at m >= 2^63.
 
     Value j of every full group of 8 lies at bit j * w of the group's w
     bytes, so each of the 8 slots is written in C for all groups at once:
@@ -1012,6 +1153,137 @@ def _pack_blocks(v: _CodedBlocks) -> bytes:
             + int(text or "0", 2).to_bytes((len(text) + 7) >> 3, "little"))
 
 
+def _pack_id(v: IdVector) -> bytes:
+    """An id body: the flags byte (1 when the stored positions are the
+    zeros), the u64 count k, then the k stored positions p_0 < ... <
+    p_(k-1) as Elias-Fano: the low L = floor(log2(m / k)) bits of each at L
+    bits, then the high parts h_i = p_i >> L in unary, a bitmap of
+    k + (m >> L) + 1 bits whose ones lie at h_i + i, so that h_i zeros
+    precede the i-th one (each stream padded with zero bits to a byte)."""
+    m, k = v.m, len(v._low)
+    L = _low_width(m, k)
+    stored = v._stored()
+    size = stored.itemsize
+    # the i-th one lies at bit h_i + i, position h_i + i + 1 of the bitmap
+    nbits = k + (m >> L) + 1
+    if nbits >> 8 * size:
+        size = 8
+    lanes = (_lane_int(stored, size) >> L) & _repeated((1 << 8 * size - L) - 1,
+                                                       size, k)
+    lanes += _lane_int(array(_LANE_TYPE[size], range(1, k + 1)), size)
+    ones = array(_LANE_TYPE[size])
+    ones.frombytes(lanes.to_bytes(size * k, "little"))
+    if _BIG_ENDIAN:
+        ones.byteswap()
+    lows = _pack_uniform(_masked(v._low, L), L) if L else b""
+    return _ID_HEAD.pack(int(v.complemented), k) + lows + _bitmap(nbits, ones)
+
+
+# bytes.translate tables, one per bit b: each byte to 255 where bit b is set
+_BIT_FF = [bytes(255 * (c >> b & 1) for c in range(256)) for b in range(8)]
+# the bitmap bytes an id chunk is cut from, so at most _LANE_CHUNK ones
+_SEGMENT = _LANE_CHUNK // 8
+# the two base-128 digits of each bit offset j in a segment, j % 128 and
+# j // 128, as bytes, each plus 128; and the bytes such a digit never is
+_DIGITS = (bytes(range(128, 256)) * (_SEGMENT // 16),
+           b"".join(bytes((128 + d,)) * 128 for d in range(_SEGMENT // 16)))
+_BELOW_128 = bytes(range(128))
+
+
+def _read_id(buf, off: int, m: int):
+    """Read what :func:`_pack_id` writes for a length-m vector from buf at
+    off.  Returns the count k, the complement flag, the stored positions as
+    chunks that :meth:`IdVector._fill` reads, and the offset just past the
+    body.
+
+    The sizes follow from m and k, and the bitmap is checked whole before
+    a chunk is read: it holds k ones, no padding bit, and no high part past
+    m >> L.  m >> L < 2k, so the bitmap's bits, like the low parts', are
+    bounded by k, which is at most the body's bits.
+
+    A chunk is the ones of ``_SEGMENT`` bitmap bytes, cut in lanes of the
+    positions' item size.  The segment's bits are spread to bytes, 255 for
+    a one, by one ``bytes.translate`` per bit; ANDed with the base-128
+    digits of each bit's offset, each plus 128, and the bytes below 128
+    deleted, they leave each one's digits in order.  The i-th one's bit
+    offset less i is its high part h_i, a lane subtraction that no lane
+    borrows through, as the i-th one lies at or past bit i; h_i shifted up
+    by L, with its low part ORed in, is the position, which fits the lane,
+    since h_i << L is at most m.  The chunk is checked as it is cut: its
+    positions lie in 1..m and strictly increase, in lanes as
+    :func:`_increasing` checks them, from the last of the chunk before."""
+    head, off = _take(buf, off, _ID_HEAD.size)
+    flags, k = _ID_HEAD.unpack(head)
+    if flags > 1:
+        raise ValueError(f"bad id flags {flags}")
+    if k > m:
+        raise ValueError("more stored positions than bits")
+    L = _low_width(m, k)
+    lows, off = _take(buf, off, (k * L + 7) // 8)
+    nbits = k + (m >> L) + 1
+    high, off = _take(buf, off, (nbits + 7) // 8)
+    high = bytes(high)
+    bits = int.from_bytes(high, "little")
+    if bits >> nbits:
+        raise ValueError("bitstream has padding bits set")
+    if bits.bit_count() != k:
+        raise ValueError("id high bits do not hold one 1 per position")
+    if k and bits.bit_length() - k > m >> L:  # the last one's high part
+        raise ValueError("position out of range")
+    del bits
+    typ = _POS32 if m >> 32 == 0 else "Q"
+
+    def chunks():
+        size = array(typ).itemsize
+        bits = 8 * size
+        most = min(8 * _SEGMENT, k)  # the most ones a segment holds
+        steps = _lane_int(array(typ, range(most)), size)
+        unit = _repeated(1, size, most)
+        guard, less = _guards(size, most)
+        spare = m.bit_length() < bits  # a lane's top bit is a guard
+        low = _unpack_uniform(lows, L, k) if L else None
+        at = last = 0  # the ones before the segment, and the last position
+        for first in range(0, len(high), _SEGMENT):
+            seg = high[first:first + _SEGMENT]
+            n = sum(seg.translate(_POPCOUNT))
+            if not n:
+                continue
+            # bit j of the segment as a byte, 255 where it is set; its two
+            # digits j % 128 and j // 128, each plus 128, kept where it is
+            # set give the ones' offsets in the segment, 128 * hi + lo
+            ones = bytearray(8 * len(seg))
+            for b in range(8):
+                ones[b::8] = seg.translate(_BIT_FF[b])
+            ones = int.from_bytes(ones, "little")
+            lo, hi = (int.from_bytes(_relane((int.from_bytes(
+                digits[:8 * len(seg)], "little") & ones).to_bytes(
+                    8 * len(seg), "little").translate(None, _BELOW_128),
+                1, size), "little") for digits in _DIGITS)
+            cut = (1 << bits * n) - 1
+            # less 128 * 129 for the two digits' top bits, and less i for
+            # the i-th one, the zeros before each one are its high part
+            pos = (lo + (hi << 7) - (steps & cut)
+                   + (8 * first - at - 128 * 129) * (unit & cut)) << L
+            if L:
+                pos |= _lane_int(low[at:at + n], size)
+            at += n
+            # h_i never falls, but the low parts may where it stays
+            head, tail = pos & (1 << bits) - 1, pos >> bits * (n - 1)
+            if head < 1 or tail > m:
+                raise ValueError("position out of range")
+            chunk = array(typ)
+            chunk.frombytes(pos.to_bytes(size * n, "little"))
+            if _BIG_ENDIAN:
+                chunk.byteswap()
+            if head <= last or not (
+                    _lanes_increase(pos, n, bits, guard, less) if spare
+                    else all(map(lt, chunk, islice(chunk, 1, None)))):
+                raise ValueError("positions must be strictly increasing")
+            last = tail
+            yield chunk
+    return k, bool(flags), chunks(), off
+
+
 def serialize_bitvector(v: Bitvector) -> bytes:
     """The stored body of v, without its kind or length."""
     if isinstance(v, PlainBitvector):
@@ -1019,9 +1291,7 @@ def serialize_bitvector(v: Bitvector) -> bytes:
         return b"".join(w.to_bytes(size, "little")
                         for w in v.children)[:(v.m + 7) // 8]
     if isinstance(v, IdVector):
-        k = len(v._pos)
-        return (_ID_HEAD.pack(int(v.complemented), k)
-                + _pack_uniform(v._pos, _position_width(v.m)))
+        return _pack_id(v)
     if isinstance(v, _CodedBlocks):
         if not 1 <= v.size <= v.max_size:
             raise ValueError(f"bad {v._size_name} block size {v.size}")
@@ -1209,16 +1479,10 @@ def deserialize_bitvector(kind: str, m: int, buf: bytes,
         raw, off = _take(buf, off, (m + 7) // 8)
         return cls._restore(m, raw), off
     if cls is IdVector:
-        head, off = _take(buf, off, _ID_HEAD.size)
-        flags, k = _ID_HEAD.unpack(head)
-        if flags > 1:
-            raise ValueError(f"bad id flags {flags}")
-        if k > m:
-            raise ValueError("more stored positions than bits")
-        width = _position_width(m)
-        stream, off = _take(buf, off, (k * width + 7) // 8)
-        pos = _unpack_uniform(stream, width, k)
-        return cls._restore(m, pos, bool(flags)), off
+        k, complemented, chunks, off = _read_id(buf, off, m)
+        v = cls.__new__(cls)
+        v._fill(m, k, chunks, complemented)
+        return v, off
     head, off = _take(buf, off, cls.SIZE_FIELD.size)
     (size,) = cls.SIZE_FIELD.unpack(head)
     if not 1 <= size <= cls.max_size:

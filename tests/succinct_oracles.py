@@ -1,6 +1,6 @@
-"""The fid block codec of file versions 3 to 5, the per-one cut of a
-vector into words and blocks, the per-value stream writer, and two small
-helpers.
+"""The fid block codec of file versions 3 to 5, the id body codecs of file
+versions 3 to 6 and 7, the per-one cut of a vector into words and blocks,
+the per-value stream writer, and two small helpers.
 
 Those versions stored a fid block's offset as the lexicographic rank of its
 bit string among the strings of its class; version 6 stores the
@@ -9,6 +9,13 @@ loops compute the lexicographic (class, offset) pairs one bit at a time,
 and the pinned-history tests re-code version-6 fid bodies through them to
 compare against the hashes the older versions recorded.
 
+Up to version 6 an id body stored each position at (m + 1).bit_length()
+bits; version 7 stores them as Elias-Fano.  The two codecs below write and
+read both forms value by value: the referee of the lane codec, the tool of
+the tests that hand-build id bodies, and the bridge by which the pinned
+history tests re-code a version-7 id body to compare it against the hashes
+that version 6 recorded.
+
 The cut sets one bit per one-position and reads each word and block as a
 shift of the packed bytes: the referee of the constructors, which pack the
 positions through a flag array and cut the blocks in lanes.  The stream
@@ -16,6 +23,7 @@ writer packs one value at a time, at any mix of widths: the referee of the
 lane writer, and the tool of the tests that hand-build vector bodies.
 """
 import math
+import struct
 from itertools import accumulate
 
 
@@ -111,3 +119,58 @@ def pack_bitstream(values, widths) -> bytes:
             at -= 64
     out += acc.to_bytes((at + 7) // 8, "little")
     return bytes(out)
+
+
+def ef_low_width(m: int, k: int) -> int:
+    """L of an id body of version 7: floor(log2(m / k)), or floor(log2 m)
+    for k = 0, and 0 at m = 0."""
+    return max(0, (m // max(k, 1)).bit_length() - 1)
+
+
+def ef_id_body(m: int, stored, complemented: bool = False) -> bytes:
+    """A version-7 id body, written value by value: the flags byte, the
+    u64 count k, the low L bits of each stored position at L bits, then a
+    bitmap of k + (m >> L) + 1 bits with the i-th position's one (0-based)
+    at bit (p >> L) + i.  The positions may come in any order, so that a
+    test can write a body whose positions repeat or fall, but no two may
+    set one bit, and none may lie past the bitmap."""
+    k = len(stored)
+    L = ef_low_width(m, k)
+    nbits = k + (m >> L) + 1
+    high = 0
+    for i, p in enumerate(stored):
+        bit = (p >> L) + i
+        if bit >= nbits or high >> bit & 1:
+            raise ValueError("the high parts do not fit a unary bitmap")
+        high |= 1 << bit
+    return (struct.pack("<BQ", int(complemented), k)
+            + pack_bitstream([p & ((1 << L) - 1) for p in stored], [L] * k)
+            + high.to_bytes((nbits + 7) // 8, "little"))
+
+
+def read_ef_id_body(data: bytes, m: int, off: int = 0):
+    """(complemented, stored positions, end offset) of the version-7 id
+    body at off, read value by value."""
+    flags, k = struct.unpack_from("<BQ", data, off)
+    L = ef_low_width(m, k)
+    off += 9
+    end = off + (k * L + 7) // 8
+    lows = int.from_bytes(data[off:end], "little")
+    off, end = end, end + (k + (m >> L) + 1 + 7) // 8
+    high = int.from_bytes(data[off:end], "little")
+    stored = []
+    bit = 0
+    while high:
+        if high & 1:
+            i = len(stored)
+            stored.append((bit - i) << L | (lows >> (i * L)) & ((1 << L) - 1))
+        high >>= 1
+        bit += 1
+    return bool(flags), stored, end
+
+
+def fixed_width_id_body(m: int, stored, complemented: bool = False) -> bytes:
+    """An id body of versions 3 to 6: the flags byte, the u64 count, and
+    each stored position at (m + 1).bit_length() bits."""
+    return (struct.pack("<BQ", int(complemented), len(stored))
+            + pack_bitstream(stored, [(m + 1).bit_length()] * len(stored)))

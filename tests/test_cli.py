@@ -359,13 +359,14 @@ def test_verify_refuses_sigma_past_enumeration_limit(capsys, monkeypatch):
         assert captured.out == ""
 
 
-def _replace_first_vector(idx, blob: bytes) -> bytes:
-    """The index file of idx with its first vector's blob swapped for blob,
-    the CRC recomputed so that only the vector's own checks can object."""
+def _replace_first_vector(idx, blob: bytes, which: int = 0) -> bytes:
+    """The index file of idx with its first vector's blob (or vector
+    ``which``'s) swapped for blob, the CRC recomputed so that only the
+    vector's own checks can object."""
     data = serialize(idx)
     vecs = [serialize_bitvector(v) for v in idx.vectors]
-    body = (data[:len(data) - 4 - sum(map(len, vecs))] + blob
-            + b"".join(vecs[1:]))
+    body = (data[:len(data) - 4 - sum(map(len, vecs))]
+            + b"".join(vecs[:which]) + blob + b"".join(vecs[which + 1:]))
     return body + struct.pack("<I", crc32c(body))
 
 
@@ -391,6 +392,48 @@ def test_count_rejects_bad_header_section(tmp_path, capsys, mode, patch,
     idx = build_index(build_from_strings(FIG.split()), mode)
     data = _replace_first_vector(
         idx, patch(serialize_bitvector(idx.vectors[0])))
+    with pytest.raises(ValueError, match=match):
+        deserialize(data)
+    path = tmp_path / "bad.xbwt"
+    path.write_bytes(data)
+    assert main(["count", str(path), "b"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _id_body(k: int, lows: int, high: int) -> bytes:
+    """An id body of k positions of a length-7 vector: the flags byte 0,
+    the count, the low parts' byte and the bitmap's byte."""
+    return struct.pack("<BQ", 0, k) + bytes((lows, high))
+
+
+# the id index of FIG (n = 7): vector 0 stores position 5 (L = 2: low part
+# 1, high part 1, the bitmap 0b010 of 3 bits), vector 1 positions 1, 3 and 6
+# (L = 1: low parts 0b011, high parts 0, 1 and 3 at bits 0b100101 of 7)
+@pytest.mark.parametrize("which, blob, match", [
+    (0, _id_body(1, 1, 0b011), "^id high bits do not hold one 1 per position$"),
+    (0, _id_body(1, 1, 0b000), "^id high bits do not hold one 1 per position$"),
+    # high part 2 > 7 >> 2, and high part 0 with low part 0: position 0
+    (0, _id_body(1, 1, 0b100), "^position out of range$"),
+    (0, _id_body(1, 0, 0b001), "^position out of range$"),
+    (0, _id_body(1, 1 | 0x80, 0b010), "^bitstream has padding bits set$"),
+    (0, _id_body(1, 1, 0b010 | 0x80), "^bitstream has padding bits set$"),
+    # the positions 1, 1, 6, and 3, 2, 6, whose 3 and 2 share high part 1
+    (1, _id_body(3, 0b011, 0b100011),
+     "^positions must be strictly increasing$"),
+    (1, _id_body(3, 0b001, 0b100110),
+     "^positions must be strictly increasing$"),
+], ids=["high-two-ones", "high-no-one", "high-part-past-m", "position-0",
+        "low-padding", "high-padding", "repeat", "fall"])
+def test_count_rejects_hostile_id_body(tmp_path, capsys, which, blob, match):
+    """Elias-Fano bodies that no writer makes are refused at load with one
+    error line: a bitmap whose ones are not one per position, a position
+    outside 1..m, padding bits set in either stream, and positions that
+    repeat or fall."""
+    idx = build_index(build_from_strings(FIG.split()), "id")
+    assert serialize_bitvector(idx.vectors[0]) == _id_body(1, 1, 0b010)
+    assert serialize_bitvector(idx.vectors[1]) == _id_body(3, 0b011, 0b100101)
+    data = _replace_first_vector(idx, blob, which)
     with pytest.raises(ValueError, match=match):
         deserialize(data)
     path = tmp_path / "bad.xbwt"
@@ -515,6 +558,19 @@ def test_count_rejects_version_5_file(tmp_path, capsys):
     path.write_bytes(V5_FIXEDBLOCK_FILE)
     assert main(["count", str(path), "b"]) == 1
     assert capsys.readouterr().err == "error: version mismatch: 5\n"
+
+
+# the fixed-block index of the same strings as version 6 wrote it
+V6_FIXEDBLOCK_FILE = bytes.fromhex(
+    "584257540600030003000000000000000300006162020000000000000001000200"
+    "0000000000000100c0ffdf95")
+
+
+def test_count_rejects_version_6_file(tmp_path, capsys):
+    path = tmp_path / "v6.xbwt"
+    path.write_bytes(V6_FIXEDBLOCK_FILE)
+    assert main(["count", str(path), "b"]) == 1
+    assert capsys.readouterr().err == "error: version mismatch: 6\n"
 
 
 def test_stats_refuses_index_too_large(tmp_path, capsys):

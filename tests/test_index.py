@@ -19,7 +19,8 @@ from xbwtrie.succinct import (VECTORS, Bitvector, IdVector, RrrVector,
 from conftest import (complete_binary, ranked_blocks, word_corpus,
                       zero_weight_symbol_file)
 from construction_oracles import per_node_columns
-from succinct_oracles import block_lens, encode_block, pack_bitstream
+from succinct_oracles import (block_lens, encode_block, fixed_width_id_body,
+                              pack_bitstream, read_ef_id_body)
 
 MODES = ("plain", "fid", "id", "fixedblock")
 
@@ -465,15 +466,15 @@ def test_xbwt_columns_match_per_node_loop(small_tries):
 
 # sha256 of the index files of word_corpus(2024, 2000) (n = 8,962), recorded
 # before the trie and XBWT construction were rewritten and re-recorded for
-# file versions 3 to 6, and for fid at u = 14; the
+# file versions 3 to 7, and for fid at u = 14; the
 # test_version_*_moved_only_* tests below show which bodies each version
 # changed
 GOLDEN_FILES = {
-    "plain": "8e33d50cc2760952841586df4185f3d57682f4248f4b066ece48885f943eb8a5",
-    "fid": "0cdca32e33235e27c56c2bc2e91ee43ddaff794e75babe983580c6febbc3ae9f",
-    "id": "fe569e9a6fe00606f95b78601f9386d43a00669c502595e0e9f2b3bdb394ba0e",
+    "plain": "d2bd838c7c9059ce7a4ee124dbba28df8c82504a6952c3d1da7032bc1e2c0357",
+    "fid": "8133c3d5588fd4630a06010734cce0fc9f20b4af3b7839657e2356b31e5f9e66",
+    "id": "92d8b9189700c0c80d1229fc58955942309298f1eb34f080169799bdd8a43c58",
     "fixedblock":
-        "5143b7fad8c827b56320c0d8f9ad826fa90f1885e334870f1b71aa486f1c5259",
+        "1be49ffde62a0ad17be1699d63452cb924a9c955f73ce5513d0adbb98f4de7b9",
 }
 
 
@@ -928,7 +929,7 @@ def test_index_file_header_layout(fig_trie):
     blob = serialize(idx)
     assert blob[:4] == b"XBWT"
     version, mode = struct.unpack_from("<HH", blob, 4)
-    assert version == 6 and mode == 1  # the position of "fid" in MODES
+    assert version == 7 and mode == 1  # the position of "fid" in MODES
     n, sigma = struct.unpack_from("<QH", blob, 8)
     assert (n, sigma) == (7, 4)  # sentinel included
     assert blob[18:22] == b"\x00abc"  # sentinel first, symbols ascending
@@ -941,11 +942,11 @@ def test_index_file_header_layout(fig_trie):
 # SHA-256 of the index file of each mode for the seeded 2,000-word corpus
 # of test_file_bytes_pinned: any change to the bytes a file holds fails here
 FILE_SHA256 = {
-    "plain": "be8935019680584891e04945652b266c6e9b7d53a78ef47996b59fd5cd1289e8",
-    "fid": "bbc87c5e82be8d4ac72ed797452a08a9c5ee59352c5ba58cb20ab908a532d8e5",
-    "id": "8baed9f7069e7b040daa232839e0d3ec697084ec8c98b3922dfffeb4251afbfc",
+    "plain": "e54311388924a5acb606b403da9da06baf771fcdfede95e8c3261fe69a27e2d0",
+    "fid": "fab5d9e86672919b6393a84f38083c0af979328ba54190ad7287b02be3755bd1",
+    "id": "5d25d4bd9fd3e23bb9d402344f78867c5058872268e34dacd29e169e4bb6a857",
     "fixedblock":
-        "00957a29ef2109eb328be94990083f08dec053dd74fdb9685b80c1ad6a392999",
+        "93adcc4cb17e1f9f71353e5437c02ff1639b59a7098d81d44423154bec619433",
 }
 
 
@@ -968,6 +969,28 @@ def words_20k():
     trie = build_from_strings(word_corpus(1, 20_000))
     assert trie.n == 72_772
     return trie
+
+
+def test_id_index_resident_within_three_times_its_file(words_20k):
+    """A loaded id index keeps one byte a stored position, each its offset
+    in its directory bucket, and a directory entry per bucket of 8 to 16
+    positions: the seeded 20k-word id index holds at most 3x its file
+    after the load and after 5,000 counts, which build the head table."""
+    import tracemalloc
+    data = serialize(build_index(words_20k, "id"))
+    rng = random.Random(5)
+    patterns = [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(1, 8)))
+                for _ in range(5000)]
+    tracemalloc.start()
+    try:
+        loaded = deserialize(data)
+        after_load = tracemalloc.get_traced_memory()[0]
+        answers = sum(count(loaded, p) for p in patterns)
+        after_counts = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert answers > 0
+    assert after_load <= after_counts <= 3 * len(data)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -999,9 +1022,9 @@ def _lexicographic_fid_body(body: bytes, m: int) -> bytes:
 
 
 def _file_at_old_fid_u(words, mode: str) -> bytes:
-    """The version-6 index file of the string set, with each fid column at
-    the u that file versions 3 to 6 were written at, floor(floor(log2 n)
-    / 2), before fid's one u of 14: the files the version history below
+    """The index file of the string set, with each fid column at the u
+    that file versions 3 to 6 were written at, floor(floor(log2 n) / 2),
+    before fid's one u of 14: the files the version history below
     recorded.  Other modes are built as they are."""
     trie = build_from_strings(words)
     if mode != "fid":
@@ -1012,16 +1035,24 @@ def _file_at_old_fid_u(words, mode: str) -> bytes:
 
 
 def _as_version(data: bytes, version: int) -> bytes:
-    """A version-6 index file as an earlier version wrote it: its version
-    field set back, each fid body re-coded by
-    :func:`_lexicographic_fid_body`, and its CRC recomputed."""
+    """A version-7 index file as an earlier version wrote it: its version
+    field set back, each id body re-coded from Elias-Fano to the
+    fixed-width positions of versions 3 to 6
+    (``succinct_oracles.fixed_width_id_body``), each fid body before
+    version 6 re-coded by :func:`_lexicographic_fid_body`, and its CRC
+    recomputed."""
     import struct
     mode, n, sigma = struct.unpack_from("<HQH", data, 6)
     off = 18 + sigma
     parts = [data[:4], struct.pack("<H", version), data[6:off]]
-    while MODES[mode] == "fid" and off < len(data) - 4:
-        _, end = deserialize_bitvector("fid", n, data, off)
-        parts.append(_lexicographic_fid_body(data[off:end], n))
+    while MODES[mode] in ("fid", "id") and off < len(data) - 4:
+        if MODES[mode] == "id":
+            complemented, stored, end = read_ef_id_body(data, n, off)
+            parts.append(fixed_width_id_body(n, stored, complemented))
+        else:
+            _, end = deserialize_bitvector("fid", n, data, off)
+            parts.append(_lexicographic_fid_body(data[off:end], n)
+                         if version < 6 else data[off:end])
         off = end
     body = b"".join(parts) + data[off:-4]
     return body + struct.pack("<I", crc32c(body))
@@ -1102,6 +1133,38 @@ def test_version_6_moved_only_fid_bodies(mode):
                       (word_corpus(2024, 2000), V5_GOLDEN_FILES)):
         data = _file_at_old_fid_u(words, mode)
         assert hashlib.sha256(_as_version(data, 5)).hexdigest() == v5[mode]
+
+
+# FILE_SHA256 and GOLDEN_FILES as file version 6 recorded them, at fid's
+# u = 14
+V6_FILE_SHA256 = {
+    "plain": "be8935019680584891e04945652b266c6e9b7d53a78ef47996b59fd5cd1289e8",
+    "fid": "bbc87c5e82be8d4ac72ed797452a08a9c5ee59352c5ba58cb20ab908a532d8e5",
+    "id": "8baed9f7069e7b040daa232839e0d3ec697084ec8c98b3922dfffeb4251afbfc",
+    "fixedblock":
+        "00957a29ef2109eb328be94990083f08dec053dd74fdb9685b80c1ad6a392999",
+}
+V6_GOLDEN_FILES = {
+    "plain": "8e33d50cc2760952841586df4185f3d57682f4248f4b066ece48885f943eb8a5",
+    "fid": "0cdca32e33235e27c56c2bc2e91ee43ddaff794e75babe983580c6febbc3ae9f",
+    "id": "fe569e9a6fe00606f95b78601f9386d43a00669c502595e0e9f2b3bdb394ba0e",
+    "fixedblock":
+        "5143b7fad8c827b56320c0d8f9ad826fa90f1885e334870f1b71aa486f1c5259",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_version_7_moved_only_id_bodies(mode):
+    """A file of any mode, set back to version 6, is the version 6 file
+    byte for byte once each id body is re-coded from Elias-Fano to
+    fixed-width positions: version 7 changed the id bodies alone, and a
+    plain, fid or fixed-block file only in its version field and CRC."""
+    for words, v6 in ((_pinned_words(), V6_FILE_SHA256),
+                      (word_corpus(2024, 2000), V6_GOLDEN_FILES)):
+        data = serialize(build_index(build_from_strings(words), mode))
+        assert hashlib.sha256(_as_version(data, 6)).hexdigest() == v6[mode]
+        if mode != "id":
+            assert _as_version(data, 6)[6:-4] == data[6:-4]
 
 
 @pytest.mark.parametrize("mode", MODES)

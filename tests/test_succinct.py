@@ -7,7 +7,7 @@ from itertools import accumulate
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (_ID_HEAD, Bitvector, _code_table, _codes,
+from xbwtrie.succinct import (Bitvector, _code_table, _codes,
                               _decode_block, _inverse_table, _pack_positions,
                               _pack_uniform, _pascal, _rank_word,
                               _unpack_bitstream, _unpack_uniform, _unrank,
@@ -17,8 +17,9 @@ from xbwtrie.succinct import (_ID_HEAD, Bitvector, _code_table, _codes,
 
 from conftest import ranked_blocks
 from succinct_oracles import (block_lens, block_words, decode_block,
-                              encode_block, pack_bitstream, pack_positions,
-                              parse_bits, split_words)
+                              ef_id_body, ef_low_width, encode_block,
+                              pack_bitstream, pack_positions, parse_bits,
+                              split_words)
 
 B_B = "1010010"   # out-edge vector of the middle symbol in the figure index
 B_A = "0000100"
@@ -290,8 +291,16 @@ def test_id_payload_and_complement():
     plainv = IdVector(m, ones)
     comp = IdVector(m, ones, complemented=True)
     assert plainv.payload_bits().payload == comp.payload_bits().payload
+    assert comp.stored_items() == 1
+    # one zero among 64 bits: 11 bytes stored as the zero, 25 as the ones
+    # (at m = 7 both Elias-Fano bodies take 11 bytes)
+    m, ones = parse_bits("1" * 31 + "0" + "1" * 32)
+    plainv = IdVector(m, ones)
+    comp = IdVector(m, ones, complemented=True)
+    assert plainv.payload_bits().payload == comp.payload_bits().payload
     assert comp.payload_bits().total < plainv.payload_bits().total
-    assert len(comp._pos) == 1
+    assert (comp.payload_bits().total, plainv.payload_bits().total) == \
+        (88, 200)
     # zeros inside, at 1, at m, adjacent, or none at all
     for bits in ("1110111", "0111111", "1111110", "1100111", "0010011",
                  "0011110", "1111111", "1", "0"):
@@ -331,10 +340,12 @@ def _id_directory_cases():
 
 
 def test_id_bucket_directory_against_prefix_sums():
-    """An ID vector bisects one bucket of its stored positions: every query
-    agrees with the referee, complemented or not, and the directory holds
-    at most k // 4 + 2 entries for k stored positions; the constructor
-    stores the same positions and a file round trip is byte-identical."""
+    """An ID vector bisects one bucket of its stored positions' offsets:
+    every query agrees with the referee, complemented or not; the directory
+    holds at most k // 8 + 2 entries for k stored positions, each the
+    count of stored positions below its bucket, and each offset is its
+    position's low _L bits; the constructor stores the same positions, and
+    a file round trip is byte-identical and restores the same fields."""
     for m, stored in _id_directory_cases():
         k = len(stored)
         for complemented in (False, True):
@@ -342,14 +353,18 @@ def test_id_bucket_directory_against_prefix_sums():
             ones = (sorted(set(range(1, m + 1)) - set(stored))
                     if complemented else stored)
             _assert_matches_bits(v, _bits(m, ones))
-            assert list(v._pos) == stored and v.stored_items() == k
-            assert len(v._D) <= k // 4 + 2, (m, k)
+            assert list(v._stored()) == stored and v.stored_items() == k
+            assert len(v._D) <= k // 8 + 2, (m, k)
+            assert list(v._D) == [sum(p < h << v._L for p in stored)
+                                  for h in range((m >> v._L) + 2)]
             assert v._D[0] == 0 and v._D[-1] == k
+            assert list(v._low) == [p & (1 << v._L) - 1 for p in stored]
             blob = serialize_bitvector(v)
             assert serialize_bitvector(IdVector(m, ones, complemented)) == blob
+            assert blob == ef_id_body(m, stored, complemented)
             back, used = deserialize_bitvector("id", m, blob)
             assert used == len(blob) and serialize_bitvector(back) == blob
-            assert back._D == v._D
+            assert (back._L, back._D, back._low) == (v._L, v._D, v._low)
 
 
 @pytest.mark.parametrize("m, k", [
@@ -358,41 +373,113 @@ def test_id_bucket_directory_against_prefix_sums():
     ids=["1-byte-spare", "1-byte-wide", "4-byte-spare", "4-byte-wide",
          "8-byte-spare", "8-byte-63", "65-bit"])
 def test_id_load_refuses_any_non_increasing_pair(m, k):
-    """A loaded id body whose positions repeat or descend once, in the
-    first, a middle or the last pair, or across a chunk of the lane test,
-    is refused; the sorted body loads.  The lengths cover each item size
-    the loader reads into, with the top bit spare and in use."""
+    """A loaded id body whose positions repeat or fall once, in the first,
+    a middle or the last pair, or across a chunk of the lane test, is
+    refused; the sorted body loads.  Elias-Fano's high parts cannot fall,
+    so a fall is written inside one high part, where the low parts do, and
+    at L = 0 (the first two cases) only a repeat can be written.  The
+    cases are named by the items that file version 6 read each length's
+    positions into; they cover both lane sizes that version 7 reads
+    positions in, 4 and 8 bytes, with the top bit spare and in use."""
     rng = random.Random(k)
     # the positions lie near m, so they use the top bits of their items
     pos = sorted(rng.sample(range(max(1, m - 10 * k), m + 1), k))
-    back, _ = deserialize_bitvector("id", m, _id_body(m, pos))
+    back, _ = deserialize_bitvector("id", m, ef_id_body(m, pos))
     assert back.one_positions() == pos
     # neighbours more than half an item apart load too: a lane whose top
     # bit is in use would carry into the next
     far = [1, 2, m]
-    assert deserialize_bitvector("id", m, _id_body(m, far))[0
+    assert deserialize_bitvector("id", m, ef_id_body(m, far))[0
                                  ].one_positions() == far
-    for i in {0, 1, k // 2, 1022, 1023, 1024, k - 2} & set(range(k - 1)):
-        for bad in ([*pos[:i + 1], pos[i], *pos[i + 2:]],
-                    [*pos[:i], pos[i + 1], pos[i], *pos[i + 2:]]):
+    L = ef_low_width(m, k)
+    for i in {0, 1, k // 2, 1022, 1023, 1024, 2047, k - 2} & set(range(k - 1)):
+        bad = [[*pos[:i + 1], pos[i], *pos[i + 2:]]]
+        if pos[i] >> L == pos[i + 1] >> L:
+            bad.append([*pos[:i], pos[i + 1], pos[i], *pos[i + 2:]])
+        elif pos[i] & (1 << L) - 1:  # one less, in pos[i]'s high part
+            bad.append([*pos[:i + 1], pos[i] - 1, *pos[i + 2:]])
+        for stored in bad:
             with pytest.raises(ValueError,
                                match="^positions must be strictly increasing$"):
-                deserialize_bitvector("id", m, _id_body(m, bad))
+                deserialize_bitvector("id", m, ef_id_body(m, stored))
 
 
-def _id_body(m, stored):
-    """An id body of the given stored positions, uncomplemented."""
-    return _ID_HEAD.pack(0, len(stored)) + pack_bitstream(
-        stored, [(m + 1).bit_length()] * len(stored))
+def test_id_load_refuses_hostile_elias_fano():
+    """A body whose bitmap is cut short or holds a one more or a one fewer
+    than k, whose streams have padding bits set, or that puts a position
+    outside 1..m, through its high part or its low part, is refused."""
+    rng = random.Random(41)
+    m, k = 1000, 100
+    stored = sorted(rng.sample(range(1, m + 1), k))
+    L = ef_low_width(m, k)
+    body = ef_id_body(m, stored)
+    high = 9 + (k * L + 7) // 8  # the bitmap's first byte
+    nbits = k + (m >> L) + 1
+    assert (L, nbits, len(body)) == (3, 226, high + 29)
+    assert deserialize_bitvector("id", m, body)[0].one_positions() == stored
+    bits = int.from_bytes(body[high:], "little")
+    ones = [j for j in range(nbits) if bits >> j & 1]
+    zero = next(j for j in range(nbits) if not bits >> j & 1)
+
+    def with_bitmap(b):
+        return body[:high] + b.to_bytes(len(body) - high, "little")
+    for bad, message in (
+            (body[:-1], "truncated"),
+            (with_bitmap(bits | 1 << zero), "id high bits do not hold one 1 per "
+             "position"),
+            (with_bitmap(bits & ~(1 << ones[0])), "id high bits do not hold "
+             "one 1 per position"),
+            # the last one moved to the bitmap's last bit: high part
+            # m >> L + 1
+            (with_bitmap(bits & ~(1 << ones[-1]) | 1 << nbits - 1),
+             "position out of range"),
+            (with_bitmap(bits | 1 << nbits), "bitstream has padding bits set"),
+            (body[:high - 1] + bytes((body[high - 1] | 0x80,)) + body[high:],
+             "bitstream has padding bits set"),
+            # high part m >> L = 125 and low part 7: 1007
+            (ef_id_body(m, [*stored[:-1], 1007]), "position out of range"),
+            (ef_id_body(m, [0, *stored[1:]]), "position out of range")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            deserialize_bitvector("id", m, bad)
+
+
+@pytest.mark.parametrize("m", [1, 7, 1000, 2 ** 32 - 1, 2 ** 40, 2 ** 63,
+                               2 ** 64 - 1])
+def test_id_body_bounded_by_its_count(m):
+    """An id body's bitmap holds k + (m >> L) + 1 bits, and m >> L < 2k, so
+    a body of k positions spends at least a bit on each and its bitmap
+    holds at most 3k bits, whatever length m a header declares: a load's
+    work follows from the body's bytes.  The bits are the accounted cost,
+    and three positions of m = 2^64 - 1 load in a few kilobytes."""
+    import tracemalloc
+    for k in range(1, min(m, 300) + 1):
+        L = ef_low_width(m, k)
+        assert m >> L < 2 * k, (m, k)
+        stored = list(range(1, k + 1))
+        assert 8 * len(ef_id_body(m, stored)) == \
+            IdVector.cost(m, k, False).total
+    body = ef_id_body(m, sorted({1, m // 2 + 1, m}))
+    tracemalloc.start()
+    try:
+        v, used = deserialize_bitvector("id", m, body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert used == len(body) and v.one_positions() == sorted({1, m // 2 + 1,
+                                                             m})
+    assert peak <= 64 * 1024
 
 
 def test_id_positions_at_64_bits():
-    """Positions sit in 4-byte items below m = 2^32 and 8-byte items from
-    there on, and rank holds up to m = 2^64 - 1, the largest length a
-    file can declare."""
+    """The offsets sit in the narrowest items of _L bits, one byte while
+    m / k < 32, 4-byte ones below m = 2^32 and 8-byte ones from there on
+    for one stored position, and rank holds up to m = 2^64 - 1, the
+    largest length a file can declare."""
+    assert IdVector._restore(2 ** 16, range(1, 2 ** 16 + 1, 4), False
+                             )._low.itemsize == 1
     assert IdVector._restore(2 ** 32 - 1, [2 ** 32 - 1], False
-                             )._pos.itemsize == 4
-    assert IdVector._restore(2 ** 32, [2 ** 32], False)._pos.itemsize == 8
+                             )._low.itemsize == 4
+    assert IdVector._restore(2 ** 32, [2 ** 32], False)._low.itemsize == 8
     m = 2 ** 64 - 1
     v = IdVector._restore(m, [1, 2 ** 63, m], False)
     assert [v.rank(i) for i in (0, 1, 2, 2 ** 63 - 1, 2 ** 63, m)] == [
@@ -595,12 +682,16 @@ def test_serialized_framing():
     # C(1, 1) = 1 of C(3, 1) = 3 (2 bits)
     assert serialize_bitvector(RrrVector(m, ones, u=4)) == \
         b"\x04" + bytes((2 | 1 << 3, 1 | 1 << 3))
-    # id: flags, u64 count, positions LSB-first at (m + 1).bit_length() = 4
-    # bits: 1 | 3 << 4 | 6 << 8 = 0x631; complemented, the zeros 2, 4, 5, 7
+    # id: flags, u64 count k, then Elias-Fano: the low L = floor(log2(m /
+    # k)) bits of each position, then a bitmap of k + (m >> L) + 1 bits
+    # with the i-th position's one at (p >> L) + i.  The ones 1, 3, 6:
+    # L = 1, low parts 1, 1, 0 (0b011); high parts 0, 1, 3 at bits 0, 2, 5
+    # of 7 bits (0b100101).  The zeros 2, 4, 5, 7: L = 0, no low part;
+    # high parts 2, 4, 5, 7 at bits 2, 5, 7, 10 of 12 (0b10010100100)
     assert serialize_bitvector(IdVector(m, ones)) == \
-        b"\x00" + struct.pack("<Q", 3) + b"\x31\x06"
+        b"\x00" + struct.pack("<Q", 3) + b"\x03\x25"
     assert serialize_bitvector(IdVector(m, ones, complemented=True)) == \
-        b"\x01" + struct.pack("<Q", 4) + b"\x42\x75"
+        b"\x01" + struct.pack("<Q", 4) + b"\xa4\x04"
     # fixed-block: u64 b, the blocks' one-counts at b.bit_length() = 3 bits
     # (2 | 1 << 3), then one stream of block bodies: each block's rank, in
     # the combinatorial number system, of its ones (of its zeros when 2k > l)
@@ -1419,8 +1510,9 @@ def test_huge_header_length_checked_before_allocating():
     assert peak <= 32 * 10 ** 6
     with pytest.raises(ValueError, match="truncated"):
         deserialize_bitvector("id", m, struct.pack("<BQ", 0, 2 ** 40))
-    # no stored positions and not complemented: a valid empty vector
-    v, _ = deserialize_bitvector("id", m, struct.pack("<BQ", 0, 0))
+    # no stored positions and not complemented: a valid empty vector, whose
+    # bitmap is the 2 bits of m >> L = 1 and its one zero
+    v, _ = deserialize_bitvector("id", m, struct.pack("<BQ", 0, 0) + b"\0")
     assert v.m == m and v.ones == 0
 
 
