@@ -109,7 +109,7 @@ def cmd_build(args) -> int:
             ("metric", "sigma", "-", str(trie.alphabet.sigma)),
             ("metric", "mode", "-", index.mode),
             ("metric", "r", "-", str(xidx.count_runs(
-                trie.alphabet.symbols, xidx.xbwt_columns(trie)).total)),
+                trie.alphabet.symbols, xidx.xbwt_bitmaps(trie)).total)),
             ("metric", "bytes", "-", str(len(data)))]
     for mode, acc in costs.items():
         rows.append(("metric", f"payload[{mode}]", "-", str(acc.bits.payload)))
@@ -234,7 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("count", help="run count queries against an index file")
+    p = sub.add_parser(
+        "count", help="run count queries against an index file",
+        description="Count the trie nodes whose path ends with each pattern. "
+        "count trusts its file: it checks the CRC, the header, each vector "
+        "body and the weights, but not that the vectors are a trie's XBWT; "
+        "stats, dump and build refuse a file that is not, through inversion.")
     p.add_argument("index")
     p.add_argument("patterns", nargs="*")
     p.add_argument("--patterns-file")

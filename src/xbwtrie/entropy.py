@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import ne, sub
+from typing import Sequence
 
 from . import index as xidx
 from .succinct import BitCost
@@ -162,7 +163,7 @@ def entropy_profile(trie: Trie, max_order: int
     return tuple(hs) + (hs[-1],) * rest, tuple(ells) + (n,) * rest
 
 
-def _order_pass(cols: tuple[tuple[int, ...], ...], cls: list[int],
+def _order_pass(cols: Sequence[Sequence[int]], cls: list[int],
                 sizes: list[int]) -> tuple[float, list[int], list[int]]:
     """n * H_k from the order-k classes, and the classes of order k + 1
     with their sizes.
@@ -255,7 +256,7 @@ def check_bounds(trie: Trie, max_order: int = 2,
         slack = hs[k] - hs[k + 1]
         checks.append(BoundCheck(f"monotone_k{k}", slack >= -TOL_MONO, slack))
 
-    runs = xidx.count_runs(trie.alphabet.symbols, cols)
+    runs = xidx.count_runs(trie.alphabet.symbols, xidx.xbwt_bitmaps(trie))
     sigma_full = sigma_eff + 1
     for k in range(max_order + 1):
         rhs = n * hs[k] + sigma_full ** (k + 1)

@@ -4,11 +4,12 @@ The nodes are sorted by the co-lexicographic order of their incoming paths;
 one bitvector per symbol marks which sorted nodes have an outgoing edge with
 that symbol, and the C array, a prefix sum of the vector weights, locates
 each symbol's block of incoming edges.
-The sort and the per-symbol columns are derived once per trie
-(:func:`xbwt_columns`) and shared by every back-end and every report.  The
-mode's vector class builds and accounts each column (:mod:`.succinct`), so
-this module names no back-end: ``MODES`` is the kinds of
-``succinct.VECTORS``.
+The sort and the per-symbol columns are derived once per trie, each column
+a packed ``array`` of 4-byte positions (:func:`xbwt_columns`), and so is
+each column's packed bitmap (:func:`xbwt_bitmaps`); both are shared by
+every back-end and every report.  The mode's vector class builds and
+accounts each column from them (:mod:`.succinct`), so this module names no
+back-end: ``MODES`` is the kinds of ``succinct.VECTORS``.
 A pattern is matched by forward search: one rank-pair per symbol maps the
 interval of nodes reached by p to the interval reached by p plus one symbol.
 The intervals of all patterns of length at most k are precomputed on the
@@ -21,10 +22,11 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
-from .succinct import (VECTORS, BitCost, Bitvector, deserialize_bitvector,
-                       serialize_bitvector)
+from .succinct import (_POS32, VECTORS, BitCost, Bitvector, _bitmap,
+                       deserialize_bitvector, serialize_bitvector)
 from .trie import Alphabet, Trie, colex_order
 
 # a file stores a mode by position; every vector's kind is its index's mode
@@ -157,34 +159,47 @@ def _head_table(index: XbwtIndex) -> dict[bytes, tuple[int, int]]:
     return head
 
 
-def xbwt_columns(trie: Trie) -> tuple[tuple[int, ...], ...]:
+def xbwt_columns(trie: Trie) -> tuple[array, ...]:
     """The XBWT of the trie, derived once and kept on it, or set by invert.
 
-    One tuple per symbol, in alphabet order, holding the ascending 1-based
-    co-lex positions of the nodes with an out-edge labeled by that symbol:
-    the one-positions of the symbol's bitvector.  Past the root, the co-lex
-    order holds the nodes labeled c as one block, ordered by their parents'
-    co-lex ranks, so column c is the parents' ranks over that block.
+    One array of 4-byte items (``succinct._POS32``) per symbol, in alphabet
+    order, holding the ascending 1-based co-lex positions of the nodes with
+    an out-edge labeled by that symbol: the one-positions of the symbol's
+    bitvector.  Past the root, the co-lex order holds the nodes labeled c
+    as one block, ordered by their parents' co-lex ranks, so column c is
+    the parents' ranks over that block.  The ranks are arrays from the
+    sort on, so each column is a slice of one.
     """
     if trie._xbwt is None:
         order = colex_order(trie)
-        rank = [0] * trie.n
+        rank = array(_POS32, [0]) * trie.n
         for r, v in enumerate(order, start=1):
             rank[v] = r
         # parent_rank[r]: co-lex rank of the parent of the rank-r node, filled
         # in id order, where a node's parent is a recently visited id
-        parent_rank = [0] * (trie.n + 1)
-        for v, p in enumerate(trie.parent):
-            parent_rank[rank[v]] = rank[p]
+        parent_rank = array(_POS32, [0]) * (trie.n + 1)
+        for r, p in zip(rank, trie.parent):
+            parent_rank[r] = rank[p]
         label = trie.label.__getitem__
         cols = []
         start = 1  # order[0] is the root
         for c in trie.alphabet.symbols:
             end = bisect_right(order, c, start, key=label)
-            cols.append(tuple(parent_rank[start + 1:end + 1]))
+            cols.append(parent_rank[start + 1:end + 1])
             start = end
         trie._xbwt = tuple(cols)
     return trie._xbwt
+
+
+def xbwt_bitmaps(trie: Trie) -> tuple[bytes, ...]:
+    """Each of the trie's :func:`xbwt_columns` as its packed bitmap of n
+    bits, bit p - 1 holding position p (``succinct._bitmap``): made once
+    and kept on the trie beside the columns, and handed to every back-end,
+    which builds or accounts its vector from the form it stores."""
+    if trie._bitmaps is None:
+        trie._bitmaps = tuple(_bitmap(trie.n, col)
+                              for col in xbwt_columns(trie))
+    return trie._bitmaps
 
 
 def _vector_class(mode: str) -> type[Bitvector]:
@@ -205,7 +220,8 @@ def build_index(trie: Trie, mode: str = "auto") -> XbwtIndex:
         mode = smallest_file({m: column_cost(trie, m) for m in MODES})
     make = _vector_class(mode).over_column
     return XbwtIndex(trie.n, trie.alphabet, mode,
-                     tuple(make(trie.n, ones) for ones in xbwt_columns(trie)))
+                     tuple(map(make, repeat(trie.n), xbwt_columns(trie),
+                               xbwt_bitmaps(trie))))
 
 
 @dataclass(frozen=True)
@@ -228,7 +244,8 @@ def column_cost(trie: Trie, mode: str) -> IndexCost:
     the file adds its header, the alphabet with its sentinel and the
     CRC."""
     cost = _vector_class(mode).column_cost
-    costs = [cost(trie.n, ones) for ones in xbwt_columns(trie)]
+    costs = list(map(cost, repeat(trie.n), xbwt_columns(trie),
+                     xbwt_bitmaps(trie)))
     bits = sum((column for *_, column in costs), BitCost(0, 0))
     return IndexCost(bits, costs[-1][0] if costs else None,
                      sum(blocks for _, blocks, _ in costs),
@@ -306,28 +323,18 @@ def count(index: XbwtIndex, pattern: bytes) -> int:
     return hi - lo + 1
 
 
-def _runs(positions: Iterable[int]) -> int:
-    """Number of maximal runs of consecutive values in ascending positions."""
-    runs = 0
-    prev = -2
-    for p in positions:
-        if p != prev + 1:
-            runs += 1
-        prev = p
-    return runs
+def _runs(bits: int) -> int:
+    """Number of maximal runs of set bits in bits: the set bits whose lower
+    neighbour is clear."""
+    return (bits & ~(bits << 1)).bit_count()
 
 
 def count_runs(symbols: Sequence[int],
-               columns: Iterable[Sequence[int]]) -> RunCounts:
-    """Run counts of per-symbol one-position lists, e.g. ``xbwt_columns``."""
-    by_symbol = {c: _runs(col) for c, col in zip(symbols, columns)}
+               bitmaps: Iterable[bytes]) -> RunCounts:
+    """Run counts of per-symbol packed bitmaps, e.g. ``xbwt_bitmaps``."""
+    by_symbol = {c: _runs(int.from_bytes(raw, "little"))
+                 for c, raw in zip(symbols, bitmaps)}
     return RunCounts(sum(by_symbol.values()), by_symbol)
-
-
-def run_count(index: XbwtIndex) -> RunCounts:
-    """Number of positions where a symbol's run of out-edges ends."""
-    return count_runs(index.alphabet.symbols,
-                      (vec.one_positions() for vec in index.vectors))
 
 
 def _check_size(index: XbwtIndex) -> None:
@@ -335,14 +342,24 @@ def _check_size(index: XbwtIndex) -> None:
         raise ValueError("index too large")
 
 
-def leaf_run_count(index: XbwtIndex) -> int:
-    """Number of maximal co-lex runs of leaves (nodes with no out-edges)."""
+def run_count(index: XbwtIndex) -> RunCounts:
+    """Number of positions where a symbol's run of out-edges ends; refused,
+    as the n-bit bitmaps it packs would be, past ``MAX_NODES``."""
     _check_size(index)
-    internal = bytearray(index.n + 1)
+    return count_runs(index.alphabet.symbols,
+                      (_bitmap(index.n, vec.one_positions())
+                       for vec in index.vectors))
+
+
+def leaf_run_count(index: XbwtIndex) -> int:
+    """Number of maximal co-lex runs of leaves (nodes with no out-edges):
+    the runs of the n bits that no vector sets."""
+    _check_size(index)
+    internal = 0
     for vec in index.vectors:
-        for p in vec.one_positions():
-            internal[p] = 1
-    return _runs(p for p in range(1, index.n + 1) if not internal[p])
+        internal |= int.from_bytes(_bitmap(index.n, vec.one_positions()),
+                                   "little")
+    return _runs(~internal & ((1 << index.n) - 1))
 
 
 def invert(index: XbwtIndex) -> Trie:
@@ -367,7 +384,7 @@ def invert(index: XbwtIndex) -> Trie:
     nxt = array("i", [0]) * (n + 1)
     sym = bytearray(n + 1)
     symbols = index.alphabet.symbols
-    cols = tuple(tuple(vec.one_positions()) for vec in index.vectors)
+    cols = tuple(array(_POS32, vec.one_positions()) for vec in index.vectors)
     for i in reversed(range(len(symbols))):
         c = symbols[i]
         for child, p in enumerate(cols[i], start=index.c_array[i + 1] + 1):

@@ -50,19 +50,21 @@ word, checked at load, and fills in the word the first time a query reads
 it.
 
 The loader takes no Python step per value of a stream of one width (block
-counts, id low parts): eight w-bit values fill w bytes, so each of the 8
-value slots is cut for all groups at once, from strided slices shifted and
-masked as one int.  An id body's unary high parts are read in lanes too,
+counts, id low parts) of 128 values or more: eight w-bit values fill w
+bytes, so each of the 8 value slots is cut for all groups at once, from
+strided slices shifted and masked as one int; a shorter stream is read
+value by value, which costs less than the 8 slot passes.  An id body's unary high parts are read in lanes too,
 about a thousand positions at a time, from the bitmap's bits spread to
 bytes (:func:`_read_id`).  An empty or a full block stores no rank, so
 only the other blocks' ranks are read, checked and kept (fid's as 2-byte
 items), and such a block is filled in without an unrank.
 
-The writer mirrors the loader.  A column's one-positions set bytes of a
-flag array in one C-level ``map``, and its m-bit bitmap is gathered from
-every eighth flag; the fid and fixed-block constructors cut their blocks
-from it with the lane reader and count their ones with one popcount
-``bytes.translate``.  The lane writer ``_pack_uniform``, the exact inverse
+The writer mirrors the loader.  A column's m-bit bitmap is packed once
+(:func:`_bitmap`, kept per trie by ``index.xbwt_bitmaps``) and handed to
+every back-end that reads bits: plain keeps its bytes, and fid and
+fixed-block cut their blocks from it with the lane reader and count their
+ones with one popcount ``bytes.translate``, to build a vector and to
+account one alike.  The lane writer ``_pack_uniform``, the exact inverse
 of the lane reader, writes every stream of one width, the block counts and
 the id low parts at each width a file holds; an id body's unary bitmap is
 packed as a column's is, and the block ranks are one bit string per
@@ -129,9 +131,8 @@ def _pack_positions(m: int, ones: Iterable[int]) -> bytes:
     """Pack 1-based positions into ceil(m/8) little-endian bytes, bit i-1
     holding position i; the padding bits past m stay zero.
 
-    No Python step is taken per one: the positions set their bytes of a
-    flag array in one C-level ``map``, and bit j of every packed byte is
-    read from every eighth flag as one int."""
+    Each one sets its digit of a binary numeral, one Python step per one,
+    and the numeral is read as one int."""
     if not isinstance(ones, (list, tuple, range, array)):
         ones = list(ones)
     if ones and (min(ones) < 1 or max(ones) > m):
@@ -139,15 +140,14 @@ def _pack_positions(m: int, ones: Iterable[int]) -> bytes:
     return _bitmap(m, ones)
 
 
-def _bitmap(m: int, ones: Sequence[int]) -> bytes:
+def _bitmap(m: int, ones: Iterable[int]) -> bytes:
     """:func:`_pack_positions` of positions known to lie in 1..m."""
-    nbytes = (m + 7) >> 3
-    flags = bytearray(8 * nbytes + 1)  # flags[p] is 1 when p is a one
-    any(map(flags.__setitem__, ones, repeat(1)))  # each call gives None
-    bits = 0
-    for j in range(8):
-        bits |= int.from_bytes(flags[j + 1::8], "little") << j
-    return bits.to_bytes(nbytes, "little")
+    # digits[p] is "1" when p is a one; read from m down to 1, the digits
+    # are a binary numeral whose bit p - 1 is position p
+    digits = bytearray(b"0") * (m + 1)
+    for p in ones:
+        digits[p] = 49  # ord("1")
+    return int(digits[:0:-1] or b"0", 2).to_bytes((m + 7) >> 3, "little")
 
 
 # the 4-byte array typecode of ID positions below 2^32; C fixes only a
@@ -289,15 +289,19 @@ class Bitvector:
         raise NotImplementedError
 
     @classmethod
-    def over_column(cls, m: int, ones: Sequence[int]) -> Bitvector:
-        """The vector an index builds over a column of length m with the
-        given ascending one-positions, at the back-end's own setting."""
-        return cls(m, ones)
+    def over_column(cls, m: int, ones: Sequence[int], raw: bytes
+                    ) -> Bitvector:
+        """The vector an index builds over a column of length m, at the
+        back-end's own setting, from the column's strictly increasing
+        one-positions in 1..m, an ``array`` as ``index.xbwt_columns`` keeps
+        them, and their packed bitmap ``raw`` (:func:`_bitmap`); each
+        back-end reads the form it stores."""
+        raise NotImplementedError
 
     @classmethod
-    def column_cost(cls, m: int, ones: Sequence[int]
+    def column_cost(cls, m: int, ones: Sequence[int], raw: bytes
                     ) -> tuple[int | None, int, BitCost]:
-        """(block size, block count, bits) of ``over_column(m, ones)``,
+        """(block size, block count, bits) of ``over_column(m, ones, raw)``,
         accounted without building it; the block size is None for a
         back-end that codes no blocks."""
         raise NotImplementedError
@@ -386,7 +390,11 @@ class PlainBitvector(_WordBlocks):
         return BitCost(m, -m % 8)
 
     @classmethod
-    def column_cost(cls, m, ones):
+    def over_column(cls, m, ones, raw):
+        return cls._restore(m, raw)
+
+    @classmethod
+    def column_cost(cls, m, ones, raw):
         return None, 0, cls.cost(m)
 
     def payload_bits(self) -> BitCost:
@@ -413,7 +421,17 @@ class _CodedBlocks(_WordBlocks):
         if m < 0:
             raise ValueError("length must be nonnegative")
         size = self.block_size(m, size)
-        raw = _pack_positions(m, ones)
+        self._from_bitmap(m, size, _pack_positions(m, ones))
+
+    @classmethod
+    def over_column(cls, m, ones, raw):
+        self = cls.__new__(cls)
+        self._from_bitmap(m, cls.block_size(m, None), raw)
+        return self
+
+    def _from_bitmap(self, m: int, size: int, raw: bytes) -> None:
+        """Build from the packed bitmap raw of m bits (:func:`_bitmap`),
+        at block size ``size``: the constructor's path and an index's."""
         blocks = _cut_blocks(raw, m, size)
         counts = _block_counts(blocks)
         if self.g == 1:
@@ -445,20 +463,17 @@ class _CodedBlocks(_WordBlocks):
         return BitCost(payload, 8 * nbytes - payload)
 
     @classmethod
-    def column_cost(cls, m, ones):
+    def column_cost(cls, m, ones, raw):
         size = cls.block_size(m, None)
-        counts = cls._column_counts(m, size, ones)
+        counts = cls._column_counts(m, size, ones, raw)
         return size, len(counts), cls.cost(m, size, counts)
 
     @staticmethod
-    def _column_counts(m: int, size: int, ones: Sequence[int]) -> list[int]:
-        """The one count of every size-bit block covering m bits, from the
-        ascending one-positions: one step per one, as fid's blocks hold
-        about as many ones as there are blocks."""
-        counts = [0] * -(-m // size)  # the last block may be short
-        for p in ones:
-            counts[(p - 1) // size] += 1
-        return counts
+    def _column_counts(m: int, size: int, ones: Sequence[int], raw: bytes
+                       ) -> Sequence[int]:
+        """The one count of every size-bit block covering m bits, as the
+        constructor takes them: from the blocks cut from the bitmap."""
+        return _block_counts(_cut_blocks(raw, m, size))
 
     def payload_bits(self) -> BitCost:
         return self.cost(self.m, self.size, self.counts)
@@ -524,7 +539,7 @@ class FixedBlockVector(_CodedBlocks):
         return b
 
     @staticmethod
-    def _column_counts(m, b, ones):
+    def _column_counts(m, b, ones, raw):
         # a block holds many ones, so each block's count is the difference
         # of the bisections at its end and at the one before, in C
         ends = list(map(bisect_right, repeat(ones), range(b, m + b, b)))
@@ -541,24 +556,25 @@ class FixedBlockVector(_CodedBlocks):
 _LANE_CHUNK = 1 << 10
 
 
-def _increasing(values: Sequence[int], w: int) -> bool:
-    """Whether the items of values, each below 2^w, strictly increase.
+def _increasing(values: array) -> bool:
+    """Whether the items of the unsigned array values strictly increase.
 
-    When w leaves the items' top bit spare, that bit is each item's guard:
-    a chunk of items, as lanes of one int, is tested by one subtraction,
-    the later items, each with its guard set and less 1, less the earlier
-    ones.  No lane borrows from the next, and each keeps its guard exactly
-    when its later item exceeds the earlier (as :func:`_below_row` does).
-    Items with no spare bit (the positions of a vector of length 2^31 to
-    2^32 - 1 in 4-byte items) and values of 64 bits or more, which only a
-    vector of length 2^63 or more stores and which may come in any
-    sequence, are compared one pair at a time."""
+    When no item has its top bit set, that bit is each item's guard: a
+    chunk of items, as lanes of one int, is tested by one subtraction, the
+    later items, each with its guard set and less 1, less the earlier ones.
+    No lane borrows from the next, and each keeps its guard exactly when
+    its later item exceeds the earlier (as :func:`_below_row` does).  Items
+    with the top bit set (positions of 2^31 and more in 4-byte items, or of
+    2^63 and more, which only a vector of length 2^63 or more stores), on
+    which a lane may borrow, are compared one pair at a time, so the answer
+    is exact for any items."""
     n = len(values) - 1
-    if w >= 64 or w >= 8 * values.itemsize:
-        return all(map(lt, values, islice(values, 1, None)))
     if n < 1:
         return True
     size = values.itemsize
+    top = memoryview(values).cast("B")[0 if _BIG_ENDIAN else size - 1::size]
+    if top.tobytes().translate(None, _BELOW_128):
+        return all(map(lt, values, islice(values, 1, None)))
     if _BIG_ENDIAN:  # the lanes are little-endian
         values = array(values.typecode, values)
         values.byteswap()
@@ -648,20 +664,27 @@ class IdVector(Bitvector):
     def __init__(self, m: int, ones: Iterable[int], complemented: bool = False):
         if m < 0:
             raise ValueError("length must be nonnegative")
-        if not isinstance(ones, (list, tuple, range, array)):
-            ones = list(ones)
-        if ones and (min(ones) < 1 or max(ones) > m):
-            raise ValueError("one-position out of range")
         typ = _POS32 if m >> 32 == 0 else "Q"
-        stored = (ones if isinstance(ones, array) and ones.typecode == typ
-                  else array(typ, ones))
-        # an index's columns come strictly increasing: sorted only if not
-        if not _increasing(stored, m.bit_length()):
+        if isinstance(ones, array) and ones.typecode == typ:
+            stored = ones  # an index's column, kept as it stands
+        else:
+            if not isinstance(ones, (list, tuple, range, array)):
+                ones = list(ones)
+            # a position past m may not fit the array's items
+            if ones and (min(ones) < 1 or max(ones) > m):
+                raise ValueError("one-position out of range")
+            stored = array(typ, ones)
+        # an index's columns come strictly increasing: sorted only if not;
+        # then the ends bound every position
+        if not _increasing(stored):
             stored = array(typ, sorted(set(stored)))
+        if stored and not (1 <= stored[0] and stored[-1] <= m):
+            raise ValueError("one-position out of range")
         if complemented:
             zeros = bytearray(b"\1") * (m + 1)  # zeros[p] is 1 when p is a zero
             zeros[0] = 0
-            any(map(zeros.__setitem__, stored, repeat(0)))  # each gives None
+            for p in stored:
+                zeros[p] = 0
             stored = array(typ, compress(range(m + 1), zeros))
         self._fill(m, len(stored), (stored,) if stored else (), complemented)
 
@@ -672,7 +695,7 @@ class IdVector(Bitvector):
             raise ValueError("position out of range")
         if not isinstance(stored, array):
             stored = array(_POS32 if m >> 32 == 0 else "Q", stored)
-        if not _increasing(stored, m.bit_length()):
+        if not _increasing(stored):
             raise ValueError("positions must be strictly increasing")
         self._fill(m, len(stored), (stored,) if stored else (), complemented)
 
@@ -740,7 +763,8 @@ class IdVector(Bitvector):
             return list(self._stored())
         ones = bytearray(b"\1") * (self.m + 1)  # ones[p] is 1 when p is a one
         ones[0] = 0
-        any(map(ones.__setitem__, self._stored(), repeat(0)))  # each gives None
+        for p in self._stored():
+            ones[p] = 0
         return list(compress(range(self.m + 1), ones))
 
     @staticmethod
@@ -762,11 +786,11 @@ class IdVector(Bitvector):
         return len(ones) > m / 2
 
     @classmethod
-    def over_column(cls, m, ones):
+    def over_column(cls, m, ones, raw):
         return cls(m, ones, cls._majority(m, ones))
 
     @classmethod
-    def column_cost(cls, m, ones):
+    def column_cost(cls, m, ones, raw):
         return m, 1, cls.cost(m, len(ones), cls._majority(m, ones))
 
     def payload_bits(self) -> BitCost:
@@ -861,6 +885,12 @@ def _lane_int(values, size: int) -> int:
     return int.from_bytes(raw, "little")
 
 
+# the fewest full groups of 8 values that :func:`_unpack_uniform` reads in
+# lanes: below it the 8 slot passes, about 20 us at any width, cost more
+# than reading value by value, about 0.1 us a value
+_LANE_GROUPS = 16
+
+
 def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     """``_unpack_bitstream(data, [w] * k)`` for one width w >= 1, with the
     same checks, as an ``array`` of items wide enough for w bits: one byte
@@ -875,7 +905,9 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     gathered from strided slices into one lane of L bytes per group, the
     lanes are shifted and masked as one int, and the column is written
     into every eighth item.  Only the tail group, of fewer than 8 values,
-    is read value by value, and its padding checked."""
+    is read value by value, and its padding checked; so is a stream of
+    fewer than ``_LANE_GROUPS`` full groups, whose 8 slot passes would cost
+    more than its values."""
     if w > 57:
         return _unpack_bitstream(data, [w] * k)
     total = w * k
@@ -884,7 +916,7 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
     if len(data) != (total + 7) // 8:
         raise ValueError("bad bitstream length")
     mask = (1 << w) - 1
-    groups = k >> 3
+    groups = k >> 3 if k >> 3 >= _LANE_GROUPS else 0
     full = groups * w  # the bytes of the full groups
     out = array("B" if w <= 8 else _POS32 if w <= 32 else "Q", [0]) * k
     if groups:
@@ -914,7 +946,7 @@ def _unpack_uniform(data: bytes, w: int, k: int) -> array | list[int]:
             if _BIG_ENDIAN:
                 col.byteswap()
             out[j:8 * groups:8] = col
-    tail = k & 7
+    tail = k - 8 * groups
     if tail:
         g = int.from_bytes(data[full:], "little")
         if g >> (tail * w):

@@ -3,10 +3,14 @@
 A trie here is a rooted tree whose edges carry byte labels, with the labels
 of the edges leaving one node pairwise distinct and siblings ordered by
 label.  Nodes are identified by dense integer ids 0..n-1 assigned in
-pre-order, so the root is always node 0.
+pre-order, so the root is always node 0.  A trie also keeps its XBWT once
+derived (``index.xbwt_columns``): one ``array`` of 4-byte co-lex positions
+per symbol, and beside it each column's packed bitmap, which every
+bitvector back-end builds from.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
@@ -99,7 +103,7 @@ class Trie:
     """Immutable trie; build via :func:`build_from_strings` or classmethods."""
 
     __slots__ = ("n", "parent", "label", "alphabet", "_children", "_paths",
-                 "_xbwt")
+                 "_xbwt", "_bitmaps")
 
     def __init__(self, parent: Sequence[int], label: Sequence[int]):
         n = len(parent)
@@ -149,8 +153,11 @@ class Trie:
         # filled in on first use by the children property and by paths
         self._children: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._paths: tuple[bytes, ...] | None = None
-        # XBWT columns, filled in once by index.xbwt_columns or index.invert
-        self._xbwt: tuple[tuple[int, ...], ...] | None = None
+        # the XBWT columns, arrays of 4-byte co-lex positions, filled in once
+        # by index.xbwt_columns or index.invert; and their packed bitmaps,
+        # which every back-end shares, filled in once by index.xbwt_bitmaps
+        self._xbwt: tuple[array, ...] | None = None
+        self._bitmaps: tuple[bytes, ...] | None = None
 
     @classmethod
     def from_outsets(cls, outsets: Sequence[Sequence[int]]) -> "Trie":

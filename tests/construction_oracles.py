@@ -81,6 +81,18 @@ def per_node_columns(trie):
     return tuple(tuple(col) for col in ones)
 
 
+def runs_per_position(positions):
+    """Number of maximal runs of consecutive values in ascending positions,
+    one step per position."""
+    runs = 0
+    prev = -2
+    for p in positions:
+        if p != prev + 1:
+            runs += 1
+        prev = p
+    return runs
+
+
 def colex_order_by_paths(trie):
     """Node ids sorted by their reversed root-to-node strings."""
     paths = trie.paths()

@@ -7,7 +7,8 @@ import pytest
 import xbwtrie.combinatorics
 import xbwtrie.entropy
 import xbwtrie.index
-from xbwtrie import build_from_strings, build_index, deserialize, serialize
+from xbwtrie import (Alphabet, PlainBitvector, XbwtIndex, build_from_strings,
+                     build_index, deserialize, serialize)
 from xbwtrie.cli import format_pattern, main, parse_pattern
 from xbwtrie.index import crc32c
 from xbwtrie.succinct import serialize_bitvector
@@ -681,3 +682,25 @@ def test_index_file_has_version_high_byte_zero(tmp_path, capsys, data, n):
             assert main([command, path]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+def test_count_trusts_its_file_and_inversion_refuses_a_cycle(tmp_path,
+                                                             capsys):
+    """A file that passes every load check but is no trie's XBWT (rank 2
+    hangs under rank 3 and rank 3 under rank 2): `count` answers from it,
+    as its help says, while `stats`, `dump` and `build` refuse it through
+    inversion."""
+    path = tmp_path / "cycle.xbwt"
+    path.write_bytes(serialize(XbwtIndex(
+        3, Alphabet((97, 98), 0), "plain",
+        (PlainBitvector(3, (3,)), PlainBitvector(3, (2,))))))
+    assert main(["count", str(path), "a", "ab"]) == 0
+    assert capsys.readouterr().out == "a\t1\nab\t1\n"
+    for argv in (["stats", str(path)], ["dump", str(path)],
+                 ["build", str(path), "--output", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: not a valid XBWT\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert "count trusts its file" in " ".join(capsys.readouterr().out.split())

@@ -9,18 +9,18 @@ from xbwtrie import (NodeInterval, Trie, XbwtIndex, build_from_strings,
                      build_index, check_bounds, count, deserialize,
                      forward_step, invert, leaf_run_count, naive_count,
                      random_trie, run_count, serialize)
-from xbwtrie.index import (_crc_lanes, _crc_shift, _head_table,
-                           column_cost, crc32c, index_bits,
-                           xbwt_columns)
+from xbwtrie.index import (RunCounts, _crc_lanes, _crc_shift, _head_table,
+                           column_cost, count_runs, crc32c, index_bits,
+                           xbwt_bitmaps, xbwt_columns)
 from xbwtrie.succinct import (VECTORS, Bitvector, IdVector, RrrVector,
                               ceil_log2_comb, deserialize_bitvector,
                               serialize_bitvector)
 
 from conftest import (complete_binary, ranked_blocks, word_corpus,
                       zero_weight_symbol_file)
-from construction_oracles import per_node_columns
+from construction_oracles import per_node_columns, runs_per_position
 from succinct_oracles import (block_lens, encode_block, fixed_width_id_body,
-                              pack_bitstream, read_ef_id_body)
+                              pack_bitstream, pack_positions, read_ef_id_body)
 
 MODES = ("plain", "fid", "id", "fixedblock")
 
@@ -158,6 +158,7 @@ def test_invert_keeps_the_file_columns(small_tries):
             checked = Trie(t.parent, t.label)
             assert checked == got
             assert got._xbwt == xbwt_columns(checked)
+            assert all(col.itemsize == 4 for col in got._xbwt)  # packed
 
 
 def _bit_flips(data: bytes):
@@ -450,9 +451,11 @@ def test_head_table_depth_pinned():
 
 def test_xbwt_columns_figure(fig_trie):
     cols = xbwt_columns(fig_trie)
-    assert cols == tuple(
+    assert tuple(map(tuple, cols)) == tuple(
         tuple(p for p, bit in enumerate(FIG_VECTORS[c], start=1) if bit == "1")
         for c in fig_trie.alphabet.symbols)
+    # packed: one array of 4-byte items per column
+    assert all(col.itemsize == 4 for col in cols)
     assert xbwt_columns(fig_trie) is cols  # kept on the trie
 
 
@@ -461,7 +464,7 @@ def test_xbwt_columns_match_per_node_loop(small_tries):
                            build_from_strings([b""]),
                            build_from_strings([b"\x00\x01", b"\x01\x00"])]
     for t in tries:
-        assert xbwt_columns(t) == per_node_columns(t)
+        assert tuple(map(tuple, xbwt_columns(t))) == per_node_columns(t)
 
 
 # sha256 of the index files of word_corpus(2024, 2000) (n = 8,962), recorded
@@ -489,13 +492,13 @@ def test_index_files_golden():
 
 def test_invert_refuses_huge_n():
     """The 39-byte file declaring n = 2^40 loads, but the n-entry lists of
-    invert and leaf_run_count are refused before they are allocated."""
+    invert, and the n-bit bitmaps of leaf_run_count and run_count, are
+    refused before they are allocated."""
     n = 2 ** 40
     idx = deserialize(_id_file(n, (97,), [IdVector._restore(n, [n], True)]))
-    with pytest.raises(ValueError, match="^index too large$"):
-        invert(idx)
-    with pytest.raises(ValueError, match="^index too large$"):
-        leaf_run_count(idx)
+    for refused in (invert, leaf_run_count, run_count):
+        with pytest.raises(ValueError, match="^index too large$"):
+            refused(idx)
 
 
 def test_index_rejects_zero_weight_symbol(fig_trie):
@@ -626,6 +629,62 @@ def test_run_count_single():
 def test_leaf_run_count():
     assert leaf_run_count(build_index(complete_binary(2), "plain")) == 2
     assert leaf_run_count(build_index(complete_binary(3), "plain")) == 4
+
+
+def test_count_runs_matches_the_per_position_count(small_tries):
+    """A bitmap's runs, counted as its set bits whose lower neighbour is
+    clear, are the runs a per-position count finds: at every length near a
+    byte and at several densities, for runs that start, end and cross byte
+    boundaries, and for the XBWT columns and the leaves of seeded tries."""
+    rng = random.Random(47)
+    cases = [(m, [p for p in range(1, m + 1) if rng.random() < density])
+             for m in (*range(1, 20), 63, 64, 65, 200)
+             for density in (0.1, 0.5, 0.9, 1)]
+    # runs 7..9 and 12..17 cross a byte boundary, 16..24 spans a whole
+    # byte, and the last run ends at m
+    cases += [(48, [*range(7, 10), *range(12, 18), 20, *range(31, 41), 48]),
+              (32, [*range(16, 25), 32]), (9, [8, 9]), (9, [1, 8])]
+    symbols = range(len(cases))
+    want = {c: runs_per_position(ones) for c, (_, ones) in zip(symbols, cases)}
+    assert count_runs(symbols, [pack_positions(m, ones) for m, ones in cases]
+                      ) == RunCounts(sum(want.values()), want)
+    for t in small_tries[:100]:
+        cols = per_node_columns(t)
+        want = {c: runs_per_position(col)
+                for c, col in zip(t.alphabet.symbols, cols)}
+        assert count_runs(t.alphabet.symbols, xbwt_bitmaps(t)).by_symbol == \
+            want
+        idx = build_index(t, "id")
+        assert run_count(idx) == RunCounts(sum(want.values()), want)
+        internal = {p for col in cols for p in col}
+        assert leaf_run_count(idx) == runs_per_position(
+            p for p in range(1, t.n + 1) if p not in internal)
+
+
+def test_vectors_built_from_the_shared_bitmaps_match_the_constructors():
+    """A trie's bitmaps are its columns packed, made once; plain, fid and
+    fixed-block vectors built from them, and id vectors built from the
+    column arrays, serialize byte for byte as each back-end's constructor
+    over the column as a list does (id at the index's complement flag): on
+    seeded random tries with n < 8, n % 8 != 0 and n below fid's 14-bit
+    block, and on paths, whose one column is all ones but the last."""
+    rng = random.Random(49)
+    tries = [random_trie(rng, top, 5) for top in (7, 13, 40, 300)
+             for _ in range(40)]
+    tries += [build_from_strings([b"a" * k]) for k in range(20)]
+    assert {t.n for t in tries} >= set(range(1, 14))
+    for t in tries:
+        n = t.n
+        cols = xbwt_columns(t)
+        bitmaps = xbwt_bitmaps(t)
+        assert bitmaps == tuple(pack_positions(n, col) for col in cols)
+        assert xbwt_bitmaps(t) is bitmaps  # kept on the trie
+        for mode in MODES:
+            want = [IdVector(n, list(col), len(col) > n / 2) if mode == "id"
+                    else VECTORS[mode](n, list(col)) for col in cols]
+            assert list(map(serialize_bitvector,
+                            build_index(t, mode).vectors)) == \
+                list(map(serialize_bitvector, want)), (n, mode)
 
 
 def test_run_bound_on_random_tries(small_tries):

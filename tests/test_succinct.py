@@ -7,8 +7,9 @@ from itertools import accumulate
 import pytest
 
 from xbwtrie import FixedBlockVector, IdVector, PlainBitvector, RrrVector
-from xbwtrie.succinct import (Bitvector, _code_table, _codes,
-                              _decode_block, _inverse_table, _pack_positions,
+from xbwtrie.succinct import (_POS32, Bitvector, _code_table, _codes,
+                              _decode_block, _increasing, _inverse_table,
+                              _pack_positions,
                               _pack_uniform, _pascal, _rank_word,
                               _unpack_bitstream, _unpack_uniform, _unrank,
                               _width_row,
@@ -505,6 +506,45 @@ def test_constructors_accept_unsorted_duplicates():
             for v, tidy in zip(built, backends(m, ones, heavy=True)):
                 _assert_matches_bits(v, _bits(m, ones))
                 assert serialize_bitvector(v) == serialize_bitvector(tidy)
+
+
+def test_increasing_is_exact_for_any_items():
+    """``_increasing`` agrees with a pairwise comparison on arrays of every
+    item size, also where items have their top bit set and a lane could
+    borrow; so the id constructor, which checks an array's range at its
+    ends only once it increases, and the id restore refuse a position past
+    m between valid ends."""
+    rng = random.Random(45)
+    for typ in ("B", "H", _POS32, "Q"):
+        top = 8 * array(typ).itemsize
+        for k in (0, 1, 2, 3, 100, 1025, 3000):
+            for spread in (8, top - 1, top):
+                values = sorted(rng.getrandbits(spread) for _ in range(k))
+                for case in (values, sorted(set(values)),
+                             [*sorted(set(values)), 1]):
+                    want = all(a < b for a, b in zip(case, case[1:]))
+                    assert _increasing(array(typ, case)) == want, (typ, k)
+    # the lane pass reads the pair (2^31 + 10, 5) as increasing, borrowing
+    # from the next lane
+    hostile = array(_POS32, [1, 50, 2 ** 31 + 10, 5, 60])
+    assert not _increasing(hostile)
+    with pytest.raises(ValueError, match="^one-position out of range$"):
+        IdVector(100, hostile)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        IdVector._restore(100, hostile, False)
+
+
+def test_id_takes_a_column_array_as_it_stands():
+    """An increasing array of the vector's item type is kept as given, and
+    one that does not increase is sorted; either way a position outside
+    1..m is refused."""
+    ones = array(_POS32, [2, 3, 9])
+    assert list(IdVector(9, ones)._stored()) == [2, 3, 9]
+    assert IdVector(9, array(_POS32, [9, 2, 3, 2])).one_positions() == \
+        [2, 3, 9]
+    for bad in ([0, 3], [3, 10], [10, 3], [3, 0, 5]):
+        with pytest.raises(ValueError, match="^one-position out of range$"):
+            IdVector(9, array(_POS32, bad))
 
 
 def test_negative_length_refused_by_every_constructor():
@@ -1313,7 +1353,8 @@ def _reference_pack(values, widths):
     return acc.to_bytes((at + 7) // 8, "little")
 
 
-UNIFORM_COUNTS = (0, 1, 7, 8, 9, 15, 16, 17, 100)
+# counts read value by value, and from 16 full groups on, in lanes
+UNIFORM_COUNTS = (0, 1, 7, 8, 9, 15, 16, 17, 100, 127, 128, 129, 135)
 
 
 def test_bitstream_round_trip():
