@@ -343,8 +343,8 @@ def _check_size(index: XbwtIndex) -> None:
 
 
 def run_count(index: XbwtIndex) -> RunCounts:
-    """Number of positions where a symbol's run of out-edges ends; refused,
-    as the n-bit bitmaps it packs would be, past ``MAX_NODES``."""
+    """Number of positions where a symbol's run of out-edges ends, read off
+    each vector's n-bit bitmap; an index past ``MAX_NODES`` is refused."""
     _check_size(index)
     return count_runs(index.alphabet.symbols,
                       (_bitmap(index.n, vec.one_positions())
