@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
 
@@ -76,6 +76,8 @@ class SymbolDistribution:
     def sigma(self) -> int:
         return len(self.counts)
 
+
+_BYTES = bytes(range(256))
 
 _PARENT_RANGE = "node ids must be in pre-order (parent < child)"
 
@@ -145,7 +147,13 @@ class Trie:
         return self
 
     def _init(self, parent: Sequence[int], label: Sequence[int]) -> None:
-        alphabet = Alphabet.from_symbols(islice(label, 1, None))
+        if isinstance(label, (bytes, bytearray)):
+            # the byte values that label an edge: the 256 less those absent,
+            # two C-level passes where a set would take n - 1 ints
+            alphabet = Alphabet.from_symbols(_BYTES.translate(
+                None, _BYTES.translate(None, memoryview(label)[1:])))
+        else:
+            alphabet = Alphabet.from_symbols(islice(label, 1, None))
         self.n = len(parent)
         self.parent = tuple(parent)
         self.label = (alphabet.sentinel, *islice(label, 1, None))
@@ -243,8 +251,27 @@ def build_from_strings(strings: Iterable[bytes]) -> Trie:
 
     Pre-order with label-sorted children is the lexicographic order of the
     node paths, so the sorted distinct strings create the nodes in id
-    order: each adds the bytes past its longest common prefix with the
-    string before it, below the node at that depth on the current path.
+    order: each adds the bytes past its longest common prefix d with the
+    string before it, below the node at depth d on that string's path.
+    The loop does a constant number of Python steps per string:
+
+    - d comes from one XOR of the two strings read as big-endian ints, the
+      longer cut to the shorter's length by a shift: the XOR's highest set
+      bit falls in the first byte that differs, and it is 0 when the
+      shorter string is a prefix of the longer.
+    - The node at depth d is found on a stack of runs.  A run is the nodes
+      that one string added, kept as its start depth and a base: its node
+      at depth j >= start is ``base + j``.  The runs that start deeper
+      than d are popped, the top one then holds the node, and the
+      string's own run is pushed, so each run is pushed and popped once.
+    - Each string appends its new bytes to the labels, and its new nodes
+      to the parents: the first below the node p at depth d, the rest
+      each below the node before it, one range of ids.  Node p + 1 is p's
+      first child in pre-order, so its parent entry already holds an int
+      for p, and the first new node takes that object: the parents share
+      one int per id.  No int is made only to be dropped later: the small
+      objects of an index built next would fill the freed slots, spread
+      over twice the memory pages, and ``count`` on it would be slower.
     """
     # bytes(iter(s)) also takes bytearrays and lists of byte values, and,
     # like iterating, rejects an int instead of reading it as a length
@@ -252,24 +279,35 @@ def build_from_strings(strings: Iterable[bytes]) -> Trie:
                     for s in strings})
     if not words:
         raise ValueError("no strings")
+    if not words[0]:
+        del words[0]  # the empty string, first if present, adds no node
     parent = [0]
-    label = [0]
-    path = [0]  # path[d]: id of the depth-d node on the previous string
-    prev = b""
-    for s in words:
-        d = 0
-        m = min(len(prev), len(s))
-        while d < m and prev[d] == s[d]:
-            d += 1
-        del path[d + 1:]
+    label = bytearray(1)  # the root's, which Trie replaces by the sentinel
+    # the stack of runs, as start depths and bases: the root's run holds
+    # node 0 at depth 0
+    starts = [0]
+    bases = [0]
+    x = lp = 0  # the string before, as an int, and its length
+    for s, y in zip(words, map(int.from_bytes, words, repeat("big"))):
+        ls = len(s)
+        if ls >= lp:
+            d = lp - ((((y >> ((ls - lp) << 3)) ^ x).bit_length() + 7) >> 3)
+        else:
+            d = ls - ((((x >> ((lp - ls) << 3)) ^ y).bit_length() + 7) >> 3)
+        while starts[-1] > d:
+            starts.pop()
+            bases.pop()
+        p = bases[-1] + d  # the node at depth d, the new nodes' parent
         v = len(parent)
-        new = len(s) - d
-        if new:
-            parent.append(path[d])
-            parent.extend(range(v, v + new - 1))
-            label.extend(s[d:])
-            path.extend(range(v, v + new))
-        prev = s
+        # p's first child is node p + 1, unless it is node v
+        parent.append(parent[p + 1] if p + 1 < v else p)
+        parent.extend(range(v, v + ls - d - 1))
+        label += s[d:]
+        starts.append(d + 1)
+        bases.append(v - d - 1)
+        x = y
+        lp = ls
+    del words  # before Trie copies parent
     # distinct sorted strings give pre-order ids and ascending labels
     return Trie._trusted(parent, label)
 
